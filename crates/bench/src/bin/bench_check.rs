@@ -141,7 +141,7 @@ fn service_problem(health: &ServiceHealth) -> Option<String> {
     // NaN must fail too, so the test is "not strictly positive".
     if health.cache_hit_rate.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return Some(format!(
-            "service cache_hit_rate {} — the warm pool must record hits",
+            "service cache_hit_rate {} — the warm pass must record hits",
             health.cache_hit_rate
         ));
     }
@@ -366,7 +366,7 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     }
     // Service-health gate: a fresh snapshot carrying the service
-    // section must show a healthy warm pool — nothing shed, nothing
+    // section must show a healthy pool — nothing shed, nothing
     // degraded, nothing quarantined, and a warm cache that actually hit.
     match service_health(&fresh_text) {
         None => println!("bench_check: no service section in fresh snapshot (tolerated)"),

@@ -1,7 +1,8 @@
 //! Service-layer throughput snapshot: drives the standard corpus
-//! through a warm [`rt_service::SynthService`] pool twice — a cold pass
-//! that populates the memo cache and a warm pass that should hit it —
-//! and patches a `"service"` section into the `bench_reach` snapshot:
+//! through a [`rt_service::SynthService`] pool, whose workers build a
+//! fresh engine per request, twice — a cold pass that populates the
+//! memo cache and a warm pass that should hit it — and patches a
+//! `"service"` section into the `bench_reach` snapshot:
 //!
 //! ```text
 //! cargo run --release -p rt-bench --bin bench_service [-- [--fast] [OUTPUT.json]]

@@ -26,9 +26,8 @@ pub enum ServiceError {
     /// not (or will not be) processed.
     ShuttingDown,
     /// The pooled worker processing this request panicked. The panic
-    /// was isolated: the worker's engine was quarantined and rebuilt
-    /// cold, every other engine kept its warm state, and the next
-    /// request on the pool is served normally.
+    /// was isolated: the request's engine was discarded with it, and
+    /// the next request on the pool runs on a fresh engine as usual.
     WorkerPanicked,
     /// The underlying reachability/verification analysis failed —
     /// including hard budget stops ([`StgError::Cancelled`] for a
@@ -81,7 +80,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::WorkerPanicked => {
-                write!(f, "service worker panicked; engine quarantined and rebuilt")
+                write!(f, "service worker panicked; its engine was discarded")
             }
             ServiceError::Engine(err) => write!(f, "engine request failed: {err}"),
             ServiceError::Synth(err) => write!(f, "synthesis request failed: {err}"),

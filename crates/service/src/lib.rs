@@ -1,18 +1,19 @@
 //! # rt-service — supervised synthesis/verification service
 //!
 //! The long-running front the DAC-99 flow is meant to be driven
-//! through: instead of constructing a [`rt_stg::ReachEngine`] per call,
-//! clients submit [`Request`]s to a [`SynthService`] that keeps a pool
-//! of **warm engines** (persistent symbolic managers) behind admission
-//! control. Zero external dependencies — `std` threads, channels and
-//! condvars only.
+//! through: clients submit [`Request`]s to a [`SynthService`] whose
+//! worker pool sits behind admission control. Each request runs on its
+//! own freshly built [`rt_stg::ReachEngine`], so its symbolic manager
+//! is freed when the request ends and no answer depends on what the
+//! pool served before. Zero external dependencies — `std` threads,
+//! channels and condvars only.
 //!
 //! What the service adds over direct engine calls:
 //!
-//! * **Warm pool + supervision** — each worker owns one engine; panics
-//!   are caught and isolated, the panicking engine is quarantined and
-//!   rebuilt cold, engines that repeatedly exhaust their budgets are
-//!   struck out and rebuilt too. The pool never wedges.
+//! * **Worker pool + supervision** — a fixed set of worker threads,
+//!   each running one request at a time on a per-request engine;
+//!   panics are caught and isolated, the panicking request's engine is
+//!   discarded, and the worker keeps serving. The pool never wedges.
 //! * **Admission control** — a bounded queue; overload is answered
 //!   *immediately* with a typed [`ServiceError::Shed`] carrying the
 //!   queue depth, and per-request deadlines become hard

@@ -159,7 +159,7 @@ impl Request {
 }
 
 /// Backend-independent summary answer: the fields that are pinned
-/// bit-identical between a warm pooled engine and a fresh direct one
+/// bit-identical between a pooled request and a fresh direct engine
 /// (live-node gauges are engine-internal and deliberately excluded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SummaryOutcome {

@@ -1,12 +1,17 @@
-//! The supervised service: warm engine pool, bounded admission queue,
-//! retry/backoff, quarantine, and the memo cache front.
+//! The supervised service: per-request engines, bounded admission
+//! queue, retry/backoff, panic isolation, and the memo cache front.
 //!
 //! # Architecture
 //!
-//! [`SynthService::start`] spawns `workers` OS threads, each owning one
-//! warm [`ReachEngine`] whose symbolic manager persists across
-//! requests. Clients [`submit`](SynthService::submit) a [`Request`] and
-//! block for the `Result<Response, ServiceError>`; the non-blocking
+//! [`SynthService::start`] spawns `workers` OS threads. A worker keeps
+//! no engine between jobs: each job — and each retry attempt of a job —
+//! runs on a freshly built [`ReachEngine`] carrying the job's budget,
+//! so its symbolic manager is freed when the attempt ends and a reply
+//! never depends on what the worker served before. Exact repeats are
+//! served by the memo cache and single-flight dedup instead.
+//!
+//! Clients [`submit`](SynthService::submit) a [`Request`] and block
+//! for the `Result<Response, ServiceError>`; the non-blocking
 //! split is [`enqueue`](SynthService::enqueue), which returns a
 //! [`Ticket`] whose [`Ticket::wait`] blocks for the answer. Admission
 //! is a bounded queue — a full queue refuses the request *immediately*
@@ -50,13 +55,8 @@
 //!
 //! Each worker runs requests inside `catch_unwind`. A panic is
 //! isolated: the request gets a typed [`ServiceError::WorkerPanicked`],
-//! the worker's engine is **quarantined** (dropped, warm manager and
-//! all) and rebuilt cold, and the worker keeps serving. An engine that
-//! ends requests in soft resource exhaustion — even after the service's
-//! own retries — collects a *strike*; at
-//! [`ServiceConfig::quarantine_threshold`] consecutive strikes it is
-//! likewise rebuilt cold. Successful requests clear the strikes, and
-//! degraded-but-recovered runs are not strikes: the engine did its job.
+//! the engine it was running on is discarded (counted in
+//! [`ServiceStats::quarantines`]), and the worker keeps serving.
 //!
 //! # Retry and deadlines
 //!
@@ -90,11 +90,12 @@ use crate::request::{
 };
 
 /// Tuning of one [`SynthService`]. `Default` is sized for tests and
-/// embedded use: two warm engines, a small bounded queue, a couple of
+/// embedded use: two workers, a small bounded queue, a couple of
 /// retries with sub-millisecond backoff.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Pooled worker threads (and warm engines); clamped to ≥ 1.
+    /// Pooled worker threads, each running one request at a time on a
+    /// per-request engine; clamped to ≥ 1.
     pub workers: usize,
     /// Bounded admission queue: requests beyond this many *waiting*
     /// (not yet picked up) are shed. `0` sheds everything — useful for
@@ -109,13 +110,10 @@ pub struct ServiceConfig {
     pub backoff: Duration,
     /// Hard per-pause cap on the exponential backoff.
     pub max_backoff: Duration,
-    /// Consecutive exhaustion-failed requests before a worker's engine
-    /// is quarantined and rebuilt cold; clamped to ≥ 1.
-    pub quarantine_threshold: u32,
     /// Baseline budget each request runs under; a request deadline is
     /// layered on top of a fresh clone per request.
     pub budget: Budget,
-    /// Backend of the pooled engines.
+    /// Backend of the per-request engines.
     pub backend: ReachBackend,
     /// Per-client fairness quota: how many requests one client identity
     /// ([`Request::client`]) may have admitted-but-incomplete at once.
@@ -146,7 +144,6 @@ impl Default for ServiceConfig {
             max_retries: 2,
             backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(10),
-            quarantine_threshold: 2,
             budget: Budget::default(),
             backend: ReachBackend::Symbolic,
             max_inflight_per_client: 0,
@@ -224,13 +221,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Consecutive exhaustion strikes before an engine rebuild.
-    #[must_use]
-    pub fn quarantine_threshold(mut self, threshold: u32) -> Self {
-        self.config.quarantine_threshold = threshold;
-        self
-    }
-
     /// Baseline budget each request runs under.
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
@@ -238,7 +228,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Backend of the pooled engines.
+    /// Backend of the per-request engines.
     #[must_use]
     pub fn backend(mut self, backend: ReachBackend) -> Self {
         self.config.backend = backend;
@@ -359,7 +349,8 @@ pub struct ServiceStats {
     pub idempotent_replays: u64,
     /// Service-level retry attempts spent (not requests retried).
     pub retries: u64,
-    /// Engines quarantined and rebuilt cold (panics + strike-outs).
+    /// Engines discarded mid-request by a worker panic. Every engine
+    /// is per-request, so this equals `worker_panics`.
     pub quarantines: u64,
     /// Worker panics caught and isolated.
     pub worker_panics: u64,
@@ -688,41 +679,6 @@ impl SynthService {
         }
     }
 
-    /// [`submit`](SynthService::submit) under its pre-daemon name.
-    #[deprecated(note = "use `submit` — it now blocks and returns the reply directly")]
-    pub fn call(&self, request: Request) -> Reply {
-        self.submit(request)
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::summary(stg))`")]
-    pub fn summary(&self, stg: rt_stg::Stg) -> Reply {
-        self.submit(Request::summary(stg))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::csc_check(stg))`")]
-    pub fn csc_check(&self, stg: rt_stg::Stg) -> Reply {
-        self.submit(Request::csc_check(stg))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::resolve_csc(stg, options))`")]
-    pub fn resolve_csc(&self, stg: rt_stg::Stg, options: rt_synth::csc::CscOptions) -> Reply {
-        self.submit(Request::resolve_csc(stg, options))
-    }
-
-    /// Per-kind wrapper over [`submit`](SynthService::submit).
-    #[deprecated(note = "use `submit(Request::verify(netlist, spec, orderings))`")]
-    pub fn verify(
-        &self,
-        netlist: rt_netlist::Netlist,
-        spec: rt_stg::Stg,
-        orderings: Vec<rt_verify::NetOrdering>,
-    ) -> Reply {
-        self.submit(Request::verify(netlist, spec, orderings))
-    }
-
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         let c = &self.shared.counters;
@@ -780,15 +736,9 @@ impl Drop for SynthService {
     }
 }
 
-fn build_engine(config: &ServiceConfig) -> ReachEngine {
-    ReachEngine::new(config.backend).with_budget(config.budget.clone())
-}
-
 fn worker_loop(shared: &Shared) {
     let config = &shared.config;
     let counters = &shared.counters;
-    let mut engine = build_engine(config);
-    let mut strikes = 0u32;
     loop {
         let mut job = {
             let mut queue = lock(&shared.queue);
@@ -824,7 +774,7 @@ fn worker_loop(shared: &Shared) {
             if faults::service_panic(job.seq) {
                 panic!("injected service-worker fault");
             }
-            process(&mut engine, config, counters, &job)
+            process(config, counters, &job)
         }));
         let reply = match outcome {
             Ok(reply) => {
@@ -836,30 +786,19 @@ fn worker_loop(shared: &Shared) {
                         if let Some(key) = job.key {
                             lock(&shared.cache).insert(key, response.clone());
                         }
-                        strikes = 0;
                     }
-                    Err(err) => {
+                    Err(_) => {
                         counters.errors.fetch_add(1, Ordering::Relaxed);
-                        if err.is_resource_exhaustion() {
-                            strikes += 1;
-                            if strikes >= config.quarantine_threshold.max(1) {
-                                engine = build_engine(config);
-                                counters.quarantines.fetch_add(1, Ordering::Relaxed);
-                                strikes = 0;
-                            }
-                        }
                     }
                 }
                 reply
             }
             Err(_) => {
-                // The engine may have been mid-mutation when the panic
-                // unwound through it: quarantine unconditionally.
+                // The unwind already dropped the request's engine, so
+                // no half-mutated manager outlives the panic.
                 counters.worker_panics.fetch_add(1, Ordering::Relaxed);
                 counters.quarantines.fetch_add(1, Ordering::Relaxed);
                 counters.errors.fetch_add(1, Ordering::Relaxed);
-                engine = build_engine(config);
-                strikes = 0;
                 Err(ServiceError::WorkerPanicked)
             }
         };
@@ -919,39 +858,35 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one admitted job on `engine`, retrying soft exhaustion with
-/// bounded backoff. The response carries only the degradations of the
-/// attempt that succeeded — failed attempts are summarized by the
-/// `retries` count instead.
+/// Runs one admitted job, retrying soft exhaustion with bounded
+/// backoff. Every attempt runs on a fresh engine, so the response
+/// carries only the degradations of the attempt that succeeded —
+/// failed attempts are summarized by the `retries` count instead.
 fn process(
-    engine: &mut ReachEngine,
     config: &ServiceConfig,
     counters: &Counters,
     job: &Job,
 ) -> Result<Response, ServiceError> {
-    engine.options_mut().budget = job.budget.clone();
     let mut retries = 0u32;
     loop {
         if job.budget.cancelled() {
             return Err(ServiceError::Engine(StgError::Cancelled));
         }
-        let degradations_before = engine.stats().degradations.len();
-        match run_once(engine, &job.payload, &job.budget) {
+        let mut engine = ReachEngine::new(config.backend).with_budget(job.budget.clone());
+        match run_once(&mut engine, &job.payload, &job.budget) {
             Ok(payload) => {
-                let degradations = engine.stats().degradations[degradations_before..].to_vec();
                 return Ok(Response {
                     payload,
-                    degradations,
+                    degradations: engine.stats().degradations.clone(),
                     cached: false,
                     retries,
                 });
             }
             Err(err) if err.is_resource_exhaustion() && retries < config.max_retries => {
+                // Free the failed attempt's manager before backing off.
+                drop(engine);
                 retries += 1;
                 counters.retries.fetch_add(1, Ordering::Relaxed);
-                // A fresh attempt deserves a leaner manager: drop the
-                // memo caches (cheap) before backing off.
-                engine.trim();
                 let mut pause = config.backoff.saturating_mul(1u32 << (retries - 1).min(16));
                 pause = pause.min(config.max_backoff);
                 if let Some(left) = job.budget.remaining_deadline() {

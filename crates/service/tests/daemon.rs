@@ -278,11 +278,11 @@ mod faulted {
         assert_eq!(
             client.submit(&Request::summary(models::fifo_stg())),
             Err(ServiceError::WorkerPanicked),
-            "the quarantine machinery's typed error arrives verbatim"
+            "the panic-isolation typed error arrives verbatim"
         );
         let after = client
             .submit(&Request::summary(models::fifo_stg()))
-            .expect("rebuilt engine serves the same connection");
+            .expect("the pool serves the same connection after the panic");
         let direct = ReachEngine::symbolic()
             .summary(&models::fifo_stg())
             .expect("direct");

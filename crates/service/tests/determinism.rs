@@ -1,8 +1,9 @@
-//! Concurrent-submission determinism: N client threads hammering the
-//! shared pool, each submitting the corpus in a different order, must
-//! observe answers bit-identical to serial direct-engine calls — and,
-//! with fault injection on, must keep doing so while a worker panic is
-//! being isolated and its engine rebuilt.
+//! Submission determinism: N client threads hammering the shared
+//! pool, each submitting the corpus in a different order, must observe
+//! answers bit-identical to serial direct-engine calls — and, with
+//! fault injection on, must keep doing so while a worker panic is
+//! being isolated. Under a node budget, a reply must also not depend on
+//! what the worker served before.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
@@ -11,8 +12,8 @@ use std::thread;
 use rt_service::{
     Request, RequestPayload, ResponsePayload, ServiceConfig, ServiceError, SynthService,
 };
-use rt_stg::engine::ReachEngine;
-use rt_stg::{corpus, Stg};
+use rt_stg::engine::{Degradation, ReachEngine};
+use rt_stg::{corpus, models, Budget, Stg};
 
 /// Fault state is process-global, so the plain and fault-injected
 /// variants of this suite must not overlap: with the feature on, a
@@ -55,34 +56,42 @@ fn requests(models: &[(String, Stg)]) -> Vec<(String, Request)> {
     out
 }
 
+/// What a reply must equal: the payload and the degradations recorded
+/// on the way to it.
+type Answer = (ResponsePayload, Vec<Degradation>);
+
+/// A fresh direct engine's answer to `request` under `budget`.
+fn direct(request: &Request, budget: &Budget) -> Answer {
+    let mut engine = ReachEngine::symbolic().with_budget(budget.clone());
+    let payload = match &request.payload {
+        RequestPayload::Summary { stg } => {
+            let summary = engine.summary(stg).expect("direct summary");
+            ResponsePayload::Summary(rt_service::SummaryOutcome {
+                markings: summary.markings,
+                iterations: summary.iterations,
+            })
+        }
+        RequestPayload::CscCheck { stg } => {
+            let analysis = engine.csc_conflicts_symbolic(stg).expect("direct csc");
+            ResponsePayload::CscCheck(rt_service::CscCheckOutcome {
+                markings: analysis.markings,
+                conflicts: analysis.conflicts,
+                deadlock_free: analysis.deadlock_free,
+                strongly_connected: analysis.strongly_connected,
+            })
+        }
+        other => unreachable!("suite only submits summaries and checks: {other:?}"),
+    };
+    (payload, engine.stats().degradations.clone())
+}
+
 /// Serial ground truth: every request answered by a fresh direct
-/// engine, no pool, no cache.
-fn direct_expected(models: &[(String, Stg)]) -> BTreeMap<String, ResponsePayload> {
-    let mut expected = BTreeMap::new();
-    for (key, request) in requests(models) {
-        let mut engine = ReachEngine::symbolic();
-        let payload = match &request.payload {
-            RequestPayload::Summary { stg } => {
-                let summary = engine.summary(stg).expect("direct summary");
-                ResponsePayload::Summary(rt_service::SummaryOutcome {
-                    markings: summary.markings,
-                    iterations: summary.iterations,
-                })
-            }
-            RequestPayload::CscCheck { stg } => {
-                let analysis = engine.csc_conflicts_symbolic(stg).expect("direct csc");
-                ResponsePayload::CscCheck(rt_service::CscCheckOutcome {
-                    markings: analysis.markings,
-                    conflicts: analysis.conflicts,
-                    deadlock_free: analysis.deadlock_free,
-                    strongly_connected: analysis.strongly_connected,
-                })
-            }
-            other => unreachable!("suite only submits summaries and checks: {other:?}"),
-        };
-        expected.insert(key, payload);
-    }
-    expected
+/// engine under the default budget, no pool, no cache.
+fn direct_expected(models: &[(String, Stg)]) -> BTreeMap<String, Answer> {
+    requests(models)
+        .into_iter()
+        .map(|(key, request)| (key, direct(&request, &Budget::default())))
+        .collect()
 }
 
 /// Runs `CLIENTS` threads over the shared `service`, each submitting
@@ -125,7 +134,11 @@ fn concurrent_clients_match_serial_direct_engine_calls() {
     assert_eq!(replies.len(), CLIENTS * expected.len());
     for (key, reply) in replies {
         let response = reply.unwrap_or_else(|e| panic!("{key}: {e}"));
-        assert_eq!(response.payload, expected[&key], "{key}");
+        assert_eq!(
+            (response.payload, response.degradations),
+            expected[&key],
+            "{key}"
+        );
     }
     let stats = service.stats();
     assert_eq!(stats.completed, stats.submitted);
@@ -142,6 +155,7 @@ fn concurrent_clients_match_serial_direct_engine_calls() {
 #[test]
 fn concurrent_clients_stay_deterministic_through_an_injected_panic() {
     use rt_stg::faults::{arm, Fault};
+    use std::collections::BTreeSet;
 
     let _suite = suite_guard();
     let models = corpus_slice();
@@ -152,15 +166,28 @@ fn concurrent_clients_stay_deterministic_through_an_injected_panic() {
     let replies = hammer(&service, &models);
     drop(guard);
 
-    let mut panics = 0;
+    // The armed shot panics one engine dispatch. Identical in-flight
+    // requests join the leader's flight and share its reply, so that
+    // one panic answers the leader and every joiner: one to `CLIENTS`
+    // replies, all for the same request.
+    let mut panicked = Vec::new();
     for (key, reply) in replies {
         match reply {
-            Ok(response) => assert_eq!(response.payload, expected[&key], "{key}"),
-            Err(ServiceError::WorkerPanicked) => panics += 1,
+            Ok(response) => assert_eq!(
+                (response.payload, response.degradations),
+                expected[&key],
+                "{key}"
+            ),
+            Err(ServiceError::WorkerPanicked) => panicked.push(key),
             Err(other) => panic!("{key}: unexpected error {other}"),
         }
     }
-    assert_eq!(panics, 1, "the single armed shot fails exactly one request");
+    assert!(
+        (1..=CLIENTS).contains(&panicked.len()),
+        "one flight answers 1..={CLIENTS} requests, got {panicked:?}"
+    );
+    let flights: BTreeSet<&String> = panicked.iter().collect();
+    assert_eq!(flights.len(), 1, "one flight panicked: {panicked:?}");
     let stats = service.stats();
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.quarantines, 1);
@@ -172,6 +199,63 @@ fn concurrent_clients_stay_deterministic_through_an_injected_panic() {
         let response = service
             .submit(request)
             .unwrap_or_else(|e| panic!("{key}: {e}"));
-        assert_eq!(response.payload, expected[&key], "{key} after recovery");
+        assert_eq!(
+            (response.payload, response.degradations),
+            expected[&key],
+            "{key} after recovery"
+        );
+    }
+}
+
+/// Rings, RT ripple-carry adders and a fabric, in submission order.
+fn budgeted_nets() -> Vec<(&'static str, Stg)> {
+    vec![
+        ("ring8_2", models::ring_stg(8, 2)),
+        ("ring9_2", models::ring_stg(9, 2)),
+        ("ring10_2", models::ring_stg(10, 2)),
+        ("adder6", corpus::adder_rt_stg(6)),
+        ("adder8", corpus::adder_rt_stg(8)),
+        ("fabric2x2", corpus::fabric_stg(2, 2, 1)),
+        ("ring10_3", models::ring_stg(10, 3)),
+    ]
+}
+
+#[test]
+fn budgeted_replies_do_not_depend_on_what_the_worker_served_before() {
+    let _suite = suite_guard();
+    let nets = budgeted_nets();
+    // 10% above the largest footprint a fresh engine reaches on any one
+    // net: no fresh engine trips it, a manager kept across the
+    // sequence would.
+    let largest = nets
+        .iter()
+        .map(|(name, stg)| {
+            let mut engine = ReachEngine::symbolic();
+            engine
+                .summary(stg)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            engine.manager_nodes() + engine.manager_cache_len()
+        })
+        .max()
+        .expect("nets");
+    let budget = Budget::default().with_max_bdd_nodes(largest + largest / 10);
+    let config = ServiceConfig::builder()
+        .workers(1)
+        .cache_capacity(0)
+        .budget(budget.clone())
+        .build()
+        .expect("valid config");
+    let service = SynthService::start(config);
+    for (name, stg) in nets {
+        let request = Request::summary(stg);
+        let expected = direct(&request, &budget);
+        let response = service
+            .submit(request)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            (response.payload, response.degradations),
+            expected,
+            "{name}"
+        );
     }
 }

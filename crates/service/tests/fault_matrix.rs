@@ -49,8 +49,8 @@ fn injected_worker_panic_is_typed_and_the_engine_is_rebuilt() {
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.quarantines, 1);
 
-    // The same (sole) worker now runs a rebuilt engine: next request is
-    // served, bit-identical to a fresh direct call.
+    // The same (sole) worker serves the next request on a fresh engine,
+    // bit-identical to a fresh direct call.
     let after = service
         .submit(Request::summary(models::fifo_stg()))
         .expect("pool serves after the panic");
@@ -88,37 +88,36 @@ fn injected_node_exhaustion_is_absorbed_by_the_service_retry() {
     }
     let stats = service.stats();
     assert_eq!(stats.retries, 1);
-    assert_eq!(stats.quarantines, 0, "a recovered request is not a strike");
+    assert_eq!(stats.quarantines, 0, "exhaustion never quarantines");
 }
 
 #[test]
-fn repeated_exhaustion_strikes_out_and_quarantines_the_engine() {
+fn repeated_exhaustion_leaves_no_engine_to_quarantine() {
     let _suite = serial();
     let config = ServiceConfig {
         max_retries: 0,
-        quarantine_threshold: 2,
         ..one_worker()
     };
     let service = SynthService::start(config);
     // Four shots: two requests × (attempt + engine trim-retry), both
-    // requests ending in hard failure — the second strike.
+    // requests ending in hard failure.
     let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 4);
-    for strike in 0..2 {
+    for request in 0..2 {
         match service.submit(Request::csc_check(models::fifo_stg())) {
             Err(ServiceError::Engine(StgError::NodeBudgetExceeded { .. })) => {}
-            other => panic!("strike {strike}: expected node exhaustion, got {other:?}"),
+            other => panic!("request {request}: expected node exhaustion, got {other:?}"),
         }
     }
     let stats = service.stats();
     assert_eq!(
-        stats.quarantines, 1,
-        "two consecutive exhaustion failures rebuild the engine cold"
+        stats.quarantines, 0,
+        "each request ran on its own engine, so no failed engine outlives its request"
     );
     assert_eq!(stats.worker_panics, 0);
 
     let after = service
         .submit(Request::csc_check(models::fifo_stg()))
-        .expect("rebuilt engine serves");
+        .expect("the next request is served");
     let direct = ReachEngine::symbolic()
         .csc_conflicts_symbolic(&models::fifo_stg())
         .expect("direct");

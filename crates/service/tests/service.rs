@@ -223,7 +223,6 @@ fn config_builder_validates_the_combination() {
         .max_retries(1)
         .backoff(Duration::from_micros(100))
         .max_backoff(Duration::from_millis(1))
-        .quarantine_threshold(4)
         .build()
         .expect("a sensible combination builds");
     assert_eq!(config.workers, 3);

@@ -49,20 +49,22 @@
 //! where the repeated re-explorations of CSC resolution win big
 //! (`bench_reach`'s `csc` stage measures warm-vs-fresh).
 //!
-//! The trade-off is memory: node ids are never garbage-collected, so a
-//! long-lived engine grows monotonically ([`ReachEngine::manager_nodes`]
-//! is the gauge). Two escape hatches, cheapest first:
-//! [`ReachEngine::trim`] drops only the apply/cofactor memo tables
-//! (usually the bulk of a mature manager's footprint) while keeping the
-//! unique table, so every node id stays valid and later queries are
-//! bit-identical, just recomputed; [`ReachEngine::reset`] drops the
-//! whole manager (the next symbolic call starts cold). Neither touches
-//! the engine's options or backend. Reuse is sound because nothing is
-//! ever invalidated: a cached `(op, lhs, rhs)` entry describes pure
-//! functions of immutable nodes, so a poisoned result is impossible by
-//! construction — and `crates/stg/tests/engine_reuse.rs` holds the line
-//! with fresh-vs-reused and trimmed-vs-untrimmed bit-identical property
-//! tests over the corpus.
+//! The trade-off is memory: nothing is freed unless the caller asks,
+//! so a long-lived engine grows with every query
+//! ([`ReachEngine::manager_nodes`] is the gauge). Three escape hatches,
+//! cheapest first: [`ReachEngine::trim`] drops only the apply/cofactor
+//! memo tables (usually the bulk of a mature manager's footprint)
+//! while keeping the unique table, so every node id stays valid and
+//! later queries are bit-identical, just recomputed;
+//! [`ReachEngine::collect`] evicts the latest query's unreachable
+//! nodes (see *Budgets and degradation*); [`ReachEngine::reset`] drops
+//! the whole manager (the next symbolic call starts cold). None of them
+//! touches the engine's options or backend. Reuse is sound because
+//! nothing is ever invalidated: a cached `(op, lhs, rhs)` entry
+//! describes pure functions of immutable nodes, so a poisoned result is
+//! impossible by construction — and `crates/stg/tests/engine_reuse.rs`
+//! holds the line with fresh-vs-reused and trimmed-vs-untrimmed
+//! bit-identical property tests over the corpus.
 //!
 //! ## Multi-core exploration: sharding and per-worker managers
 //!
@@ -149,22 +151,22 @@
 //!
 //! ## Service layer
 //!
-//! `rt-service` runs a pool of these engines as a long-lived,
-//! supervised synthesis/verification service, and the budget contract
-//! above is exactly what makes that safe. The division of labour:
+//! `rt-service` runs these engines behind a long-lived, supervised
+//! synthesis/verification service, and the budget contract above is
+//! exactly what makes that safe. The division of labour:
 //!
 //! * **The engine** owns per-request execution: budgets polled at
-//!   round/iteration granularity, the degradation chain, and the
-//!   guarantee that no overrun or panic ever corrupts the persistent
-//!   manager — so a *warm* pooled engine answers bit-identically to a
-//!   fresh one.
-//! * **The service** owns cross-request policy: per-engine health
-//!   tracking (an engine that panics its worker, or whose requests end
-//!   in soft exhaustion twice in a row, is quarantined and rebuilt
-//!   cold — every other engine keeps its warm manager), bounded
-//!   admission with deterministic load shedding, retry with bounded
-//!   backoff on [`StgError::is_resource_exhaustion`] errors (the
-//!   residual deadline is split across attempts via
+//!   round/iteration granularity, the degradation chain, and warm
+//!   reuse *within* one request (the CSC candidate loop of
+//!   `rt_synth::resolve_csc_engine`).
+//! * **The service** owns cross-request policy. It builds a fresh
+//!   engine for every request and every retry attempt, so a worker
+//!   holds no manager between jobs and an answer — degradations
+//!   included — never depends on what the worker served before. A
+//!   request whose worker panics loses only its own engine. On top of
+//!   that sit bounded admission with deterministic load shedding,
+//!   retry with bounded backoff on [`StgError::is_resource_exhaustion`]
+//!   errors (the residual deadline is split across attempts via
 //!   [`Budget::remaining_deadline`](crate::budget::Budget::remaining_deadline)),
 //!   and a bounded content-hash memo cache
 //!   ([`crate::stg::Stg::content_hash`] → result). Cached entries keep

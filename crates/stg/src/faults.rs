@@ -98,7 +98,7 @@ pub enum Fault {
     },
     /// The pooled service worker processing admitted request `request`
     /// panics inside its `catch_unwind` region — the worker-crash
-    /// scenario the engine pool's quarantine/rebuild policy handles.
+    /// scenario the service's panic isolation handles.
     ServicePanicAt {
         /// 0-based service admission index the panic fires on.
         request: usize,
