@@ -38,7 +38,7 @@
 //! When the fresh snapshot carries a `"service"` section (written by
 //! `bench_service`), its health counters are gated the same way: the
 //! standard corpus under default budgets must record **zero** shed,
-//! degraded and quarantined requests, and the warm pass must have hit
+//! degraded and panicked requests, and the warm pass must have hit
 //! the memo cache (`cache_hit_rate > 0`). Snapshots predating the
 //! section are tolerated with a notice.
 //!
@@ -111,7 +111,7 @@ fn summary_degradations(json: &str) -> u64 {
 struct ServiceHealth {
     shed: u64,
     degraded: u64,
-    quarantines: u64,
+    worker_panics: u64,
     cache_hit_rate: f64,
 }
 
@@ -124,18 +124,18 @@ fn service_health(json: &str) -> Option<ServiceHealth> {
     Some(ServiceHealth {
         shed: field_number(line, "shed")? as u64,
         degraded: field_number(line, "degraded")? as u64,
-        quarantines: field_number(line, "quarantines")? as u64,
+        worker_panics: field_number(line, "worker_panics")? as u64,
         cache_hit_rate: field_number(line, "cache_hit_rate")?,
     })
 }
 
 /// Why a service section fails the gate, if it does.
 fn service_problem(health: &ServiceHealth) -> Option<String> {
-    if health.shed > 0 || health.degraded > 0 || health.quarantines > 0 {
+    if health.shed > 0 || health.degraded > 0 || health.worker_panics > 0 {
         return Some(format!(
-            "service recorded shed={} degraded={} quarantines={} — all must be 0 \
+            "service recorded shed={} degraded={} worker_panics={} — all must be 0 \
              on the standard corpus under default budgets",
-            health.shed, health.degraded, health.quarantines
+            health.shed, health.degraded, health.worker_panics
         ));
     }
     // NaN must fail too, so the test is "not strictly positive".
@@ -367,7 +367,7 @@ fn main() -> ExitCode {
     }
     // Service-health gate: a fresh snapshot carrying the service
     // section must show a healthy pool — nothing shed, nothing
-    // degraded, nothing quarantined, and a warm cache that actually hit.
+    // degraded, no worker panic, and a warm cache that actually hit.
     match service_health(&fresh_text) {
         None => println!("bench_check: no service section in fresh snapshot (tolerated)"),
         Some(health) => {
@@ -376,7 +376,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(1);
             }
             println!(
-                "  ok      service                   hit rate {:.2}, zero shed/degraded/quarantined",
+                "  ok      service                   hit rate {:.2}, zero shed/degraded/panicked",
                 health.cache_hit_rate
             );
         }
@@ -549,7 +549,7 @@ mod tests {
     fn service_gate_reads_the_section_and_fails_on_unhealth() {
         let line = "  \"service\": {\"requests\": 58, \"requests_per_s\": 1200, \
                     \"cache_hit_rate\": 0.500, \"shed\": 0, \"retries\": 0, \
-                    \"quarantines\": 0, \"worker_panics\": 0, \"degraded\": 0, \"errors\": 0}";
+                    \"worker_panics\": 0, \"degraded\": 0, \"errors\": 0}";
         let snapshot = format!("{}{line}\n}}\n", snapshot(1.0));
         let health = service_health(&snapshot).expect("section parses");
         assert_eq!(health.shed, 0);
@@ -566,11 +566,11 @@ mod tests {
             ..health.clone()
         };
         assert!(service_problem(&degraded).is_some());
-        let quarantined = ServiceHealth {
-            quarantines: 1,
+        let panicked = ServiceHealth {
+            worker_panics: 1,
             ..health.clone()
         };
-        assert!(service_problem(&quarantined).is_some());
+        assert!(service_problem(&panicked).is_some());
         let cold = ServiceHealth {
             cache_hit_rate: 0.0,
             ..health

@@ -12,9 +12,9 @@
 //! [`ReachEngine`] call before anything is written, so the snapshot can
 //! never record throughput for wrong answers. The emitted counters —
 //! `requests_per_s`, `cache_hit_rate`, `shed`, `retries`,
-//! `quarantines`, `degraded` — are the service-health gauges
+//! `worker_panics`, `degraded` — are the service-health gauges
 //! `bench_check` gates on: under default budgets the standard corpus
-//! must record zero shed, degraded and quarantined requests and a
+//! must record zero shed, degraded and panicked requests and a
 //! nonzero warm-pass hit rate.
 //!
 //! A third and fourth pass drive the same workload through the TCP
@@ -185,11 +185,11 @@ fn main() {
         warm_elapsed.as_secs_f64() * 1e3
     );
     println!(
-        "service: hit rate {:.2}  shed {}  retries {}  quarantines {}  degraded {}  errors {}",
+        "service: hit rate {:.2}  shed {}  retries {}  worker panics {}  degraded {}  errors {}",
         stats.cache_hit_rate(),
         stats.shed,
         stats.retries,
-        stats.quarantines,
+        stats.worker_panics,
         stats.degraded,
         stats.errors
     );
@@ -199,11 +199,10 @@ fn main() {
         section,
         "\"requests\": {requests}, \"requests_per_s\": {requests_per_s:.0}, \
          \"cache_hit_rate\": {:.3}, \"shed\": {}, \"retries\": {}, \
-         \"quarantines\": {}, \"worker_panics\": {}, \"degraded\": {}, \"errors\": {}}}",
+         \"worker_panics\": {}, \"degraded\": {}, \"errors\": {}}}",
         stats.cache_hit_rate(),
         stats.shed,
         stats.retries,
-        stats.quarantines,
         stats.worker_panics,
         stats.degraded,
         stats.errors
@@ -304,7 +303,7 @@ fn main() {
         "\"service\":",
         "\"requests_per_s\"",
         "\"cache_hit_rate\"",
-        "\"quarantines\"",
+        "\"worker_panics\"",
         "\"daemon\":",
         "\"batch_dedup_hits\"",
         "\"protocol_errors\"",

@@ -15,13 +15,19 @@
 //! * the per-variable **unique subtables**, which make equivalent
 //!   functions pointer-identical;
 //! * the **operation cache**, keyed `(op, lhs, rhs)` with commutative
-//!   operands normalized, which memoizes `apply` results *across* calls.
-//!   Symbolic breadth-first reachability re-conjoins the same transition
-//!   relations against overlapping frontiers every iteration; with a
-//!   per-call memo each iteration re-derived identical subresults, while
-//!   the persistent cache turns them into single lookups. Restriction
+//!   operands normalized, which memoizes `apply` results *across* calls,
+//!   so a repeated conjunction (the same constraint against an
+//!   overlapping set) resolves as a single lookup. Restriction
 //!   (cofactor) results are cached the same way, keyed `(node, var,
 //!   value)`.
+//!
+//! Transition images go through neither cache. [`Bdd::replace_cube`]
+//! fires one transition — constrain a set to the enabling cube,
+//! quantify the cube's support, set the firing cube — in a single
+//! top-down pass with a per-call memo. Composed from `and`, `exists`
+//! and `and`, the same image takes a full diagram pass per literal and
+//! fills the persistent caches with intermediates that only a repeat of
+//! the same analysis would reuse.
 //!
 //! # Variable ordering and reordering
 //!
@@ -127,6 +133,9 @@ pub struct Bdd {
     op_cache: FxHashMap<(Op, NodeId, NodeId), NodeId>,
     /// Persistent cofactor memo: `(node, var, value)` → result.
     restrict_cache: FxHashMap<(NodeId, u32, bool), NodeId>,
+    /// Scratch memo of [`Bdd::replace_cube`]: `(node, literal position)`
+    /// → result. Empty between calls; kept only for its allocation.
+    cube_memo: FxHashMap<(NodeId, u32), NodeId>,
     /// Soft footprint budget (see [`Bdd::over_budget`]); `None` = unlimited.
     node_budget: Option<usize>,
 }
@@ -256,6 +265,7 @@ impl Bdd {
             epoch: 0,
             op_cache: FxHashMap::with_capacity_and_hasher(CACHE_CAPACITY, Default::default()),
             restrict_cache: FxHashMap::default(),
+            cube_memo: FxHashMap::default(),
             node_budget: None,
         }
     }
@@ -485,7 +495,8 @@ impl Bdd {
         self.node_budget.is_some_and(|b| self.footprint() > b)
     }
 
-    /// Drops the apply and cofactor caches (releasing their memory) but
+    /// Drops the apply and cofactor caches and the
+    /// [`Bdd::replace_cube`] scratch memo (releasing their memory) but
     /// keeps the unique tables and every node alive.
     ///
     /// This is the middle ground between "keep everything" and a full
@@ -500,6 +511,7 @@ impl Bdd {
     pub fn trim_caches(&mut self) {
         self.op_cache = FxHashMap::with_capacity_and_hasher(CACHE_CAPACITY, Default::default());
         self.restrict_cache = FxHashMap::default();
+        self.cube_memo = FxHashMap::default();
     }
 
     fn apply(&mut self, op: Op, a: NodeId, b: NodeId) -> NodeId {
@@ -582,7 +594,7 @@ impl Bdd {
     ///
     /// This is the membership oracle for callers that build functions
     /// under a non-identity static variable order (e.g. the
-    /// BFS-connectivity order of `rt_stg::symbolic`): the caller keeps
+    /// reverse-index order of `rt_stg::symbolic`): the caller keeps
     /// its natural bit layout and supplies the mapping once.
     pub fn evaluate_mapped(&self, id: NodeId, words: &[u64], bit_of_var: &[u32]) -> bool {
         let mut current = id;
@@ -690,6 +702,86 @@ impl Bdd {
         let high = self.restrict_rec(node.high, var, value);
         let result = self.mk(node.var, low, high);
         self.restrict_cache.insert((id, var, value), result);
+        result
+    }
+
+    /// Replaces one cube by another over the same support: for the
+    /// literals `(var, from, to)` over support `S`, returns
+    /// `(∃S. f ∧ from_S) ∧ to_S` — every assignment of `f` that agrees
+    /// with the `from` cube, with `S` rewritten to the `to` cube.
+    ///
+    /// For a safe Petri net whose markings are sets over place
+    /// variables, `from` the enabling cube of a transition and `to` its
+    /// firing cube, this is exactly the transition's image; with the two
+    /// cubes swapped it is the preimage. The result is computed in one
+    /// memoized top-down pass: above the next literal's variable both
+    /// children are rebuilt; at that variable, or where `f` skips it,
+    /// the pass follows the `from` branch and emits the `to` literal.
+    ///
+    /// Literals are visited in the manager's *current* level order,
+    /// sorted on each call, so the primitive works unchanged after any
+    /// reordering. The memo lives for one call only; nothing enters the
+    /// persistent caches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal's variable is out of range or two literals
+    /// name the same variable.
+    pub fn replace_cube(&mut self, f: NodeId, lits: &[(usize, bool, bool)]) -> NodeId {
+        // `(level, var, from, to)`, top level first.
+        let mut seq: Vec<(u32, u32, bool, bool)> = lits
+            .iter()
+            .map(|&(var, from, to)| {
+                assert!(var < self.vars, "variable out of range");
+                (self.level_of_var[var], var as u32, from, to)
+            })
+            .collect();
+        seq.sort_unstable_by_key(|&(level, ..)| level);
+        assert!(
+            seq.windows(2).all(|w| w[0].0 < w[1].0),
+            "replace_cube literals must name distinct variables"
+        );
+        let mut memo = std::mem::take(&mut self.cube_memo);
+        let result = self.replace_cube_rec(f, &seq, 0, &mut memo);
+        memo.clear();
+        self.cube_memo = memo;
+        result
+    }
+
+    fn replace_cube_rec(
+        &mut self,
+        f: NodeId,
+        seq: &[(u32, u32, bool, bool)],
+        i: usize,
+        memo: &mut FxHashMap<(NodeId, u32), NodeId>,
+    ) -> NodeId {
+        if f == NodeId::ZERO || i == seq.len() {
+            return f;
+        }
+        if let Some(&hit) = memo.get(&(f, i as u32)) {
+            return hit;
+        }
+        let node = self.node(f);
+        let level = self.level_of_node(&node);
+        let (lit_level, var, from, to) = seq[i];
+        let result = if level < lit_level {
+            let low = self.replace_cube_rec(node.low, seq, i, memo);
+            let high = self.replace_cube_rec(node.high, seq, i, memo);
+            self.mk(node.var, low, high)
+        } else {
+            let cofactor = match (level == lit_level, from) {
+                (true, true) => node.high,
+                (true, false) => node.low,
+                (false, _) => f,
+            };
+            let rest = self.replace_cube_rec(cofactor, seq, i + 1, memo);
+            if to {
+                self.mk(var, NodeId::ZERO, rest)
+            } else {
+                self.mk(var, rest, NodeId::ZERO)
+            }
+        };
+        memo.insert((f, i as u32), result);
         result
     }
 

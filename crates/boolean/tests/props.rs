@@ -3,6 +3,7 @@
 //! against dense truth-table semantics on random functions.
 
 use proptest::prelude::*;
+use rt_boolean::bdd::NodeId;
 use rt_boolean::{minimize, Bdd, Cover, Cube, TruthTable};
 
 /// Strategy: a random cube over `vars` variables.
@@ -185,6 +186,74 @@ proptest! {
         let ng = bdd.from_cover(&g);
         for m in 0..64u64 {
             prop_assert_eq!(bdd.evaluate(ng, m), g.evaluate(m));
+        }
+    }
+
+    #[test]
+    fn replace_cube_matches_the_and_exists_and_chain(
+        vars in 1usize..=10,
+        kind in 0u8..4,
+        rows in prop::collection::vec(
+            prop::collection::vec(prop::option::of(prop::bool::ANY), 10), 0..=6),
+        picks in prop::collection::vec(any::<u64>(), 1..=5),
+        swaps in prop::collection::vec(any::<u64>(), 1..=12),
+    ) {
+        // f: the constants, or a random cover over the first `vars`
+        // variables.
+        let mut bdd = Bdd::new(vars);
+        let f = match kind {
+            0 => NodeId::ZERO,
+            1 => NodeId::ONE,
+            _ => {
+                let cubes = rows
+                    .iter()
+                    .map(|row| {
+                        let literals: Vec<(usize, bool)> = row[..vars]
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(v, l)| l.map(|p| (v, p)))
+                            .collect();
+                        Cube::from_literals(vars, &literals)
+                    })
+                    .collect();
+                bdd.from_cover(&Cover::from_cubes(vars, cubes))
+            }
+        };
+        // A support of distinct variables with random (from, to) bits;
+        // `1 -> 1` is the self-loop case.
+        let mut lits: Vec<(usize, bool, bool)> = Vec::new();
+        for &pick in &picks {
+            let var = (pick % vars as u64) as usize;
+            if lits.iter().all(|&(v, ..)| v != var) {
+                lits.push((var, pick >> 32 & 1 == 1, pick >> 33 & 1 == 1));
+            }
+        }
+        let chain = |bdd: &mut Bdd| {
+            let mut g = f;
+            for &(var, from, _) in &lits {
+                let lit = if from { bdd.var(var) } else { bdd.nvar(var) };
+                g = bdd.and(g, lit);
+            }
+            for &(var, ..) in &lits {
+                g = bdd.exists(g, var);
+            }
+            for &(var, _, to) in &lits {
+                let lit = if to { bdd.var(var) } else { bdd.nvar(var) };
+                g = bdd.and(g, lit);
+            }
+            g
+        };
+        // Identity order first, then after random adjacent swaps.
+        for round in 0..2 {
+            if round == 1 && vars > 1 {
+                for &swap in &swaps {
+                    bdd.swap_adjacent_levels((swap % (vars as u64 - 1)) as usize);
+                }
+            }
+            let fused = bdd.replace_cube(f, &lits);
+            let expected = chain(&mut bdd);
+            prop_assert_eq!(fused, expected, "order {:?}, lits {:?}", bdd.current_order(), lits);
+            bdd.debug_validate();
         }
     }
 

@@ -55,8 +55,8 @@
 //!
 //! Each worker runs requests inside `catch_unwind`. A panic is
 //! isolated: the request gets a typed [`ServiceError::WorkerPanicked`],
-//! the engine it was running on is discarded (counted in
-//! [`ServiceStats::quarantines`]), and the worker keeps serving.
+//! the engine it was running on is discarded with the unwind (counted
+//! in [`ServiceStats::worker_panics`]), and the worker keeps serving.
 //!
 //! # Retry and deadlines
 //!
@@ -314,7 +314,6 @@ struct Counters {
     quota_sheds: AtomicU64,
     idempotent_replays: AtomicU64,
     retries: AtomicU64,
-    quarantines: AtomicU64,
     worker_panics: AtomicU64,
     degraded: AtomicU64,
     errors: AtomicU64,
@@ -349,10 +348,8 @@ pub struct ServiceStats {
     pub idempotent_replays: u64,
     /// Service-level retry attempts spent (not requests retried).
     pub retries: u64,
-    /// Engines discarded mid-request by a worker panic. Every engine
-    /// is per-request, so this equals `worker_panics`.
-    pub quarantines: u64,
-    /// Worker panics caught and isolated.
+    /// Worker panics caught and isolated. Every engine is
+    /// per-request, so each panic also discards the engine it ran on.
     pub worker_panics: u64,
     /// Successful responses that carried at least one degradation.
     pub degraded: u64,
@@ -693,7 +690,6 @@ impl SynthService {
             quota_sheds: c.quota_sheds.load(Ordering::Relaxed),
             idempotent_replays: c.idempotent_replays.load(Ordering::Relaxed),
             retries: c.retries.load(Ordering::Relaxed),
-            quarantines: c.quarantines.load(Ordering::Relaxed),
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
             degraded: c.degraded.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
@@ -797,7 +793,6 @@ fn worker_loop(shared: &Shared) {
                 // The unwind already dropped the request's engine, so
                 // no half-mutated manager outlives the panic.
                 counters.worker_panics.fetch_add(1, Ordering::Relaxed);
-                counters.quarantines.fetch_add(1, Ordering::Relaxed);
                 counters.errors.fetch_add(1, Ordering::Relaxed);
                 Err(ServiceError::WorkerPanicked)
             }

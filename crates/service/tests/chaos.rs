@@ -278,7 +278,6 @@ fn seeded_chaos_soak_leaves_replies_bit_identical_and_counters_consistent() {
         "every submission is a completion, a shed, or a quota refusal"
     );
     assert_eq!(service.worker_panics, 0);
-    assert_eq!(service.quarantines, 0);
     // Shutdown must drain and join every thread — a leaked handler or
     // worker would hang the test right here.
     daemon.shutdown();

@@ -78,7 +78,7 @@ fn responses_are_bit_identical_to_direct_engine_calls() {
 
     let stats = service.stats();
     assert_eq!(stats.shed, 0);
-    assert_eq!(stats.quarantines, 0);
+    assert_eq!(stats.worker_panics, 0);
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.completed, stats.submitted);
     service.shutdown();

@@ -44,10 +44,12 @@
 //! apply/cofactor caches and the by-index variable order are all kept,
 //! and the variable universe widens on demand
 //! ([`rt_boolean::Bdd::ensure_vars`]) so one engine serves nets of any
-//! width, > 64 places included. Re-running the same or a structurally
-//! similar net then resolves almost entirely out of cache — this is
-//! where the repeated re-explorations of CSC resolution win big
-//! (`bench_reach`'s `csc` stage measures warm-vs-fresh).
+//! width, > 64 places included. Re-running the same net then allocates
+//! no new nodes — every result is already hash-consed — and the set
+//! operations between image steps hit the apply cache. The image steps
+//! themselves are recomputed: [`rt_boolean::Bdd::replace_cube`]
+//! memoizes within one call only (`bench_reach`'s `csc` stage measures
+//! warm-vs-fresh).
 //!
 //! The trade-off is memory: nothing is freed unless the caller asks,
 //! so a long-lived engine grows with every query
@@ -220,7 +222,7 @@
 //! let sg = engine.state_graph(&stg)?;          // coded graph for synthesis
 //! let summary = engine.summary(&stg)?;         // first symbolic call: cold
 //! assert_eq!(summary.markings, sg.state_count() as u64);
-//! engine.summary(&stg)?;                       // warm: replays the caches
+//! engine.summary(&stg)?;                       // warm: reuses the manager
 //! assert_eq!(engine.stats().manager_reuses, 1);
 //! engine.reset();                              // drop the manager
 //! assert_eq!(engine.manager_nodes(), 0);
@@ -547,7 +549,7 @@ impl ReachEngine {
     /// [`EngineStats::symbolic_csc`] instead). Like
     /// [`ReachEngine::symbolic_set`], it is available regardless of
     /// the configured backend, and repeated analyses of the same (or a
-    /// structurally similar) net replay the warm manager.
+    /// structurally similar) net reuse the warm manager's nodes.
     ///
     /// # Errors
     ///

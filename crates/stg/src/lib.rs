@@ -34,9 +34,9 @@
 //!   codes; successor/predecessor rows live in contiguous CSR arrays, so
 //!   synthesis, CSC detection and the lazy passes walk linear memory.
 //! * [`symbolic`] — BDD-based reachability with frontier-based image
-//!   steps, backed by the persistent operation cache in
-//!   [`rt_boolean::Bdd`]; runs in a caller-owned manager so caches
-//!   survive across calls. [`symbolic::csc`] detects, counts and
+//!   steps, one [`rt_boolean::Bdd::replace_cube`] pass per transition;
+//!   runs in a caller-owned manager so nodes and caches survive across
+//!   calls. [`symbolic::csc`] detects, counts and
 //!   witnesses CSC conflicts entirely symbolically (signal codes as
 //!   shared BDD variables over a primed/unprimed place pair space) —
 //!   the encoding passes' escape from explicit enumeration on huge

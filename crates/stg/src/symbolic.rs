@@ -10,23 +10,23 @@
 //! The BFS is *frontier-based*: each iteration images only the set of
 //! markings discovered in the previous iteration (`frontier`), not the
 //! whole accumulated reachable set, so work per iteration tracks the
-//! wavefront instead of re-exploring everything already known. This
-//! pairs with the persistent operation cache in [`rt_boolean::Bdd`]: the
-//! per-transition `enabled` constraints and partially-overlapping
-//! frontiers hit the same `(op, lhs, rhs)` keys across iterations, so
-//! repeated sub-conjunctions and cofactors resolve as single cache
-//! lookups instead of fresh traversals.
+//! wavefront instead of re-exploring everything already known. Each
+//! transition's image is one [`rt_boolean::Bdd::replace_cube`] pass:
+//! the transition's firing cube — preset marked and produced places
+//! empty before, preset cleared and postset marked after — rewrites the
+//! frontier in a single memoized traversal, with nothing left behind in
+//! the manager's persistent caches.
 //!
 //! There are two entry points:
 //!
 //! * [`reach_symbolic`] — the historical one-shot API: builds a fresh
 //!   manager per call and throws it away;
 //! * [`reach_symbolic_in`] — runs inside a **caller-owned manager**.
-//!   Because node ids are never garbage-collected, the unique table and
-//!   the persistent apply/cofactor caches stay valid across calls: a
-//!   re-exploration of the same (or a structurally similar) net resolves
-//!   almost entirely out of cache. [`crate::engine::ReachEngine`] builds
-//!   its long-lived symbolic backend on this entry point.
+//!   Node ids stay valid across calls until the caller collects them
+//!   ([`rt_boolean::Bdd::collect`] evicts only the current epoch's
+//!   garbage), so one manager serves many nets and its unique table
+//!   shares structure between them. [`crate::engine::ReachEngine`]
+//!   builds its long-lived symbolic backend on this entry point.
 //!
 //! Only *safe* (1-bounded) nets are supported: a marking is then exactly
 //! a set of places. Nets of any width are accepted — the manager is
@@ -37,26 +37,26 @@
 //! ## Static variable ordering
 //!
 //! BDD size is exquisitely sensitive to the variable order, so the
-//! order is now an explicit, *measured* choice ([`VarOrder`]) instead
-//! of an accident. Three strategies were evaluated over the whole
-//! corpus (fresh manager, total allocated nodes — see `bench_reach`'s
-//! per-model `bdd_nodes` vs `bdd_nodes_by_index` fields):
+//! order is an explicit, *measured* choice ([`VarOrder`]) instead of
+//! an accident. Two static strategies are offered, measured over the
+//! whole corpus (fresh manager, total allocated nodes — see
+//! `bench_reach`'s per-model `bdd_nodes` vs `bdd_nodes_by_index`
+//! fields):
 //!
 //! * [`VarOrder::ByIndex`] — the legacy order, place *i* ↦ variable
-//!   *i* (fabric4x4 ~837k nodes, adder16_rt ~18.5k);
-//! * [`VarOrder::BfsConnectivity`] — breadth-first traversal of the
-//!   place–transition adjacency from the first marked place. Wins
-//!   narrowly on a few `.g` models but interleaves all rows of
-//!   torus-like fabrics at equal distance and loses badly there
-//!   (fabric4x4 ~1.0M nodes). Kept for nets whose declaration order
-//!   carries no locality (e.g. shuffled hand-written files);
+//!   *i* (fabric4x4 ~221k nodes, adder16_rt ~11.1k);
 //! * [`VarOrder::ReverseIndex`] — the **default**: declaration order
 //!   reversed. In this codebase declaration order already *is* a
 //!   connectivity order (generators and the `.g` parser emit places
 //!   along the token flow), and placing the late-declared wrap/link
-//!   places near the root was the consistent winner: fabric4x4
-//!   ~780k nodes / −20% wall time, adder16_rt ~15.6k, `vme_read`
-//!   566→398, `ring12_3` 108k→104k.
+//!   places near the root is the consistent winner: fabric4x4 ~203k
+//!   nodes, adder16_rt ~7.9k, `vme_read` 335→242, `ring12_3`
+//!   28.0k→27.0k.
+//!
+//! A breadth-first connectivity order is not offered: it interleaves
+//! the rows of torus-like fabrics at equal distance (fabric4x4 ~1.0M
+//! nodes against ~780k for `ReverseIndex`, measured under the earlier
+//! image chain) and never beat `ReverseIndex` where it mattered.
 //!
 //! Membership queries on a permuted set go through
 //! [`SymbolicReach::contains`], which maps variables back to marking
@@ -85,7 +85,7 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::petri::PlaceId;
+use crate::petri::{PetriNet, TransitionId};
 use crate::reach::ExploreOptions;
 use crate::stg::Stg;
 
@@ -131,11 +131,6 @@ pub const AUTO_REVERSE_MIN_PLACES: usize = VarOrder::AUTO_REVERSE_MIN_PLACES;
 pub enum VarOrder {
     /// Legacy order: place *i* is BDD variable *i*.
     ByIndex,
-    /// Connectivity order: a breadth-first traversal of the net's
-    /// place–transition adjacency, seeded at the first initially
-    /// marked place, numbers places in visit order. Rebuilds locality
-    /// for nets whose declaration order carries none.
-    BfsConnectivity,
     /// Declaration order reversed — the measured corpus-wide winner
     /// on non-trivial nets (declaration order is itself a connectivity
     /// order here, and the reversal puts late-declared link/wrap
@@ -143,9 +138,9 @@ pub enum VarOrder {
     ReverseIndex,
     /// The default: [`VarOrder::ReverseIndex`] for nets with at least
     /// [`VarOrder::AUTO_REVERSE_MIN_PLACES`] places,
-    /// [`VarOrder::ByIndex`] below that (reversal regressed `arbiter2`,
-    /// the corpus's smallest shared-place net — see the constant's
-    /// docs).
+    /// [`VarOrder::ByIndex`] below that (reversal once regressed
+    /// `arbiter2`, the corpus's smallest shared-place net — see the
+    /// constant's docs).
     #[default]
     Auto,
     /// Dynamic reordering: seed the variables with the `Auto` static
@@ -160,15 +155,15 @@ impl VarOrder {
     /// Place count below which [`VarOrder::Auto`] resolves to
     /// [`VarOrder::ByIndex`] instead of [`VarOrder::ReverseIndex`].
     ///
-    /// Measured over the corpus snapshot (`BENCH_reach.json`,
-    /// `bdd_nodes` vs `bdd_nodes_by_index`): `ReverseIndex` wins or
-    /// ties everywhere except `arbiter2` (9 places, 344 → 398 nodes —
-    /// its shared `me` place is declared mid-net, so reversing
-    /// declaration order buries it). Every model it beats `ByIndex` on
-    /// by more than a handful of nodes (`fifo` 651 → 572, `vme_read`
-    /// 566 → 398, `chain4` 300 → 279) has ≥ 10 places; below that the
-    /// reversal saves at most ~8 nodes (`celement` 235 → 227), so
-    /// index order is the safer default for tiny nets.
+    /// Chosen on measurements taken with the earlier
+    /// `and`/`exists`/`and` image chain: `ReverseIndex` won or tied
+    /// everywhere except `arbiter2` (9 places, 344 → 398 nodes — its
+    /// shared `me` place is declared mid-net, so reversing declaration
+    /// order buries it), and below 10 places it saved at most ~8 nodes
+    /// (`celement` 235 → 227). Under the one-pass image
+    /// ([`Bdd::replace_cube`]) reversal no longer loses there
+    /// (`arbiter2` 181 → 174, `celement` 145 → 124), so the threshold
+    /// now only keeps tiny nets on their historical order.
     pub const AUTO_REVERSE_MIN_PLACES: usize = 10;
 
     /// The concrete *static* strategy seeding a run under this order
@@ -345,61 +340,6 @@ impl SymbolicReach {
     }
 }
 
-/// Computes the BFS-connectivity variable order for `stg`: returns
-/// `var_of` with `var_of[place] = variable`. The traversal is seeded at
-/// the **first** initially marked place only — a single seed grows one
-/// contiguous front, where seeding every marked place at once was
-/// measured to interleave whole regions by distance and inflate the
-/// diagrams (see the module docs). Places the seed's component never
-/// reaches keep declaration order at the tail. Deterministic (ties
-/// break by index), so repeated runs of the same net replay the
-/// persistent manager's caches exactly.
-fn bfs_connectivity_order(stg: &Stg) -> Vec<u32> {
-    let net = stg.net();
-    let places = net.place_count();
-    let initial = stg.initial_marking();
-    let mut var_of: Vec<u32> = vec![u32::MAX; places];
-    let mut next_var = 0u32;
-    let mut stack: std::collections::VecDeque<PlaceId> = std::collections::VecDeque::new();
-    let mut visit =
-        |p: PlaceId, var_of: &mut Vec<u32>, stack: &mut std::collections::VecDeque<PlaceId>| {
-            if var_of[p.index()] == u32::MAX {
-                var_of[p.index()] = next_var;
-                next_var += 1;
-                stack.push_back(p);
-            }
-        };
-    if let Some(seed) = net.places().find(|&p| initial.tokens(p) > 0) {
-        visit(seed, &mut var_of, &mut stack);
-    }
-    while let Some(p) = stack.pop_front() {
-        // Successor places through every transition consuming p, then
-        // predecessor places through every transition producing p: one
-        // hop of the token game in each direction.
-        for &t in net.consumers(p) {
-            for arc in net.postset(t) {
-                visit(arc.place, &mut var_of, &mut stack);
-            }
-            for arc in net.preset(t) {
-                visit(arc.place, &mut var_of, &mut stack);
-            }
-        }
-        for &t in net.producers(p) {
-            for arc in net.preset(t) {
-                visit(arc.place, &mut var_of, &mut stack);
-            }
-        }
-    }
-    // Disconnected / never-marked places keep index order at the tail.
-    for slot in var_of.iter_mut() {
-        if *slot == u32::MAX {
-            *slot = next_var;
-            next_var += 1;
-        }
-    }
-    var_of
-}
-
 /// Computes the reachable markings of `stg`'s net symbolically in a
 /// fresh, throwaway manager.
 ///
@@ -416,11 +356,9 @@ pub fn reach_symbolic(stg: &Stg) -> Result<SymbolicReach, StgError> {
 /// ([`VarOrder::ReverseIndex`]), widening the manager's variable
 /// universe to the net's place count if needed.
 ///
-/// Reusing one manager across calls turns the per-transition `enabled`
-/// constraints and the image subcomputations of a repeated net into
-/// cache hits; see the module docs. The reported marking count is taken
-/// over the *net's* place universe ([`Bdd::satisfy_count_over`]), so it
-/// is independent of how wide the shared manager has grown.
+/// The reported marking count is taken over the *net's* place universe
+/// ([`Bdd::satisfy_count_over`]), so it is independent of how wide a
+/// shared manager has grown.
 ///
 /// # Errors
 ///
@@ -499,7 +437,6 @@ pub(crate) fn place_order(stg: &Stg, order: VarOrder) -> Vec<u32> {
     let places = stg.net().place_count() as u32;
     match order.resolved_for(places as usize) {
         VarOrder::ByIndex => (0..places).collect(),
-        VarOrder::BfsConnectivity => bfs_connectivity_order(stg),
         VarOrder::ReverseIndex => (0..places).rev().collect(),
         VarOrder::Auto | VarOrder::Sift => {
             unreachable!("resolved_for never returns Auto or Sift")
@@ -538,6 +475,40 @@ pub fn reach_symbolic_in_custom_budgeted(
     fixpoint(stg, bdd, var_of, budget, &mut ReorderCtl::disabled())
 }
 
+/// Transition `t`'s firing as `(variable, before, after)` literals over
+/// its pre- and postset places (`var_of[place]` = the place's variable),
+/// ready for [`Bdd::replace_cube`]: forward it is the image, with
+/// `before` and `after` swapped the preimage.
+///
+/// Before firing the preset is marked and every produced place empty.
+/// That is the safeness side condition: a produced place must be empty
+/// unless it is also consumed, else the net would go 2-bounded. Explicit
+/// analysis reports `Unbounded` there; symbolically the successor is
+/// simply not generated, so the analyses are comparable only on safe
+/// nets. After firing the postset is marked and the rest of the preset
+/// empty.
+pub(crate) fn firing_cube(
+    net: &PetriNet,
+    t: TransitionId,
+    var_of: &[u32],
+) -> Vec<(usize, bool, bool)> {
+    let mut cube: Vec<(usize, bool, bool)> = Vec::new();
+    for arc in net.preset(t) {
+        let var = var_of[arc.place.index()] as usize;
+        if cube.iter().all(|&(v, ..)| v != var) {
+            cube.push((var, true, false));
+        }
+    }
+    for arc in net.postset(t) {
+        let var = var_of[arc.place.index()] as usize;
+        match cube.iter_mut().find(|(v, ..)| *v == var) {
+            Some(lit) => lit.2 = true,
+            None => cube.push((var, false, true)),
+        }
+    }
+    cube
+}
+
 /// The frontier-based image fixpoint all `reach_symbolic*` entry
 /// points funnel into; `reorder` injects the optional mid-fixpoint
 /// sifting trigger (see the module's *Dynamic reordering* section).
@@ -565,43 +536,12 @@ fn fixpoint(
         initial = bdd.and(initial, var);
     }
 
-    // Per-transition image: S_t = (∃ pre,post . S ∧ enabled_t) ∧
-    // (pre = 0) ∧ (post = 1). For safe nets this is exact.
-    struct TransImage {
-        pre: Vec<usize>,
-        post: Vec<usize>,
-        enabled: NodeId,
-    }
-    let mut images = Vec::new();
-    for t in net.transitions() {
-        let pre: Vec<usize> = net
-            .preset(t)
-            .iter()
-            .map(|a| var_of[a.place.index()] as usize)
-            .collect();
-        let post: Vec<usize> = net
-            .postset(t)
-            .iter()
-            .map(|a| var_of[a.place.index()] as usize)
-            .collect();
-        let mut enabled = bdd.constant(true);
-        for &p in &pre {
-            let v = bdd.var(p);
-            enabled = bdd.and(enabled, v);
-        }
-        // Safeness side condition: a produced place must be empty unless
-        // it is also consumed (else the net would go 2-bounded; explicit
-        // analysis reports Unbounded — symbolically we simply do not
-        // generate the successor, keeping the analyses comparable only
-        // on safe nets).
-        for &p in &post {
-            if !pre.contains(&p) {
-                let nv = bdd.nvar(p);
-                enabled = bdd.and(enabled, nv);
-            }
-        }
-        images.push(TransImage { pre, post, enabled });
-    }
+    // Per-transition image: S_t = replace_cube(S, firing cube of t).
+    // For safe nets this is exact.
+    let cubes: Vec<Vec<(usize, bool, bool)>> = net
+        .transitions()
+        .map(|t| firing_cube(net, t, var_of))
+        .collect();
 
     let mut reached = initial;
     let mut frontier = initial;
@@ -617,35 +557,17 @@ fn fixpoint(
         }
         peak = peak.max(bdd.node_count());
         // Reorder (and collect garbage) only at the same safe points
-        // the budget is polled at: every live id — the accumulated
-        // set, the frontier, the per-transition constraints — is
-        // pinned, and node ids keep their functions, so the iteration
-        // resumes as if nothing happened, just on smaller diagrams.
+        // the budget is polled at: every live id — the accumulated set
+        // and the frontier — is pinned, and node ids keep their
+        // functions, so the iteration resumes as if nothing happened,
+        // just on smaller diagrams.
         if reorder.enabled {
-            let mut keep: Vec<NodeId> = vec![reached, frontier];
-            keep.extend(images.iter().map(|image| image.enabled));
-            reorder.maybe_sift(bdd, &keep, None);
+            reorder.maybe_sift(bdd, &[reached, frontier], None);
         }
         iterations += 1;
         let mut next = bdd.constant(false);
-        for image in &images {
-            let mut fired = bdd.and(frontier, image.enabled);
-            if fired == bdd.constant(false) {
-                continue;
-            }
-            for &p in image.pre.iter().chain(image.post.iter()) {
-                fired = bdd.exists(fired, p);
-            }
-            for &p in &image.pre {
-                if !image.post.contains(&p) {
-                    let nv = bdd.nvar(p);
-                    fired = bdd.and(fired, nv);
-                }
-            }
-            for &p in &image.post {
-                let v = bdd.var(p);
-                fired = bdd.and(fired, v);
-            }
+        for cube in &cubes {
+            let fired = bdd.replace_cube(frontier, cube);
             next = bdd.or(next, fired);
         }
         let not_reached = bdd.not(reached);
@@ -742,7 +664,7 @@ mod tests {
             ("handshake", models::handshake_stg()),
             ("fifo", models::fifo_stg()),
             ("celement", models::celement_stg()),
-            ("fifo", models::fifo_stg()), // repeat: pure cache replay
+            ("fifo", models::fifo_stg()), // repeat: every node already exists
         ] {
             let fresh = reach_symbolic(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
             let reused =
@@ -776,11 +698,7 @@ mod tests {
             ("ring8_2", models::ring_stg(8, 2)),
         ] {
             let sg = explore(&stg).expect("explores");
-            for order in [
-                VarOrder::ByIndex,
-                VarOrder::BfsConnectivity,
-                VarOrder::ReverseIndex,
-            ] {
+            for order in [VarOrder::ByIndex, VarOrder::ReverseIndex] {
                 let mut bdd = Bdd::new(stg.net().place_count());
                 let r = reach_symbolic_in_ordered(&stg, &mut bdd, order)
                     .unwrap_or_else(|e| panic!("{name} {order:?}: {e}"));
@@ -791,28 +709,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bfs_order_is_a_permutation_and_identity_is_identity() {
-        let stg = models::fifo_stg();
-        let places = stg.net().place_count();
-        let mut bdd = Bdd::new(places);
-        let r =
-            reach_symbolic_in_ordered(&stg, &mut bdd, VarOrder::BfsConnectivity).expect("explores");
-        let mut seen = vec![false; places];
-        for &p in &r.place_of_var {
-            assert!(!seen[p as usize], "place {p} mapped twice");
-            seen[p as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "every place mapped");
-
-        let mut bdd2 = Bdd::new(places);
-        let ri = reach_symbolic_in_ordered(&stg, &mut bdd2, VarOrder::ByIndex).expect("explores");
-        assert_eq!(
-            ri.place_of_var,
-            (0..places as u32).collect::<Vec<_>>(),
-            "by-index runs report the identity map"
-        );
     }
 }

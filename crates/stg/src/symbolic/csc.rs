@@ -46,10 +46,10 @@
 //!
 //! ## The conflict relation
 //!
-//! The BFS tracks codes transparently: firing an `a+`-labelled
-//! transition existentially quantifies and re-sets signal `a`'s
-//! variable alongside the pre/post places (and the enabling constraint
-//! demands the source value, so an inconsistent specification is
+//! The BFS tracks codes transparently: an `a+`-labelled transition's
+//! firing cube ([`rt_boolean::Bdd::replace_cube`]) rewrites signal
+//! `a`'s variable alongside the pre/post places (and demands the source
+//! value before firing, so an inconsistent specification is
 //! *detected*, not silently re-encoded — see
 //! [`csc_conflicts_symbolic_in`]'s errors). After the fixpoint, for an
 //! implemented signal *j* with excitation sets `ER(j+)`, `ER(j-)`:
@@ -89,7 +89,7 @@ use crate::marking::MarkingLayout;
 use crate::reach::{infer_initial_code, ExploreOptions};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{effective_order, place_order, ReorderCtl, VarOrder};
+use crate::symbolic::{effective_order, firing_cube, place_order, ReorderCtl, VarOrder};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -184,18 +184,16 @@ pub struct CscAnalysis {
 /// One transition's symbolic firing data, shared by the forward image,
 /// the backward (pre-image) step and the enabledness queries.
 struct TransImage {
-    /// Variables the firing rewrites (pre ∪ post places, plus the
-    /// signal variable for labelled transitions).
-    changed: Vec<usize>,
-    /// Variables set to 1 by the firing (post places; the signal on a
-    /// rise).
-    set_one: Vec<usize>,
-    /// Variables cleared by the firing (pre \ post places; the signal
-    /// on a fall).
-    set_zero: Vec<usize>,
-    /// Full enabling constraint: preset marked, produced places empty
-    /// (the safeness side condition of [`super::reach_symbolic_in`]),
-    /// and — for labelled transitions — the signal at its source value.
+    /// The firing as `(variable, before, after)` literals over the
+    /// pre ∪ post places plus, for labelled transitions, the signal
+    /// variable: [`Bdd::replace_cube`] with it is the forward image.
+    fire: Vec<(usize, bool, bool)>,
+    /// `fire` with `before` and `after` swapped: the pre-image.
+    unfire: Vec<(usize, bool, bool)>,
+    /// Full enabling constraint, `fire`'s `before` cube: preset marked,
+    /// produced places empty (the safeness side condition of
+    /// [`super::reach_symbolic_in`]), and — for labelled transitions —
+    /// the signal at its source value.
     enabled: NodeId,
     /// The place-only part of `enabled`, for the consistency scan.
     place_enabled: NodeId,
@@ -333,35 +331,12 @@ pub fn csc_conflicts_symbolic_opts(
     // --- Per-transition firing data ---
     let mut images = Vec::new();
     for t in net.transitions() {
-        let pre: Vec<usize> = net
-            .preset(t)
-            .iter()
-            .map(|a| uvar[a.place.index()] as usize)
-            .collect();
-        let post: Vec<usize> = net
-            .postset(t)
-            .iter()
-            .map(|a| uvar[a.place.index()] as usize)
-            .collect();
+        let mut fire = firing_cube(net, t, &uvar);
         let mut place_enabled = bdd.constant(true);
-        for &v in &pre {
-            let lit = bdd.var(v);
+        for &(v, before, _) in &fire {
+            let lit = if before { bdd.var(v) } else { bdd.nvar(v) };
             place_enabled = bdd.and(place_enabled, lit);
         }
-        for &v in &post {
-            if !pre.contains(&v) {
-                let lit = bdd.nvar(v);
-                place_enabled = bdd.and(place_enabled, lit);
-            }
-        }
-        let mut changed = pre.clone();
-        for &v in &post {
-            if !changed.contains(&v) {
-                changed.push(v);
-            }
-        }
-        let set_one = post.clone();
-        let mut set_zero: Vec<usize> = pre.iter().copied().filter(|v| !post.contains(v)).collect();
         let mut enabled = place_enabled;
         let event = match stg.label(t) {
             TransitionLabel::Silent => None,
@@ -373,31 +348,17 @@ pub fn csc_conflicts_symbolic_opts(
                     bdd.nvar(sv)
                 };
                 enabled = bdd.and(enabled, source);
-                changed.push(sv);
-                if ev.edge.target_value() {
-                    // `set_one` keeps places first; the signal variable
-                    // is appended, which the quantifier loops accept in
-                    // any order.
-                    let mut with_signal = set_one.clone();
-                    with_signal.push(sv);
-                    images.push(TransImage {
-                        changed,
-                        set_one: with_signal,
-                        set_zero,
-                        enabled,
-                        place_enabled,
-                        event: Some((sv, ev.edge, ev.signal)),
-                    });
-                    continue;
-                }
-                set_zero.push(sv);
+                fire.push((sv, ev.edge.source_value(), ev.edge.target_value()));
                 Some((sv, ev.edge, ev.signal))
             }
         };
+        let unfire = fire
+            .iter()
+            .map(|&(v, before, after)| (v, after, before))
+            .collect();
         images.push(TransImage {
-            changed,
-            set_one,
-            set_zero,
+            fire,
+            unfire,
             enabled,
             place_enabled,
             event,
@@ -434,21 +395,7 @@ pub fn csc_conflicts_symbolic_opts(
         iterations += 1;
         let mut next_layer = zero;
         for image in &images {
-            let mut fired = bdd.and(frontier, image.enabled);
-            if fired == zero {
-                continue;
-            }
-            for &v in &image.changed {
-                fired = bdd.exists(fired, v);
-            }
-            for &v in &image.set_zero {
-                let lit = bdd.nvar(v);
-                fired = bdd.and(fired, lit);
-            }
-            for &v in &image.set_one {
-                let lit = bdd.var(v);
-                fired = bdd.and(fired, lit);
-            }
+            let fired = bdd.replace_cube(frontier, &image.fire);
             next_layer = bdd.or(next_layer, fired);
         }
         let not_reached = bdd.not(reached);
@@ -527,22 +474,7 @@ pub fn csc_conflicts_symbolic_opts(
         back_iterations += 1;
         let mut pre_layer = zero;
         for image in &images {
-            let mut succ = back_frontier;
-            for &v in &image.set_one {
-                let lit = bdd.var(v);
-                succ = bdd.and(succ, lit);
-            }
-            for &v in &image.set_zero {
-                let lit = bdd.nvar(v);
-                succ = bdd.and(succ, lit);
-            }
-            if succ == zero {
-                continue;
-            }
-            for &v in &image.changed {
-                succ = bdd.exists(succ, v);
-            }
-            let pre_states = bdd.and(succ, image.enabled);
+            let pre_states = bdd.replace_cube(back_frontier, &image.unfire);
             pre_layer = bdd.or(pre_layer, pre_states);
         }
         let not_back = bdd.not(back);

@@ -8,15 +8,20 @@
 //! answer bit-for-bit. That is the whole robustness contract: injected
 //! budget exhaustion, cancellation and worker panics must neither hang,
 //! abort, nor leave any state behind.
+//!
+//! Every test holds the suite lock ([`rt_stg::faults::suite`]) for its
+//! whole body: the fresh reference run happens before anything is
+//! armed, and a sibling test's armed shot must not fire inside it.
 
 #![cfg(feature = "fault-injection")]
 
 use rt_stg::engine::ReachEngine;
-use rt_stg::faults::{arm, Fault};
+use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{explore, models, StgError};
 
 #[test]
 fn injected_worker_panic_is_isolated_at_any_round_and_thread_count() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [2usize, 4, 8] {
@@ -43,6 +48,7 @@ fn injected_worker_panic_is_isolated_at_any_round_and_thread_count() {
 
 #[test]
 fn injected_cancellation_stops_explicit_walks_within_one_round() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [1usize, 2, 8] {
@@ -63,6 +69,7 @@ fn injected_cancellation_stops_explicit_walks_within_one_round() {
 
 #[test]
 fn injected_state_exhaustion_stops_explicit_walks_within_one_round() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
     for threads in [1usize, 4] {
@@ -81,6 +88,7 @@ fn injected_state_exhaustion_stops_explicit_walks_within_one_round() {
 
 #[test]
 fn injected_symbolic_faults_stop_the_fixpoint_and_spare_the_manager() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let mut fresh = ReachEngine::symbolic();
     let reference = fresh.symbolic_set(&stg).expect("fresh symbolic set");
