@@ -81,8 +81,8 @@ fn field_string(line: &str, key: &str) -> Option<String> {
 
 /// Pulls the comparable model rows out of a `bench_reach` snapshot:
 /// every object carrying `name`, `states` **and** `explore_ns` (the
-/// `csc`/`csc_symbolic`/`wide_parallel` sections lack the latter, so
-/// they are naturally excluded).
+/// `csc`/`csc_symbolic` sections lack the latter, so they are
+/// naturally excluded).
 fn parse_models(json: &str) -> Vec<ModelRow> {
     json.lines()
         .filter_map(|line| {

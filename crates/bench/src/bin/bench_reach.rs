@@ -4,23 +4,18 @@
 //! reachability over the model corpus (including the > 64-place wide
 //! models), plus a `csc` stage that times complete-state-coding
 //! resolution through [`rt_stg::engine::ReachEngine`] on both backends
-//! (serially and on the candidate worker pool) and measures the
-//! persistent symbolic manager's warm-vs-fresh advantage, plus a
-//! `wide_parallel` stage comparing the serial and sharded explicit BFS
-//! on the wide corpus. Writes `BENCH_reach.json` with per-model wall
-//! times, exploration throughput (states/sec), live BDD node counts
-//! under both static variable orders, and the thread count every
-//! number was taken at. Future PRs compare against the committed
+//! (serially and on a [`POOL_THREADS`]-wide candidate worker pool) and
+//! measures the persistent symbolic manager's warm-vs-fresh advantage.
+//! Writes `BENCH_reach.json` with per-model wall times, exploration
+//! throughput (states/sec) and live BDD node counts under both static
+//! variable orders. Future changes compare against the committed
 //! baseline to catch regressions:
 //!
 //! ```text
-//! cargo run --release -p rt-bench --bin bench_reach [-- [--fast] [--threads N] OUTPUT.json]
+//! cargo run --release -p rt-bench --bin bench_reach [-- [--fast] OUTPUT.json]
 //! ```
 //!
-//! `--fast` shrinks the per-section measurement window (CI smoke);
-//! `--threads N` sets the sharded-BFS worker count for the main
-//! explicit sweep (default 1; the `wide_parallel` and `csc` pool
-//! stages always measure both serial and `max(2, N)`-wide runs). The
+//! `--fast` shrinks the per-section measurement window (CI smoke). The
 //! emitted JSON is structurally validated before the process exits 0,
 //! so a malformed snapshot fails loudly instead of rotting.
 
@@ -28,12 +23,14 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use rt_stg::engine::ReachEngine;
-use rt_stg::reach::{explore_with, ExploreOptions};
 use rt_stg::symbolic::csc::csc_conflicts_symbolic_in;
 use rt_stg::symbolic::{reach_symbolic_in_ordered, VarOrder};
-use rt_stg::{corpus, models, Stg};
+use rt_stg::{corpus, explore, models, Stg};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_synth::synthesize;
+
+/// Worker-pool width of the `csc` stage's pooled candidate search.
+const POOL_THREADS: usize = 2;
 
 /// One measured model.
 struct Row {
@@ -60,8 +57,7 @@ struct Row {
     peak_bdd_nodes_sift: usize,
     /// Wall time spent inside sifting passes on the sifted run.
     sift_ns: u64,
-    /// The concrete order `VarOrder::Auto` resolved to for this net
-    /// (the place-count fallback is a measured choice; record it).
+    /// The concrete order `VarOrder::Auto` resolved to for this net.
     var_order: String,
 }
 
@@ -72,9 +68,8 @@ struct CscRow {
     explicit_ns: f64,
     symbolic_ns: f64,
     /// Resolution wall time with the candidate search on the worker
-    /// pool (`pool_threads` wide) instead of the serial scan.
+    /// pool ([`POOL_THREADS`] wide) instead of the serial scan.
     parallel_ns: f64,
-    pool_threads: usize,
     cold_summary_ns: f64,
     warm_summary_ns: f64,
     warm_speedup: f64,
@@ -87,15 +82,6 @@ struct CscRow {
     /// `bench_check` fails the gate when a fresh snapshot reports any,
     /// so a budget fallback can never silently shift what is measured.
     degradations: usize,
-}
-
-/// One serial-vs-sharded comparison on a wide model.
-struct WideRow {
-    name: String,
-    states: usize,
-    serial_ns: f64,
-    parallel_ns: f64,
-    parallel_threads: usize,
 }
 
 /// Times `f` adaptively: repeats until `min_ms` of total wall time,
@@ -119,22 +105,12 @@ fn corpus_models() -> Vec<(String, Stg)> {
     corpus::sweep()
 }
 
-fn explore_options(threads: usize) -> ExploreOptions {
-    ExploreOptions {
-        threads,
-        ..ExploreOptions::default()
-    }
-}
-
-fn measure(name: &str, stg: &Stg, min_ms: u128, threads: usize) -> Row {
-    let options = explore_options(threads);
-    let sg = explore_with(stg, &options).expect("model explores");
+fn measure(name: &str, stg: &Stg, min_ms: u128) -> Row {
+    let sg = explore(stg).expect("model explores");
     let states = sg.state_count();
     let arcs = sg.arc_count();
 
-    let explore_ns = time_ns(min_ms, || {
-        explore_with(stg, &options).expect("model explores")
-    });
+    let explore_ns = time_ns(min_ms, || explore(stg).expect("model explores"));
     let states_per_sec = states as f64 / (explore_ns / 1e9);
 
     // Synthesis only makes sense for CSC-clean specs with implemented
@@ -185,10 +161,7 @@ fn measure(name: &str, stg: &Stg, min_ms: u128, threads: usize) -> Row {
         peak_bdd_nodes: symbolic.peak_bdd_nodes,
         peak_bdd_nodes_sift: sifted.peak_bdd_nodes,
         sift_ns: sifted.sift_ns,
-        var_order: format!(
-            "{:?}",
-            VarOrder::default().resolved_for(stg.net().place_count())
-        ),
+        var_order: format!("{:?}", VarOrder::default().resolved_for()),
     }
 }
 
@@ -216,7 +189,7 @@ struct CscSymbolicRow {
 /// must agree — this is the bench-side guard mirroring
 /// `crates/stg/tests/csc_symbolic.rs`.
 fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
-    let sg = explore_with(stg, &explore_options(1)).expect("model explores");
+    let sg = explore(stg).expect("model explores");
     let explicit_conflicts = sg.csc_conflicts().len() as u64;
     let cold = || {
         let mut bdd = rt_boolean::Bdd::new(0);
@@ -241,10 +214,7 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
         "{name}: sifted detector must agree per signal"
     );
     let explicit_detect_ns = time_ns(min_ms, || {
-        explore_with(stg, &explore_options(1))
-            .expect("model explores")
-            .csc_conflicts()
-            .len()
+        explore(stg).expect("model explores").csc_conflicts().len()
     });
     let symbolic_cold_ns = time_ns(min_ms, cold);
     let mut engine = ReachEngine::symbolic();
@@ -270,13 +240,13 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
 /// (results must agree), the same resolution with the candidate search
 /// on the worker pool (the winner must also agree), plus the
 /// warm-vs-fresh symbolic summary comparison on one long-lived engine.
-fn measure_csc(name: &str, stg: &Stg, min_ms: u128, pool_threads: usize) -> CscRow {
+fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
     let serial_options = CscOptions {
         threads: 1,
         ..CscOptions::default()
     };
     let pool_options = CscOptions {
-        threads: pool_threads,
+        threads: POOL_THREADS,
         ..CscOptions::default()
     };
     let mut explicit_engine = ReachEngine::explicit();
@@ -344,44 +314,12 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128, pool_threads: usize) -> CscR
         explicit_ns,
         symbolic_ns,
         parallel_ns,
-        pool_threads,
         cold_summary_ns,
         warm_summary_ns,
         warm_speedup: cold_summary_ns / warm_summary_ns,
         warm_gc_summary_ns,
         degradations,
     }
-}
-
-/// The `wide_parallel` stage: serial vs sharded explicit BFS on every
-/// wide model, both configurations verified bit-identical before
-/// timing.
-fn measure_wide_parallel(min_ms: u128, threads: usize) -> Vec<WideRow> {
-    corpus::wide()
-        .into_iter()
-        .map(|(name, stg)| {
-            let serial = explore_with(&stg, &explore_options(1)).expect("serial explores");
-            let parallel = explore_with(&stg, &explore_options(threads)).expect("sharded explores");
-            assert_eq!(
-                serial.state_count(),
-                parallel.state_count(),
-                "{name}: sharded walk must be bit-identical"
-            );
-            let serial_ns = time_ns(min_ms, || {
-                explore_with(&stg, &explore_options(1)).expect("serial explores")
-            });
-            let parallel_ns = time_ns(min_ms, || {
-                explore_with(&stg, &explore_options(threads)).expect("sharded explores")
-            });
-            WideRow {
-                name,
-                states: serial.state_count(),
-                serial_ns,
-                parallel_ns,
-                parallel_threads: threads,
-            }
-        })
-        .collect()
 }
 
 /// Structural sanity of the emitted snapshot: the keys downstream
@@ -391,7 +329,6 @@ fn validate(json: &str) -> Result<(), String> {
     for key in [
         "\"models\"",
         "\"csc\"",
-        "\"wide_parallel\"",
         "\"summary\"",
         "\"states_per_sec\"",
         "\"threads\"",
@@ -433,33 +370,23 @@ fn main() {
     let mut out_path = "BENCH_reach.json".to_string();
     let mut min_ms: u128 = 60;
     let mut fast = false;
-    let mut threads: usize = 1;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         if arg == "--fast" {
             min_ms = 5;
             fast = true;
-        } else if arg == "--threads" {
-            threads = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("bench_reach: --threads needs a number");
-                std::process::exit(2);
-            });
         } else if arg.starts_with("--") {
-            eprintln!(
-                "bench_reach: unknown flag {arg} (usage: [--fast] [--threads N] [OUTPUT.json])"
-            );
+            eprintln!("bench_reach: unknown flag {arg} (usage: [--fast] [OUTPUT.json])");
             std::process::exit(2);
         } else {
             out_path = arg;
         }
     }
-    let pool_threads = threads.max(2);
 
     let mut rows = Vec::new();
     for (name, stg) in corpus_models() {
-        let row = measure(&name, &stg, min_ms, threads);
+        let row = measure(&name, &stg, min_ms);
         println!(
-            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s, x{threads})  symbolic {:>10.0} ns  {:>8} bdd nodes ({:>8} by index, {:>8} sifted, peak {:>8} -> {:>8})",
+            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s)  symbolic {:>10.0} ns  {:>8} bdd nodes ({:>8} by index, {:>8} sifted, peak {:>8} -> {:>8})",
             row.name, row.states, row.explore_ns, row.states_per_sec, row.symbolic_ns,
             row.bdd_nodes, row.bdd_nodes_by_index, row.bdd_nodes_sift,
             row.peak_bdd_nodes, row.peak_bdd_nodes_sift
@@ -481,10 +408,10 @@ fn main() {
     ]
     .iter()
     .map(|(name, stg)| {
-        let row = measure_csc(name, stg, min_ms, pool_threads);
+        let row = measure_csc(name, stg, min_ms);
         println!(
             "csc {:<20} +{} signals  serial {:>11.0} ns  pool(x{}) {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x, gc {:>7.0} ns)",
-            row.name, row.inserted, row.explicit_ns, row.pool_threads, row.parallel_ns,
+            row.name, row.inserted, row.explicit_ns, POOL_THREADS, row.parallel_ns,
             row.symbolic_ns, row.cold_summary_ns, row.warm_summary_ns, row.warm_speedup,
             row.warm_gc_summary_ns
         );
@@ -525,28 +452,12 @@ fn main() {
         })
         .collect();
 
-    let wide_rows = measure_wide_parallel(min_ms, pool_threads);
-    for r in &wide_rows {
-        println!(
-            "wide {:<19} {:>7} states  serial {:>11.0} ns  sharded(x{}) {:>11.0} ns  ({:.2}x)",
-            r.name,
-            r.states,
-            r.serial_ns,
-            r.parallel_threads,
-            r.parallel_ns,
-            r.serial_ns / r.parallel_ns
-        );
-    }
-
     let total_states: usize = rows.iter().map(|r| r.states).sum();
     let total_explore_ns: f64 = rows.iter().map(|r| r.explore_ns).sum();
     let aggregate_states_per_sec = total_states as f64 / (total_explore_ns / 1e9);
     // Budget-fallback gauge: with the default unlimited budgets nothing
     // may degrade; `bench_check` fails a snapshot that reports any.
     let total_degradations: usize = csc_rows.iter().map(|r| r.degradations).sum();
-    let wide_states: usize = wide_rows.iter().map(|r| r.states).sum();
-    let wide_serial_ns: f64 = wide_rows.iter().map(|r| r.serial_ns).sum();
-    let wide_parallel_ns: f64 = wide_rows.iter().map(|r| r.parallel_ns).sum();
 
     let mut json = String::from("{\n  \"models\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -555,7 +466,7 @@ fn main() {
             .map_or("null".to_string(), |ns| format!("{ns:.0}"));
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"states\": {}, \"arcs\": {}, \"threads\": {}, \
+            "    {{\"name\": \"{}\", \"states\": {}, \"arcs\": {}, \
              \"explore_ns\": {:.0}, \"states_per_sec\": {:.0}, \"synth_ns\": {}, \
              \"symbolic_ns\": {:.0}, \"symbolic_markings\": {}, \"bdd_nodes\": {}, \
              \"bdd_nodes_by_index\": {}, \"bdd_nodes_sift\": {}, \
@@ -564,7 +475,6 @@ fn main() {
             r.name,
             r.states,
             r.arcs,
-            threads,
             r.explore_ns,
             r.states_per_sec,
             synth,
@@ -591,7 +501,7 @@ fn main() {
              \"degradations\": {}}}{}",
             r.name,
             r.inserted,
-            r.pool_threads,
+            POOL_THREADS,
             r.explicit_ns,
             r.parallel_ns,
             r.symbolic_ns,
@@ -626,34 +536,12 @@ fn main() {
             }
         );
     }
-    json.push_str("  ],\n  \"wide_parallel\": [\n");
-    for (i, r) in wide_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"states\": {}, \"threads\": {}, \
-             \"serial_ns\": {:.0}, \"parallel_ns\": {:.0}, \"speedup\": {:.2}}}{}",
-            r.name,
-            r.states,
-            r.parallel_threads,
-            r.serial_ns,
-            r.parallel_ns,
-            r.serial_ns / r.parallel_ns,
-            if i + 1 < wide_rows.len() { "," } else { "" }
-        );
-    }
     let _ = write!(
         json,
         "  ],\n  \"summary\": {{\"total_states\": {total_states}, \
          \"total_explore_ns\": {total_explore_ns:.0}, \
          \"aggregate_states_per_sec\": {aggregate_states_per_sec:.0}, \
-         \"threads\": {threads}, \
-         \"degradations\": {total_degradations}, \
-         \"wide_states\": {wide_states}, \
-         \"wide_serial_states_per_sec\": {:.0}, \
-         \"wide_parallel_states_per_sec\": {:.0}, \
-         \"wide_parallel_threads\": {pool_threads}}}\n}}\n",
-        wide_states as f64 / (wide_serial_ns / 1e9),
-        wide_states as f64 / (wide_parallel_ns / 1e9),
+         \"degradations\": {total_degradations}}}\n}}\n"
     );
 
     if let Err(problem) = validate(&json) {
@@ -667,6 +555,6 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "\naggregate: {aggregate_states_per_sec:.0} states/s over {total_states} states (x{threads}) -> {out_path}"
+        "\naggregate: {aggregate_states_per_sec:.0} states/s over {total_states} states -> {out_path}"
     );
 }

@@ -398,11 +398,7 @@ fn best_insertion_on_reduced(
             }
         }
     }
-    let worker_options = {
-        let mut o = engine.options().clone();
-        o.threads = 1; // candidate-level parallelism; don't nest BFS sharding
-        o
-    };
+    let worker_options = engine.options().clone();
     let truncated = AtomicBool::new(false);
     let (best, workers) = parallel_argmin(
         pairs.len(),

@@ -121,10 +121,6 @@ pub struct ServiceConfig {
     /// `0` disables quotas; requests without a client identity
     /// (in-process callers) are always exempt.
     pub max_inflight_per_client: usize,
-    /// Completed idempotent replies retained for replay (per
-    /// [`Request::idempotency`]); oldest-first eviction. `0` disables
-    /// idempotency tracking entirely — keys are then ignored.
-    pub idempotency_capacity: usize,
     /// Per-connection I/O deadline the daemon enforces: reading one
     /// frame (however slowly its bytes trickle in) and writing one
     /// reply must each finish within this allowance. Unused by the
@@ -147,7 +143,6 @@ impl Default for ServiceConfig {
             budget: Budget::default(),
             backend: ReachBackend::Symbolic,
             max_inflight_per_client: 0,
-            idempotency_capacity: 256,
             io_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
         }
@@ -239,14 +234,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn max_inflight_per_client(mut self, quota: usize) -> Self {
         self.config.max_inflight_per_client = quota;
-        self
-    }
-
-    /// Completed idempotent replies retained for replay (`0` disables
-    /// idempotency tracking).
-    #[must_use]
-    pub fn idempotency_capacity(mut self, capacity: usize) -> Self {
-        self.config.idempotency_capacity = capacity;
         self
     }
 
@@ -407,6 +394,10 @@ enum IdemEntry {
     Done(Reply),
 }
 
+/// Completed idempotent replies the registry retains for replay;
+/// oldest-first eviction beyond this bound.
+const IDEMPOTENCY_CAPACITY: usize = 256;
+
 /// The exactly-once registry behind [`Request::idempotency`]. Lock
 /// order: this lock may be held while taking the queue lock (enqueue
 /// does), never the other way around — completion takes them strictly
@@ -557,11 +548,7 @@ impl SynthService {
         // key cannot race past the check (lock order: idem before
         // queue/cache, see `IdemRegistry`).
         let idem_key: Option<IdemKey> = match request.idempotency {
-            Some(token)
-                if request.deadline.is_none() && self.shared.config.idempotency_capacity > 0 =>
-            {
-                Some((request.client.clone(), token))
-            }
+            Some(token) if request.deadline.is_none() => Some((request.client.clone(), token)),
             _ => None,
         };
         let mut idem_guard = idem_key.as_ref().map(|_| lock(&self.shared.idem));
@@ -835,7 +822,7 @@ fn worker_loop(shared: &Shared) {
             idem.entries
                 .insert(ik.clone(), IdemEntry::Done(reply.clone()));
             idem.done_order.push_back(ik);
-            while idem.done_order.len() > shared.config.idempotency_capacity {
+            while idem.done_order.len() > IDEMPOTENCY_CAPACITY {
                 if let Some(oldest) = idem.done_order.pop_front() {
                     idem.entries.remove(&oldest);
                 }

@@ -2,10 +2,10 @@
 //!
 //! A [`Budget`] bounds how much work a single analysis may do before it
 //! stops — cleanly, at a round or iteration boundary, never mid-way
-//! through building a structure. One budget threads through all four
-//! execution paths (serial explicit BFS, sharded parallel BFS, symbolic
-//! reachability, symbolic CSC detection), so a caller such as a
-//! long-running synthesis daemon can cap every request the same way:
+//! through building a structure. One budget threads through all three
+//! execution paths (explicit BFS, symbolic reachability, symbolic CSC
+//! detection), so a caller such as a long-running synthesis daemon can
+//! cap every request the same way:
 //!
 //! * `max_states` — soft ceiling on explicitly interned markings. Unlike
 //!   the hard [`ExploreOptions::state_limit`](crate::reach::ExploreOptions),

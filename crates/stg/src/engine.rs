@@ -10,7 +10,7 @@
 //! consumers now go through — `rt-synth`'s `resolve_csc_engine` and
 //! `derive_functions_for`, `rt-core`'s lazy passes, and `rt-verify`'s
 //! composition all take a `&mut ReachEngine` — and it is the seam later
-//! scaling work (sharding, batching, more backends) plugs into.
+//! scaling work (batching, more backends) plugs into.
 //!
 //! ## Backend selection
 //!
@@ -68,19 +68,7 @@
 //! holds the line with fresh-vs-reused and trimmed-vs-untrimmed
 //! bit-identical property tests over the corpus.
 //!
-//! ## Multi-core exploration: sharding and per-worker managers
-//!
-//! [`ExploreOptions::threads`] > 1 turns every explicit query
-//! ([`ReachEngine::state_graph`], explicit summaries) into the
-//! **sharded BFS** of [`crate::reach`]: markings are partitioned by
-//! FxHash ([`crate::marking::PackedMarking::shard`]) over N
-//! `std::thread::scope` workers, each owning its shard's interning
-//! arena, code table and CSR rows. Rounds are level-synchronous with
-//! two barriers; cross-shard successors travel through per-(sender,
-//! receiver) mailbox buffers and come back as shard-local ids, and a
-//! final serial renumbering pass replays the global FIFO discovery
-//! order over cheap integer pairs so the emitted [`StateGraph`] is
-//! bit-identical to the serial one at any thread count.
+//! ## Multi-core work: per-worker managers
 //!
 //! The **symbolic manager deliberately stays single-threaded and
 //! per-engine**: its unique table, caches and node vector are one big
@@ -95,8 +83,8 @@
 //! ## Budgets and degradation
 //!
 //! Every query runs under the [`ExploreOptions::budget`] — one
-//! [`Budget`] covering all four execution paths (serial BFS, sharded
-//! BFS, symbolic reach, symbolic CSC): soft state ceiling, BDD-footprint
+//! [`Budget`] covering all three execution paths (explicit BFS,
+//! symbolic reach, symbolic CSC): soft state ceiling, BDD-footprint
 //! ceiling, fixpoint-iteration ceiling, and deadline/cancellation via a
 //! shared [`crate::budget::CancelToken`]. Checks run at **round /
 //! iteration granularity** — once per BFS layer or image step, never
@@ -143,7 +131,7 @@
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
 //! and [`StgError::Cancelled`] (a demand to stop, honoured
 //! immediately). And no overrun — budget, cancellation, or even a
-//! worker panic (isolated via `catch_unwind` in [`crate::reach`] and
+//! candidate-worker panic (isolated via `catch_unwind` in
 //! [`crate::par`]) — ever corrupts engine state: the explicit arenas
 //! are per-call, and the persistent manager only ever grows by
 //! *complete* hash-consed nodes between iteration-boundary checks, so
@@ -366,15 +354,6 @@ impl ReachEngine {
             manager: None,
             stats: EngineStats::default(),
         }
-    }
-
-    /// Builder-style thread-count override for the sharded explicit
-    /// walk (see the module docs): `1` = serial, `0` = one worker per
-    /// available core.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.options.threads = threads;
-        self
     }
 
     /// Builder-style [`Budget`] override: every subsequent query runs
@@ -790,26 +769,6 @@ mod tests {
             nodes,
             "no new nodes after trim replay"
         );
-    }
-
-    #[test]
-    fn threaded_engine_builds_identical_graphs_and_summaries() {
-        let stg = models::fifo_stg();
-        let mut serial = ReachEngine::explicit();
-        let baseline = serial.state_graph(&stg).expect("serial");
-        let count = serial.summary(&stg).expect("serial summary");
-        for threads in [2usize, 8] {
-            let mut engine = ReachEngine::explicit().with_threads(threads);
-            assert_eq!(engine.options().threads, threads);
-            let sg = engine.state_graph(&stg).expect("sharded");
-            assert_eq!(sg.state_count(), baseline.state_count());
-            for s in baseline.states() {
-                assert_eq!(sg.code(s), baseline.code(s));
-                assert_eq!(sg.successors(s), baseline.successors(s));
-            }
-            let summary = engine.summary(&stg).expect("sharded summary");
-            assert_eq!(summary, count, "{threads} threads");
-        }
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! Scoping the armed-fault slot per engine or per service instance
 //! looks attractive — fault tests could then run concurrently — but it
 //! cannot deliver that isolation. The engine-level hooks
-//! ([`explicit_round_fault`], [`symbolic_iteration_fault`],
-//! [`worker_panic`]) are polled *context-free* from the analysis hot
-//! loops of **every** engine in the process: a test that arms, say,
+//! ([`explicit_round_fault`], [`symbolic_iteration_fault`]) are polled
+//! *context-free* from the analysis hot loops of **every** engine in
+//! the process: a test that arms, say,
 //! `ExhaustNodesAt` would still have its shots consumed by whichever
 //! concurrently running test's engine reaches that iteration first,
 //! scoped registry or not, unless every hot-loop call site threaded an
@@ -44,11 +44,9 @@
 //!
 //! Injection points, polled by the execution paths:
 //!
-//! * [`explicit_round_fault`] — start of each BFS round (serial walks
-//!   and phase 3 of the sharded walk).
+//! * [`explicit_round_fault`] — start of each BFS round of the
+//!   explicit walks (graph-building and counting).
 //! * [`symbolic_iteration_fault`] — each symbolic fixpoint iteration.
-//! * [`worker_panic`] — per (worker, round) inside the sharded walk's
-//!   `catch_unwind` region; a `true` answer makes the worker panic.
 //! * [`service_panic`] / [`service_stall`] — per pooled *service*
 //!   request in `rt-service`'s workers: the former makes the worker
 //!   panic inside its `catch_unwind` region, the latter stalls it for
@@ -88,13 +86,6 @@ pub enum Fault {
     ExhaustNodesAt {
         /// Fixpoint iteration at which the budget reads as blown.
         iteration: usize,
-    },
-    /// Worker `worker` of the sharded walk panics at round `round`.
-    PanicAt {
-        /// Round at which the worker panics.
-        round: usize,
-        /// 0-based worker (shard) index.
-        worker: usize,
     },
     /// The pooled service worker processing admitted request `request`
     /// panics inside its `catch_unwind` region — the worker-crash
@@ -240,17 +231,6 @@ mod enabled {
         })
     }
 
-    pub(super) fn worker_panic_impl(worker: usize, round: usize) -> bool {
-        fire(|f| match f {
-            Fault::PanicAt {
-                round: r,
-                worker: w,
-            } if r == round && w == worker => Some(()),
-            _ => None,
-        })
-        .is_some()
-    }
-
     pub(super) fn service_panic_impl(request: usize) -> bool {
         fire(|f| match f {
             Fault::ServicePanicAt { request: r } if r == request => Some(()),
@@ -304,21 +284,6 @@ pub fn symbolic_iteration_fault(iteration: usize) -> Option<StgError> {
     {
         let _ = iteration;
         None
-    }
-}
-
-/// Whether sharded-walk worker `worker` should panic at `round`.
-/// Always `false` without the `fault-injection` feature.
-#[cfg_attr(not(feature = "fault-injection"), inline(always))]
-pub fn worker_panic(worker: usize, round: usize) -> bool {
-    #[cfg(feature = "fault-injection")]
-    {
-        enabled::worker_panic_impl(worker, round)
-    }
-    #[cfg(not(feature = "fault-injection"))]
-    {
-        let _ = (worker, round);
-        false
     }
 }
 
@@ -384,16 +349,6 @@ mod tests {
         assert!(explicit_round_fault(2).is_some(), "second shot");
         assert!(explicit_round_fault(2).is_none(), "shots exhausted");
         drop(guard);
-        let _guard = arm(
-            Fault::PanicAt {
-                round: 1,
-                worker: 0,
-            },
-            1,
-        );
-        assert!(!worker_panic(1, 1), "wrong worker");
-        assert!(worker_panic(0, 1));
-        assert!(!worker_panic(0, 1), "one shot only");
     }
 
     #[test]

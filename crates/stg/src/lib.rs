@@ -23,10 +23,7 @@
 //!   with binary-coded states, the input to logic synthesis. The BFS
 //!   fires transitions directly on packed markings (zero per-state heap
 //!   allocations on safe nets ≤ 64 places) and accumulates arcs straight
-//!   into the state graph's compressed-sparse-row store. With
-//!   `ExploreOptions::threads > 1` the walk runs **sharded** over
-//!   `std::thread::scope` workers and stays bit-identical to the
-//!   serial order.
+//!   into the state graph's compressed-sparse-row store.
 //! * [`par`] — zero-dependency worker-pool utilities: thread-count
 //!   resolution and the deterministic `(cost, index)` argmin the CSC
 //!   candidate searches in `rt-synth`/`rt-core` parallelize with.

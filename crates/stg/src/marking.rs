@@ -21,9 +21,9 @@
 //! `64 / bits` whole fields), keeping every access two shifts and a mask.
 
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
+use std::hash::Hash;
 
-use rt_boolean::fxhash::{FxBuildHasher, FxHashMap};
+use rt_boolean::fxhash::FxHashMap;
 
 use crate::petri::{Marking, PlaceId};
 
@@ -252,27 +252,6 @@ impl PackedMarking {
         *w = (*w & !(mask << shift)) | (u64::from(count) << shift);
     }
 
-    /// The marking's FxHash value — the same hash family the
-    /// [`MarkingArena`] index uses, so shard assignment and arena
-    /// probing agree on key distribution.
-    #[inline]
-    pub fn shard_hash(&self) -> u64 {
-        FxBuildHasher::default().hash_one(self)
-    }
-
-    /// The owning shard of this marking when the state space is
-    /// partitioned across `shards` workers (see
-    /// [`crate::reach::explore_with`]'s sharded mode). Deterministic:
-    /// the same marking always lands on the same shard, independent of
-    /// discovery order or thread scheduling.
-    #[inline]
-    pub fn shard(&self, shards: usize) -> usize {
-        // Use the high bits: FxHash's multiply mixes upward, so the low
-        // bits of the raw hash are its weakest. The multiply-shift range
-        // reduction runs in u64 so it cannot overflow on 32-bit targets.
-        (((self.shard_hash() >> 32) * shards as u64) >> 32) as usize
-    }
-
     /// Total number of tokens in the marking.
     pub fn total_tokens(&self, layout: &MarkingLayout) -> u32 {
         (0..layout.places)
@@ -447,27 +426,6 @@ mod tests {
         assert_eq!(arena.resolve(id1), &a);
         assert_eq!(arena.get(&a), Some(id1));
         assert_eq!(arena.get(&PackedMarking::zero(&layout)), None);
-    }
-
-    #[test]
-    fn shard_assignment_is_deterministic_and_in_range() {
-        let layout = MarkingLayout::new(40, Some(1));
-        for shards in [1usize, 2, 3, 8] {
-            let mut seen = vec![0usize; shards];
-            for i in 0..40 {
-                let mut m = PackedMarking::zero(&layout);
-                m.set_tokens(&layout, PlaceId(i), 1);
-                let s = m.shard(shards);
-                assert!(s < shards);
-                assert_eq!(s, m.clone().shard(shards), "same marking, same shard");
-                seen[s] += 1;
-            }
-            if shards > 1 {
-                // FxHash over distinct single-bit markings must not
-                // collapse onto one shard.
-                assert!(seen.iter().filter(|&&c| c > 0).count() > 1, "{seen:?}");
-            }
-        }
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //!
 //! The container this project builds in has no registry access, so the
 //! usual suspects (`rayon`, `crossbeam`) are off the table; everything
-//! here is `std::thread::scope` plus atomics. Two consumers:
-//!
-//! * the sharded explicit BFS in [`crate::reach`] (which rolls its own
-//!   barrier/mailbox protocol and only shares [`effective_threads`]);
-//! * the CSC candidate searches in `rt-synth` and `rt-core`, which use
-//!   [`parallel_argmin`] to evaluate independent candidate insertions
-//!   on a pool and reduce to a winner **deterministically**.
+//! here is `std::thread::scope` plus atomics. One consumer: the CSC
+//! candidate searches in `rt-synth` and `rt-core`, which use
+//! [`parallel_argmin`] to evaluate independent candidate insertions on
+//! a pool and reduce to a winner **deterministically**. Explicit
+//! reachability itself stays serial: a level-synchronous partitioned
+//! walk lost to the serial one on every corpus model.
 //!
 //! ## Why the reduction is deterministic
 //!
@@ -19,7 +18,7 @@
 //! "first strictly better candidate wins" rule the serial loops
 //! implement with `cost < best`. Completion order, thread count and
 //! work distribution therefore cannot change the winner — a resolution
-//! computed at `--threads 8` is bit-identical to the serial one.
+//! computed on 8 workers is bit-identical to the serial one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -56,14 +56,11 @@ pub struct CscConflict {
 /// buffers drop straight into [`StateGraph::from_csr_parts`] — no
 /// nested `Vec<Vec<StateArc>>` intermediate anywhere.
 ///
-/// Every CSR producer emits through this builder: the serial explicit
-/// analyser ([`crate::reach`]), the sharded walk's renumbering pass
-/// (which replays the global FIFO discovery order over the merged
-/// shards, so the parallel path lands in the identical buffers), and
-/// the concurrency-reduction pass in `rt-core::lazy`. Any breadth-first
-/// construction that hands out state ids in discovery order completes
-/// rows in exactly id order, which is the only contract the builder
-/// requires.
+/// Every CSR producer emits through this builder: the explicit
+/// analyser ([`crate::reach`]) and the concurrency-reduction pass in
+/// `rt-core::lazy`. Any breadth-first construction that hands out
+/// state ids in discovery order completes rows in exactly id order,
+/// which is the only contract the builder requires.
 ///
 /// # Examples
 ///

@@ -119,11 +119,6 @@ pub(crate) fn iteration_budget_check(
     None
 }
 
-/// Module-level alias of [`VarOrder::AUTO_REVERSE_MIN_PLACES`], kept
-/// for callers that imported the threshold before it moved onto the
-/// type.
-pub const AUTO_REVERSE_MIN_PLACES: usize = VarOrder::AUTO_REVERSE_MIN_PLACES;
-
 /// Static place → BDD-variable ordering strategy for a symbolic run.
 /// See the module docs for the corpus-wide measurements behind the
 /// default.
@@ -132,15 +127,11 @@ pub enum VarOrder {
     /// Legacy order: place *i* is BDD variable *i*.
     ByIndex,
     /// Declaration order reversed — the measured corpus-wide winner
-    /// on non-trivial nets (declaration order is itself a connectivity
-    /// order here, and the reversal puts late-declared link/wrap
-    /// places near the root).
+    /// (declaration order is itself a connectivity order here, and the
+    /// reversal puts late-declared link/wrap places near the root).
     ReverseIndex,
-    /// The default: [`VarOrder::ReverseIndex`] for nets with at least
-    /// [`VarOrder::AUTO_REVERSE_MIN_PLACES`] places,
-    /// [`VarOrder::ByIndex`] below that (reversal once regressed
-    /// `arbiter2`, the corpus's smallest shared-place net — see the
-    /// constant's docs).
+    /// The default: resolves to [`VarOrder::ReverseIndex`] at every
+    /// net size (see [`VarOrder::resolved_for`]).
     #[default]
     Auto,
     /// Dynamic reordering: seed the variables with the `Auto` static
@@ -152,35 +143,19 @@ pub enum VarOrder {
 }
 
 impl VarOrder {
-    /// Place count below which [`VarOrder::Auto`] resolves to
-    /// [`VarOrder::ByIndex`] instead of [`VarOrder::ReverseIndex`].
-    ///
-    /// Chosen on measurements taken with the earlier
-    /// `and`/`exists`/`and` image chain: `ReverseIndex` won or tied
-    /// everywhere except `arbiter2` (9 places, 344 → 398 nodes — its
-    /// shared `me` place is declared mid-net, so reversing declaration
-    /// order buries it), and below 10 places it saved at most ~8 nodes
-    /// (`celement` 235 → 227). Under the one-pass image
-    /// ([`Bdd::replace_cube`]) reversal no longer loses there
-    /// (`arbiter2` 181 → 174, `celement` 145 → 124), so the threshold
-    /// now only keeps tiny nets on their historical order.
-    pub const AUTO_REVERSE_MIN_PLACES: usize = 10;
-
-    /// The concrete *static* strategy seeding a run under this order
-    /// for a net with `places` places: identity for the named static
-    /// strategies, the measured size-based choice for
-    /// [`VarOrder::Auto`], and the `Auto` resolution for
+    /// The concrete *static* strategy seeding a run under this order:
+    /// identity for the named static strategies, and
+    /// [`VarOrder::ReverseIndex`] for [`VarOrder::Auto`] and for
     /// [`VarOrder::Sift`] (whose reordering then moves variables away
     /// from the seed). Never returns `Auto` or `Sift`.
-    pub fn resolved_for(self, places: usize) -> VarOrder {
+    ///
+    /// There is no size threshold: even on the nine corpus nets below
+    /// 10 places, `ReverseIndex` needs fewer reach nodes than `ByIndex`
+    /// (summed 990 → 847, `arbiter2` 181 → 174, `celement` 145 → 124;
+    /// fresh managers, identical results).
+    pub fn resolved_for(self) -> VarOrder {
         match self {
-            VarOrder::Auto | VarOrder::Sift => {
-                if places >= VarOrder::AUTO_REVERSE_MIN_PLACES {
-                    VarOrder::ReverseIndex
-                } else {
-                    VarOrder::ByIndex
-                }
-            }
+            VarOrder::Auto | VarOrder::Sift => VarOrder::ReverseIndex,
             other => other,
         }
     }
@@ -369,28 +344,6 @@ pub fn reach_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<SymbolicReach, StgE
     reach_symbolic_in_ordered(stg, bdd, VarOrder::default())
 }
 
-/// [`reach_symbolic_in`] under an explicit [`Budget`]: the fixpoint
-/// polls cancellation, the manager-footprint ceiling and the iteration
-/// ceiling once per image step, so an overrun stops within one
-/// iteration and never leaves a half-built structure (the manager's
-/// unique table only ever grows by *complete* nodes).
-///
-/// # Errors
-///
-/// As [`reach_symbolic_in`], plus [`StgError::Cancelled`] and
-/// [`StgError::NodeBudgetExceeded`] when the budget triggers.
-pub fn reach_symbolic_in_budgeted(
-    stg: &Stg,
-    bdd: &mut Bdd,
-    budget: &Budget,
-) -> Result<SymbolicReach, StgError> {
-    let options = ExploreOptions {
-        budget: budget.clone(),
-        ..ExploreOptions::default()
-    };
-    reach_symbolic_with(stg, bdd, &options)
-}
-
 /// [`reach_symbolic_in`] under an explicit [`VarOrder`] — static or
 /// dynamic ([`VarOrder::Sift`] runs with the default reorder knobs of
 /// [`ExploreOptions`]; use [`reach_symbolic_with`] to tune them).
@@ -414,11 +367,16 @@ pub fn reach_symbolic_in_ordered(
 /// variable order (static or dynamic, `Auto` upgradeable by the
 /// force-sift hook), the reorder trigger knobs and the budget all come
 /// from `options`. This is the entry point
-/// [`crate::engine::ReachEngine`] uses.
+/// [`crate::engine::ReachEngine`] uses. The fixpoint polls
+/// cancellation, the manager-footprint ceiling and the iteration
+/// ceiling once per image step, so an overrun stops within one
+/// iteration and never leaves a half-built structure (the manager's
+/// unique table only ever grows by *complete* nodes).
 ///
 /// # Errors
 ///
-/// Same as [`reach_symbolic_in_budgeted`].
+/// As [`reach_symbolic_in`], plus [`StgError::Cancelled`] and
+/// [`StgError::NodeBudgetExceeded`] when the budget triggers.
 pub fn reach_symbolic_with(
     stg: &Stg,
     bdd: &mut Bdd,
@@ -430,49 +388,17 @@ pub fn reach_symbolic_with(
     fixpoint(stg, bdd, &var_of, &options.budget, &mut reorder)
 }
 
-/// The place → variable permutation `order` denotes for `stg`
-/// (`Auto` resolved by place count). Shared with the signal-extended
-/// layout of [`csc`].
+/// The place → variable permutation `order` denotes for `stg`.
+/// Shared with the signal-extended layout of [`csc`].
 pub(crate) fn place_order(stg: &Stg, order: VarOrder) -> Vec<u32> {
     let places = stg.net().place_count() as u32;
-    match order.resolved_for(places as usize) {
+    match order.resolved_for() {
         VarOrder::ByIndex => (0..places).collect(),
         VarOrder::ReverseIndex => (0..places).rev().collect(),
         VarOrder::Auto | VarOrder::Sift => {
             unreachable!("resolved_for never returns Auto or Sift")
         }
     }
-}
-
-/// [`reach_symbolic_in`] under a caller-supplied static order:
-/// `var_of[place] = BDD variable`. Must be a permutation of
-/// `0..place_count`. This is the experimentation hook the named
-/// [`VarOrder`] strategies are built on.
-///
-/// # Errors
-///
-/// Same as [`reach_symbolic_in`].
-pub fn reach_symbolic_in_custom(
-    stg: &Stg,
-    bdd: &mut Bdd,
-    var_of: &[u32],
-) -> Result<SymbolicReach, StgError> {
-    reach_symbolic_in_custom_budgeted(stg, bdd, var_of, &Budget::default())
-}
-
-/// [`reach_symbolic_in_custom`] under an explicit [`Budget`]; see
-/// [`reach_symbolic_in_budgeted`] for the polling contract.
-///
-/// # Errors
-///
-/// Same as [`reach_symbolic_in_budgeted`].
-pub fn reach_symbolic_in_custom_budgeted(
-    stg: &Stg,
-    bdd: &mut Bdd,
-    var_of: &[u32],
-    budget: &Budget,
-) -> Result<SymbolicReach, StgError> {
-    fixpoint(stg, bdd, var_of, budget, &mut ReorderCtl::disabled())
 }
 
 /// Transition `t`'s firing as `(variable, before, after)` literals over

@@ -171,45 +171,40 @@ fn trim_then_revisit_allocates_no_new_nodes() {
 
 /// A budget-interrupted explicit engine must stay fully reusable: after
 /// an exhausted or cancelled run, lifting the budget and re-asking must
-/// reproduce a fresh engine's graph exactly — at every pool width
-/// (1 = serial walk, 2/8 = sharded walk).
+/// reproduce a fresh engine's graph exactly.
 #[test]
-fn budget_interrupted_explicit_engine_stays_reusable_at_any_thread_count() {
+fn budget_interrupted_explicit_engine_stays_reusable() {
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explicit explore");
-    for threads in [1usize, 2, 8] {
-        // State-budget exhaustion mid-walk.
-        let mut engine = ReachEngine::explicit()
-            .with_threads(threads)
-            .with_budget(Budget::unlimited().with_max_states(3));
-        assert!(
-            matches!(
-                engine.state_graph(&stg),
-                Err(StgError::StateBudgetExceeded { .. })
-            ),
-            "x{threads}: tiny budget must interrupt the walk"
-        );
-        engine.options_mut().budget = Budget::default();
-        let sg = engine
-            .state_graph(&stg)
-            .unwrap_or_else(|e| panic!("x{threads}: reuse after exhaustion: {e}"));
-        assert_eq!(sg.state_count(), reference.state_count(), "x{threads}");
-        assert_eq!(sg.arc_count(), reference.arc_count(), "x{threads}");
+    // State-budget exhaustion mid-walk.
+    let mut engine = ReachEngine::explicit().with_budget(Budget::unlimited().with_max_states(3));
+    assert!(
+        matches!(
+            engine.state_graph(&stg),
+            Err(StgError::StateBudgetExceeded { .. })
+        ),
+        "tiny budget must interrupt the walk"
+    );
+    engine.options_mut().budget = Budget::default();
+    let sg = engine
+        .state_graph(&stg)
+        .unwrap_or_else(|e| panic!("reuse after exhaustion: {e}"));
+    assert_eq!(sg.state_count(), reference.state_count());
+    assert_eq!(sg.arc_count(), reference.arc_count());
 
-        // Cancellation before the walk finishes.
-        let mut engine = ReachEngine::explicit().with_threads(threads);
-        engine.budget().cancel.cancel();
-        assert!(
-            matches!(engine.state_graph(&stg), Err(StgError::Cancelled)),
-            "x{threads}: a fired token must stop the walk"
-        );
-        engine.options_mut().budget = Budget::default();
-        let sg = engine
-            .state_graph(&stg)
-            .unwrap_or_else(|e| panic!("x{threads}: reuse after cancellation: {e}"));
-        assert_eq!(sg.state_count(), reference.state_count(), "x{threads}");
-        assert_eq!(sg.arc_count(), reference.arc_count(), "x{threads}");
-    }
+    // Cancellation before the walk finishes.
+    let mut engine = ReachEngine::explicit();
+    engine.budget().cancel.cancel();
+    assert!(
+        matches!(engine.state_graph(&stg), Err(StgError::Cancelled)),
+        "a fired token must stop the walk"
+    );
+    engine.options_mut().budget = Budget::default();
+    let sg = engine
+        .state_graph(&stg)
+        .unwrap_or_else(|e| panic!("reuse after cancellation: {e}"));
+    assert_eq!(sg.state_count(), reference.state_count());
+    assert_eq!(sg.arc_count(), reference.arc_count());
 }
 
 proptest! {

@@ -6,8 +6,8 @@
 //! fault tests never interleave* — re-runs the same analysis with the
 //! shots spent and asserts the engine reproduces a fresh engine's
 //! answer bit-for-bit. That is the whole robustness contract: injected
-//! budget exhaustion, cancellation and worker panics must neither hang,
-//! abort, nor leave any state behind.
+//! budget exhaustion and cancellation must neither hang, abort, nor
+//! leave any state behind.
 //!
 //! Every test holds the suite lock ([`rt_stg::faults::suite`]) for its
 //! whole body: the fresh reference run happens before anything is
@@ -20,50 +20,21 @@ use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{explore, models, StgError};
 
 #[test]
-fn injected_worker_panic_is_isolated_at_any_round_and_thread_count() {
-    let _suite = suite();
-    let stg = models::fifo_stg();
-    let reference = explore(&stg).expect("fresh explore");
-    for threads in [2usize, 4, 8] {
-        for round in [0usize, 1] {
-            for worker in [0usize, 1] {
-                let _guard = arm(Fault::PanicAt { round, worker }, 1);
-                let mut engine = ReachEngine::explicit().with_threads(threads);
-                let result = engine.state_graph(&stg);
-                assert!(
-                    matches!(result, Err(StgError::WorkerPanicked)),
-                    "threads={threads} round={round} worker={worker}: {result:?}"
-                );
-                // The shot is spent; the very next run must be healthy
-                // and bit-identical to a fresh engine's graph.
-                let sg = engine
-                    .state_graph(&stg)
-                    .expect("engine reusable after an injected panic");
-                assert_eq!(sg.state_count(), reference.state_count());
-                assert_eq!(sg.arc_count(), reference.arc_count());
-            }
-        }
-    }
-}
-
-#[test]
 fn injected_cancellation_stops_explicit_walks_within_one_round() {
     let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
-    for threads in [1usize, 2, 8] {
-        for round in [0usize, 2] {
-            let _guard = arm(Fault::CancelAt { round }, 1);
-            let mut engine = ReachEngine::explicit().with_threads(threads);
-            let result = engine.state_graph(&stg);
-            assert!(
-                matches!(result, Err(StgError::Cancelled)),
-                "threads={threads} round={round}: {result:?}"
-            );
-            let sg = engine.state_graph(&stg).expect("reusable after cancel");
-            assert_eq!(sg.state_count(), reference.state_count());
-            assert_eq!(sg.arc_count(), reference.arc_count());
-        }
+    for round in [0usize, 2] {
+        let _guard = arm(Fault::CancelAt { round }, 1);
+        let mut engine = ReachEngine::explicit();
+        let result = engine.state_graph(&stg);
+        assert!(
+            matches!(result, Err(StgError::Cancelled)),
+            "round={round}: {result:?}"
+        );
+        let sg = engine.state_graph(&stg).expect("reusable after cancel");
+        assert_eq!(sg.state_count(), reference.state_count());
+        assert_eq!(sg.arc_count(), reference.arc_count());
     }
 }
 
@@ -72,18 +43,16 @@ fn injected_state_exhaustion_stops_explicit_walks_within_one_round() {
     let _suite = suite();
     let stg = models::fifo_stg();
     let reference = explore(&stg).expect("fresh explore");
-    for threads in [1usize, 4] {
-        let _guard = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
-        let mut engine = ReachEngine::explicit().with_threads(threads);
-        let result = engine.state_graph(&stg);
-        assert!(
-            matches!(result, Err(StgError::StateBudgetExceeded { .. })),
-            "threads={threads}: {result:?}"
-        );
-        let sg = engine.state_graph(&stg).expect("reusable after exhaustion");
-        assert_eq!(sg.state_count(), reference.state_count());
-        assert_eq!(sg.arc_count(), reference.arc_count());
-    }
+    let _guard = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+    let mut engine = ReachEngine::explicit();
+    let result = engine.state_graph(&stg);
+    assert!(
+        matches!(result, Err(StgError::StateBudgetExceeded { .. })),
+        "{result:?}"
+    );
+    let sg = engine.state_graph(&stg).expect("reusable after exhaustion");
+    assert_eq!(sg.state_count(), reference.state_count());
+    assert_eq!(sg.arc_count(), reference.arc_count());
 }
 
 #[test]

@@ -10,7 +10,7 @@ use rt_boolean::Bdd;
 use rt_stg::engine::ReachEngine;
 use rt_stg::reach::ExploreOptions;
 use rt_stg::symbolic::csc::{csc_conflicts_symbolic_opts, CscWitness};
-use rt_stg::symbolic::{reach_symbolic_in, reach_symbolic_with, VarOrder, AUTO_REVERSE_MIN_PLACES};
+use rt_stg::symbolic::{reach_symbolic_in, reach_symbolic_with, VarOrder};
 use rt_stg::{corpus, explore, StateGraph, StateId, Stg};
 
 /// Reorder knobs hot enough that even the small corpus models sift
@@ -185,24 +185,18 @@ fn engine_generational_collect_is_invisible_in_results() {
 
 #[test]
 fn auto_order_crossover_matches_the_documented_threshold() {
-    // One place below the documented crossover Auto keeps declaration
-    // order; at the threshold it flips to the measured-better reverse.
-    assert_eq!(
-        VarOrder::Auto.resolved_for(AUTO_REVERSE_MIN_PLACES - 1),
-        VarOrder::ByIndex
-    );
-    assert_eq!(
-        VarOrder::Auto.resolved_for(AUTO_REVERSE_MIN_PLACES),
-        VarOrder::ReverseIndex
-    );
+    // The documented rule: Auto resolves to the measured-better
+    // reverse order at every net size, with no place-count crossover.
+    assert_eq!(VarOrder::Auto.resolved_for(), VarOrder::ReverseIndex);
     // Sift's *static seed* order follows the same rule, so a sifted
     // run starts from the best static guess before improving on it.
+    assert_eq!(VarOrder::Sift.resolved_for(), VarOrder::ReverseIndex);
+    // Explicit static orders are never second-guessed.
+    assert_eq!(VarOrder::ByIndex.resolved_for(), VarOrder::ByIndex);
     assert_eq!(
-        VarOrder::Sift.resolved_for(AUTO_REVERSE_MIN_PLACES),
+        VarOrder::ReverseIndex.resolved_for(),
         VarOrder::ReverseIndex
     );
-    // Explicit static orders are never second-guessed.
-    assert_eq!(VarOrder::ByIndex.resolved_for(1000), VarOrder::ByIndex);
 }
 
 #[test]

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rt_boolean::{minimize, Cover, Cube};
 use rt_stg::engine::{ReachBackend, ReachEngine};
-use rt_stg::par::{effective_threads, parallel_argmin};
+use rt_stg::par::parallel_argmin;
 use rt_stg::petri::PlaceId;
 use rt_stg::reach::count_markings_with;
 use rt_stg::stg::TransitionLabel;
@@ -463,14 +463,7 @@ fn best_insertion(
 ) -> Result<SearchOutcome<(Stg, StateGraph, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
-    let pool = effective_threads(options.threads);
-    let mut worker_options = engine.options().clone();
-    if pool > 1 {
-        // Candidate-level parallelism replaces BFS-level sharding for
-        // the search: candidate nets are small, and nesting the two
-        // would oversubscribe the machine.
-        worker_options.threads = 1;
-    }
+    let worker_options = engine.options().clone();
 
     let truncated = AtomicBool::new(false);
     let evaluate = |worker: &mut ReachEngine, index: usize| {
@@ -547,11 +540,7 @@ fn best_insertion_symbolic(
 ) -> Result<SearchOutcome<(Stg, u64, u64, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
-    let pool = effective_threads(options.threads);
-    let mut worker_options = engine.options().clone();
-    if pool > 1 {
-        worker_options.threads = 1;
-    }
+    let worker_options = engine.options().clone();
 
     let truncated = AtomicBool::new(false);
     let evaluate = |worker: &mut ReachEngine, index: usize| {

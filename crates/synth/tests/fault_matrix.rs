@@ -4,20 +4,22 @@
 //! match the fault exactly — same order, nothing extra, and never a
 //! degradation for a hard stop like cancellation.
 //!
-//! Every test arms a fault (or, for the pure-budget case, a fault that
-//! can never fire) so the process-global fault slot serializes the
-//! whole binary — an unguarded analysis here could otherwise consume a
-//! concurrently armed test's shot.
+//! Every test holds the suite lock ([`rt_stg::faults::suite`]) for its
+//! whole body: the fresh reference runs happen before anything is
+//! armed, and an unguarded reference walk could otherwise consume a
+//! concurrently armed test's shot (the explicit summary then degrades
+//! silently and the armed test sees no fault).
 
 #![cfg(feature = "fault-injection")]
 
 use rt_stg::engine::{Degradation, ReachEngine};
-use rt_stg::faults::{arm, Fault};
+use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{models, Budget, StgError};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 
 #[test]
 fn symbolic_node_exhaustion_degrades_via_trim_retry() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let expected = ReachEngine::explicit()
         .summary(&stg)
@@ -35,6 +37,7 @@ fn symbolic_node_exhaustion_degrades_via_trim_retry() {
 
 #[test]
 fn persistent_node_exhaustion_degrades_to_the_explicit_walk() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let expected = ReachEngine::explicit()
         .summary(&stg)
@@ -57,6 +60,7 @@ fn persistent_node_exhaustion_degrades_to_the_explicit_walk() {
 
 #[test]
 fn explicit_state_exhaustion_degrades_to_the_symbolic_backend() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let expected = ReachEngine::explicit()
         .summary(&stg)
@@ -74,6 +78,7 @@ fn explicit_state_exhaustion_degrades_to_the_symbolic_backend() {
 
 #[test]
 fn cancellation_is_never_papered_over_by_a_degradation() {
+    let _suite = suite();
     let stg = models::fifo_stg();
     let _guard = arm(Fault::CancelAt { round: 0 }, 1);
     let mut engine = ReachEngine::explicit();
@@ -86,8 +91,8 @@ fn budget_starved_candidate_search_returns_a_partial_resolution() {
     // Pure-budget path, no injected fault: the state budget admits the
     // input net exactly, so every (strictly larger) candidate insertion
     // blows it and the search must surrender a truncated result instead
-    // of aborting. The never-firing armed fault only takes the lock.
-    let _guard = arm(Fault::CancelAt { round: usize::MAX }, 1);
+    // of aborting.
+    let _suite = suite();
     let stg = models::fifo_stg();
     let baseline = ReachEngine::explicit()
         .state_graph(&stg)
