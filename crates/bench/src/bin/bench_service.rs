@@ -8,8 +8,9 @@
 //! cargo run --release -p rt-bench --bin bench_service [-- [--fast] [OUTPUT.json]]
 //! ```
 //!
-//! Every answer is asserted bit-identical to a fresh direct
-//! [`ReachEngine`] call before anything is written, so the snapshot can
+//! Every answer's whole payload — rewritten STG and flags included — is
+//! asserted equal to a fresh direct [`ReachEngine`] call's before
+//! anything is written, so the snapshot can
 //! never record throughput for wrong answers. The emitted counters —
 //! `requests_per_s`, `cache_hit_rate`, `shed`, `retries`,
 //! `worker_panics`, `degraded` — are the service-health gauges
@@ -37,12 +38,13 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use rt_service::{
-    Daemon, DaemonClient, ReconnectingClient, Request, RequestPayload, ResponsePayload,
-    ServiceConfig, SynthService,
+    CscCheckOutcome, Daemon, DaemonClient, ReconnectingClient, Request, RequestPayload,
+    ResolveOutcome, ResponsePayload, ServiceConfig, SummaryOutcome, SynthService,
 };
 use rt_stg::engine::ReachEngine;
 use rt_stg::{corpus, models};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
+use rt_verify::verify;
 
 /// The measured request mix: summary + symbolic CSC check for every
 /// corpus model small enough for the symbolic detector (≤ 64 signals),
@@ -75,27 +77,43 @@ fn workload(fast: bool) -> Vec<(String, Request)> {
     out
 }
 
-/// Asserts one service answer equals a fresh direct engine call.
+/// Asserts one service answer equals, as a whole payload, what a fresh
+/// direct engine call returns.
 fn assert_direct(name: &str, request: &Request, payload: &ResponsePayload) {
     let mut engine = ReachEngine::symbolic();
-    match (&request.payload, payload) {
-        (RequestPayload::Summary { stg }, ResponsePayload::Summary(outcome)) => {
+    let expected = match &request.payload {
+        RequestPayload::Summary { stg } => {
             let direct = engine.summary(stg).expect("direct summary");
-            assert_eq!(outcome.markings, direct.markings, "{name}");
-            assert_eq!(outcome.iterations, direct.iterations, "{name}");
+            ResponsePayload::Summary(SummaryOutcome {
+                markings: direct.markings,
+                iterations: direct.iterations,
+            })
         }
-        (RequestPayload::CscCheck { stg }, ResponsePayload::CscCheck(outcome)) => {
+        RequestPayload::CscCheck { stg } => {
             let direct = engine.csc_conflicts_symbolic(stg).expect("direct csc");
-            assert_eq!(outcome.markings, direct.markings, "{name}");
-            assert_eq!(outcome.conflicts, direct.conflicts, "{name}");
+            ResponsePayload::CscCheck(CscCheckOutcome {
+                markings: direct.markings,
+                conflicts: direct.conflicts,
+                deadlock_free: direct.deadlock_free,
+                strongly_connected: direct.strongly_connected,
+            })
         }
-        (RequestPayload::ResolveCsc { stg, options }, ResponsePayload::ResolveCsc(outcome)) => {
+        RequestPayload::ResolveCsc { stg, options } => {
             let direct = resolve_csc_engine(stg, options, &mut engine).expect("direct resolve");
-            assert_eq!(outcome.inserted, direct.inserted, "{name}");
-            assert_eq!(outcome.cost, direct.cost, "{name}");
+            ResponsePayload::ResolveCsc(Box::new(ResolveOutcome {
+                stg: direct.stg,
+                inserted: direct.inserted,
+                cost: direct.cost,
+                truncated: direct.truncated,
+            }))
         }
-        (_, other) => panic!("{name}: mismatched payload kind {other:?}"),
-    }
+        RequestPayload::Verify {
+            netlist,
+            spec,
+            orderings,
+        } => ResponsePayload::Verify(verify(netlist, spec, orderings).expect("direct verify")),
+    };
+    assert_eq!(payload, &expected, "{name}");
 }
 
 /// Splices `section` (one `  "<key>": {...}` line) into a

@@ -203,10 +203,10 @@ impl Netlist {
 
     /// A content hash of the circuit: net names and kinds, plus every
     /// gate's library element, input order and output, in construction
-    /// order. The design *name* is excluded; net names are included
-    /// because verification matches nets to specification signals by
-    /// name. Used as (part of) the synthesis service's memo-cache key,
-    /// so two structurally identical netlists hash equal.
+    /// order. The design *name* and gate names are excluded; net names
+    /// are included because verification matches nets to specification
+    /// signals by name. A fingerprint, not an identity: two netlists
+    /// that hash equal need not be equal.
     pub fn content_hash(&self) -> u64 {
         use std::hash::{Hash as _, Hasher as _};
         // The same multiply-rotate mix as rt_boolean::fxhash, inlined

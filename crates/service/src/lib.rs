@@ -21,15 +21,17 @@
 //! * **Retry with bounded backoff** — soft resource exhaustion that
 //!   survives the engine's own degradation chain is retried a bounded
 //!   number of times, with pauses capped by the remaining deadline.
-//! * **Memo cache** — a bounded LRU keyed by request *content*
-//!   (STG/netlist hashes, options, budget soft caps). Degraded results
-//!   are cached **with** their degradations, so a hit never silently
-//!   upgrades a partial answer to a full one.
-//!
+//! * **Memo cache** — a bounded LRU of successful replies keyed by the
+//!   request's *exact* payload bytes (its canonical wire encoding,
+//!   names included), so a hit is exactly the answer to the caller's own
+//!   input. Degraded results are cached **with** their degradations,
+//!   so a hit never silently upgrades a partial answer to a full one.
 //! * **Batch scheduling with single-flight dedup** — admitted requests
 //!   drain in deterministic admission order, and identical in-flight
-//!   requests (same memo key, no deadline) coalesce onto one engine
-//!   dispatch whose answer fans out to every waiter.
+//!   requests (same payload bytes, no deadline) coalesce onto one
+//!   engine dispatch whose answer fans out to every waiter. Memo
+//!   entries, open flights and idempotency records are rows of one
+//!   table.
 //! * **A wire front-end** — [`Daemon`] serves the same API over TCP via
 //!   the hand-rolled [`proto`] protocol (`std::net` only), with
 //!   [`DaemonClient`] as the matching blocking client and the
@@ -68,10 +70,10 @@
 //! service.shutdown();
 //! ```
 
-mod cache;
 mod client;
 mod daemon;
 mod error;
+mod flight;
 pub mod proto;
 mod reconnect;
 mod request;

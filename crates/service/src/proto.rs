@@ -55,8 +55,9 @@
 //! followed by `T`; `String` is a `u32` byte length plus UTF-8;
 //! `Vec<T>` is a `u32` count plus the items. `usize` travels as `u64`.
 //! A request body is the payload's stable kind discriminant
-//! ([`RequestPayload::discriminant`] — the same byte the memo-cache
-//! key hashes), the kind-specific fields, the optional deadline as
+//! ([`RequestPayload::discriminant`]) and the kind-specific fields —
+//! together the canonical payload bytes the service's flight table
+//! keys on — then the optional deadline as
 //! `Option<u64>` microseconds, then the optional idempotency key as
 //! `Option<u64>`. The client identity deliberately does *not* travel
 //! per-request: it is connection state, set once by `Hello`, so a
@@ -838,16 +839,24 @@ fn dec_orderings(dec: &mut Dec<'_>) -> Decoded<Vec<NetOrdering>> {
     Ok(orderings)
 }
 
-/// Encodes a request into a frame payload (envelope included).
-pub fn encode_request(request: &Request) -> Vec<u8> {
-    let mut enc = Enc::new(MSG_REQUEST);
-    enc.u8(request.payload.discriminant());
-    match &request.payload {
+/// The canonical bytes of a request payload — its kind discriminant and
+/// kind-specific fields, exactly as they appear inside a request frame.
+/// The encoding is one-to-one, so equal bytes mean equal payloads,
+/// names included: the service keys its flight table on these bytes.
+pub(crate) fn encode_payload(payload: &RequestPayload) -> Vec<u8> {
+    let mut enc = Enc { bytes: Vec::new() };
+    enc_payload(&mut enc, payload);
+    enc.bytes
+}
+
+fn enc_payload(enc: &mut Enc, payload: &RequestPayload) {
+    enc.u8(payload.discriminant());
+    match payload {
         RequestPayload::Summary { stg } | RequestPayload::CscCheck { stg } => {
-            enc_stg(&mut enc, stg);
+            enc_stg(enc, stg);
         }
         RequestPayload::ResolveCsc { stg, options } => {
-            enc_stg(&mut enc, stg);
+            enc_stg(enc, stg);
             enc.usize(options.max_signals);
             enc.usize(options.critical_path_penalty);
             enc.usize(options.threads);
@@ -858,11 +867,17 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             spec,
             orderings,
         } => {
-            enc_netlist(&mut enc, netlist);
-            enc_stg(&mut enc, spec);
-            enc_orderings(&mut enc, orderings);
+            enc_netlist(enc, netlist);
+            enc_stg(enc, spec);
+            enc_orderings(enc, orderings);
         }
     }
+}
+
+/// Encodes a request into a frame payload (envelope included).
+pub fn encode_request(request: &Request) -> Vec<u8> {
+    let mut enc = Enc::new(MSG_REQUEST);
+    enc_payload(&mut enc, &request.payload);
     match request.deadline {
         None => enc.u8(0),
         Some(deadline) => {
@@ -1467,10 +1482,7 @@ mod tests {
             let RequestPayload::Summary { stg: rebuilt } = &decoded.payload else {
                 panic!("wrong kind");
             };
-            assert_eq!(rebuilt.content_hash(), stg.content_hash());
-            // Debug output covers every field, including per-place arc
-            // order that the content hash does not pin.
-            assert_eq!(format!("{rebuilt:?}"), format!("{stg:?}"));
+            assert_eq!(rebuilt, &stg);
         }
     }
 

@@ -34,8 +34,8 @@ static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// same bounded exponential backoff discipline the service's own retry
 /// loop uses. Resubmission is only attempted for
 /// deadline-free requests, which this client stamps with a fresh
-/// idempotency key before the first send: the daemon-side registry
-/// then guarantees the request executes **once** no matter how many
+/// idempotency key before the first send: the daemon's record of that
+/// key then guarantees the request executes **once** no matter how many
 /// times the connection died around it. Deadline-carrying requests are
 /// never auto-resubmitted (the deadline the caller asked for may
 /// already be spent) — their `Disconnected` surfaces verbatim.

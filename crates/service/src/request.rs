@@ -27,7 +27,7 @@ pub enum RequestPayload {
     ResolveCsc {
         /// The specification to rewrite.
         stg: Stg,
-        /// Search tuning (part of the memo-cache key).
+        /// Search tuning.
         options: CscOptions,
     },
     /// Verify a gate-level circuit against its specification.
@@ -42,8 +42,8 @@ pub enum RequestPayload {
 }
 
 impl RequestPayload {
-    /// Stable discriminant of [`RequestPayload::Summary`], shared by
-    /// the memo-cache key and the wire protocol. Never renumber.
+    /// Stable discriminant of [`RequestPayload::Summary`], the first
+    /// byte of its wire encoding. Never renumber.
     pub const SUMMARY: u8 = 1;
     /// Stable discriminant of [`RequestPayload::CscCheck`].
     pub const CSC_CHECK: u8 = 2;
@@ -52,10 +52,9 @@ impl RequestPayload {
     /// Stable discriminant of [`RequestPayload::Verify`].
     pub const VERIFY: u8 = 4;
 
-    /// The stable request-kind discriminant of this payload. One byte,
-    /// written both into the memo-cache key (`cache::request_key`) and
-    /// onto the wire (`crate::proto`), so the two can never disagree
-    /// about what kind a request is.
+    /// The stable request-kind discriminant of this payload: the first
+    /// byte of its wire encoding (`crate::proto`), and so of the
+    /// service's flight-table key.
     pub const fn discriminant(&self) -> u8 {
         match self {
             RequestPayload::Summary { .. } => Self::SUMMARY,
@@ -77,9 +76,11 @@ pub struct Request {
     /// Wall-clock allowance, measured from admission.
     pub deadline: Option<Duration>,
     /// Exactly-once token for safe resubmission: two deadline-free
-    /// requests carrying the same key (from the same client identity)
-    /// execute **once** — the second joins the first flight or replays
-    /// its recorded reply ([`crate::ServiceStats::idempotent_replays`]).
+    /// requests carrying the same key and the same payload (from the
+    /// same client identity) execute **once** — the second joins the
+    /// first flight or replays its recorded reply
+    /// ([`crate::ServiceStats::idempotent_replays`]). A reused key with
+    /// a different payload is a different request.
     /// Travels on the wire; deadline-carrying requests ignore it (a
     /// replayed reply could postdate the deadline it was asked for).
     pub idempotency: Option<u64>,
@@ -182,11 +183,10 @@ pub struct CscCheckOutcome {
     pub strongly_connected: bool,
 }
 
-/// Result of a CSC resolution. Compared by *content*: two outcomes are
-/// equal when their rewritten STGs hash equal and the inserted signals,
-/// cost and truncation flag match — the comparison the concurrent
-/// determinism pin uses.
-#[derive(Debug, Clone)]
+/// Result of a CSC resolution. Compared structurally: two outcomes are
+/// equal only when their rewritten STGs are equal — names included —
+/// and the inserted signals, cost and truncation flag match.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolveOutcome {
     /// The (possibly rewritten) CSC-free specification.
     pub stg: Stg,
@@ -198,17 +198,6 @@ pub struct ResolveOutcome {
     /// response carries [`Degradation::PartialSynthesis`] alongside).
     pub truncated: bool,
 }
-
-impl PartialEq for ResolveOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.stg.content_hash() == other.stg.content_hash()
-            && self.inserted == other.inserted
-            && self.cost == other.cost
-            && self.truncated == other.truncated
-    }
-}
-
-impl Eq for ResolveOutcome {}
 
 /// The computed answer of one request kind.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,5 @@
 //! The supervised service: per-request engines, bounded admission
-//! queue, retry/backoff, panic isolation, and the memo cache front.
+//! queue, retry/backoff, panic isolation, and the flight table front.
 //!
 //! # Architecture
 //!
@@ -8,7 +8,7 @@
 //! runs on a freshly built [`ReachEngine`] carrying the job's budget,
 //! so its symbolic manager is freed when the attempt ends and a reply
 //! never depends on what the worker served before. Exact repeats are
-//! served by the memo cache and single-flight dedup instead.
+//! served by the flight table instead.
 //!
 //! Clients [`submit`](SynthService::submit) a [`Request`] and block
 //! for the `Result<Response, ServiceError>`; the non-blocking
@@ -18,17 +18,20 @@
 //! with [`ServiceError::Shed`] carrying the observed depth, so overload
 //! is deterministic backpressure, never an unbounded pile-up.
 //!
-//! # Batch scheduling and single-flight dedup
+//! # The flight table: memo hits and single-flight dedup
 //!
 //! Admitted jobs drain in deterministic FIFO admission order. In front
-//! of the queue sits a *single-flight* layer: an admitted request whose
-//! memo key equals that of a job still queued or currently executing —
-//! and where neither carries a deadline — does not enqueue a second
-//! job. It joins the existing flight as an **observer** and receives a
-//! clone of the same reply, so N identical concurrent requests cost one
-//! engine dispatch ([`ServiceStats::batch_dedup_hits`] counts the
-//! joiners). Deadline-carrying requests never coalesce, in either
-//! role: a follower must not inherit a leader's
+//! of the queue, under the same lock, sits one table keyed on the
+//! request's exact payload bytes, names included (`flight.rs`). A row
+//! is a flight — opened at admission, closed at reply fan-out — or a
+//! finished flight's recorded success, which answers a later identical
+//! request at once as a [`Response::cached`] memo hit. An identical
+//! deadline-free request arriving while the flight is open joins it
+//! and receives a clone of the same reply, so N identical concurrent
+//! requests cost one engine dispatch
+//! ([`ServiceStats::batch_dedup_hits`] counts the joiners).
+//! Deadline-carrying requests take memo hits but never open or join a
+//! flight: a follower must not inherit a leader's
 //! [`StgError::Cancelled`], and a leader's deadline must not be
 //! answered with a slower sibling's fate. Joined requests bypass the
 //! queue-capacity check (they occupy no queue slot) and are counted
@@ -44,12 +47,15 @@
 //! next one is refused immediately with
 //! [`ServiceError::QuotaExceeded`], so one greedy tenant can never
 //! occupy the whole queue. Deadline-free requests may also carry an
-//! *idempotency key* ([`Request::idempotency`], scoped per client
-//! identity): the first submission executes, and any resubmission of
+//! *idempotency key* ([`Request::idempotency`]), whose row in the same
+//! table is scoped per client identity and payload: the first
+//! submission executes, and any resubmission of the same request under
 //! the same key joins that flight or replays its recorded reply — one
-//! key, one execution, one recorded fate. This is the safe-retry
-//! contract [`crate::ReconnectingClient`] relies on after a severed
-//! connection; [`ServiceStats::idempotent_replays`] counts both forms.
+//! key, one execution, one recorded fate. A keyed request checks that
+//! row before taking a memo hit and never joins an unkeyed flight.
+//! This is the safe-retry contract [`crate::ReconnectingClient`]
+//! relies on after a severed connection;
+//! [`ServiceStats::idempotent_replays`] counts both forms.
 //!
 //! # Supervision
 //!
@@ -82,8 +88,9 @@ use rt_stg::{faults, Budget, StgError};
 use rt_synth::csc::resolve_csc_engine;
 use rt_verify::{verify_with_budget, VerifyOptions};
 
-use crate::cache::{request_key, MemoCache};
 use crate::error::ServiceError;
+use crate::flight::{FlightKey, FlightTable, Slot};
+use crate::proto::encode_payload;
 use crate::request::{
     CscCheckOutcome, Request, RequestPayload, ResolveOutcome, Response, ResponsePayload,
     SummaryOutcome,
@@ -101,8 +108,8 @@ pub struct ServiceConfig {
     /// (not yet picked up) are shed. `0` sheds everything — useful for
     /// overload tests.
     pub queue_capacity: usize,
-    /// Memo-cache entries ([`crate::Response`]s) kept; `0` disables
-    /// caching.
+    /// Successful replies kept for exact repeats (memo hits), evicted
+    /// least-recently-used; `0` disables memo hits, not flight joins.
     pub cache_capacity: usize,
     /// Service-level retry attempts after soft resource exhaustion.
     pub max_retries: u32,
@@ -188,7 +195,7 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Memo-cache entries kept (`0` disables caching).
+    /// Successful replies kept for memo hits (`0` disables them).
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
@@ -319,9 +326,12 @@ pub struct ServiceStats {
     pub completed: u64,
     /// Requests refused by admission control.
     pub shed: u64,
-    /// Requests served from the memo cache without touching the pool.
+    /// Requests served from a recorded reply to the same exact payload
+    /// without touching the pool.
     pub cache_hits: u64,
-    /// Cacheable requests that had to be computed.
+    /// Requests that found no recorded reply to their exact payload.
+    /// Every submission not answered by its idempotency key is exactly
+    /// one hit or one miss.
     pub cache_misses: u64,
     /// Requests that joined an already queued or in-flight identical
     /// request instead of dispatching their own (single-flight dedup).
@@ -356,7 +366,7 @@ impl ServiceStats {
     }
 }
 
-type Reply = Result<Response, ServiceError>;
+pub(crate) type Reply = Result<Response, ServiceError>;
 
 struct Job {
     payload: RequestPayload,
@@ -365,58 +375,27 @@ struct Job {
     /// ([`faults::service_panic`], [`faults::service_stall`]) select on.
     /// Requests that *join* a flight never get their own index.
     seq: usize,
-    /// Memo key to populate on success (`None` = uncacheable).
-    key: Option<u64>,
-    /// Whether identical later requests may join this flight (memo key
-    /// present and no deadline on the request).
-    coalesce: bool,
-    /// Everyone waiting on this flight's reply: the original submitter
-    /// plus any observers that joined while the job was still queued.
-    /// Observers that join mid-execution land in
-    /// [`QueueState::inflight`] instead.
-    observers: Vec<mpsc::Sender<Reply>>,
+    /// The payload's exact key, which a success records.
+    exact: FlightKey,
+    /// Where the reply goes.
+    reply_to: ReplyTo,
     /// Client identity whose quota slot this job occupies (released at
     /// reply fan-out).
     client: Option<String>,
-    /// Idempotency-registry slot this flight resolves when it
-    /// completes.
-    idem_key: Option<IdemKey>,
 }
 
-/// Idempotency keys are scoped per client identity: two tenants using
-/// the same `u64` never observe each other's replies.
-type IdemKey = (Option<String>, u64);
-
-enum IdemEntry {
-    /// The keyed flight is queued or executing; resubmits join here.
-    InFlight(Vec<mpsc::Sender<Reply>>),
-    /// The keyed flight finished; resubmits replay this.
-    Done(Reply),
-}
-
-/// Completed idempotent replies the registry retains for replay;
-/// oldest-first eviction beyond this bound.
-const IDEMPOTENCY_CAPACITY: usize = 256;
-
-/// The exactly-once registry behind [`Request::idempotency`]. Lock
-/// order: this lock may be held while taking the queue lock (enqueue
-/// does), never the other way around — completion takes them strictly
-/// in sequence.
-struct IdemRegistry {
-    entries: HashMap<IdemKey, IdemEntry>,
-    /// `Done` keys oldest-first, for bounded eviction (in-flight
-    /// entries are never evicted — their flight is about to resolve
-    /// them).
-    done_order: VecDeque<IdemKey>,
+enum ReplyTo {
+    /// The flight this job opened at admission: its exact row, or its
+    /// idempotency row for a keyed request.
+    Flight(FlightKey),
+    /// The lone submitter of a deadline-carrying request, which opens
+    /// no flight.
+    Submitter(mpsc::Sender<Reply>),
 }
 
 struct QueueState {
     jobs: VecDeque<Job>,
-    /// Memo key → late observers, for each coalescable job currently
-    /// *executing* on a worker (entry inserted at pop, drained at
-    /// reply fan-out, both under this queue lock). At most one
-    /// coalescable flight per key exists at a time.
-    inflight: HashMap<u64, Vec<mpsc::Sender<Reply>>>,
+    flights: FlightTable,
     /// Client identity → admitted-but-incomplete request count, the
     /// gauge [`ServiceConfig::max_inflight_per_client`] caps.
     per_client: HashMap<String, usize>,
@@ -426,8 +405,6 @@ struct QueueState {
 struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
-    cache: Mutex<MemoCache>,
-    idem: Mutex<IdemRegistry>,
     counters: Counters,
     config: ServiceConfig,
     admissions: AtomicUsize,
@@ -488,16 +465,11 @@ impl SynthService {
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
-                inflight: HashMap::new(),
+                flights: FlightTable::new(config.cache_capacity),
                 per_client: HashMap::new(),
                 open: true,
             }),
             available: Condvar::new(),
-            cache: Mutex::new(MemoCache::new(config.cache_capacity)),
-            idem: Mutex::new(IdemRegistry {
-                entries: HashMap::new(),
-                done_order: VecDeque::new(),
-            }),
             counters: Counters::default(),
             config,
             admissions: AtomicUsize::new(0),
@@ -530,10 +502,10 @@ impl SynthService {
 
     /// Submits a request through admission control without blocking.
     /// Returns immediately with a [`Ticket`]: already resolved on a
-    /// cache hit, a shed, or a closed service; otherwise pending on the
-    /// pool. An identical deadline-free request already queued or
-    /// executing is *joined* rather than re-dispatched (see the module
-    /// docs on single-flight dedup).
+    /// memo hit, an idempotent replay, a shed, or a closed service;
+    /// otherwise pending on the pool. An identical deadline-free
+    /// request already queued or executing is *joined* rather than
+    /// re-dispatched (see the module docs on the flight table).
     pub fn enqueue(&self, request: Request) -> Ticket {
         let counters = &self.shared.counters;
         counters.submitted.fetch_add(1, Ordering::Relaxed);
@@ -541,126 +513,118 @@ impl SynthService {
         if let Some(allowance) = request.deadline {
             budget.deadline = Some(Instant::now() + allowance);
         }
-        // The idempotency registry is consulted *before* the content
-        // cache: a resubmit must always be visible as an idempotent
-        // replay, never silently absorbed by a memo hit. The guard is
-        // held through admission so a concurrent resubmit of the same
-        // key cannot race past the check (lock order: idem before
-        // queue/cache, see `IdemRegistry`).
-        let idem_key: Option<IdemKey> = match request.idempotency {
-            Some(token) if request.deadline.is_none() => Some((request.client.clone(), token)),
-            _ => None,
+        let bytes: Arc<[u8]> = encode_payload(&request.payload).into();
+        // The row this request opens or joins, if any: its idempotency
+        // row when keyed, its exact row otherwise. Deadline-carrying
+        // requests ignore their key and never share a flight.
+        let flight = match (request.deadline, request.idempotency) {
+            (Some(_), _) => None,
+            (None, None) => Some(FlightKey::Exact(Arc::clone(&bytes))),
+            (None, Some(token)) => Some(FlightKey::Idempotent {
+                client: request.client.clone(),
+                token,
+                payload: Arc::clone(&bytes),
+            }),
         };
-        let mut idem_guard = idem_key.as_ref().map(|_| lock(&self.shared.idem));
-        if let (Some(idem), Some(ik)) = (idem_guard.as_deref_mut(), idem_key.as_ref()) {
-            match idem.entries.get_mut(ik) {
-                Some(IdemEntry::Done(reply)) => {
+        let exact = FlightKey::Exact(bytes);
+        let (sender, receiver) = mpsc::channel();
+        let pending = Ticket {
+            inner: TicketInner::Pending(receiver),
+        };
+        let mut guard = lock(&self.shared.queue);
+        let queue = &mut *guard;
+        // The idempotency row comes first: a resubmit must always be
+        // visible as an idempotent replay, never silently absorbed by a
+        // memo hit.
+        if let Some(key @ FlightKey::Idempotent { .. }) = &flight {
+            match queue.flights.get(key) {
+                Some(Slot::Done { reply, .. }) => {
                     counters.idempotent_replays.fetch_add(1, Ordering::Relaxed);
                     counters.completed.fetch_add(1, Ordering::Relaxed);
                     return Ticket::ready(reply.clone());
                 }
-                Some(IdemEntry::InFlight(observers)) => {
-                    let (sender, receiver) = mpsc::channel();
-                    observers.push(sender);
+                Some(Slot::InFlight(waiters)) => {
+                    waiters.push(sender);
                     counters.idempotent_replays.fetch_add(1, Ordering::Relaxed);
                     counters.admitted.fetch_add(1, Ordering::Relaxed);
-                    return Ticket {
-                        inner: TicketInner::Pending(receiver),
-                    };
+                    return pending;
                 }
                 None => {}
             }
         }
-        let key = request_key(&request.payload, &budget);
-        if let Some(key) = key {
-            if let Some(hit) = lock(&self.shared.cache).get(key) {
+        match queue.flights.get(&exact) {
+            Some(Slot::Done {
+                reply: Ok(response),
+                ..
+            }) => {
                 counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 counters.completed.fetch_add(1, Ordering::Relaxed);
+                let mut hit = response.clone();
+                hit.cached = true;
                 return Ticket::ready(Ok(hit));
             }
-            counters.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
-        // Idempotent requests never content-coalesce: the exactly-once
-        // guarantee must come from the key alone, so a resubmit finds
-        // its flight in the registry, not in a stranger's.
-        let coalesce = key.is_some() && request.deadline.is_none() && idem_key.is_none();
-        let (sender, receiver) = mpsc::channel();
-        {
-            let mut queue = lock(&self.shared.queue);
-            if !queue.open {
-                return Ticket::ready(Err(ServiceError::ShuttingDown));
-            }
-            if coalesce {
-                let key = key.expect("coalesce implies a memo key");
-                // Join a queued flight…
-                if let Some(job) = queue
-                    .jobs
-                    .iter_mut()
-                    .find(|job| job.coalesce && job.key == Some(key))
-                {
-                    job.observers.push(sender);
-                    counters.admitted.fetch_add(1, Ordering::Relaxed);
-                    counters.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ticket {
-                        inner: TicketInner::Pending(receiver),
-                    };
+            slot => {
+                counters.cache_misses.fetch_add(1, Ordering::Relaxed);
+                if !queue.open {
+                    return Ticket::ready(Err(ServiceError::ShuttingDown));
                 }
-                // …or one already executing on a worker.
-                if let Some(observers) = queue.inflight.get_mut(&key) {
-                    observers.push(sender);
-                    counters.admitted.fetch_add(1, Ordering::Relaxed);
-                    counters.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ticket {
-                        inner: TicketInner::Pending(receiver),
-                    };
-                }
-            }
-            // Per-client fairness quota — fresh dispatches only (flight
-            // joins above occupy no worker and no queue slot).
-            if let Some(client) = &request.client {
-                let quota = self.shared.config.max_inflight_per_client;
-                if quota > 0 {
-                    let inflight = queue.per_client.get(client).copied().unwrap_or(0);
-                    if inflight >= quota {
-                        counters.quota_sheds.fetch_add(1, Ordering::Relaxed);
-                        return Ticket::ready(Err(ServiceError::QuotaExceeded {
-                            client: client.clone(),
-                            inflight,
-                        }));
+                // A keyed request's exactly-once guarantee must come
+                // from its own row, never from a stranger's flight.
+                if let Some(Slot::InFlight(waiters)) = slot {
+                    if matches!(flight, Some(FlightKey::Exact(_))) {
+                        waiters.push(sender);
+                        counters.admitted.fetch_add(1, Ordering::Relaxed);
+                        counters.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
+                        return pending;
                     }
                 }
             }
-            if queue.jobs.len() >= self.shared.config.queue_capacity {
-                counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Ticket::ready(Err(ServiceError::Shed {
-                    queue_depth: queue.jobs.len(),
-                }));
-            }
-            let seq = self.shared.admissions.fetch_add(1, Ordering::Relaxed);
-            counters.admitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(client) = &request.client {
-                *queue.per_client.entry(client.clone()).or_insert(0) += 1;
-            }
-            if let (Some(idem), Some(ik)) = (idem_guard.as_deref_mut(), idem_key.as_ref()) {
-                idem.entries
-                    .insert(ik.clone(), IdemEntry::InFlight(Vec::new()));
-            }
-            queue.jobs.push_back(Job {
-                payload: request.payload,
-                budget,
-                seq,
-                key,
-                coalesce,
-                observers: vec![sender],
-                client: request.client,
-                idem_key,
-            });
         }
-        drop(idem_guard);
+        // Per-client fairness quota — fresh dispatches only (flight
+        // joins above occupy no worker and no queue slot).
+        if let Some(client) = &request.client {
+            let quota = self.shared.config.max_inflight_per_client;
+            if quota > 0 {
+                let inflight = queue.per_client.get(client).copied().unwrap_or(0);
+                if inflight >= quota {
+                    counters.quota_sheds.fetch_add(1, Ordering::Relaxed);
+                    return Ticket::ready(Err(ServiceError::QuotaExceeded {
+                        client: client.clone(),
+                        inflight,
+                    }));
+                }
+            }
+        }
+        if queue.jobs.len() >= self.shared.config.queue_capacity {
+            counters.shed.fetch_add(1, Ordering::Relaxed);
+            return Ticket::ready(Err(ServiceError::Shed {
+                queue_depth: queue.jobs.len(),
+            }));
+        }
+        let seq = self.shared.admissions.fetch_add(1, Ordering::Relaxed);
+        counters.admitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(client) = &request.client {
+            *queue.per_client.entry(client.clone()).or_insert(0) += 1;
+        }
+        // Open the flight: its row, looked up above, is vacant here.
+        let reply_to = match flight {
+            Some(key) => {
+                queue.flights.open(key.clone(), sender);
+                ReplyTo::Flight(key)
+            }
+            None => ReplyTo::Submitter(sender),
+        };
+        queue.jobs.push_back(Job {
+            payload: request.payload,
+            budget,
+            seq,
+            exact,
+            reply_to,
+            client: request.client,
+        });
+        drop(guard);
         self.shared.available.notify_one();
-        Ticket {
-            inner: TicketInner::Pending(receiver),
-        }
+        pending
     }
 
     /// Snapshot of the service counters.
@@ -683,9 +647,9 @@ impl SynthService {
         }
     }
 
-    /// Memo-cache entries currently held.
+    /// Successful replies currently held for memo hits.
     pub fn cache_len(&self) -> usize {
-        lock(&self.shared.cache).len()
+        lock(&self.shared.queue).flights.memo_len()
     }
 
     /// Admission indices in the order workers popped them off the
@@ -723,7 +687,7 @@ fn worker_loop(shared: &Shared) {
     let config = &shared.config;
     let counters = &shared.counters;
     loop {
-        let mut job = {
+        let job = {
             let mut queue = lock(&shared.queue);
             let job = loop {
                 if let Some(job) = queue.jobs.pop_front() {
@@ -739,15 +703,6 @@ fn worker_loop(shared: &Shared) {
             };
             #[cfg(feature = "fault-injection")]
             lock(&shared.drained).push(job.seq);
-            // Open the flight for late joiners: identical requests
-            // admitted while this one executes observe it instead of
-            // dispatching their own (same critical section as the pop,
-            // so `enqueue` sees the job queued or in flight, never
-            // neither).
-            if job.coalesce {
-                let key = job.key.expect("coalesce implies a memo key");
-                queue.inflight.insert(key, Vec::new());
-            }
             job
         };
         if let Some(stall) = faults::service_stall(job.seq) {
@@ -766,9 +721,6 @@ fn worker_loop(shared: &Shared) {
                         if !response.degradations.is_empty() {
                             counters.degraded.fetch_add(1, Ordering::Relaxed);
                         }
-                        if let Some(key) = job.key {
-                            lock(&shared.cache).insert(key, response.clone());
-                        }
                     }
                     Err(_) => {
                         counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -784,20 +736,12 @@ fn worker_loop(shared: &Shared) {
                 Err(ServiceError::WorkerPanicked)
             }
         };
-        // Close the flight and collect everyone waiting on it: the
-        // original observers plus any that joined mid-execution. The
-        // cache insert above happened *before* this critical section,
-        // so a racing identical request either joined the inflight
-        // entry (and is fanned out here) or already hit the cache.
-        let mut observers = std::mem::take(&mut job.observers);
-        {
+        // Close the flight, collect everyone waiting on it and record
+        // the outcome, all in one critical section: a racing identical
+        // request either joined the flight (and is fanned out below) or
+        // finds the recorded reply.
+        let waiters = {
             let mut queue = lock(&shared.queue);
-            if job.coalesce {
-                let key = job.key.expect("coalesce implies a memo key");
-                if let Some(joined) = queue.inflight.remove(&key) {
-                    observers.extend(joined);
-                }
-            }
             // Release the client's quota slot.
             if let Some(client) = &job.client {
                 if let Some(slot) = queue.per_client.get_mut(client) {
@@ -807,35 +751,31 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             }
-        }
-        // Resolve the idempotency slot: collect resubmits that joined
-        // mid-flight, then record the outcome (success *or* typed
-        // error — one key is one execution with one recorded fate) for
-        // later resubmits to replay. A resubmit arriving between the
-        // queue release above and this lock still joins `InFlight` and
-        // is fanned out below; one arriving after sees `Done`.
-        if let Some(ik) = job.idem_key.take() {
-            let mut idem = lock(&shared.idem);
-            if let Some(IdemEntry::InFlight(joined)) = idem.entries.remove(&ik) {
-                observers.extend(joined);
-            }
-            idem.entries
-                .insert(ik.clone(), IdemEntry::Done(reply.clone()));
-            idem.done_order.push_back(ik);
-            while idem.done_order.len() > IDEMPOTENCY_CAPACITY {
-                if let Some(oldest) = idem.done_order.pop_front() {
-                    idem.entries.remove(&oldest);
+            let waiters = match job.reply_to {
+                ReplyTo::Flight(key) => {
+                    let waiters = queue.flights.close(&key);
+                    // One key is one execution with one recorded fate:
+                    // an idempotency row keeps errors too.
+                    if !key.is_exact() {
+                        queue.flights.record(key, &reply);
+                    }
+                    waiters
                 }
+                ReplyTo::Submitter(submitter) => vec![submitter],
+            };
+            if reply.is_ok() {
+                queue.flights.record(job.exact, &reply);
             }
-        }
+            waiters
+        };
         // Count completions *before* replying: a client that reads
         // stats right after `wait` must see its own request counted.
         counters
             .completed
-            .fetch_add(observers.len() as u64, Ordering::Relaxed);
-        for observer in observers {
+            .fetch_add(waiters.len() as u64, Ordering::Relaxed);
+        for waiter in waiters {
             // A client that dropped its ticket is not an error.
-            let _ = observer.send(reply.clone());
+            let _ = waiter.send(reply.clone());
         }
     }
 }

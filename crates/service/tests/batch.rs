@@ -198,6 +198,57 @@ mod deterministic {
         assert_eq!(service.drain_log(), vec![0, 1, 2], "each ran separately");
     }
 
+    /// A deadline-carrying twin runs beside a stalled flight and
+    /// finishes first. Its success must not be recorded over the open
+    /// flight's row: a third, deadline-free copy still joins (or, once
+    /// the flight is done, replays) that flight, and every ticket
+    /// resolves to the direct answer. A last deadline-carrying copy
+    /// takes the recorded reply as a memo hit.
+    #[test]
+    fn a_deadline_twin_never_disturbs_a_flight() {
+        let _suite = suite();
+        let config = ServiceConfig::builder()
+            .workers(2)
+            .build()
+            .expect("valid config");
+        let service = SynthService::start(config);
+        let _fault = stall_first(300);
+        let request = Request::summary(models::chain_stg(4));
+        // Seq 0: the deadline-free flight, stalled inside one worker.
+        let flight = service.enqueue(request.clone());
+        while service.drain_log().is_empty() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Seq 1: the twin runs on the other worker and finishes first.
+        let twin = service
+            .enqueue(request.clone().with_deadline(Duration::from_secs(3600)))
+            .wait()
+            .expect("twin");
+        let third = service.enqueue(request.clone());
+
+        let direct = rt_stg::engine::ReachEngine::symbolic()
+            .summary(&models::chain_stg(4))
+            .expect("direct");
+        let expected = ResponsePayload::Summary(rt_service::SummaryOutcome {
+            markings: direct.markings,
+            iterations: direct.iterations,
+        });
+        for (name, reply) in [
+            ("twin", Ok(twin)),
+            ("flight", flight.wait()),
+            ("third", third.wait()),
+        ] {
+            assert_eq!(reply.expect(name).payload, expected, "{name}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.submitted, stats.completed);
+        assert_eq!(service.drain_log(), vec![0, 1], "the third never ran");
+        let hit = service
+            .submit(request.with_deadline(Duration::from_secs(3600)))
+            .expect("memo hit");
+        assert!(hit.cached, "a deadline-carrying request takes memo hits");
+    }
+
     #[test]
     fn dropping_one_observer_mid_batch_leaves_siblings_unharmed() {
         let _suite = suite();

@@ -277,6 +277,11 @@ fn seeded_chaos_soak_leaves_replies_bit_identical_and_counters_consistent() {
         service.completed + service.shed + service.quota_sheds,
         "every submission is a completion, a shed, or a quota refusal"
     );
+    assert_eq!(
+        service.submitted,
+        service.cache_hits + service.cache_misses + service.idempotent_replays,
+        "every submission is one memo lookup or one idempotent replay"
+    );
     assert_eq!(service.worker_panics, 0);
     // Shutdown must drain and join every thread — a leaked handler or
     // worker would hang the test right here.

@@ -6,7 +6,8 @@ use std::time::Duration;
 
 use rt_netlist::cells::majority_celement;
 use rt_service::{
-    Request, ResolveOutcome, ResponsePayload, ServiceConfig, ServiceError, SynthService,
+    Request, ResolveOutcome, ResponsePayload, ServiceConfig, ServiceError, SummaryOutcome,
+    SynthService,
 };
 use rt_stg::engine::{Degradation, ReachEngine};
 use rt_stg::{models, Budget, StgError};
@@ -101,6 +102,54 @@ fn repeated_submissions_hit_the_memo_cache() {
     assert_eq!(stats.cache_misses, 1);
     assert!(stats.cache_hit_rate() > 0.0);
     assert_eq!(service.cache_len(), 1);
+}
+
+#[test]
+fn a_renamed_spec_is_resolved_under_its_own_names() {
+    let service = SynthService::start(ServiceConfig::default());
+    let options = CscOptions::default();
+    service
+        .submit(Request::resolve_csc(models::fifo_stg(), options))
+        .expect("first tenant");
+    let mut renamed = models::fifo_stg();
+    renamed.set_name("tenant_b_fifo");
+    let reply = service
+        .submit(Request::resolve_csc(renamed.clone(), options))
+        .expect("second tenant");
+    assert!(!reply.cached, "a renamed spec is a different request");
+    let direct = resolve_csc_engine(&renamed, &options, &mut ReachEngine::symbolic())
+        .expect("direct resolution");
+    let expected = ResolveOutcome {
+        stg: direct.stg,
+        inserted: direct.inserted,
+        cost: direct.cost,
+        truncated: direct.truncated,
+    };
+    assert_eq!(
+        reply.payload,
+        ResponsePayload::ResolveCsc(Box::new(expected))
+    );
+}
+
+#[test]
+fn a_reused_idempotency_token_never_replays_another_payload() {
+    let service = SynthService::start(ServiceConfig::default());
+    for stg in [models::fifo_stg(), models::celement_stg()] {
+        let reply = service
+            .submit(Request::summary(stg.clone()).with_idempotency(7))
+            .expect("summary");
+        let direct = ReachEngine::symbolic().summary(&stg).expect("direct");
+        assert_eq!(
+            reply.payload,
+            ResponsePayload::Summary(SummaryOutcome {
+                markings: direct.markings,
+                iterations: direct.iterations,
+            }),
+            "{}",
+            stg.name()
+        );
+    }
+    assert_eq!(service.stats().idempotent_replays, 0);
 }
 
 #[test]

@@ -158,10 +158,12 @@
 //!   retry with bounded backoff on [`StgError::is_resource_exhaustion`]
 //!   errors (the residual deadline is split across attempts via
 //!   [`Budget::remaining_deadline`](crate::budget::Budget::remaining_deadline)),
-//!   and a bounded content-hash memo cache
-//!   ([`crate::stg::Stg::content_hash`] → result). Cached entries keep
-//!   the [`Degradation`]s of the run that produced them, so a cache
-//!   hit can never silently upgrade a partial answer to a full one.
+//!   and a bounded memo of successful replies keyed by the request's
+//!   exact payload bytes (its canonical wire encoding, names included),
+//!   so a hit is exactly the answer to the caller's own input. Cached
+//!   entries keep the [`Degradation`]s of the run that produced them,
+//!   so a cache hit can never silently upgrade a partial answer to a
+//!   full one.
 //!
 //! Deadlines and cancellation stay hard stops at every layer: the
 //! service never retries a [`StgError::Cancelled`], and a request
@@ -178,7 +180,8 @@
 //! request — onto the same typed service errors and budget machinery
 //! described above, never onto new ad-hoc paths. In front of the pool
 //! the service coalesces identical in-flight requests (single-flight
-//! dedup keyed by the same content hashes as the memo cache) and
+//! dedup on the same exact payload bytes as the memo; open flights,
+//! memo entries and idempotency records are rows of one table) and
 //! drains admissions in deterministic FIFO order, so N clients asking
 //! the same question cost one engine dispatch and each receives the
 //! bit-identical response a direct engine call would have produced.
@@ -191,9 +194,10 @@
 //! with a typed quota error, so one greedy tenant can never starve
 //! another's access to the pool), and deadline-free requests may carry
 //! an idempotency key: a client that loses its connection mid-request
-//! can resubmit under the same key and is guaranteed **exactly one**
-//! engine execution — the resubmission joins the original flight or
-//! replays its recorded reply, bit-identical either way. Requests that
+//! can resubmit the same request under the same key and is guaranteed
+//! **exactly one** engine execution — the resubmission joins the
+//! original flight or replays its recorded reply, bit-identical either
+//! way. Requests that
 //! carry deadlines are excluded from replay (the budget machinery
 //! above already makes re-running them observable), keeping the
 //! exactly-once contract aligned with the hard-stop contract.

@@ -180,7 +180,7 @@ pub struct Arc {
 /// let m2 = net.fire(t0, &m).expect("t0 enabled");
 /// assert!(net.is_enabled(t1, &m2));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PetriNet {
     place_names: Vec<String>,
     transition_names: Vec<String>,

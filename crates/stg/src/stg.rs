@@ -42,7 +42,8 @@ pub struct SignalDecl {
 /// one signal) or [`Stg::silent`]; causality arcs between transitions are
 /// added with [`Stg::arc`] / [`Stg::marked_arc`], which create implicit
 /// places, or through explicit places ([`Stg::add_place`]) when choice is
-/// needed.
+/// needed. Equality (`==`) is structural over every field, names and
+/// per-place arc order included.
 ///
 /// # Examples
 ///
@@ -70,7 +71,7 @@ pub struct SignalDecl {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stg {
     name: String,
     net: PetriNet,
@@ -178,16 +179,13 @@ impl Stg {
     /// A content hash of the specification: signals (names, roles,
     /// forced initial values), transition labels, arc structure with
     /// weights, and the initial marking. Two `Stg`s built the same way
-    /// hash equal; the model *name* and place names are excluded (they
-    /// affect no analysis — signal names do, via the verifier's
-    /// name-based net matching, so they are hashed).
+    /// hash equal; the model *name* and place names are excluded.
     ///
-    /// This is the memo-cache key of the synthesis service
-    /// (`rt-service`): every analysis result is a pure function of
-    /// exactly the content hashed here plus the analysis options, so a
-    /// hash hit may serve a cached resolution/verdict. FxHash quality:
-    /// collisions are possible in principle; the service tolerates them
-    /// the way any memo cache over a 64-bit key does.
+    /// A structural fingerprint, not an identity: equal hashes do not
+    /// make equal STGs (excluded names still reach a CSC resolution's
+    /// rewritten STG, and 64-bit FxHash values can collide), so no
+    /// answer may be served on a hash match alone — compare with `==`,
+    /// which covers every field.
     ///
     /// # Examples
     ///

@@ -94,10 +94,9 @@ pub struct CscResolution {
 
 /// Options for [`resolve_csc`].
 ///
-/// `PartialEq`/`Eq`/`Hash` exist because the options are part of the
-/// service layer's memo-cache key: a resolution is a pure function of
-/// the STG content *and* this tuning, so two requests may share a
-/// cached result only when both match.
+/// A resolution is a pure function of the STG *and* this tuning, so
+/// the options are part of a service request's identity: two requests
+/// share a cached result only when both match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CscOptions {
     /// Maximum number of state signals to insert.
