@@ -25,9 +25,10 @@
 //! gate.
 //!
 //! The same ratio/skip rule gates the symbolic `bdd_nodes` column:
-//! node counts are deterministic, so a trip there means an ordering or
-//! garbage-collection change really blew up the manager footprint.
-//! Rows lacking the key (pre-reordering baselines) are not node-gated.
+//! node counts are deterministic, so a trip there means a change to the
+//! variable layout or the BDD operators really blew up the manager
+//! footprint. Rows lacking the key (baselines older than the node
+//! column) are not node-gated.
 //!
 //! Beyond timing, the gate also fails (exit 1) when the **fresh**
 //! snapshot's summary reports a nonzero `degradations` count: the
@@ -238,7 +239,7 @@ fn compare(
 
 /// Compares symbolic node counts for every model carrying the
 /// `bdd_nodes` key in both snapshots. Node counts are deterministic —
-/// the ratio gate catches an ordering or garbage-collection change
+/// the ratio gate catches a variable-layout or BDD-operator change
 /// silently blowing up the manager footprint, while the same
 /// `min_states` skip keeps trivially small managers (where one extra
 /// node is a large ratio) out of the verdict.

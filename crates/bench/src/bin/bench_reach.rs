@@ -7,9 +7,9 @@
 //! (serially and on a [`POOL_THREADS`]-wide candidate worker pool) and
 //! measures the persistent symbolic manager's warm-vs-fresh advantage.
 //! Writes `BENCH_reach.json` with per-model wall times, exploration
-//! throughput (states/sec) and live BDD node counts under both static
-//! variable orders. Future changes compare against the committed
-//! baseline to catch regressions:
+//! throughput (states/sec) and allocated BDD node counts. Future
+//! changes compare against the committed baseline to catch
+//! regressions:
 //!
 //! ```text
 //! cargo run --release -p rt-bench --bin bench_reach [-- [--fast] OUTPUT.json]
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use rt_stg::engine::ReachEngine;
 use rt_stg::symbolic::csc::csc_conflicts_symbolic_in;
-use rt_stg::symbolic::{reach_symbolic_in_ordered, VarOrder};
+use rt_stg::symbolic::reach_symbolic_in;
 use rt_stg::{corpus, explore, models, Stg};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_synth::synthesize;
@@ -43,22 +43,6 @@ struct Row {
     symbolic_ns: f64,
     symbolic_markings: u64,
     bdd_nodes: usize,
-    /// Node count under the legacy by-index order — the before/after
-    /// record for the static variable-ordering heuristic.
-    bdd_nodes_by_index: usize,
-    /// Final node count after a dynamically sifted run
-    /// (`VarOrder::Sift`) — the comparison column next to the static
-    /// orders.
-    bdd_nodes_sift: usize,
-    /// Peak live node count over the default-order fixpoint.
-    peak_bdd_nodes: usize,
-    /// Peak live node count over the sifted fixpoint — the number the
-    /// reordering work is judged on.
-    peak_bdd_nodes_sift: usize,
-    /// Wall time spent inside sifting passes on the sifted run.
-    sift_ns: u64,
-    /// The concrete order `VarOrder::Auto` resolved to for this net.
-    var_order: String,
 }
 
 /// One measured CSC resolution (the engine stage).
@@ -73,10 +57,6 @@ struct CscRow {
     cold_summary_ns: f64,
     warm_summary_ns: f64,
     warm_speedup: f64,
-    /// Warm summary with a generational `ReachEngine::collect` between
-    /// calls — the proof that dropping per-net garbage keeps the warm
-    /// advantage instead of discarding the hot unique table.
-    warm_gc_summary_ns: f64,
     /// Engine degradations recorded across this row's verification
     /// resolutions. Under default (unlimited) budgets this must be 0 —
     /// `bench_check` fails the gate when a fresh snapshot reports any,
@@ -121,30 +101,13 @@ fn measure(name: &str, stg: &Stg, min_ms: u128) -> Row {
         && sg.signal_count() <= 16)
         .then(|| time_ns(min_ms, || synthesize(&sg, name).expect("synthesizes")));
 
-    // Symbolic reach under the default (measured-best) static order,
-    // plus a single by-index run recording the legacy node count.
-    let fresh_default = || {
+    // Symbolic reach in a fresh manager per call.
+    let fresh = || {
         let mut bdd = rt_boolean::Bdd::new(stg.net().place_count());
-        reach_symbolic_in_ordered(stg, &mut bdd, VarOrder::default()).expect("symbolic explores")
+        reach_symbolic_in(stg, &mut bdd).expect("symbolic explores")
     };
-    let symbolic = fresh_default();
-    let symbolic_ns = time_ns(min_ms, fresh_default);
-    let bdd_nodes_by_index = {
-        let mut bdd = rt_boolean::Bdd::new(stg.net().place_count());
-        reach_symbolic_in_ordered(stg, &mut bdd, VarOrder::ByIndex)
-            .expect("symbolic explores")
-            .bdd_nodes
-    };
-    // One dynamically sifted run: same marking count by construction
-    // (asserted), recorded for the peak-vs-static comparison.
-    let sifted = {
-        let mut bdd = rt_boolean::Bdd::new(stg.net().place_count());
-        reach_symbolic_in_ordered(stg, &mut bdd, VarOrder::Sift).expect("symbolic explores")
-    };
-    assert_eq!(
-        sifted.markings, symbolic.markings,
-        "{name}: sifted reach must agree with the static order"
-    );
+    let symbolic = fresh();
+    let symbolic_ns = time_ns(min_ms, fresh);
 
     Row {
         name: name.to_string(),
@@ -156,12 +119,6 @@ fn measure(name: &str, stg: &Stg, min_ms: u128) -> Row {
         symbolic_ns,
         symbolic_markings: symbolic.markings,
         bdd_nodes: symbolic.bdd_nodes,
-        bdd_nodes_by_index,
-        bdd_nodes_sift: sifted.bdd_nodes,
-        peak_bdd_nodes: symbolic.peak_bdd_nodes,
-        peak_bdd_nodes_sift: sifted.peak_bdd_nodes,
-        sift_ns: sifted.sift_ns,
-        var_order: format!("{:?}", VarOrder::default().resolved_for()),
     }
 }
 
@@ -175,14 +132,6 @@ struct CscSymbolicRow {
     symbolic_cold_ns: f64,
     symbolic_warm_ns: f64,
     bdd_nodes: usize,
-    /// Peak live node count during the default-order analysis — the
-    /// pair-space footprint the dynamic reordering is judged against.
-    peak_bdd_nodes: usize,
-    /// Peak with `VarOrder::Sift` (fabric4x4 is the headline: the
-    /// sifted peak must stay well below the static one).
-    peak_bdd_nodes_sift: usize,
-    /// Wall time spent inside sifting passes on the sifted analysis.
-    sift_ns: u64,
 }
 
 /// Times conflict *detection* (not resolution) both ways. The counts
@@ -193,25 +142,12 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
     let explicit_conflicts = sg.csc_conflicts().len() as u64;
     let cold = || {
         let mut bdd = rt_boolean::Bdd::new(0);
-        csc_conflicts_symbolic_in(stg, &mut bdd, VarOrder::default()).expect("analyses")
+        csc_conflicts_symbolic_in(stg, &mut bdd).expect("analyses")
     };
     let analysis = cold();
     assert_eq!(
         analysis.conflicts, explicit_conflicts,
         "{name}: detectors must agree on the conflict count"
-    );
-    // One sifted analysis: identical verdicts required, peak recorded.
-    let sifted = {
-        let mut bdd = rt_boolean::Bdd::new(0);
-        csc_conflicts_symbolic_in(stg, &mut bdd, VarOrder::Sift).expect("analyses")
-    };
-    assert_eq!(
-        sifted.conflicts, explicit_conflicts,
-        "{name}: sifted detector must agree on the conflict count"
-    );
-    assert_eq!(
-        sifted.per_signal, analysis.per_signal,
-        "{name}: sifted detector must agree per signal"
     );
     let explicit_detect_ns = time_ns(min_ms, || {
         explore(stg).expect("model explores").csc_conflicts().len()
@@ -230,9 +166,6 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
         symbolic_cold_ns,
         symbolic_warm_ns,
         bdd_nodes: analysis.bdd_nodes,
-        peak_bdd_nodes: analysis.peak_bdd_nodes,
-        peak_bdd_nodes_sift: sifted.peak_bdd_nodes,
-        sift_ns: sifted.sift_ns,
     }
 }
 
@@ -297,11 +230,6 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         warm_engine.stats().manager_reuses > 0,
         "warm path must reuse"
     );
-    let warm_gc_summary_ns = time_ns(min_ms, || {
-        warm_engine.collect(&[]);
-        warm_engine.summary(resolved).expect("summarizes")
-    });
-    assert!(warm_engine.stats().collections > 0, "gc path must collect");
 
     let degradations = explicit_engine.stats().degradations.len()
         + symbolic_engine.stats().degradations.len()
@@ -317,7 +245,6 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         cold_summary_ns,
         warm_summary_ns,
         warm_speedup: cold_summary_ns / warm_summary_ns,
-        warm_gc_summary_ns,
         degradations,
     }
 }
@@ -333,13 +260,6 @@ fn validate(json: &str) -> Result<(), String> {
         "\"states_per_sec\"",
         "\"threads\"",
         "\"parallel_ns\"",
-        "\"bdd_nodes_by_index\"",
-        "\"bdd_nodes_sift\"",
-        "\"peak_bdd_nodes\"",
-        "\"peak_bdd_nodes_sift\"",
-        "\"sift_ns\"",
-        "\"warm_gc_summary_ns\"",
-        "\"var_order\"",
         "\"csc_symbolic\"",
         "\"explicit_detect_ns\"",
         "\"symbolic_warm_ns\"",
@@ -386,10 +306,9 @@ fn main() {
     for (name, stg) in corpus_models() {
         let row = measure(&name, &stg, min_ms);
         println!(
-            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s)  symbolic {:>10.0} ns  {:>8} bdd nodes ({:>8} by index, {:>8} sifted, peak {:>8} -> {:>8})",
+            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s)  symbolic {:>10.0} ns  {:>8} bdd nodes",
             row.name, row.states, row.explore_ns, row.states_per_sec, row.symbolic_ns,
-            row.bdd_nodes, row.bdd_nodes_by_index, row.bdd_nodes_sift,
-            row.peak_bdd_nodes, row.peak_bdd_nodes_sift
+            row.bdd_nodes
         );
         rows.push(row);
     }
@@ -410,10 +329,9 @@ fn main() {
     .map(|(name, stg)| {
         let row = measure_csc(name, stg, min_ms);
         println!(
-            "csc {:<20} +{} signals  serial {:>11.0} ns  pool(x{}) {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x, gc {:>7.0} ns)",
+            "csc {:<20} +{} signals  serial {:>11.0} ns  pool(x{}) {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)",
             row.name, row.inserted, row.explicit_ns, POOL_THREADS, row.parallel_ns,
-            row.symbolic_ns, row.cold_summary_ns, row.warm_summary_ns, row.warm_speedup,
-            row.warm_gc_summary_ns
+            row.symbolic_ns, row.cold_summary_ns, row.warm_summary_ns, row.warm_speedup
         );
         row
     })
@@ -443,10 +361,9 @@ fn main() {
         .map(|(name, stg)| {
             let row = measure_csc_symbolic(name, stg, min_ms);
             println!(
-                "csc-sym {:<16} {:>7} conflicts  explicit {:>11.0} ns  symbolic cold {:>11.0} / warm {:>11.0} ns  {:>8} bdd nodes  peak {:>8} -> {:>8} sifted ({:.0} ms sift)",
+                "csc-sym {:<16} {:>7} conflicts  explicit {:>11.0} ns  symbolic cold {:>11.0} / warm {:>11.0} ns  {:>8} bdd nodes",
                 row.name, row.conflicts, row.explicit_detect_ns, row.symbolic_cold_ns,
-                row.symbolic_warm_ns, row.bdd_nodes, row.peak_bdd_nodes,
-                row.peak_bdd_nodes_sift, row.sift_ns as f64 / 1e6
+                row.symbolic_warm_ns, row.bdd_nodes
             );
             row
         })
@@ -468,10 +385,7 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"states\": {}, \"arcs\": {}, \
              \"explore_ns\": {:.0}, \"states_per_sec\": {:.0}, \"synth_ns\": {}, \
-             \"symbolic_ns\": {:.0}, \"symbolic_markings\": {}, \"bdd_nodes\": {}, \
-             \"bdd_nodes_by_index\": {}, \"bdd_nodes_sift\": {}, \
-             \"peak_bdd_nodes\": {}, \"peak_bdd_nodes_sift\": {}, \
-             \"sift_ns\": {}, \"var_order\": \"{}\"}}{}",
+             \"symbolic_ns\": {:.0}, \"symbolic_markings\": {}, \"bdd_nodes\": {}}}{}",
             r.name,
             r.states,
             r.arcs,
@@ -481,12 +395,6 @@ fn main() {
             r.symbolic_ns,
             r.symbolic_markings,
             r.bdd_nodes,
-            r.bdd_nodes_by_index,
-            r.bdd_nodes_sift,
-            r.peak_bdd_nodes,
-            r.peak_bdd_nodes_sift,
-            r.sift_ns,
-            r.var_order,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
@@ -497,8 +405,7 @@ fn main() {
             "    {{\"name\": \"{}\", \"inserted\": {}, \"threads\": {}, \
              \"explicit_ns\": {:.0}, \"parallel_ns\": {:.0}, \"symbolic_ns\": {:.0}, \
              \"cold_summary_ns\": {:.0}, \"warm_summary_ns\": {:.0}, \
-             \"warm_speedup\": {:.1}, \"warm_gc_summary_ns\": {:.0}, \
-             \"degradations\": {}}}{}",
+             \"warm_speedup\": {:.1}, \"degradations\": {}}}{}",
             r.name,
             r.inserted,
             POOL_THREADS,
@@ -508,7 +415,6 @@ fn main() {
             r.cold_summary_ns,
             r.warm_summary_ns,
             r.warm_speedup,
-            r.warm_gc_summary_ns,
             r.degradations,
             if i + 1 < csc_rows.len() { "," } else { "" }
         );
@@ -518,17 +424,13 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"conflicts\": {}, \"explicit_detect_ns\": {:.0}, \
-             \"symbolic_cold_ns\": {:.0}, \"symbolic_warm_ns\": {:.0}, \"bdd_nodes\": {}, \
-             \"peak_bdd_nodes\": {}, \"peak_bdd_nodes_sift\": {}, \"sift_ns\": {}}}{}",
+             \"symbolic_cold_ns\": {:.0}, \"symbolic_warm_ns\": {:.0}, \"bdd_nodes\": {}}}{}",
             r.name,
             r.conflicts,
             r.explicit_detect_ns,
             r.symbolic_cold_ns,
             r.symbolic_warm_ns,
             r.bdd_nodes,
-            r.peak_bdd_nodes,
-            r.peak_bdd_nodes_sift,
-            r.sift_ns,
             if i + 1 < csc_symbolic_rows.len() {
                 ","
             } else {

@@ -40,8 +40,8 @@
 //! ## Manager reuse and `reset`
 //!
 //! The symbolic backend's `Bdd` manager is created lazily on the first
-//! symbolic query and then **survives across calls**: unique table,
-//! apply/cofactor caches and the by-index variable order are all kept,
+//! symbolic query and then **survives across calls**: unique table and
+//! apply/cofactor caches are all kept (the variable order is fixed),
 //! and the variable universe widens on demand
 //! ([`rt_boolean::Bdd::ensure_vars`]) so one engine serves nets of any
 //! width, > 64 places included. Re-running the same net then allocates
@@ -51,22 +51,21 @@
 //! memoizes within one call only (`bench_reach`'s `csc` stage measures
 //! warm-vs-fresh).
 //!
-//! The trade-off is memory: nothing is freed unless the caller asks,
-//! so a long-lived engine grows with every query
-//! ([`ReachEngine::manager_nodes`] is the gauge). Three escape hatches,
+//! The trade-off is memory: the manager never frees a node, so a
+//! long-lived engine grows with every query
+//! ([`ReachEngine::manager_nodes`] is the gauge). Two escape hatches,
 //! cheapest first: [`ReachEngine::trim`] drops only the apply/cofactor
 //! memo tables (usually the bulk of a mature manager's footprint)
 //! while keeping the unique table, so every node id stays valid and
 //! later queries are bit-identical, just recomputed;
-//! [`ReachEngine::collect`] evicts the latest query's unreachable
-//! nodes (see *Budgets and degradation*); [`ReachEngine::reset`] drops
-//! the whole manager (the next symbolic call starts cold). None of them
-//! touches the engine's options or backend. Reuse is sound because
-//! nothing is ever invalidated: a cached `(op, lhs, rhs)` entry
-//! describes pure functions of immutable nodes, so a poisoned result is
-//! impossible by construction — and `crates/stg/tests/engine_reuse.rs`
-//! holds the line with fresh-vs-reused and trimmed-vs-untrimmed
-//! bit-identical property tests over the corpus.
+//! [`ReachEngine::reset`] drops the whole manager (the next symbolic
+//! call starts cold). Neither touches the engine's options or backend.
+//! Reuse is sound because nothing is ever invalidated: a cached
+//! `(op, lhs, rhs)` entry describes pure functions of immutable nodes,
+//! so a poisoned result is impossible by construction — and
+//! `crates/stg/tests/engine_reuse.rs` holds the line with
+//! fresh-vs-reused and trimmed-vs-untrimmed bit-identical property
+//! tests over the corpus.
 //!
 //! ## Multi-core work: per-worker managers
 //!
@@ -111,21 +110,11 @@
 //!   search short and it returns the best candidate found so far
 //!   instead of aborting.
 //!
-//! Node budgets interact with reordering and garbage collection in one
-//! direction only: they *shrink* the footprint the budget sees. The
-//! BDD-footprint ceiling is checked against live
-//! [`rt_boolean::Bdd::node_count`] at iteration boundaries, and both a
-//! mid-fixpoint sifting pass ([`ExploreOptions::var_order`] =
-//! [`VarOrder::Sift`], trigger knobs
-//! [`ExploreOptions::reorder_growth`] /
-//! [`ExploreOptions::reorder_min_nodes`]) and a generational
-//! [`ReachEngine::collect`] run *between* those checks — so a query
-//! that would blow `max_bdd_nodes` under a static order can pass under
-//! `Sift`, and the post-reorder (smaller) footprint is what the next
-//! check measures. Neither mechanism ever degrades results: reorders
-//! preserve every node's function and collections only evict
-//! unreachable current-epoch garbage, so degradation policy stays
-//! purely budget-driven.
+//! The BDD-footprint ceiling is checked against
+//! [`rt_boolean::Bdd::footprint`] — allocated nodes plus memo-cache
+//! entries — at iteration boundaries. The manager frees no nodes, so
+//! short of a reset only a trim lowers the footprint, and only by its
+//! cache entries.
 //!
 //! Two things never degrade: the hard
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
@@ -229,10 +218,9 @@ use crate::error::StgError;
 use crate::reach::{count_markings_with, explore_with, ExploreOptions};
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
-use rt_boolean::bdd::NodeId;
 
 use crate::symbolic::csc::{csc_conflicts_symbolic_opts, CscAnalysis};
-use crate::symbolic::{reach_symbolic_with, SymbolicReach, VarOrder};
+use crate::symbolic::{reach_symbolic_with, SymbolicReach};
 
 /// Which analyser answers the engine's set-level queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -254,8 +242,9 @@ pub struct ReachSummary {
     /// differ by the layer the initial marking is assigned to; treat as
     /// a per-backend diagnostic, not a cross-backend invariant.
     pub iterations: usize,
-    /// Live BDD nodes in the engine's manager after the call (0 on the
-    /// explicit backend).
+    /// Nodes allocated in the engine's manager after the call (0 on
+    /// the explicit backend). Nothing is freed, so a reused manager
+    /// counts every earlier query's nodes too.
     pub bdd_nodes: usize,
 }
 
@@ -293,8 +282,6 @@ pub struct EngineStats {
     pub resets: usize,
     /// Times [`ReachEngine::trim`] dropped the manager's memo caches.
     pub trims: usize,
-    /// Generational collections run ([`ReachEngine::collect`]).
-    pub collections: usize,
     /// Symbolic CSC conflict analyses served
     /// ([`ReachEngine::csc_conflicts_symbolic`]) — the gauge the
     /// no-explicit-graph encoding path is asserted with.
@@ -316,7 +303,6 @@ impl EngineStats {
         self.manager_reuses += other.manager_reuses;
         self.resets += other.resets;
         self.trims += other.trims;
-        self.collections += other.collections;
         self.symbolic_csc += other.symbolic_csc;
         self.degradations.extend_from_slice(&other.degradations);
     }
@@ -365,16 +351,6 @@ impl ReachEngine {
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
         self.options.budget = budget;
-        self
-    }
-
-    /// Builder-style [`VarOrder`] override for every symbolic query
-    /// ([`ExploreOptions::var_order`]): static orders pick the seed
-    /// permutation, [`VarOrder::Sift`] adds dynamic reordering on top
-    /// of the measured seed.
-    #[must_use]
-    pub fn with_var_order(mut self, order: VarOrder) -> Self {
-        self.options.var_order = order;
         self
     }
 
@@ -516,10 +492,6 @@ impl ReachEngine {
             .manager
             .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
         manager.set_node_budget(options.budget.max_bdd_nodes);
-        // Each query opens a generation: whatever this call garbages can
-        // later be dropped by [`ReachEngine::collect`] without touching
-        // the warm structure of earlier calls.
-        manager.new_epoch();
         reach_symbolic_with(stg, manager, &options)
     }
 
@@ -566,12 +538,9 @@ impl ReachEngine {
             .manager
             .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
         manager.set_node_budget(options.budget.max_bdd_nodes);
-        manager.new_epoch();
         // The engine's own options drive the initial-code inference so
-        // both detectors derive identical codes under any tuning, and
-        // [`ExploreOptions::var_order`] selects static vs dynamic
-        // ordering exactly as it does for reachability.
-        csc_conflicts_symbolic_opts(stg, manager, options.var_order, &options)
+        // both detectors derive identical codes under any tuning.
+        csc_conflicts_symbolic_opts(stg, manager, &options)
     }
 
     /// The persistent manager, if a symbolic query has run since the
@@ -590,7 +559,7 @@ impl ReachEngine {
         self.manager.as_mut()
     }
 
-    /// Live nodes in the persistent manager (0 when no manager is
+    /// Nodes allocated in the persistent manager (0 when no manager is
     /// alive) — the memory gauge for deciding when to
     /// [`ReachEngine::reset`].
     pub fn manager_nodes(&self) -> usize {
@@ -605,27 +574,6 @@ impl ReachEngine {
     pub fn reset(&mut self) {
         self.stats.resets += 1;
         self.manager = None;
-    }
-
-    /// Generational garbage collection of the persistent manager: evicts
-    /// every node of the **current epoch** (opened by the latest
-    /// symbolic query) that is unreachable from `keep`, leaving earlier
-    /// generations — the warm structure that buys the measured reuse
-    /// speedups — untouched, along with every cache entry that only
-    /// mentions survivors. Returns the number of nodes evicted (0 when
-    /// no manager is alive).
-    ///
-    /// Pass the roots you still hold (e.g. a [`SymbolicReach::set`]);
-    /// results from *earlier* epochs are safe wholesale and do not need
-    /// listing. Callers that kept nothing can pass `&[]` to drop the
-    /// whole last query's garbage between [`ReachEngine::summary`]
-    /// calls.
-    pub fn collect(&mut self, keep: &[NodeId]) -> usize {
-        let Some(manager) = self.manager.as_mut() else {
-            return 0;
-        };
-        self.stats.collections += 1;
-        manager.collect(keep).evicted
     }
 
     /// Trims the persistent manager's apply/cofactor caches while

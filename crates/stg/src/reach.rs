@@ -40,20 +40,6 @@ pub struct ExploreOptions {
     /// execution path. Unlimited by default; unlike `state_limit`,
     /// blowing it yields *degradable* errors (see [`crate::engine`]).
     pub budget: Budget,
-    /// BDD variable order for the symbolic paths
-    /// ([`crate::symbolic::VarOrder`]); ignored by explicit
-    /// exploration. [`crate::symbolic::VarOrder::Sift`] turns on
-    /// mid-fixpoint dynamic reordering governed by the two knobs
-    /// below.
-    pub var_order: crate::symbolic::VarOrder,
-    /// Growth factor arming the dynamic-reorder trigger: a sifting
-    /// pass runs when the manager's node count exceeds this multiple
-    /// of its size at the previous check. Only read when `var_order`
-    /// is dynamic.
-    pub reorder_growth: f64,
-    /// Node count below which the dynamic-reorder trigger never fires
-    /// (sifting a tiny manager costs more than it can save).
-    pub reorder_min_nodes: usize,
 }
 
 impl Default for ExploreOptions {
@@ -63,9 +49,6 @@ impl Default for ExploreOptions {
             bound: Some(1),
             forbid_deadlock: false,
             budget: Budget::default(),
-            var_order: crate::symbolic::VarOrder::Auto,
-            reorder_growth: 2.0,
-            reorder_min_nodes: 1 << 13,
         }
     }
 }

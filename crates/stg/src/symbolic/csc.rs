@@ -24,25 +24,20 @@
 //! constraint, and the product diagram stays synchronized on the code
 //! prefix instead of squaring.
 //!
-//! Places follow the measured static order of [`super::VarOrder`]
-//! (`Auto` by default); each signal's code variable is spliced directly
-//! after its *anchor* place — the earliest-ordered place adjacent to
-//! any of the signal's transitions — because a consistent signal's
-//! value is a function of the tokens circulating through exactly those
-//! places, and a code variable far from its support multiplies the
-//! diagram.
+//! Places follow the reversed declaration order of the place-only
+//! analysis (see [`crate::symbolic`]'s *Variable order*); each signal's
+//! code variable is spliced directly after its *anchor* place — the
+//! earliest-ordered place adjacent to any of the signal's transitions —
+//! because a consistent signal's value is a function of the tokens
+//! circulating through exactly those places, and a code variable far
+//! from its support multiplies the diagram.
 //!
-//! Roles are bound to *levels*, not raw variable indices: slot *i* of
-//! the layout above is whatever variable currently sits at level *i*
-//! of the manager (identical on a fresh manager, where levels are the
-//! identity permutation). Under [`super::VarOrder::Sift`] the analysis
-//! reorders dynamically — mid-fixpoint when the growth trigger of
-//! [`ExploreOptions::reorder_growth`] fires, and once more right
-//! before the pair space, which is the peak of the whole analysis.
-//! Every sift moves each *(unprimed, primed)* pair as one block
-//! ([`rt_boolean::Bdd::sift_grouped`]), so the primed twin stays
-//! level-adjacent to its place and the `R(p, y) → R(p', y)` rename
-//! stays monotone no matter how far the pairs travel.
+//! Roles bind to variable indices, which are levels in the manager's
+//! fixed order: walking the places top-down, each place takes the next
+//! two indices (unprimed, then primed) and each signal the index right
+//! after its anchor's pair — the `2·place + spliced signal` layout. A
+//! primed twin therefore sits directly below its place, which keeps the
+//! `R(p, y) → R(p', y)` rename monotone.
 //!
 //! ## The conflict relation
 //!
@@ -79,8 +74,6 @@
 //! streams, like the explicit graph's) but has **no place cap**: the
 //! wide `W2`/`W4` corpus models run through the same entry points.
 
-use std::time::Instant;
-
 use rt_boolean::bdd::NodeId;
 use rt_boolean::Bdd;
 
@@ -89,7 +82,7 @@ use crate::marking::MarkingLayout;
 use crate::reach::{infer_initial_code, ExploreOptions};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{effective_order, firing_cube, place_order, ReorderCtl, VarOrder};
+use crate::symbolic::{firing_cube, place_order};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -147,9 +140,8 @@ pub struct CscAnalysis {
     /// [`crate::state_graph::StateGraph::csc_conflicts`]`().len()`.
     ///
     /// "Exactly" inherits [`rt_boolean::Bdd::satisfy_count_over`]'s
-    /// contract: counts are computed through `f64` model counting and
-    /// are exact while they fit the 53-bit mantissa (~9 × 10¹⁵ pairs);
-    /// beyond that they are correctly-rounded approximations.
+    /// contract: integer model counts, exact up to `u64::MAX`, where
+    /// the count and the per-signal sum saturate.
     pub conflicts: u64,
     /// Conflict count per implemented signal (signals with zero
     /// conflicts omitted), ascending by signal index.
@@ -161,17 +153,10 @@ pub struct CscAnalysis {
     pub deadlock_free: bool,
     /// Whether every reachable marking can return to the initial one.
     pub strongly_connected: bool,
-    /// Live nodes in the manager after the analysis (for a shared
-    /// manager this counts everything it holds).
+    /// Nodes allocated in the manager after the analysis. Nothing is
+    /// freed, so this is also the analysis' peak; for a shared manager
+    /// it counts everything the manager holds.
     pub bdd_nodes: usize,
-    /// Largest node count the manager hit during the analysis (sampled
-    /// at iteration boundaries and around the pair-space products — the
-    /// usual peak). This is what dynamic reordering is judged by.
-    pub peak_bdd_nodes: usize,
-    /// Sifting passes run (0 unless the order is dynamic).
-    pub sifts: usize,
-    /// Total wall time spent sifting, in nanoseconds.
-    pub sift_ns: u64,
     // -- internals for the code-table derivation --
     uvar: Vec<u32>,
     svar: Vec<u32>,
@@ -201,15 +186,14 @@ struct TransImage {
     event: Option<(usize, Edge, SignalId)>,
 }
 
-/// [`csc_conflicts_symbolic_in`] in a fresh, throwaway manager under
-/// the default [`VarOrder`].
+/// [`csc_conflicts_symbolic_in`] in a fresh, throwaway manager.
 ///
 /// # Errors
 ///
 /// Same as [`csc_conflicts_symbolic_in`].
 pub fn csc_conflicts_symbolic(stg: &Stg) -> Result<CscAnalysis, StgError> {
     let mut bdd = Bdd::new(0);
-    csc_conflicts_symbolic_in(stg, &mut bdd, VarOrder::default())
+    csc_conflicts_symbolic_in(stg, &mut bdd)
 }
 
 /// Runs the full symbolic CSC analysis of `stg` inside `bdd`, widening
@@ -227,12 +211,8 @@ pub fn csc_conflicts_symbolic(stg: &Stg) -> Result<CscAnalysis, StgError> {
 ///   iteration ceiling (10 000 by default);
 /// * [`StgError::Cancelled`] / [`StgError::NodeBudgetExceeded`] — the
 ///   [`ExploreOptions::budget`] triggered; polled once per image step.
-pub fn csc_conflicts_symbolic_in(
-    stg: &Stg,
-    bdd: &mut Bdd,
-    order: VarOrder,
-) -> Result<CscAnalysis, StgError> {
-    csc_conflicts_symbolic_opts(stg, bdd, order, &ExploreOptions::default())
+pub fn csc_conflicts_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<CscAnalysis, StgError> {
+    csc_conflicts_symbolic_opts(stg, bdd, &ExploreOptions::default())
 }
 
 /// [`csc_conflicts_symbolic_in`] under explicit [`ExploreOptions`].
@@ -248,7 +228,6 @@ pub fn csc_conflicts_symbolic_in(
 pub fn csc_conflicts_symbolic_opts(
     stg: &Stg,
     bdd: &mut Bdd,
-    order: VarOrder,
     options: &ExploreOptions,
 ) -> Result<CscAnalysis, StgError> {
     let net = stg.net();
@@ -257,10 +236,9 @@ pub fn csc_conflicts_symbolic_opts(
     if signals > 64 {
         return Err(StgError::TooManySignals(signals));
     }
-    let order = effective_order(order);
 
     // --- Variable layout: place pairs with anchored signal splices ---
-    let pos_of_place = place_order(stg, order);
+    let pos_of_place = place_order(stg);
     let mut place_at = vec![0usize; places];
     for (place, &pos) in pos_of_place.iter().enumerate() {
         place_at[pos as usize] = place;
@@ -279,31 +257,25 @@ pub fn csc_conflicts_symbolic_opts(
     }
     let total_vars = 2 * places + signals;
     bdd.ensure_vars(total_vars);
-    // Roles bind to the manager's *levels*: slot i of the layout is
-    // whatever variable sits at level i right now. On a fresh manager
-    // (identity permutation) this is the classic `2·place + spliced
-    // signal` index scheme verbatim; on a persistent, possibly
-    // already-sifted manager it keeps each primed twin level-adjacent
-    // to its place, which is what the monotone rename below requires.
+    // The `2·place + spliced signal` layout: top-down, each place takes
+    // the next two indices (its primed twin right below it), each
+    // signal the next one after its anchor's pair.
     let mut uvar = vec![0u32; places];
     let mut pvar = vec![0u32; places];
     let mut svar = vec![0u32; signals];
-    {
-        let slot_var = |slot: u32| bdd.var_at_level(slot as usize) as u32;
-        let mut next = 0u32;
-        for pos in 0..=places {
-            if pos < places {
-                uvar[place_at[pos]] = slot_var(next);
-                pvar[place_at[pos]] = slot_var(next + 1);
-                next += 2;
-            }
-            for &s in &signals_at[pos] {
-                svar[s] = slot_var(next);
-                next += 1;
-            }
+    let mut next = 0u32;
+    for pos in 0..=places {
+        if pos < places {
+            uvar[place_at[pos]] = next;
+            pvar[place_at[pos]] = next + 1;
+            next += 2;
         }
-        debug_assert_eq!(next as usize, total_vars);
+        for &s in &signals_at[pos] {
+            svar[s] = next;
+            next += 1;
+        }
     }
+    debug_assert_eq!(next as usize, total_vars);
 
     // --- Initial state: exact minterm over places and code bits ---
     let layout = MarkingLayout::new(places, Some(1));
@@ -365,15 +337,6 @@ pub fn csc_conflicts_symbolic_opts(
         });
     }
 
-    // --- Reorder control: each (unprimed, primed) pair is one block ---
-    let mut group_of_var: Vec<u32> = (0..bdd.vars() as u32).collect();
-    for (p, &u) in uvar.iter().enumerate() {
-        group_of_var[pvar[p] as usize] = group_of_var[u as usize];
-    }
-    let mut reorder = ReorderCtl::for_order(order, options);
-    reorder.arm(bdd);
-    let mut peak = bdd.node_count();
-
     // --- Forward fixpoint (frontier-based, like the place-only BFS) ---
     let zero = bdd.constant(false);
     let mut reached = initial;
@@ -382,15 +345,6 @@ pub fn csc_conflicts_symbolic_opts(
     loop {
         if let Some(error) = super::iteration_budget_check(bdd, &options.budget, iterations) {
             return Err(error);
-        }
-        peak = peak.max(bdd.node_count());
-        if reorder.enabled {
-            let mut keep: Vec<NodeId> = vec![initial, reached, frontier];
-            for image in &images {
-                keep.push(image.enabled);
-                keep.push(image.place_enabled);
-            }
-            reorder.maybe_sift(bdd, &keep, Some(&group_of_var));
         }
         iterations += 1;
         let mut next_layer = zero;
@@ -462,15 +416,6 @@ pub fn csc_conflicts_symbolic_opts(
         if let Some(error) = super::iteration_budget_check(bdd, &options.budget, back_iterations) {
             return Err(error);
         }
-        peak = peak.max(bdd.node_count());
-        if reorder.enabled {
-            let mut keep: Vec<NodeId> = vec![initial, reached, back, back_frontier];
-            for image in &images {
-                keep.push(image.enabled);
-                keep.push(image.place_enabled);
-            }
-            reorder.maybe_sift(bdd, &keep, Some(&group_of_var));
-        }
         back_iterations += 1;
         let mut pre_layer = zero;
         for image in &images {
@@ -501,33 +446,16 @@ pub fn csc_conflicts_symbolic_opts(
             *slot = bdd.or(*slot, image.enabled);
         }
     }
-    // The pair space is the peak of the whole analysis: reorder once
-    // more on `R` (excitation sets pinned) right before paying for two
-    // copies of it, so both copies and their product shrink together.
-    // Same floor as the fixpoint trigger, measured on *this run's*
-    // growth: a pass costs a full walk of the manager — including
-    // everything a warm manager carries for other nets — so a net
-    // whose own relation is tiny must not pay it.
-    if reorder.enabled && bdd.node_count().saturating_sub(reorder.baseline) >= reorder.min_nodes {
-        let mut keep: Vec<NodeId> = vec![reached];
-        keep.extend(rise.iter().copied());
-        keep.extend(fall.iter().copied());
-        let start = Instant::now();
-        bdd.sift_grouped(&keep, &group_of_var);
-        reorder.sift_ns += start.elapsed().as_nanos() as u64;
-        reorder.sifts += 1;
-    }
-    // Prime map: each place's unprimed slot shifts onto its level-
-    // adjacent primed twin; signal variables are shared and stay put.
-    // Grouped sifting never separates a pair, so the map is monotone
-    // in levels no matter what order the passes above settled on.
+    // Prime map: each place's unprimed variable shifts onto its primed
+    // twin right below it; signal variables are shared and stay put.
+    // No other variable sits between a place and its twin, so the map
+    // is monotone.
     let mut prime_map: Vec<u32> = (0..bdd.vars() as u32).collect();
     for (p, &v) in uvar.iter().enumerate() {
         prime_map[v as usize] = pvar[p];
     }
     let reached_primed = bdd.rename_monotone(reached, &prime_map);
     let pair_base = bdd.and(reached, reached_primed);
-    peak = peak.max(bdd.node_count());
 
     let implemented: Vec<SignalId> = stg
         .signals()
@@ -546,7 +474,6 @@ pub fn csc_conflicts_symbolic_opts(
         let not_implied_primed = bdd.not(implied_primed);
         let conf = bdd.and(pair_base, implied);
         let conf = bdd.and(conf, not_implied_primed);
-        peak = peak.max(bdd.node_count());
         if conf == zero {
             continue;
         }
@@ -555,7 +482,7 @@ pub fn csc_conflicts_symbolic_opts(
             let words = bdd.satisfy_one(conf).expect("non-empty relation");
             witness = Some(decode_witness(&words, &uvar, &pvar, &svar, signal));
         }
-        conflicts += count;
+        conflicts = conflicts.saturating_add(count);
         per_signal.push((signal, count));
     }
 
@@ -568,9 +495,6 @@ pub fn csc_conflicts_symbolic_opts(
         deadlock_free,
         strongly_connected,
         bdd_nodes: bdd.node_count(),
-        peak_bdd_nodes: peak.max(bdd.node_count()),
-        sifts: reorder.sifts,
-        sift_ns: reorder.sift_ns,
         uvar,
         svar,
         implemented,
@@ -628,18 +552,16 @@ impl CscAnalysis {
     /// sets excite uniformly per code); rows of a conflicted set report
     /// "excited somewhere under this code".
     pub fn code_table(&self, bdd: &mut Bdd) -> CodeTable {
-        // Quantify place variables bottom-up (deepest level first keeps
-        // the intermediate diagrams rooted where they already are; on a
-        // sifted manager depth is the level, not the variable index).
-        let mut place_vars: Vec<u32> = self.uvar.clone();
-        place_vars.sort_unstable_by_key(|&v| std::cmp::Reverse(bdd.level_of(v as usize)));
+        // Quantify place variables bottom-up, which keeps the
+        // intermediate diagrams rooted where they already are. Place 0
+        // sits at the bottom of the order, so place order is bottom-up.
         let project = |bdd: &mut Bdd, mut node: NodeId, place_vars: &[u32]| {
             for &v in place_vars {
                 node = bdd.exists(node, v as usize);
             }
             node
         };
-        let codes_set = project(bdd, self.reached, &place_vars);
+        let codes_set = project(bdd, self.reached, &self.uvar);
         let mut svar_sorted: Vec<(u32, usize)> = self
             .svar
             .iter()
@@ -673,17 +595,14 @@ impl CscAnalysis {
             }
             words
         };
-        // Word buffers must span the manager's whole universe: with
-        // role-by-level assignment on a reused manager a code variable
-        // can sit at any index, not just below `2·places + signals`.
         let total_vars = bdd.vars();
         let mut rise_proj = Vec::with_capacity(self.implemented.len());
         let mut fall_proj = Vec::with_capacity(self.implemented.len());
         for &signal in &self.implemented {
             let er = bdd.and(self.reached, self.rise[signal.index()]);
-            rise_proj.push(project(bdd, er, &place_vars));
+            rise_proj.push(project(bdd, er, &self.uvar));
             let ef = bdd.and(self.reached, self.fall[signal.index()]);
-            fall_proj.push(project(bdd, ef, &place_vars));
+            fall_proj.push(project(bdd, ef, &self.uvar));
         }
         let rows = codes
             .into_iter()

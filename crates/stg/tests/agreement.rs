@@ -3,8 +3,10 @@
 //! reachable markings for every specification shipped in
 //! [`rt_stg::models`] and the `.g` corpus.
 
+use rt_stg::engine::ReachEngine;
+use rt_stg::symbolic::csc::csc_conflicts_symbolic;
 use rt_stg::symbolic::reach_symbolic;
-use rt_stg::{corpus, explore, models, Stg};
+use rt_stg::{corpus, explore, models, Edge, SignalKind, Stg};
 
 fn assert_agreement(name: &str, stg: &Stg) {
     let explicit = explore(stg).unwrap_or_else(|e| panic!("{name}: explicit: {e}"));
@@ -58,7 +60,6 @@ fn engine_backends_agree_on_models_and_wide_corpus() {
     // The same sweep through the ReachEngine facade: one explicit and
     // one symbolic engine (single persistent manager) across all
     // models.
-    use rt_stg::engine::ReachEngine;
     let mut explicit = ReachEngine::explicit();
     let mut symbolic = ReachEngine::symbolic();
     let mut specs: Vec<(String, Stg)> = vec![
@@ -83,4 +84,123 @@ fn engine_backends_agree_on_models_and_wide_corpus() {
         specs.len() - 1,
         "every symbolic call after the first reused the one manager"
     );
+}
+
+/// `a+` forks into `width` places, a silent join collects them and
+/// `a-` closes the cycle: `width + 2` places, 3 reachable markings and
+/// one CSC conflict (the fork and join states share `a = 1`, and only
+/// the join state enables `a-`).
+fn fork_net(width: usize) -> Stg {
+    let mut stg = Stg::new(format!("fork{width}"));
+    let a = stg
+        .add_signal("a", SignalKind::Output)
+        .expect("fresh signal");
+    let rise = stg.transition_for(a, Edge::Rise);
+    let fall = stg.transition_for(a, Edge::Fall);
+    let join = stg.silent("join");
+    for i in 0..width {
+        let place = stg.add_place(format!("p{i}"));
+        stg.arc_to_place(rise, place);
+        stg.arc_from_place(place, join);
+    }
+    stg.arc(join, fall);
+    stg.marked_arc(fall, rise);
+    stg
+}
+
+#[test]
+fn fork_net_counts_stay_exact_on_wide_variable_universes() {
+    // 512 places put the CSC pair space (2·places + signals variables)
+    // past 2^1024; 1,102 places put a 3-marking set below 2^-1074 of
+    // its universe. Counts must stay exact past both.
+    for width in [510, 1100] {
+        let stg = fork_net(width);
+        let name = stg.name().to_string();
+        let sg = explore(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(sg.state_count(), 3, "{name}");
+        for mut engine in [ReachEngine::explicit(), ReachEngine::symbolic()] {
+            let summary = engine
+                .summary(&stg)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                summary.markings,
+                sg.state_count() as u64,
+                "{name}: {:?} summary",
+                engine.backend()
+            );
+        }
+        let analysis = csc_conflicts_symbolic(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(analysis.markings, sg.state_count() as u64, "{name}");
+        assert_eq!(
+            analysis.conflicts,
+            sg.csc_conflicts().len() as u64,
+            "{name}: conflicts"
+        );
+        assert_eq!(
+            analysis.deadlock_free,
+            sg.deadlock_states().is_empty(),
+            "{name}"
+        );
+        assert_eq!(
+            analysis.strongly_connected,
+            sg.is_strongly_connected(),
+            "{name}"
+        );
+    }
+}
+
+/// Fresh-manager node counts under the default variable order, reach
+/// and CSC, for every sweep model. Node numbering is deterministic, so
+/// any change to hash-consing, the variable layout or the image
+/// operators that moves a count shows up here exactly.
+#[test]
+fn fresh_manager_node_counts_are_pinned() {
+    const REACH: [(&str, usize); 16] = [
+        ("handshake", 35),
+        ("fifo", 301),
+        ("fifo_csc", 422),
+        ("celement", 124),
+        ("chain4", 182),
+        ("chain6", 340),
+        ("ring6_2", 1_100),
+        ("ring8_2", 2_606),
+        ("ring10_3", 13_645),
+        ("ring12_3", 26_956),
+        ("corpus:vme_read", 242),
+        ("corpus:xyz", 72),
+        ("corpus:arbiter2", 174),
+        ("corpus:pipeline_stage", 259),
+        ("wide:adder16_rt", 7_936),
+        ("wide:fabric4x4", 203_498),
+    ];
+    // fabric4x4's pair space is seconds of work even in release.
+    const CSC: [(&str, usize); 15] = [
+        ("handshake", 143),
+        ("fifo", 1_004),
+        ("fifo_csc", 1_298),
+        ("celement", 429),
+        ("chain4", 719),
+        ("chain6", 1_308),
+        ("ring6_2", 5_007),
+        ("ring8_2", 10_997),
+        ("ring10_3", 50_838),
+        ("ring12_3", 94_902),
+        ("corpus:vme_read", 956),
+        ("corpus:xyz", 292),
+        ("corpus:arbiter2", 635),
+        ("corpus:pipeline_stage", 842),
+        ("wide:adder16_rt", 30_525),
+    ];
+    let sweep = corpus::sweep();
+    assert_eq!(sweep.len(), REACH.len(), "every sweep model is pinned");
+    for (name, stg) in &sweep {
+        let reach = reach_symbolic(stg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let expected = REACH.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        assert_eq!(Some(reach.bdd_nodes), expected, "{name}: reach nodes");
+        let Some(&(_, expected)) = CSC.iter().find(|(n, _)| n == name) else {
+            continue;
+        };
+        let csc = csc_conflicts_symbolic(stg).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(csc.bdd_nodes, expected, "{name}: CSC nodes");
+    }
 }

@@ -7,7 +7,6 @@
 use rt_boolean::Bdd;
 use rt_stg::engine::ReachEngine;
 use rt_stg::symbolic::csc::{csc_conflicts_symbolic, csc_conflicts_symbolic_in, CscWitness};
-use rt_stg::symbolic::VarOrder;
 use rt_stg::{corpus, explore, StateGraph, StateId};
 
 /// Finds the explicit state carrying exactly this packed marking.
@@ -54,8 +53,8 @@ fn counts_and_witnesses_agree_across_the_corpus() {
     for (name, stg) in corpus::sweep() {
         let sg = explore(&stg).unwrap_or_else(|e| panic!("{name}: {e}"));
         let explicit = sg.csc_conflicts();
-        let analysis = csc_conflicts_symbolic_in(&stg, &mut shared, VarOrder::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let analysis =
+            csc_conflicts_symbolic_in(&stg, &mut shared).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
             analysis.conflicts,
             explicit.len() as u64,
@@ -93,24 +92,6 @@ fn counts_and_witnesses_agree_across_the_corpus() {
                 w.is_some(),
                 explicit.len()
             ),
-        }
-    }
-}
-
-#[test]
-fn every_var_order_agrees_on_the_conflicted_models() {
-    for (name, text) in corpus::all() {
-        let stg = corpus::parse(text).expect("parses");
-        let sg = explore(&stg).expect("explores");
-        let expected = sg.csc_conflicts().len() as u64;
-        for order in [VarOrder::ByIndex, VarOrder::ReverseIndex, VarOrder::Auto] {
-            let mut bdd = Bdd::new(0);
-            let analysis = csc_conflicts_symbolic_in(&stg, &mut bdd, order)
-                .unwrap_or_else(|e| panic!("{name} {order:?}: {e}"));
-            assert_eq!(analysis.conflicts, expected, "{name} {order:?}");
-            if expected > 0 {
-                verify_witness(name, &sg, analysis.witness.as_ref().expect("witness"));
-            }
         }
     }
 }
@@ -176,8 +157,8 @@ fn code_table_matches_the_explicit_graph_on_csc_free_models() {
         let sg = explore(&stg).expect("explores");
         assert!(sg.csc_conflicts().is_empty(), "{name} is CSC-free");
         let mut bdd = Bdd::new(0);
-        let analysis = csc_conflicts_symbolic_in(&stg, &mut bdd, VarOrder::default())
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let analysis =
+            csc_conflicts_symbolic_in(&stg, &mut bdd).unwrap_or_else(|e| panic!("{name}: {e}"));
         let table = analysis.code_table(&mut bdd);
         let mut explicit_codes: Vec<u64> = sg.distinct_codes().into_iter().collect();
         explicit_codes.sort_unstable();
