@@ -30,6 +30,13 @@
 //! footprint. Rows lacking the key (baselines older than the node
 //! column) are not node-gated.
 //!
+//! The same rule gates two symbolic timings as well: each model's
+//! `symbolic_ns` (fresh-manager reachability) and each `csc_symbolic`
+//! row's `symbolic_cold_ns` (the cold symbolic CSC detector). A
+//! `csc_symbolic` row takes the state count of its model's `models`
+//! row, so the same sub-`--min-states` models are skipped; rows whose
+//! model has no `models` row are not gated.
+//!
 //! Beyond timing, the gate also fails (exit 1) when the **fresh**
 //! snapshot's summary reports a nonzero `degradations` count: the
 //! standard corpus must run to completion under default budgets, so any
@@ -92,6 +99,37 @@ fn parse_models(json: &str) -> Vec<ModelRow> {
                 states: field_number(line, "states")? as u64,
                 explore_ns: field_number(line, "explore_ns")?,
                 bdd_nodes: field_number(line, "bdd_nodes"),
+            })
+        })
+        .collect()
+}
+
+/// The row lines of one array section of a snapshot, from its
+/// `"key": [` line to the closing `]` (one row per line, as
+/// `bench_reach` emits them).
+fn section<'a>(json: &'a str, key: &str) -> impl Iterator<Item = &'a str> {
+    let open = format!("\"{key}\": [");
+    json.lines()
+        .skip_while(move |line| !line.trim_start().starts_with(&open))
+        .skip(1)
+        .take_while(|line| !line.trim_start().starts_with(']'))
+}
+
+/// One symbolic timing per row of `section` (the `key` column), as rows
+/// [`compare`] gates like exploration times: the timing goes in
+/// `explore_ns`, and the state count comes from the model's row in the
+/// `models` section. Rows whose model is not there are left out.
+fn parse_timing(json: &str, section_key: &str, key: &str) -> Vec<ModelRow> {
+    let models = parse_models(json);
+    section(json, section_key)
+        .filter_map(|line| {
+            let name = field_string(line, "name")?;
+            let states = models.iter().find(|m| m.name == name)?.states;
+            Some(ModelRow {
+                explore_ns: field_number(line, key)?,
+                name,
+                states,
+                bdd_nodes: None,
             })
         })
         .collect()
@@ -346,6 +384,28 @@ fn main() -> ExitCode {
             Verdict::Regressed(ratio) => {
                 regressions += 1;
                 println!("  REGRESS {name:<24} {ratio:>6.2}x  (bdd nodes, limit {max_ratio}x)");
+            }
+        }
+    }
+    // Symbolic timing gate: the same ratio and skip rule on each
+    // model's symbolic reach time and on the symbolic CSC detector's
+    // cold time.
+    for (what, section_key, key) in [
+        ("symbolic", "models", "symbolic_ns"),
+        ("symbolic csc", "csc_symbolic", "symbolic_cold_ns"),
+    ] {
+        let base = parse_timing(&baseline_text, section_key, key);
+        let fresh = parse_timing(&fresh_text, section_key, key);
+        for (name, verdict) in compare(&base, &fresh, max_ratio, min_states) {
+            match verdict {
+                Verdict::Ok(ratio) => println!("  ok      {name:<24} {ratio:>6.2}x  ({what})"),
+                Verdict::SkippedSmall => {
+                    println!("  skip    {name:<24}   ({what}, sub-{min_states}-state)");
+                }
+                Verdict::Regressed(ratio) => {
+                    regressions += 1;
+                    println!("  REGRESS {name:<24} {ratio:>6.2}x  ({what}, limit {max_ratio}x)");
+                }
             }
         }
     }
@@ -638,6 +698,86 @@ mod tests {
 
         // Snapshots predating the section are simply not daemon-gated.
         assert!(daemon_health(&snapshot_scaled(1.0, 1.0)).is_none());
+    }
+
+    /// The fixture with a symbolic reach time on every model row and a
+    /// `csc_symbolic` section, every symbolic timing times `scale`.
+    fn symbolic_snapshot(scale: f64) -> String {
+        let mut out = String::new();
+        for line in snapshot(1.0).lines() {
+            if line.contains("\"explore_ns\"") {
+                let symbolic = field_number(line, "explore_ns").expect("timed row") * 10.0;
+                let end = line.rfind('}').expect("object line");
+                out.push_str(&format!(
+                    "{}, \"symbolic_ns\": {:.0}{}\n",
+                    &line[..end],
+                    symbolic * scale,
+                    &line[end..]
+                ));
+            } else {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
+        let body = out.trim_end().trim_end_matches('}');
+        format!(
+            "{body},\n  \"csc_symbolic\": [\n    {{\"name\": \"tiny\", \"conflicts\": 2, \
+             \"symbolic_cold_ns\": {:.0}, \"bdd_nodes\": 40}},\n    {{\"name\": \"ring\", \
+             \"conflicts\": 0, \"symbolic_cold_ns\": {:.0}, \"bdd_nodes\": 500}}\n  ]\n}}\n",
+            90000.0 * scale,
+            400000.0 * scale
+        )
+    }
+
+    #[test]
+    fn symbolic_slowdown_is_caught_and_speedups_pass() {
+        let base = symbolic_snapshot(1.0);
+        let reach = parse_timing(&base, "models", "symbolic_ns");
+        assert_eq!(reach.len(), 3);
+        assert!(
+            (reach[1].explore_ns - 25000.0).abs() < 1.0,
+            "symbolic, not explicit"
+        );
+        let csc = parse_timing(&base, "csc_symbolic", "symbolic_cold_ns");
+        assert_eq!(csc.len(), 2);
+        assert_eq!(csc[1].states, 48, "state count from the models section");
+
+        let slow = symbolic_snapshot(3.0);
+        for (section_key, key) in [
+            ("models", "symbolic_ns"),
+            ("csc_symbolic", "symbolic_cold_ns"),
+        ] {
+            let results = compare(
+                &parse_timing(&base, section_key, key),
+                &parse_timing(&slow, section_key, key),
+                2.5,
+                20,
+            );
+            assert!(matches!(results[0].1, Verdict::SkippedSmall), "{key}");
+            assert!(
+                matches!(results[1].1, Verdict::Regressed(r) if (r - 3.0).abs() < 0.01),
+                "{key}"
+            );
+            let fast = symbolic_snapshot(0.4);
+            assert!(
+                compare(
+                    &parse_timing(&base, section_key, key),
+                    &parse_timing(&fast, section_key, key),
+                    2.5,
+                    20
+                )
+                .iter()
+                .all(|(_, v)| !matches!(v, Verdict::Regressed(_))),
+                "{key}"
+            );
+        }
+        // The explicit gate reads explore_ns only: still quiet.
+        assert!(compare(&parse_models(&base), &parse_models(&slow), 2.5, 20)
+            .iter()
+            .all(|(_, v)| !matches!(v, Verdict::Regressed(_))));
+        // Snapshots without symbolic columns gate nothing here.
+        assert!(parse_timing(&snapshot(1.0), "models", "symbolic_ns").is_empty());
+        assert!(parse_timing(&snapshot(1.0), "csc_symbolic", "symbolic_cold_ns").is_empty());
     }
 
     #[test]

@@ -5,26 +5,31 @@
 //! state-set representation in symbolic reachability
 //! (`rt_stg::symbolic`).
 //!
-//! Nodes are hash-consed in a [`Bdd`] manager: every variable owns a
-//! unique subtable mapping `(low, high)` child pairs to node ids. The
-//! manager keeps two persistent FxHash memo tables:
+//! A [`Bdd`] manager keeps its nodes in one vector and three flat tables
+//! beside it:
 //!
-//! * the per-variable **unique subtables**, which make equivalent
-//!   functions pointer-identical;
-//! * the **operation cache**, keyed `(op, lhs, rhs)` with commutative
-//!   operands normalized, which memoizes `apply` results *across* calls,
-//!   so a repeated conjunction (the same constraint against an
-//!   overlapping set) resolves as a single lookup. Restriction
-//!   (cofactor) results are cached the same way, keyed `(node, var,
-//!   value)`.
+//! * the **unique table**, one open-addressed table of node ids hashed
+//!   on `(var, low, high)`, which makes equivalent functions
+//!   pointer-identical. It doubles at load 1/2.
+//! * the **computed table**, one direct-mapped table of tagged entries
+//!   (an `apply` operator or a cofactor value, two operands and the
+//!   result). It memoizes `apply` and [`Bdd::restrict`] results across
+//!   calls, so a repeated conjunction resolves as one probe. Its slot
+//!   count is the node count rounded up to a power of two (at least the
+//!   manager's pre-sizing), and a colliding entry overwrites the old
+//!   one. A lost entry only costs a recomputation: every node a result
+//!   reaches already exists, so the recomputation adds none.
+//! * the **image memo** of [`Bdd::replace_cube`], a direct-mapped table
+//!   whose entries are tagged with a per-call generation number, so a
+//!   new call never reads an old call's entries and nothing is cleared
+//!   between calls.
 //!
-//! Transition images go through neither cache. [`Bdd::replace_cube`]
-//! fires one transition — constrain a set to the enabling cube,
-//! quantify the cube's support, set the firing cube — in a single
-//! top-down pass with a per-call memo. Composed from `and`, `exists`
-//! and `and`, the same image takes a full diagram pass per literal and
-//! fills the persistent caches with intermediates that only a repeat of
-//! the same analysis would reuse.
+//! [`Bdd::replace_cube`] fires one transition — constrain a set to the
+//! enabling cube, quantify the cube's support, set the firing cube — in
+//! a single top-down pass. Composed from `and`, `exists` and `and`, the
+//! same image takes a full diagram pass per literal and fills the
+//! computed table with intermediates that only a repeat of the same
+//! analysis would reuse.
 //!
 //! # Variable order
 //!
@@ -32,10 +37,11 @@
 //! at the root, and every node's children carry larger indices than the
 //! node itself. The manager never reorders and never frees a node, so
 //! nodes are numbered densely in creation order and the same sequence
-//! of operations always builds the same diagrams under the same ids.
-//! Callers that want another order choose their own map onto variable
-//! indices: `rt_stg::symbolic` maps places in reverse declaration
-//! order, the order that measured smallest over its corpus.
+//! of operations always builds the same diagrams under the same ids,
+//! whatever the tables hold: a table miss recomputes a result without
+//! adding a node. Callers that want another order choose their own map
+//! onto variable indices: `rt_stg::symbolic` maps places in reverse
+//! declaration order, the order that measured smallest over its corpus.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 
@@ -59,6 +65,34 @@ struct Node {
     high: NodeId,
 }
 
+/// A computed-table key: `tag` names the operation (an [`Op`], or
+/// [`RESTRICT_TAG`] plus the cofactor value), `a` and `b` its operands.
+/// Tag 0 marks an empty slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Key {
+    tag: u32,
+    a: u32,
+    b: u32,
+}
+
+/// A computed-table slot: a key and the id of its result node.
+#[derive(Debug, Clone, Copy, Default)]
+struct Computed {
+    key: Key,
+    result: u32,
+}
+
+/// An image-memo entry: the result of the `lit`-th step of one
+/// [`Bdd::replace_cube`] call on `node`. Generation 0 marks a slot no
+/// call has written.
+#[derive(Debug, Clone, Copy, Default)]
+struct MemoEntry {
+    generation: u32,
+    node: u32,
+    lit: u32,
+    result: u32,
+}
+
 /// A BDD manager: fixed-order node storage, hash-consing and apply
 /// operations.
 ///
@@ -80,16 +114,17 @@ struct Node {
 pub struct Bdd {
     vars: usize,
     nodes: Vec<Node>,
-    /// Per-variable unique subtables: `unique[var][(low, high)]` → id.
-    unique: Vec<FxHashMap<(NodeId, NodeId), NodeId>>,
-    /// Persistent apply memo: `(op, lhs, rhs)` → result, commutative
-    /// operands normalized so `and(a, b)` and `and(b, a)` share an entry.
-    op_cache: FxHashMap<(Op, NodeId, NodeId), NodeId>,
-    /// Persistent cofactor memo: `(node, var, value)` → result.
-    restrict_cache: FxHashMap<(NodeId, u32, bool), NodeId>,
-    /// Scratch memo of [`Bdd::replace_cube`]: `(node, literal position)`
-    /// → result. Empty between calls; kept only for its allocation.
-    cube_memo: FxHashMap<(NodeId, u32), NodeId>,
+    /// Unique table: node ids by `(var, low, high)` hash, linear
+    /// probing, 0 for an empty slot (the terminals are never stored).
+    unique: Vec<u32>,
+    /// Computed table: `apply` and cofactor results, direct-mapped.
+    computed: Vec<Computed>,
+    /// Occupied slots of `computed`.
+    computed_len: usize,
+    /// Image memo of [`Bdd::replace_cube`], direct-mapped.
+    memo: Vec<MemoEntry>,
+    /// Tag of the current [`Bdd::replace_cube`] call's memo entries.
+    generation: u32,
     /// Soft footprint budget (see [`Bdd::over_budget`]); `None` = unlimited.
     node_budget: Option<usize>,
 }
@@ -98,19 +133,33 @@ pub struct Bdd {
 /// terminal sorts below every node in the order.
 const TERMINAL_VAR: u32 = u32::MAX;
 
-/// Default pre-sizing of the node vector and operation cache: large
-/// enough that small managers never rehash, small enough that a manager
-/// built for one small query (`rt-service` builds one per request) does
-/// not fault in pages it never touches.
+/// Default pre-sizing of a [`Bdd::new`] manager: the node vector holds
+/// this many nodes, the computed table and the image memo as many
+/// slots, and the unique table twice as many. Large enough that small
+/// managers never grow a table, small enough that a manager built for
+/// one small query (`rt-service` builds one per request) does not fault
+/// in pages it never touches.
 const NODE_CAPACITY: usize = 1 << 9;
-const CACHE_CAPACITY: usize = 1 << 10;
 
-/// Binary apply operations memoized in the persistent cache.
+/// Computed-table tag of a cofactor at value 0; value 1 is the next tag.
+/// Below it are the [`Op`] tags.
+const RESTRICT_TAG: u32 = 4;
+
+/// Binary apply operations memoized in the computed table; the
+/// discriminant is the entry tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
-    And,
-    Or,
-    Xor,
+    And = 1,
+    Or = 2,
+    Xor = 3,
+}
+
+/// Table hash of three 32-bit words: a multiply-xor-multiply mix whose
+/// high half feeds the slot index.
+fn hash3(x: u32, y: u32, z: u32) -> usize {
+    const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+    let h = (u64::from(x) << 32 | u64::from(y)).wrapping_mul(MIX) ^ u64::from(z);
+    (h.wrapping_mul(MIX) >> 32) as usize
 }
 
 impl Op {
@@ -154,7 +203,11 @@ impl Bdd {
         Bdd::with_capacity(vars, NODE_CAPACITY)
     }
 
-    /// Creates a manager pre-sized for roughly `capacity` nodes.
+    /// Creates a manager pre-sized for roughly `capacity` nodes: the
+    /// computed table and the image memo start with `capacity` slots
+    /// and the unique table with twice as many (each rounded up to a
+    /// power of two). Every table grows with the node count, so the
+    /// capacity only decides how soon; a tiny one forces collisions.
     pub fn with_capacity(vars: usize, capacity: usize) -> Self {
         let zero = Node {
             var: TERMINAL_VAR,
@@ -166,16 +219,19 @@ impl Bdd {
             low: NodeId::ONE,
             high: NodeId::ONE,
         };
-        let mut nodes = Vec::with_capacity(capacity.max(2));
+        let capacity = capacity.max(2);
+        let mut nodes = Vec::with_capacity(capacity);
         nodes.push(zero);
         nodes.push(one);
+        let slots = capacity.next_power_of_two();
         Bdd {
             vars,
             nodes,
-            unique: (0..vars).map(|_| FxHashMap::default()).collect(),
-            op_cache: FxHashMap::with_capacity_and_hasher(CACHE_CAPACITY, Default::default()),
-            restrict_cache: FxHashMap::default(),
-            cube_memo: FxHashMap::default(),
+            unique: vec![0; 2 * slots],
+            computed: vec![Computed::default(); slots],
+            computed_len: 0,
+            memo: vec![MemoEntry::default(); slots],
+            generation: 0,
             node_budget: None,
         }
     }
@@ -194,10 +250,7 @@ impl Bdd {
     /// `rt_stg::engine::ReachEngine` reuse path). Shrinking is not
     /// supported; a smaller request is a no-op.
     pub fn ensure_vars(&mut self, vars: usize) {
-        while self.vars < vars {
-            self.unique.push(FxHashMap::default());
-            self.vars += 1;
-        }
+        self.vars = self.vars.max(vars);
     }
 
     /// Number of nodes allocated so far, including the two terminals.
@@ -235,12 +288,74 @@ impl Bdd {
         if low == high {
             return low;
         }
-        let next = NodeId(self.nodes.len() as u32);
-        let id = *self.unique[var as usize].entry((low, high)).or_insert(next);
-        if id == next {
-            self.nodes.push(Node { var, low, high });
+        let mask = self.unique.len() - 1;
+        let mut slot = hash3(var, low.0, high.0) & mask;
+        loop {
+            let id = self.unique[slot];
+            if id == 0 {
+                break;
+            }
+            if self.nodes[id as usize] == (Node { var, low, high }) {
+                return NodeId(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(Node { var, low, high });
+        self.unique[slot] = id.0;
+        if 2 * (self.nodes.len() - 2) > self.unique.len() {
+            self.grow_unique();
+        }
+        if self.nodes.len() > self.computed.len() {
+            self.grow_computed();
         }
         id
+    }
+
+    /// Doubles the unique table and re-inserts every node.
+    fn grow_unique(&mut self) {
+        let mut unique = vec![0u32; 2 * self.unique.len()];
+        let mask = unique.len() - 1;
+        for (id, node) in self.nodes.iter().enumerate().skip(2) {
+            let mut slot = hash3(node.var, node.low.0, node.high.0) & mask;
+            while unique[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            unique[slot] = id as u32;
+        }
+        self.unique = unique;
+    }
+
+    /// Doubles the computed table, keeping every entry: entries in
+    /// distinct slots of the old table land in distinct slots of the
+    /// new one.
+    fn grow_computed(&mut self) {
+        let mut computed = vec![Computed::default(); 2 * self.computed.len()];
+        let mask = computed.len() - 1;
+        for entry in self.computed.iter().filter(|e| e.key.tag != 0) {
+            computed[hash3(entry.key.tag, entry.key.a, entry.key.b) & mask] = *entry;
+        }
+        self.computed = computed;
+    }
+
+    fn computed_slot(&self, key: Key) -> usize {
+        hash3(key.tag, key.a, key.b) & (self.computed.len() - 1)
+    }
+
+    fn lookup(&self, key: Key) -> Option<NodeId> {
+        let entry = self.computed[self.computed_slot(key)];
+        (entry.key == key).then_some(NodeId(entry.result))
+    }
+
+    fn remember(&mut self, key: Key, result: NodeId) {
+        let slot = self.computed_slot(key);
+        if self.computed[slot].key.tag == 0 {
+            self.computed_len += 1;
+        }
+        self.computed[slot] = Computed {
+            key,
+            result: result.0,
+        };
     }
 
     fn node(&self, id: NodeId) -> Node {
@@ -271,18 +386,20 @@ impl Bdd {
         self.xor(a, NodeId::ONE)
     }
 
-    /// Number of entries currently in the persistent operation cache
-    /// (plus the cofactor cache); a capacity-planning diagnostic.
+    /// Number of occupied slots in the computed table. The table starts
+    /// at the manager's pre-sizing and doubles whenever the node count
+    /// passes it, so once it has grown this stays below twice the node
+    /// count.
     pub fn cache_len(&self) -> usize {
-        self.op_cache.len() + self.restrict_cache.len()
+        self.computed_len
     }
 
-    /// Current memory footprint proxy: allocated nodes plus memo-cache
-    /// entries. This — not `node_count` alone — is what
-    /// [`Bdd::over_budget`] compares against the budget, because
-    /// [`Bdd::trim_caches`] can only release cache entries (nodes are
-    /// never freed), so a node-only budget could never be satisfied by
-    /// trimming.
+    /// Current memory footprint proxy: allocated nodes plus occupied
+    /// computed-table slots. This — not `node_count` alone — is what
+    /// [`Bdd::over_budget`] compares against the budget, so that the
+    /// share [`Bdd::trim_caches`] can release is part of it; nodes are
+    /// never freed. Since the computed table is bounded, so is the share
+    /// of the footprint that is not nodes.
     pub fn footprint(&self) -> usize {
         self.node_count() + self.cache_len()
     }
@@ -304,30 +421,29 @@ impl Bdd {
 
     /// Whether the manager's [`footprint`](Bdd::footprint) currently
     /// exceeds the configured budget. Always `false` when no budget is
-    /// set. A `true` answer can often be cleared by
-    /// [`Bdd::trim_caches`], which drops the memo entries that dominate
-    /// a long-lived manager's footprint.
+    /// set. A `true` answer can sometimes be cleared by
+    /// [`Bdd::trim_caches`], which empties the computed table; on a
+    /// grown manager that table holds fewer entries than twice the node
+    /// count, so a trim frees less than two thirds of the footprint.
     pub fn over_budget(&self) -> bool {
         self.node_budget.is_some_and(|b| self.footprint() > b)
     }
 
-    /// Drops the apply and cofactor caches and the
-    /// [`Bdd::replace_cube`] scratch memo (releasing their memory) but
-    /// keeps the unique tables and every node alive.
+    /// Empties the computed table (its slots stay allocated) but keeps
+    /// the unique table and every node alive, so [`Bdd::cache_len`]
+    /// reads 0 afterwards.
     ///
     /// This is the middle ground between "keep everything" and a full
     /// manager drop: all existing [`NodeId`]s remain valid — hash
     /// consing still makes equal functions pointer-identical, so
     /// results after a trim are **bit-identical** to untrimmed runs
     /// (`crates/stg/tests/engine_reuse.rs` pins this) — while the
-    /// memoized operation results, which dominate a long-lived
-    /// manager's footprint, are rebuilt on demand. The caches are pure
-    /// memo tables over function-stable node ids; dropping entries can
+    /// memoized operation results are rebuilt on demand. The table is a
+    /// pure memo over function-stable node ids; dropping entries can
     /// only cost recomputation, never correctness.
     pub fn trim_caches(&mut self) {
-        self.op_cache = FxHashMap::with_capacity_and_hasher(CACHE_CAPACITY, Default::default());
-        self.restrict_cache = FxHashMap::default();
-        self.cube_memo = FxHashMap::default();
+        self.computed.fill(Computed::default());
+        self.computed_len = 0;
     }
 
     fn apply(&mut self, op: Op, a: NodeId, b: NodeId) -> NodeId {
@@ -338,8 +454,13 @@ impl Bdd {
             return self.constant(op.eval(a == NodeId::ONE, b == NodeId::ONE));
         }
         // All three ops are commutative; normalize the key.
-        let key = if a <= b { (op, a, b) } else { (op, b, a) };
-        if let Some(&hit) = self.op_cache.get(&key) {
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let key = Key {
+            tag: op as u32,
+            a: lo.0,
+            b: hi.0,
+        };
+        if let Some(hit) = self.lookup(key) {
             return hit;
         }
         let na = self.node(a);
@@ -360,7 +481,7 @@ impl Bdd {
         let low = self.apply(op, a0, b0);
         let high = self.apply(op, a1, b1);
         let result = self.mk(var, low, high);
-        self.op_cache.insert(key, result);
+        self.remember(key, result);
         result
     }
 
@@ -538,6 +659,67 @@ impl Bdd {
             .collect()
     }
 
+    /// The values each variable takes over the satisfying assignments
+    /// of `id`: `taken[v][0]` is whether some satisfying assignment sets
+    /// variable *v* to 0, `taken[v][1]` whether some sets it to 1. One
+    /// traversal of the diagram: a variable a path tests takes the value
+    /// of every edge that can still reach ONE, and a variable a path
+    /// skips takes both. All false for the constant-0 function.
+    ///
+    /// A caller that is about to constrain `id` to a cube can skip the
+    /// work when the cube asks some variable for a value `id` never
+    /// gives it: the conjunction is empty (`rt_stg::symbolic` skips
+    /// transitions the frontier cannot enable this way).
+    pub fn values_taken(&self, id: NodeId) -> Vec<[bool; 2]> {
+        let vars = self.vars;
+        let mut taken = vec![[false; 2]; vars];
+        if id == NodeId::ZERO {
+            return taken;
+        }
+        let level = |node: NodeId| {
+            if self.is_terminal(node) {
+                vars
+            } else {
+                self.node(node).var as usize
+            }
+        };
+        // Variables some path skips, as a difference array over the
+        // half-open level ranges `[first, end)` an edge jumps across.
+        let mut skipped = vec![0i64; vars + 1];
+        let mut skip = |first: usize, end: usize| {
+            if first < end {
+                skipped[first] += 1;
+                skipped[end] -= 1;
+            }
+        };
+        skip(0, level(id));
+        let mut seen: FxHashSet<NodeId> = FxHashSet::default();
+        let mut stack = vec![id];
+        while let Some(next) = stack.pop() {
+            if self.is_terminal(next) || !seen.insert(next) {
+                continue;
+            }
+            let node = self.node(next);
+            let var = node.var as usize;
+            for (value, child) in [node.low, node.high].into_iter().enumerate() {
+                // Every node but ZERO has a path to ONE.
+                if child != NodeId::ZERO {
+                    taken[var][value] = true;
+                    skip(var + 1, level(child));
+                    stack.push(child);
+                }
+            }
+        }
+        let mut depth = 0;
+        for (var, values) in taken.iter_mut().enumerate() {
+            depth += skipped[var];
+            if depth > 0 {
+                *values = [true; 2];
+            }
+        }
+        taken
+    }
+
     /// Existential quantification of `var`.
     pub fn exists(&mut self, id: NodeId, var: usize) -> NodeId {
         let low = self.restrict(id, var, false);
@@ -565,13 +747,18 @@ impl Bdd {
         if node.var == var {
             return if value { node.high } else { node.low };
         }
-        if let Some(&hit) = self.restrict_cache.get(&(id, var, value)) {
+        let key = Key {
+            tag: RESTRICT_TAG + u32::from(value),
+            a: id.0,
+            b: var,
+        };
+        if let Some(hit) = self.lookup(key) {
             return hit;
         }
         let low = self.restrict_rec(node.low, var, value);
         let high = self.restrict_rec(node.high, var, value);
         let result = self.mk(node.var, low, high);
-        self.restrict_cache.insert((id, var, value), result);
+        self.remember(key, result);
         result
     }
 
@@ -589,8 +776,8 @@ impl Bdd {
     /// the pass follows the `from` branch and emits the `to` literal.
     ///
     /// Literals may come in any order; each call sorts them by
-    /// variable. The memo lives for one call only; nothing enters the
-    /// persistent caches.
+    /// variable. The memo is the manager's image memo, read only under
+    /// this call's generation tag; nothing enters the computed table.
     ///
     /// # Panics
     ///
@@ -610,31 +797,34 @@ impl Bdd {
             seq.windows(2).all(|w| w[0].0 < w[1].0),
             "replace_cube literals must name distinct variables"
         );
-        let mut memo = std::mem::take(&mut self.cube_memo);
-        let result = self.replace_cube_rec(f, &seq, 0, &mut memo);
-        memo.clear();
-        self.cube_memo = memo;
-        result
+        // The memo keeps pace with the computed table between calls; a
+        // new generation retires every earlier call's entries at once.
+        if self.memo.len() < self.computed.len() {
+            self.memo = vec![MemoEntry::default(); self.computed.len()];
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.memo.fill(MemoEntry::default());
+            self.generation = 1;
+        }
+        self.replace_cube_rec(f, &seq, 0)
     }
 
-    fn replace_cube_rec(
-        &mut self,
-        f: NodeId,
-        seq: &[(u32, bool, bool)],
-        i: usize,
-        memo: &mut FxHashMap<(NodeId, u32), NodeId>,
-    ) -> NodeId {
+    fn replace_cube_rec(&mut self, f: NodeId, seq: &[(u32, bool, bool)], i: usize) -> NodeId {
         if f == NodeId::ZERO || i == seq.len() {
             return f;
         }
-        if let Some(&hit) = memo.get(&(f, i as u32)) {
-            return hit;
+        let lit = i as u32;
+        let slot = hash3(f.0, lit, 0) & (self.memo.len() - 1);
+        let entry = self.memo[slot];
+        if entry.generation == self.generation && entry.node == f.0 && entry.lit == lit {
+            return NodeId(entry.result);
         }
         let node = self.node(f);
         let (var, from, to) = seq[i];
         let result = if node.var < var {
-            let low = self.replace_cube_rec(node.low, seq, i, memo);
-            let high = self.replace_cube_rec(node.high, seq, i, memo);
+            let low = self.replace_cube_rec(node.low, seq, i);
+            let high = self.replace_cube_rec(node.high, seq, i);
             self.mk(node.var, low, high)
         } else {
             let cofactor = match (node.var == var, from) {
@@ -642,14 +832,19 @@ impl Bdd {
                 (true, false) => node.low,
                 (false, _) => f,
             };
-            let rest = self.replace_cube_rec(cofactor, seq, i + 1, memo);
+            let rest = self.replace_cube_rec(cofactor, seq, i + 1);
             if to {
                 self.mk(var, NodeId::ZERO, rest)
             } else {
                 self.mk(var, rest, NodeId::ZERO)
             }
         };
-        memo.insert((f, i as u32), result);
+        self.memo[slot] = MemoEntry {
+            generation: self.generation,
+            node: f.0,
+            lit,
+            result: result.0,
+        };
         result
     }
 
@@ -1011,6 +1206,65 @@ mod tests {
         assert_eq!(bdd.and(a, b), ab);
         assert_eq!(bdd.exists(ab, 3), ex);
         assert_eq!(bdd.node_count(), nodes, "hash consing still deduplicates");
+    }
+
+    #[test]
+    fn computed_table_stays_bounded_and_trim_empties_it() {
+        let mut bdd = Bdd::with_capacity(12, 2);
+        let occupied = |bdd: &Bdd| bdd.computed.iter().filter(|e| e.key.tag != 0).count();
+        let mut acc = NodeId::ZERO;
+        for v in 0..12 {
+            let x = bdd.var(v);
+            let y = bdd.nvar((v * 5 + 3) % 12);
+            let xy = bdd.and(x, y);
+            acc = bdd.xor(acc, xy);
+            let _ = bdd.exists(acc, (v * 7) % 12);
+            assert!(bdd.cache_len() <= bdd.computed.len(), "step {v}");
+            assert_eq!(bdd.cache_len(), occupied(&bdd), "step {v}");
+        }
+        assert!(
+            bdd.computed.len() >= bdd.node_count(),
+            "grows with the nodes"
+        );
+        assert!(bdd.cache_len() > 0);
+        let slots = bdd.computed.len();
+        bdd.trim_caches();
+        assert_eq!(bdd.cache_len(), 0);
+        assert_eq!(occupied(&bdd), 0);
+        assert_eq!(bdd.computed.len(), slots, "the slots stay allocated");
+    }
+
+    #[test]
+    fn image_memo_entries_do_not_outlive_a_generation_wrap() {
+        // The first call writes generation-1 entries. When the counter
+        // wraps back to 1 later, a call over the same nodes must not
+        // read them.
+        let build = |bdd: &mut Bdd| {
+            let a = bdd.var(0);
+            let b = bdd.nvar(2);
+            let c = bdd.var(3);
+            let ab = bdd.and(a, b);
+            bdd.or(ab, c)
+        };
+        let lits_first = [(0, true, false), (2, false, true)];
+        let lits_second = [(0, false, true), (2, true, true)];
+        let mut fresh = Bdd::new(4);
+        let f = build(&mut fresh);
+        let expected = fresh.replace_cube(f, &lits_second);
+
+        let mut bdd = Bdd::new(4);
+        let f = build(&mut bdd);
+        bdd.replace_cube(f, &lits_first);
+        bdd.generation = u32::MAX;
+        let second = bdd.replace_cube(f, &lits_second);
+        assert_eq!(bdd.generation, 1, "the counter skipped the empty tag");
+        for m in 0..16 {
+            assert_eq!(
+                bdd.evaluate(second, m),
+                fresh.evaluate(expected, m),
+                "{m:04b}"
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3, which is robust
 //! against hash-flooding but costs tens of cycles per key. The state-space
-//! and BDD hot paths hash millions of small fixed-size keys (packed
-//! markings, node triples), where an FxHash-style multiply-rotate mix is
-//! several times faster and collision quality is more than adequate. Keys
+//! hot paths hash millions of small fixed-size keys (packed markings),
+//! where an FxHash-style multiply-rotate mix is several times faster and
+//! collision quality is more than adequate. (The BDD manager's own
+//! tables are flat arrays with their own mix; see [`crate::bdd`].) Keys
 //! are never attacker-controlled here — they come from the net being
 //! analysed — so DoS resistance buys nothing.
 //!

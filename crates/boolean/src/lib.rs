@@ -10,12 +10,12 @@
 //! * [`minimize()`] — an espresso-style EXPAND / IRREDUNDANT / REDUCE
 //!   two-level minimizer with don't-care support;
 //! * [`TruthTable`] — dense reference semantics for small functions;
-//! * [`bdd`] — a reduced-ordered BDD manager with hash-consed nodes, a
-//!   pre-sized unique table and a persistent op-tagged apply cache that
-//!   survives across calls (see the module docs for the memoization
-//!   design);
-//! * [`fxhash`] — the FxHash-style fast hasher backing the BDD tables and
-//!   the state-space hot paths in `rt-stg`.
+//! * [`bdd`] — a reduced-ordered BDD manager with hash-consed nodes in
+//!   one open-addressed unique table and a bounded, direct-mapped
+//!   computed table that survives across calls (see the module docs for
+//!   the memoization design);
+//! * [`fxhash`] — the FxHash-style fast hasher backing the state-space
+//!   hot paths in `rt-stg` and the BDD package's per-call working maps.
 //!
 //! ## Example: minimize `a·b + a·b̄` to `a`
 //!

@@ -24,6 +24,37 @@ fn arb_cover(vars: usize, max_cubes: usize) -> impl Strategy<Value = Cover> {
         .prop_map(move |cubes| Cover::from_cubes(vars, cubes))
 }
 
+/// A cover over the first `vars` variables, one cube per row (a row
+/// holds a literal per variable, `None` for a don't-care).
+fn cover_over(vars: usize, rows: &[Vec<Option<bool>>]) -> Cover {
+    let cubes = rows
+        .iter()
+        .map(|row| {
+            let literals: Vec<(usize, bool)> = row[..vars]
+                .iter()
+                .enumerate()
+                .filter_map(|(v, l)| l.map(|p| (v, p)))
+                .collect();
+            Cube::from_literals(vars, &literals)
+        })
+        .collect();
+    Cover::from_cubes(vars, cubes)
+}
+
+/// `replace_cube` literals over distinct variables below `vars`, with
+/// `(from, to)` bits drawn from each pick; a pick naming a variable
+/// already used is dropped.
+fn distinct_lits(vars: usize, picks: &[u64]) -> Vec<(usize, bool, bool)> {
+    let mut lits: Vec<(usize, bool, bool)> = Vec::new();
+    for &pick in picks {
+        let var = (pick % vars as u64) as usize;
+        if lits.iter().all(|&(v, ..)| v != var) {
+            lits.push((var, pick >> 32 & 1 == 1, pick >> 33 & 1 == 1));
+        }
+    }
+    lits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -186,6 +217,77 @@ proptest! {
         let fused = bdd.replace_cube(f, &lits);
         let expected = chain(&mut bdd);
         prop_assert_eq!(fused, expected, "lits {:?}", lits);
+    }
+
+    #[test]
+    fn values_taken_matches_every_assignment(
+        vars in 1usize..=8,
+        rows in prop::collection::vec(
+            prop::collection::vec(prop::option::of(prop::bool::ANY), 8), 0..=6),
+    ) {
+        let f = cover_over(vars, &rows);
+        let mut bdd = Bdd::new(vars);
+        let node = bdd.from_cover(&f);
+        let mut expected = vec![[false; 2]; vars];
+        for m in (0..1u64 << vars).filter(|&m| f.evaluate(m)) {
+            for (v, values) in expected.iter_mut().enumerate() {
+                values[(m >> v & 1) as usize] = true;
+            }
+        }
+        prop_assert_eq!(bdd.values_taken(node), expected);
+    }
+
+    #[test]
+    fn two_slot_tables_build_the_roomy_truth_tables(f in arb_cover(6, 5)) {
+        // Every table starts at two slots, so nearly every probe of a
+        // small function collides; nodes must come out the same anyway.
+        let mut tiny = Bdd::with_capacity(6, 2);
+        let mut roomy = Bdd::new(6);
+        let small = tiny.from_cover(&f);
+        let large = roomy.from_cover(&f);
+        for m in 0..64u64 {
+            prop_assert_eq!(tiny.evaluate(small, m), roomy.evaluate(large, m));
+        }
+        prop_assert_eq!(small, large);
+        prop_assert_eq!(tiny.node_count(), roomy.node_count());
+    }
+
+    #[test]
+    fn two_slot_tables_fire_the_roomy_images(
+        vars in 1usize..=10,
+        kind in 0u8..4,
+        rows in prop::collection::vec(
+            prop::collection::vec(prop::option::of(prop::bool::ANY), 10), 0..=6),
+        picks in prop::collection::vec(any::<u64>(), 1..=5),
+    ) {
+        // The inputs of `replace_cube_matches_the_and_exists_and_chain`:
+        // the one-pass image and the chain in a two-slot manager must
+        // land on the roomy manager's node ids.
+        let lits = distinct_lits(vars, &picks);
+        let mut results = Vec::new();
+        for mut bdd in [Bdd::with_capacity(vars, 2), Bdd::new(vars)] {
+            let f = match kind {
+                0 => NodeId::ZERO,
+                1 => NodeId::ONE,
+                _ => bdd.from_cover(&cover_over(vars, &rows)),
+            };
+            let fused = bdd.replace_cube(f, &lits);
+            let mut g = f;
+            for &(var, from, _) in &lits {
+                let lit = if from { bdd.var(var) } else { bdd.nvar(var) };
+                g = bdd.and(g, lit);
+            }
+            for &(var, ..) in &lits {
+                g = bdd.exists(g, var);
+            }
+            for &(var, _, to) in &lits {
+                let lit = if to { bdd.var(var) } else { bdd.nvar(var) };
+                g = bdd.and(g, lit);
+            }
+            prop_assert_eq!(fused, g, "lits {:?}", lits);
+            results.push((fused, bdd.node_count()));
+        }
+        prop_assert_eq!(results[0], results[1], "lits {:?}", lits);
     }
 
     #[test]

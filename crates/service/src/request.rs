@@ -27,7 +27,11 @@ pub enum RequestPayload {
     ResolveCsc {
         /// The specification to rewrite.
         stg: Stg,
-        /// Search tuning.
+        /// Search tuning. The service runs the candidate search
+        /// serially on the job's worker, so `threads` never changes how
+        /// many threads it uses. The field still travels on the wire,
+        /// though, so two requests that differ only in `threads` are
+        /// different flight keys.
         options: CscOptions,
     },
     /// Verify a gate-level circuit against its specification.

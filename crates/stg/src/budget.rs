@@ -12,8 +12,8 @@
 //!   blowing this budget is *degradable*: the engine may fall back to a
 //!   symbolic run instead of erroring (see `rt_stg::engine`).
 //! * `max_bdd_nodes` — soft ceiling on the symbolic manager's footprint
-//!   (live nodes **plus** memo-cache entries, the quantity
-//!   `rt_boolean::Bdd::trim_caches` can actually shrink).
+//!   (live nodes **plus** occupied computed-table slots; the slots are
+//!   the share `rt_boolean::Bdd::trim_caches` can release).
 //! * `max_iterations` — ceiling on symbolic image/fixpoint iterations;
 //!   defaults to [`DEFAULT_MAX_ITERATIONS`] when unset.
 //! * `deadline` + [`CancelToken`] — a soft wall-clock deadline and a
@@ -76,7 +76,11 @@ impl CancelToken {
 pub struct Budget {
     /// Soft ceiling on explicitly interned markings (`None` = unlimited).
     pub max_states: Option<usize>,
-    /// Soft ceiling on the BDD manager footprint: nodes + cache entries.
+    /// Soft ceiling on the BDD manager footprint: nodes plus occupied
+    /// computed-table slots ([`rt_boolean::Bdd::footprint`]). The slots
+    /// are bounded by the node count (on a grown manager, fewer than two
+    /// per node), so a ceiling below the node count cannot be met and a
+    /// trim frees at most the slot share.
     pub max_bdd_nodes: Option<usize>,
     /// Ceiling on symbolic fixpoint iterations
     /// ([`DEFAULT_MAX_ITERATIONS`] when `None`).

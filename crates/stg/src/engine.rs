@@ -40,24 +40,25 @@
 //! ## Manager reuse and `reset`
 //!
 //! The symbolic backend's `Bdd` manager is created lazily on the first
-//! symbolic query and then **survives across calls**: unique table and
-//! apply/cofactor caches are all kept (the variable order is fixed),
+//! symbolic query and then **survives across calls**: the unique table
+//! and the computed table are both kept (the variable order is fixed),
 //! and the variable universe widens on demand
 //! ([`rt_boolean::Bdd::ensure_vars`]) so one engine serves nets of any
 //! width, > 64 places included. Re-running the same net then allocates
 //! no new nodes — every result is already hash-consed — and the set
-//! operations between image steps hit the apply cache. The image steps
-//! themselves are recomputed: [`rt_boolean::Bdd::replace_cube`]
-//! memoizes within one call only (`bench_reach`'s `csc` stage measures
-//! warm-vs-fresh).
+//! operations between image steps hit the computed table where their
+//! entries survived. That table is bounded (its slot count follows the
+//! node count, and a colliding entry overwrites the old one), so a
+//! mature manager keeps only part of its history. The image steps are
+//! recomputed anyway: [`rt_boolean::Bdd::replace_cube`] memoizes within
+//! one call only (`bench_reach`'s `csc` stage measures warm-vs-fresh).
 //!
 //! The trade-off is memory: the manager never frees a node, so a
 //! long-lived engine grows with every query
 //! ([`ReachEngine::manager_nodes`] is the gauge). Two escape hatches,
-//! cheapest first: [`ReachEngine::trim`] drops only the apply/cofactor
-//! memo tables (usually the bulk of a mature manager's footprint)
-//! while keeping the unique table, so every node id stays valid and
-//! later queries are bit-identical, just recomputed;
+//! cheapest first: [`ReachEngine::trim`] empties only the computed
+//! table while keeping the unique table, so every node id stays valid
+//! and later queries are bit-identical, just recomputed;
 //! [`ReachEngine::reset`] drops the whole manager (the next symbolic
 //! call starts cold). Neither touches the engine's options or backend.
 //! Reuse is sound because nothing is ever invalidated: a cached
@@ -94,9 +95,9 @@
 //! each step as a typed [`Degradation`] in [`EngineStats::degradations`]:
 //!
 //! * **Symbolic backend, node/iteration budget blown** →
-//!   [`Degradation::SymbolicTrimRetry`]: [`ReachEngine::trim`] drops the
-//!   memo caches (usually the bulk of the footprint) and the query
-//!   retries once. Still blown → [`Degradation::SymbolicToExplicit`]:
+//!   [`Degradation::SymbolicTrimRetry`]: [`ReachEngine::trim`] empties
+//!   the computed table and the query retries once. Still blown →
+//!   [`Degradation::SymbolicToExplicit`]:
 //!   the summary is served by the explicit counting walk (which has no
 //!   signal cap) under the same budget.
 //! * **Explicit backend, state budget blown** →
@@ -111,10 +112,14 @@
 //!   instead of aborting.
 //!
 //! The BDD-footprint ceiling is checked against
-//! [`rt_boolean::Bdd::footprint`] — allocated nodes plus memo-cache
-//! entries — at iteration boundaries. The manager frees no nodes, so
-//! short of a reset only a trim lowers the footprint, and only by its
-//! cache entries.
+//! [`rt_boolean::Bdd::footprint`] — allocated nodes plus occupied
+//! computed-table slots — at iteration boundaries. The manager frees no
+//! nodes, so short of a reset only a trim lowers the footprint, and
+//! only by its computed-table entries. Those are bounded by the node
+//! count (on a grown manager, fewer than two per node), so a trim frees
+//! less than two thirds of a mature manager's footprint, not the bulk
+//! of it: a budget far below the node count stays blown and falls
+//! through to the explicit walk.
 //!
 //! Two things never degrade: the hard
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
@@ -428,8 +433,7 @@ impl ReachEngine {
             },
             ReachBackend::Symbolic => match self.symbolic_summary(stg) {
                 Err(error) if error.is_resource_exhaustion() => {
-                    // First rung: drop the memo caches — usually the
-                    // bulk of a mature manager's footprint — and retry
+                    // First rung: empty the computed table and retry
                     // once. Trim never changes results (bit-identical
                     // replay), only frees headroom.
                     self.stats.degradations.push(Degradation::SymbolicTrimRetry);
@@ -576,12 +580,12 @@ impl ReachEngine {
         self.manager = None;
     }
 
-    /// Trims the persistent manager's apply/cofactor caches while
-    /// keeping the unique table and all nodes alive — the cheap middle
-    /// ground between full reuse and [`ReachEngine::reset`]. Later
-    /// queries return bit-identical results (hash consing still
-    /// deduplicates onto the same nodes; the memo tables only avoid
-    /// recomputation), so this trades warm-query speed for memory
+    /// Empties the persistent manager's computed table while keeping
+    /// the unique table and all nodes alive — the cheap middle ground
+    /// between full reuse and [`ReachEngine::reset`]. Later queries
+    /// return bit-identical results (hash consing still deduplicates
+    /// onto the same nodes; the computed table only avoids
+    /// recomputation), so this trades warm-query speed for footprint
     /// without a cold restart. No-op when no manager is alive.
     pub fn trim(&mut self) {
         self.stats.trims += 1;
@@ -590,8 +594,8 @@ impl ReachEngine {
         }
     }
 
-    /// Entries currently held by the persistent manager's memo caches
-    /// (0 when no manager is alive) — the gauge [`ReachEngine::trim`]
+    /// Occupied slots of the persistent manager's computed table (0
+    /// when no manager is alive) — the gauge [`ReachEngine::trim`]
     /// empties.
     pub fn manager_cache_len(&self) -> usize {
         self.manager.as_ref().map_or(0, Bdd::cache_len)

@@ -59,7 +59,8 @@ pub enum StgError {
     /// engine may trim the manager's caches and retry, or fall back to
     /// an explicit walk.
     NodeBudgetExceeded {
-        /// Manager footprint (nodes + cache entries) at the check.
+        /// Manager footprint (nodes plus occupied computed-table
+        /// slots) at the check.
         nodes: usize,
     },
     /// The request was cancelled (token fired or deadline passed).

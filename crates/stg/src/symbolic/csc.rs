@@ -82,7 +82,7 @@ use crate::marking::MarkingLayout;
 use crate::reach::{infer_initial_code, ExploreOptions};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{firing_cube, place_order};
+use crate::symbolic::{firing_cube, image_step, place_order};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -347,11 +347,7 @@ pub fn csc_conflicts_symbolic_opts(
             return Err(error);
         }
         iterations += 1;
-        let mut next_layer = zero;
-        for image in &images {
-            let fired = bdd.replace_cube(frontier, &image.fire);
-            next_layer = bdd.or(next_layer, fired);
-        }
+        let next_layer = image_step(bdd, frontier, images.iter().map(|i| i.fire.as_slice()));
         let not_reached = bdd.not(reached);
         let fresh = bdd.and(next_layer, not_reached);
         if fresh == zero {
@@ -417,11 +413,11 @@ pub fn csc_conflicts_symbolic_opts(
             return Err(error);
         }
         back_iterations += 1;
-        let mut pre_layer = zero;
-        for image in &images {
-            let pre_states = bdd.replace_cube(back_frontier, &image.unfire);
-            pre_layer = bdd.or(pre_layer, pre_states);
-        }
+        let pre_layer = image_step(
+            bdd,
+            back_frontier,
+            images.iter().map(|i| i.unfire.as_slice()),
+        );
         let not_back = bdd.not(back);
         let fresh = bdd.and(pre_layer, not_back);
         let fresh = bdd.and(fresh, reached);
