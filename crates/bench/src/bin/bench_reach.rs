@@ -314,6 +314,8 @@ fn main() {
     }
 
     // CSC-conflicted specs: the engine's repeated-reachability stage.
+    // chain32 is CSC-free but has 66 places, past one packed machine
+    // word: the backends must agree at that size too.
     let csc_rows: Vec<CscRow> = [
         ("fifo".to_string(), models::fifo_stg()),
         (
@@ -324,6 +326,7 @@ fn main() {
             "corpus:pipeline_stage".to_string(),
             corpus::parse(corpus::PIPELINE_STAGE_G).expect("parses"),
         ),
+        ("chain32".to_string(), models::chain_stg(32)),
     ]
     .iter()
     .map(|(name, stg)| {

@@ -940,81 +940,6 @@ impl Bdd {
         debug_assert_eq!(current, NodeId::ONE);
         Some(words)
     }
-
-    /// Every satisfying assignment of `id` projected onto `vars`
-    /// (sorted ascending by index, at most 64 of them, and covering the
-    /// function's entire support): one mask per assignment, bit *i* =
-    /// the value of `vars[i]`. Variables of `vars` the diagram leaves
-    /// free expand into both values, so the result enumerates the full
-    /// on-set over the given universe, sorted ascending as masks.
-    ///
-    /// This backs the reachable-*code* enumeration of the symbolic CSC
-    /// detector (`rt_stg::symbolic::csc`), where the projected
-    /// function ranges over a handful of signal variables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars` is unsorted, longer than 64, or misses a
-    /// support variable of `id`.
-    pub fn satisfy_all_over(&self, id: NodeId, vars: &[u32]) -> Vec<u64> {
-        assert!(vars.len() <= 64, "mask enumeration caps at 64 variables");
-        assert!(
-            vars.windows(2).all(|w| w[0] < w[1]),
-            "vars must be sorted ascending"
-        );
-        // Sorted ascending, the universe is already in the order node
-        // paths visit variables; variable `vars[i]` sets bit `i`.
-        let seq: Vec<(u32, usize)> = vars.iter().copied().zip(0..).collect();
-        let mut out = Vec::new();
-        self.satisfy_all_rec(id, &seq, 0, 0, &mut out);
-        out.sort_unstable();
-        out
-    }
-
-    fn satisfy_all_rec(
-        &self,
-        id: NodeId,
-        seq: &[(u32, usize)],
-        idx: usize,
-        acc: u64,
-        out: &mut Vec<u64>,
-    ) {
-        if id == NodeId::ZERO {
-            return;
-        }
-        if idx == seq.len() {
-            assert!(
-                self.is_terminal(id),
-                "function depends on variable {} outside the enumeration universe",
-                self.node(id).var
-            );
-            out.push(acc);
-            return;
-        }
-        let (var, bit) = seq[idx];
-        let node = if self.is_terminal(id) {
-            None
-        } else {
-            Some(self.node(id))
-        };
-        match node {
-            Some(n) if n.var < var => {
-                panic!(
-                    "function depends on variable {} outside the enumeration universe",
-                    n.var
-                )
-            }
-            Some(n) if n.var == var => {
-                self.satisfy_all_rec(n.low, seq, idx + 1, acc, out);
-                self.satisfy_all_rec(n.high, seq, idx + 1, acc | 1 << bit, out);
-            }
-            // Terminal ONE or a node below `var`: the variable is free.
-            _ => {
-                self.satisfy_all_rec(id, seq, idx + 1, acc, out);
-                self.satisfy_all_rec(id, seq, idx + 1, acc | 1 << bit, out);
-            }
-        }
-    }
 }
 
 /// `x · 2^shift`, saturating at `u64::MAX`.
@@ -1357,29 +1282,6 @@ mod tests {
         let v2 = bdd.var(2);
         let f = bdd.ite(v0, v1, v2);
         bdd.rename_monotone(f, &[0, 3, 3, 3]);
-    }
-
-    #[test]
-    fn satisfy_all_over_enumerates_the_on_set() {
-        // f = v1 ∧ ¬v4 over the universe {1, 4, 6}: v6 is free.
-        let mut bdd = Bdd::new(8);
-        let v1 = bdd.var(1);
-        let nv4 = bdd.nvar(4);
-        let f = bdd.and(v1, nv4);
-        let masks = bdd.satisfy_all_over(f, &[1, 4, 6]);
-        assert_eq!(masks, vec![0b001, 0b101], "v1 set, v4 clear, v6 both ways");
-        assert!(bdd.satisfy_all_over(NodeId::ZERO, &[1, 4, 6]).is_empty());
-        assert_eq!(bdd.satisfy_all_over(NodeId::ONE, &[3]).len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the enumeration universe")]
-    fn satisfy_all_over_rejects_missing_support() {
-        let mut bdd = Bdd::new(4);
-        let v0 = bdd.var(0);
-        let v2 = bdd.var(2);
-        let f = bdd.and(v0, v2);
-        bdd.satisfy_all_over(f, &[2]);
     }
 
     #[test]

@@ -13,12 +13,10 @@
 //!               RT circuit  +  required RT constraints (back-annotated)
 //! ```
 
-use rt_stg::engine::{ReachBackend, ReachEngine};
+use rt_stg::engine::ReachEngine;
 use rt_stg::par::parallel_argmin;
-use rt_stg::{SignalKind, StateGraph, Stg};
-use rt_synth::csc::{
-    insert_state_signal, resolve_csc_engine, simple_places, CscOptions, DEFAULT_SYMBOLIC_THRESHOLD,
-};
+use rt_stg::{SignalKind, StateGraph, Stg, StgError};
+use rt_synth::csc::{insert_state_signal, simple_places};
 use rt_synth::regions::LocalDontCares;
 use rt_synth::{synthesize_with_dc, SynthesisResult};
 
@@ -28,6 +26,10 @@ use crate::error::RtError;
 use crate::lazy::{lazy_dont_cares, reduce_concurrency, reduce_unchecked};
 
 /// Configuration of the relative-timing synthesis flow.
+///
+/// Every stage, the state-encoding search included, runs on explicit
+/// state graphs, so a report does not depend on the backend of the
+/// engine the flow runs on.
 #[derive(Debug, Clone, Copy)]
 pub struct RtSynthesisFlow {
     /// Run the automatic assumption generator (§3.1). On by default.
@@ -43,17 +45,6 @@ pub struct RtSynthesisFlow {
     /// `(cost, index)` reduction, so the chosen insertion — and hence
     /// the whole flow report — is identical at every width.
     pub threads: usize,
-    /// Place count at or above which a flow running on a
-    /// [`ReachBackend::Symbolic`] engine **with no active relative-
-    /// timing assumptions** delegates its state-encoding stage to
-    /// [`rt_synth::csc::resolve_csc_engine`]'s symbolic candidate
-    /// search — no per-candidate explicit state graphs (the lazy
-    /// reduction is the identity without assumptions, so the two
-    /// searches rank the same nets). The explicit graph is still built
-    /// once afterwards for logic synthesis. Defaults to
-    /// [`DEFAULT_SYMBOLIC_THRESHOLD`]; set 0 to force the symbolic
-    /// search, `usize::MAX` to disable it.
-    pub csc_symbolic_threshold: usize,
 }
 
 impl Default for RtSynthesisFlow {
@@ -63,7 +54,6 @@ impl Default for RtSynthesisFlow {
             early_enable_depth: 1,
             max_state_signals: 2,
             threads: 0,
-            csc_symbolic_threshold: DEFAULT_SYMBOLIC_THRESHOLD,
         }
     }
 }
@@ -119,7 +109,6 @@ impl RtSynthesisFlow {
             early_enable_depth: 0,
             max_state_signals: 3,
             threads: 0,
-            csc_symbolic_threshold: DEFAULT_SYMBOLIC_THRESHOLD,
         }
     }
 
@@ -135,10 +124,10 @@ impl RtSynthesisFlow {
     }
 
     /// [`RtSynthesisFlow::run`] through a caller-owned
-    /// [`ReachEngine`]: the initial exploration and every timing-aware
-    /// encoding candidate re-explore through the same engine, so its
-    /// options and statistics (and warm symbolic manager, if any) span
-    /// the whole flow.
+    /// [`ReachEngine`]: the initial exploration runs on it, and every
+    /// timing-aware encoding candidate on a worker engine with its
+    /// backend and options, so its options and statistics span the
+    /// whole flow.
     ///
     /// # Errors
     ///
@@ -192,77 +181,12 @@ impl RtSynthesisFlow {
         }
 
         // Stage 3: timing-aware state encoding on the reduced graph.
+        // Candidates are ranked on their explicit lazy graphs, on every
+        // engine backend and at every net size.
         let mut working_stg = stg.clone();
         let mut inserted = Vec::new();
         let mut truncated = false;
-        // Without active assumptions the lazy reduction is the
-        // identity, so on a symbolic engine over a net past the
-        // threshold the whole encoding search can delegate to the
-        // fully symbolic candidate loop — no per-candidate explicit
-        // graphs (see `csc_symbolic_threshold`). One explicit graph is
-        // then built for the synthesis stages downstream.
-        if !reduced.csc_conflicts().is_empty()
-            && all_assumptions.is_empty()
-            && engine.backend() == ReachBackend::Symbolic
-            && stg.net().place_count() >= self.csc_symbolic_threshold
-        {
-            let csc_options = CscOptions {
-                max_signals: self.max_state_signals,
-                threads: self.threads,
-                symbolic_threshold: self.csc_symbolic_threshold,
-                ..CscOptions::default()
-            };
-            match resolve_csc_engine(&working_stg, &csc_options, engine) {
-                // A budget-truncated partial resolution: keep whatever
-                // encoding progress it made (if its graph still fits
-                // the budget) and flag the report instead of aborting.
-                Ok(resolution) if resolution.truncated => {
-                    truncated = true;
-                    log.push(format!(
-                        "timing-aware encoding (symbolic detector): budget exhausted after \
-                         inserting {:?}; carrying the partial encoding forward",
-                        resolution.inserted
-                    ));
-                    match engine.state_graph(&resolution.stg) {
-                        Ok(sg) => {
-                            inserted = resolution.inserted.clone();
-                            working_stg = resolution.stg;
-                            reduced = sg;
-                        }
-                        Err(err) if err.is_resource_exhaustion() => {
-                            log.push(
-                                "partial encoding's graph is over budget too; \
-                                 keeping the unencoded net"
-                                    .to_string(),
-                            );
-                        }
-                        Err(err) => return Err(err.into()),
-                    }
-                }
-                Ok(resolution) => {
-                    log.push(format!(
-                        "timing-aware encoding (symbolic detector): inserted {:?}, cost {}",
-                        resolution.inserted, resolution.cost
-                    ));
-                    inserted = resolution.inserted.clone();
-                    working_stg = resolution.stg;
-                    reduced = engine.state_graph(&working_stg)?;
-                }
-                // Match the legacy loop's failure semantics: an
-                // unresolvable encoding degrades to the explicit
-                // search below (which keeps whatever partial progress
-                // it makes) instead of aborting the whole flow.
-                Err(rt_synth::SynthError::CscUnresolvable { attempts }) => {
-                    log.push(format!(
-                        "timing-aware encoding (symbolic detector): unresolved after \
-                         {attempts} candidates, falling back to the explicit search"
-                    ));
-                }
-                Err(err) => return Err(err.into()),
-            }
-        }
         let mut round = 0;
-        let mut loop_truncated = false;
         while !reduced.csc_conflicts().is_empty() && round < self.max_state_signals {
             let name = format!("x{round}");
             let (best, round_truncated) = best_insertion_on_reduced(
@@ -272,7 +196,7 @@ impl RtSynthesisFlow {
                 engine,
                 self.threads,
             )?;
-            loop_truncated |= round_truncated;
+            truncated |= round_truncated;
             match best {
                 Some((next_stg, next_reduced)) => {
                     log.push(format!(
@@ -288,11 +212,7 @@ impl RtSynthesisFlow {
             }
             round += 1;
         }
-        if loop_truncated {
-            // The symbolic-delegation path records its own degradation
-            // inside `resolve_csc_engine`; the explicit loop records it
-            // here, exactly once per flow.
-            truncated = true;
+        if truncated {
             engine.note_degradation(rt_stg::Degradation::PartialSynthesis);
             log.push(
                 "timing-aware encoding: budget exhausted mid-search; \
@@ -373,8 +293,9 @@ impl RtSynthesisFlow {
 ///
 /// The boolean of the `Ok` pair flags *truncation*: some candidate (or
 /// the baseline itself) was only disqualified because the engine's
-/// [`rt_stg::Budget`] ran out. A panicking candidate evaluation
-/// surfaces as [`rt_stg::StgError::WorkerPanicked`].
+/// [`rt_stg::Budget`] ran out. A cancelled candidate walk stops the
+/// search with [`StgError::Cancelled`], and a panicking candidate
+/// evaluation surfaces as [`StgError::WorkerPanicked`].
 fn best_insertion_on_reduced(
     stg: &Stg,
     assumptions: &[RtAssumption],
@@ -409,26 +330,27 @@ fn best_insertion_on_reduced(
             let candidate = insert_state_signal(stg, name, p_plus, p_minus);
             let sg = match worker.state_graph(&candidate) {
                 Ok(sg) => sg,
+                Err(StgError::Cancelled) => return Err(StgError::Cancelled),
                 Err(error) => {
                     if error.is_resource_exhaustion() {
                         truncated.store(true, Ordering::Relaxed);
                     }
-                    return None;
+                    return Ok(None);
                 }
             };
             let reduced = reduce_unchecked(&sg, assumptions);
             if !reduction_valid(&sg, &reduced) && sg.state_count() != reduced.state_count() {
-                return None;
+                return Ok(None);
             }
             if !reduced.deadlock_states().is_empty() || !reduced.is_strongly_connected() {
-                return None;
+                return Ok(None);
             }
             let conflicts = reduced.csc_conflicts().len();
             if conflicts >= baseline_conflicts {
-                return None;
+                return Ok(None);
             }
             let cost = conflicts * 1_000 + reduced.state_count();
-            Some((cost, (candidate, reduced)))
+            Ok(Some((cost, (candidate, reduced))))
         },
     )?;
     for worker in &workers {
@@ -661,7 +583,6 @@ mod tests {
                 early_enable_depth: early,
                 max_state_signals: 3,
                 threads: 0,
-                csc_symbolic_threshold: DEFAULT_SYMBOLIC_THRESHOLD,
             }
             .run(&stg, user)
             .expect("flow runs")
@@ -709,38 +630,5 @@ mod tests {
         let report = RtSynthesisFlow::speed_independent().run(&stg, &[]).unwrap();
         assert!(report.inserted_signals.is_empty());
         assert_eq!(report.initial_csc_conflicts, 0);
-    }
-
-    #[test]
-    fn symbolic_threshold_delegates_the_encoding_search() {
-        // Threshold 0 + symbolic engine + no assumptions: the encoding
-        // stage must run on the symbolic detector (no per-candidate
-        // explicit graphs — only the initial exploration and the one
-        // post-encoding graph synthesis needs), and the flow must still
-        // produce a valid CSC-free implementation.
-        let stg = models::fifo_stg();
-        let flow = RtSynthesisFlow {
-            csc_symbolic_threshold: 0,
-            ..RtSynthesisFlow::speed_independent()
-        };
-        let mut engine = ReachEngine::symbolic();
-        let report = flow.run_with_engine(&stg, &[], &mut engine).unwrap();
-        assert!(!report.inserted_signals.is_empty(), "{}", report.log_text());
-        assert!(
-            report.log_text().contains("symbolic detector"),
-            "{}",
-            report.log_text()
-        );
-        assert!(
-            engine.stats().symbolic_csc > 0,
-            "candidates were ranked symbolically"
-        );
-        assert_eq!(
-            engine.stats().graph_builds,
-            2,
-            "initial exploration + one post-encoding graph, none per candidate"
-        );
-        assert!(report.lazy_sg.csc_conflicts().is_empty());
-        report.synthesis.netlist.validate().unwrap();
     }
 }

@@ -12,6 +12,7 @@ use rt_service::{
 use rt_stg::engine::{Degradation, ReachEngine};
 use rt_stg::{models, Budget, StgError};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
+use rt_synth::SynthError;
 use rt_verify::verify;
 
 #[test]
@@ -237,6 +238,33 @@ fn deadline_storm_yields_typed_cancellations_and_the_pool_survives() {
         ResponsePayload::Summary(outcome) => assert_eq!(outcome.markings, 18),
         other => panic!("wrong payload kind: {other:?}"),
     }
+}
+
+#[test]
+fn a_deadline_during_the_candidate_search_is_a_typed_cancellation() {
+    // adder_rt_stg(13): 65 places, and its encoding search runs for
+    // seconds before it proves the net unresolvable. A deadline that
+    // fires among the candidates stops the search with the same error
+    // a deadline in the initial exploration produces.
+    let service = SynthService::start(ServiceConfig::default());
+    let options = CscOptions {
+        threads: 1,
+        ..CscOptions::default()
+    };
+    let started = std::time::Instant::now();
+    let result = service.submit(
+        Request::resolve_csc(rt_stg::corpus::adder_rt_stg(13), options)
+            .with_deadline(Duration::from_millis(200)),
+    );
+    assert_eq!(
+        result,
+        Err(ServiceError::Synth(SynthError::Stg(StgError::Cancelled)))
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "answered {:?} after submission",
+        started.elapsed()
+    );
 }
 
 #[test]

@@ -73,11 +73,13 @@
 //! The **symbolic manager deliberately stays single-threaded and
 //! per-engine**: its unique table, caches and node vector are one big
 //! shared-mutable structure, and hash-consing means every worker would
-//! contend on every `mk`. Parallel symbolic consumers therefore hold
-//! one engine (one manager) *per worker* — which is exactly how
-//! `rt_synth::resolve_csc_engine` runs its candidate search pool
-//! (`rt_stg::par::parallel_argmin`) — rather than sharing one manager
-//! behind a lock. Determinism is preserved there by the pool's
+//! contend on every `mk`. Parallel consumers therefore hold one engine
+//! *per worker* rather than sharing one manager behind a lock. The one
+//! such consumer is the CSC candidate search of
+//! `rt_synth::resolve_csc_engine` and of `rt-core`'s flow
+//! (`rt_stg::par::parallel_argmin`), and its workers only build
+//! explicit graphs ([`ReachEngine::state_graph`]), so no manager is
+//! ever created on them. Determinism is preserved there by the pool's
 //! `(cost, index)` reduction, not by scheduling.
 //!
 //! ## Budgets and degradation
@@ -141,8 +143,8 @@
 //!
 //! * **The engine** owns per-request execution: budgets polled at
 //!   round/iteration granularity, the degradation chain, and warm
-//!   reuse *within* one request (the CSC candidate loop of
-//!   `rt_synth::resolve_csc_engine`).
+//!   reuse *within* one request (the two symbolic queries that audit
+//!   a `rt_synth::resolve_csc_engine` resolution share one manager).
 //! * **The service** owns cross-request policy. It builds a fresh
 //!   engine for every request and every retry attempt, so a worker
 //!   holds no manager between jobs and an answer — degradations
@@ -288,8 +290,8 @@ pub struct EngineStats {
     /// Times [`ReachEngine::trim`] dropped the manager's memo caches.
     pub trims: usize,
     /// Symbolic CSC conflict analyses served
-    /// ([`ReachEngine::csc_conflicts_symbolic`]) — the gauge the
-    /// no-explicit-graph encoding path is asserted with.
+    /// ([`ReachEngine::csc_conflicts_symbolic`]): conflict checks, and
+    /// the audit of each resolution a symbolic engine accepts.
     pub symbolic_csc: usize,
     /// Every degradation the engine performed, in order. Empty on a
     /// healthy run — the standard corpus under default budgets must
@@ -552,15 +554,6 @@ impl ReachEngine {
     /// [`SymbolicReach::set`] returned by [`ReachEngine::symbolic_set`].
     pub fn manager(&self) -> Option<&Bdd> {
         self.manager.as_ref()
-    }
-
-    /// Mutable access to the persistent manager, for derived symbolic
-    /// queries that build further diagrams in it (e.g.
-    /// [`CscAnalysis::code_table`], which the symbolic encoding path in
-    /// `rt-synth` derives logic costs from). Mutation only ever *adds*
-    /// nodes — existing [`rt_boolean::bdd::NodeId`]s stay valid.
-    pub fn manager_mut(&mut self) -> Option<&mut Bdd> {
-        self.manager.as_mut()
     }
 
     /// Nodes allocated in the persistent manager (0 when no manager is

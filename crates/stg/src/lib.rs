@@ -35,9 +35,8 @@
 //!   runs in a caller-owned manager so nodes and caches survive across
 //!   calls. [`symbolic::csc`] detects, counts and
 //!   witnesses CSC conflicts entirely symbolically (signal codes as
-//!   shared BDD variables over a primed/unprimed place pair space) —
-//!   the encoding passes' escape from explicit enumeration on huge
-//!   nets.
+//!   shared BDD variables over a primed/unprimed place pair space);
+//!   it answers conflict checks and audits accepted encodings.
 //! * [`engine`] — the [`ReachEngine`] façade the whole synthesis
 //!   pipeline queries: one engine, two interchangeable backends
 //!   (explicit enumeration / persistent-manager symbolic), covering

@@ -21,7 +21,8 @@
 //! computed on 8 workers is bit-identical to the serial one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::error::StgError;
 
@@ -31,7 +32,7 @@ type WorkerOutcome<W, T> = (Option<(usize, usize, T)>, W);
 
 /// The pool's verdict: the deterministic `(index, cost, value)` winner
 /// (if any candidate qualified) plus every worker's scratch state, or
-/// the panic-isolation error.
+/// the error that stopped the pool.
 type ArgminResult<W, T> = Result<(Option<(usize, usize, T)>, Vec<W>), StgError>;
 
 /// Resolves a thread-count knob: `0` means "one worker per available
@@ -52,27 +53,31 @@ pub fn effective_threads(threads: usize) -> usize {
 /// `make_worker` builds one private scratch state per worker (e.g. a
 /// `ReachEngine` — persistent symbolic managers are not shareable, so
 /// every worker owns its own). `eval(worker, index)` scores candidate
-/// `index`, returning `None` to disqualify it. Work is distributed by
-/// an atomic cursor, so expensive candidates do not stall cheap ones
-/// behind a static partition.
+/// `index`: `Ok(Some((cost, value)))` qualifies it, `Ok(None)`
+/// disqualifies it, and `Err` stops the search (below). Work is
+/// distributed by an atomic cursor, so expensive candidates do not
+/// stall cheap ones behind a static partition.
 ///
 /// Returns `(index, cost, value)` of the winner, `None` when every
 /// candidate was disqualified, plus the worker states (so callers can
 /// fold per-worker statistics back into their own accounting).
 ///
-/// # Panic isolation
+/// # Stopping: errors and panics
 ///
-/// Every `eval` call runs under `catch_unwind`: a panicking evaluation
-/// yields [`StgError::WorkerPanicked`] instead of unwinding through the
-/// pool. The panicking worker stops pulling work, the *other* workers
-/// drain the remaining candidates normally, and every worker state is
-/// dropped cleanly — so a shared engine the caller rebuilds workers
-/// from stays fully reusable. (The serial path gets the same contract,
-/// so the error surface does not depend on the thread count.)
+/// An `Err` from `eval` stops the pool: no worker starts another
+/// candidate, the ones already running finish, and the call returns
+/// that error (the first one raised, if several workers fail). Every
+/// `eval` call also runs under `catch_unwind`, and a panic stops the
+/// pool the same way with [`StgError::WorkerPanicked`] instead of
+/// unwinding through it. A stopped pool drops every worker state
+/// cleanly, so a shared engine the caller rebuilds workers from stays
+/// fully reusable. The serial path (`threads` = 1) stops the same way,
+/// so the error surface does not depend on the thread count.
 ///
 /// # Errors
 ///
-/// [`StgError::WorkerPanicked`] — at least one `eval` call panicked.
+/// The first error an `eval` call returned, or
+/// [`StgError::WorkerPanicked`] when one panicked first.
 pub fn parallel_argmin<W, T, FMake, FEval>(
     items: usize,
     threads: usize,
@@ -83,28 +88,27 @@ where
     W: Send,
     T: Send,
     FMake: Fn() -> W + Sync,
-    FEval: Fn(&mut W, usize) -> Option<(usize, T)> + Sync,
+    FEval: Fn(&mut W, usize) -> Result<Option<(usize, T)>, StgError> + Sync,
 {
     let threads = effective_threads(threads).min(items.max(1));
-    let panicked = AtomicBool::new(false);
-    // One guarded evaluation: a panic inside `eval` marks the shared
-    // flag and disqualifies the candidate. The worker state may be
-    // mid-update afterwards, so the caller never sees its results —
-    // the whole call errors out below.
+    // The error that stopped the pool. Once it is set no worker starts
+    // another candidate; a worker whose eval failed may hold a state
+    // that is mid-update, but the caller never sees any result then.
+    let stop: OnceLock<StgError> = OnceLock::new();
     let guarded_eval = |worker: &mut W, index: usize| -> Option<(usize, T)> {
-        match catch_unwind(AssertUnwindSafe(|| eval(worker, index))) {
-            Ok(result) => result,
-            Err(_) => {
-                panicked.store(true, Ordering::SeqCst);
-                None
-            }
-        }
+        let result = catch_unwind(AssertUnwindSafe(|| eval(worker, index)))
+            .unwrap_or(Err(StgError::WorkerPanicked));
+        result.unwrap_or_else(|error| {
+            // The first error wins; a later one finds the slot taken.
+            let _ = stop.set(error);
+            None
+        })
     };
     if threads <= 1 {
         let mut worker = make_worker();
         let mut best: Option<(usize, usize, T)> = None;
         for index in 0..items {
-            if panicked.load(Ordering::SeqCst) {
+            if stop.get().is_some() {
                 break;
             }
             if let Some((cost, value)) = guarded_eval(&mut worker, index) {
@@ -113,10 +117,10 @@ where
                 }
             }
         }
-        if panicked.load(Ordering::SeqCst) {
-            return Err(StgError::WorkerPanicked);
-        }
-        return Ok((best, vec![worker]));
+        return match stop.into_inner() {
+            Some(error) => Err(error),
+            None => Ok((best, vec![worker])),
+        };
     }
 
     let cursor = AtomicUsize::new(0);
@@ -128,13 +132,11 @@ where
                 scope.spawn(|| {
                     let mut worker = make_worker();
                     let mut best: Option<(usize, usize, T)> = None;
-                    let mut poisoned = false;
-                    loop {
+                    while stop.get().is_none() {
                         let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= items || poisoned {
+                        if index >= items {
                             break;
                         }
-                        let before = panicked.load(Ordering::SeqCst);
                         if let Some((cost, value)) = guarded_eval(&mut worker, index) {
                             // Tie-break on index inside the worker too:
                             // the cursor hands indices in ascending
@@ -144,14 +146,6 @@ where
                             if best.as_ref().is_none_or(|&(_, c, _)| cost < c) {
                                 best = Some((index, cost, value));
                             }
-                        } else if !before && panicked.load(Ordering::SeqCst) {
-                            // This worker's own eval may just have
-                            // panicked, leaving its state mid-update;
-                            // stop pulling work on it. Siblings keep
-                            // draining the cursor (the result is
-                            // discarded either way, but draining keeps
-                            // shutdown orderly and bounded).
-                            poisoned = true;
                         }
                     }
                     (best, worker)
@@ -164,8 +158,8 @@ where
             .collect()
     });
 
-    if panicked.load(Ordering::SeqCst) {
-        return Err(StgError::WorkerPanicked);
+    if let Some(error) = stop.into_inner() {
+        return Err(error);
     }
     let mut best: Option<(usize, usize, T)> = None;
     let mut workers = Vec::with_capacity(results.len());
@@ -204,7 +198,7 @@ mod tests {
                 costs.len(),
                 threads,
                 || (),
-                |(), i| Some((costs[i], i * 10)),
+                |(), i| Ok(Some((costs[i], i * 10))),
             )
             .expect("no panics");
             let (index, cost, value) = best.expect("non-empty");
@@ -214,14 +208,19 @@ mod tests {
 
     #[test]
     fn disqualified_candidates_are_skipped() {
-        let (best, _) = parallel_argmin(6, 4, || (), |(), i| (i % 2 == 1).then_some((100 - i, i)))
-            .expect("no panics");
+        let (best, _) = parallel_argmin(
+            6,
+            4,
+            || (),
+            |(), i| Ok((i % 2 == 1).then_some((100 - i, i))),
+        )
+        .expect("no panics");
         assert_eq!(best, Some((5, 95, 5)));
         let (none, _) =
-            parallel_argmin(4, 2, || (), |(), _| None::<(usize, ())>).expect("no panics");
+            parallel_argmin(4, 2, || (), |(), _| Ok(None::<(usize, ())>)).expect("no panics");
         assert!(none.is_none());
         let (empty, workers) =
-            parallel_argmin(0, 3, || (), |(), _| Some((0, ()))).expect("no panics");
+            parallel_argmin(0, 3, || (), |(), _| Ok(Some((0, ())))).expect("no panics");
         assert!(empty.is_none());
         assert_eq!(workers.len(), 1, "no items -> single worker, no spawns");
     }
@@ -234,7 +233,7 @@ mod tests {
             || 0usize,
             |count, i| {
                 *count += 1;
-                Some((i, ()))
+                Ok(Some((i, ())))
             },
         )
         .expect("no panics");
@@ -253,7 +252,7 @@ mod tests {
                     if i == 5 {
                         panic!("injected eval panic");
                     }
-                    Some((i, i))
+                    Ok(Some((i, i)))
                 },
             );
             assert_eq!(
@@ -279,7 +278,7 @@ mod tests {
                     panic!("injected eval panic");
                 }
                 evaluated.fetch_add(1, Ordering::SeqCst);
-                Some((i, ()))
+                Ok(Some((i, ())))
             },
         );
         assert_eq!(result.map(|(best, _)| best), Err(StgError::WorkerPanicked));
@@ -287,5 +286,36 @@ mod tests {
             evaluated.load(Ordering::SeqCst) <= 63,
             "no candidate evaluated twice"
         );
+    }
+
+    #[test]
+    fn an_eval_error_stops_the_pool_and_comes_back_at_any_thread_count() {
+        use std::sync::atomic::AtomicUsize;
+        for threads in [1usize, 2, 8] {
+            let evaluated = AtomicUsize::new(0);
+            let last = AtomicUsize::new(0);
+            let result = parallel_argmin(
+                64,
+                threads,
+                || (),
+                |(), i| {
+                    evaluated.fetch_add(1, Ordering::SeqCst);
+                    last.fetch_max(i, Ordering::SeqCst);
+                    if i == 5 {
+                        return Err(StgError::Cancelled);
+                    }
+                    Ok(Some((i, ())))
+                },
+            );
+            assert_eq!(
+                result.map(|(best, _)| best),
+                Err(StgError::Cancelled),
+                "threads={threads}"
+            );
+            if threads == 1 {
+                assert_eq!(last.load(Ordering::SeqCst), 5, "serial: no later index");
+                assert_eq!(evaluated.load(Ordering::SeqCst), 6);
+            }
+        }
     }
 }

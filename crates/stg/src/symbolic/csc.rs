@@ -1,12 +1,19 @@
 //! Symbolic complete-state-coding conflict detection.
 //!
 //! The explicit detector ([`crate::state_graph::StateGraph::csc_conflicts`])
-//! needs the fully enumerated, binary-coded state graph; on nets past a
-//! few dozen places that enumeration is the last explicit-only wall in
-//! the encoding passes. This module detects (and counts, and witnesses)
-//! CSC conflicts **without ever materializing a state graph**: the
-//! reachable set, the signal codes and the conflict relation are all
-//! BDDs in one (typically persistent, engine-owned) manager.
+//! needs the fully enumerated, binary-coded state graph. This module
+//! detects (and counts, and witnesses) CSC conflicts **without ever
+//! materializing a state graph**: the reachable set, the signal codes
+//! and the conflict relation are all BDDs in one (typically
+//! persistent, engine-owned) manager.
+//!
+//! It has two users, both through
+//! [`crate::engine::ReachEngine::csc_conflicts_symbolic`]: the
+//! service's `CscCheck` requests, and the audit of every resolution
+//! `rt_synth::csc::resolve_csc_engine` accepts on a symbolic engine,
+//! which checks it against the explicit detector. It does not rank
+//! state-encoding candidates: that search builds an explicit graph per
+//! candidate on every backend.
 //!
 //! ## Variable layout
 //!
@@ -65,8 +72,8 @@
 //! count-and-witness agreement across the corpus, wide models
 //! included.
 //!
-//! Liveness side-conditions the encoding search needs ride along on
-//! the same diagrams: deadlock freedom is `R ∧ ¬(⋁ enabled_t) = ∅`,
+//! The liveness side-conditions an accepted encoding must meet ride
+//! along on the same diagrams: deadlock freedom is `R ∧ ¬(⋁ enabled_t) = ∅`,
 //! and strong connectivity is `R ⊆ B` for the backward fixpoint `B`
 //! from the initial state (every reachable state can return).
 //!
@@ -102,33 +109,7 @@ pub struct CscWitness {
     pub signal: SignalId,
 }
 
-/// Per-code excitation summary of a (CSC-free) specification, derived
-/// without a state graph: for every reachable code, whether each
-/// implemented signal is excited and toward which edge. This is what
-/// `rt-synth` derives encoding costs from on the symbolic path.
-#[derive(Debug, Clone)]
-pub struct CodeTable {
-    /// The implemented signals, in signal-index order — the column
-    /// order of every row's `excited` vector.
-    pub implemented: Vec<SignalId>,
-    /// One row per reachable code, ascending by code.
-    pub rows: Vec<CodeRow>,
-}
-
-/// One reachable code and its excitation vector (see [`CodeTable`]).
-#[derive(Debug, Clone)]
-pub struct CodeRow {
-    /// The binary code (bit *i* = signal *i*).
-    pub code: u64,
-    /// Excitation of `CodeTable::implemented[k]` in the states carrying
-    /// this code (`None` = quiescent). Only meaningful for CSC-free
-    /// sets, where all same-code states agree.
-    pub excited: Vec<Option<Edge>>,
-}
-
-/// Everything one symbolic CSC analysis produced. The `NodeId`s inside
-/// are valid for the manager the analysis ran in (keep using the same
-/// manager for [`CscAnalysis::code_table`]).
+/// Everything one symbolic CSC analysis produced.
 #[derive(Debug, Clone)]
 pub struct CscAnalysis {
     /// Number of reachable markings (the audit count — must match the
@@ -157,13 +138,6 @@ pub struct CscAnalysis {
     /// freed, so this is also the analysis' peak; for a shared manager
     /// it counts everything the manager holds.
     pub bdd_nodes: usize,
-    // -- internals for the code-table derivation --
-    uvar: Vec<u32>,
-    svar: Vec<u32>,
-    implemented: Vec<SignalId>,
-    reached: NodeId,
-    rise: Vec<NodeId>,
-    fall: Vec<NodeId>,
 }
 
 /// One transition's symbolic firing data, shared by the forward image,
@@ -491,12 +465,6 @@ pub fn csc_conflicts_symbolic_opts(
         deadlock_free,
         strongly_connected,
         bdd_nodes: bdd.node_count(),
-        uvar,
-        svar,
-        implemented,
-        reached,
-        rise,
-        fall,
     })
 }
 
@@ -535,95 +503,5 @@ fn decode_witness(
         marking_b,
         code,
         signal,
-    }
-}
-
-impl CscAnalysis {
-    /// Derives the per-code excitation table of a (CSC-free) analysis:
-    /// projects the reachable set and the excitation sets onto the code
-    /// variables and enumerates every reachable code. `bdd` must be the
-    /// manager the analysis ran in.
-    ///
-    /// Only meaningful when [`CscAnalysis::conflicts`] is 0 (CSC-free
-    /// sets excite uniformly per code); rows of a conflicted set report
-    /// "excited somewhere under this code".
-    pub fn code_table(&self, bdd: &mut Bdd) -> CodeTable {
-        // Quantify place variables bottom-up, which keeps the
-        // intermediate diagrams rooted where they already are. Place 0
-        // sits at the bottom of the order, so place order is bottom-up.
-        let project = |bdd: &mut Bdd, mut node: NodeId, place_vars: &[u32]| {
-            for &v in place_vars {
-                node = bdd.exists(node, v as usize);
-            }
-            node
-        };
-        let codes_set = project(bdd, self.reached, &self.uvar);
-        let mut svar_sorted: Vec<(u32, usize)> = self
-            .svar
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(s, v)| (v, s))
-            .collect();
-        svar_sorted.sort_unstable();
-        let vars: Vec<u32> = svar_sorted.iter().map(|&(v, _)| v).collect();
-        let masks = bdd.satisfy_all_over(codes_set, &vars);
-        // `satisfy_all_over` bits follow `vars` order; remap to signal
-        // index order.
-        let to_code = |mask: u64| {
-            let mut code = 0u64;
-            for (i, &(_, s)) in svar_sorted.iter().enumerate() {
-                if mask >> i & 1 == 1 {
-                    code |= 1 << s;
-                }
-            }
-            code
-        };
-        let mut codes: Vec<u64> = masks.into_iter().map(to_code).collect();
-        codes.sort_unstable();
-
-        let eval_words = |code: u64, svar: &[u32], len: usize| {
-            let mut words = vec![0u64; len.div_ceil(64).max(1)];
-            for (s, &v) in svar.iter().enumerate() {
-                if code >> s & 1 == 1 {
-                    words[v as usize / 64] |= 1 << (v % 64);
-                }
-            }
-            words
-        };
-        let total_vars = bdd.vars();
-        let mut rise_proj = Vec::with_capacity(self.implemented.len());
-        let mut fall_proj = Vec::with_capacity(self.implemented.len());
-        for &signal in &self.implemented {
-            let er = bdd.and(self.reached, self.rise[signal.index()]);
-            rise_proj.push(project(bdd, er, &self.uvar));
-            let ef = bdd.and(self.reached, self.fall[signal.index()]);
-            fall_proj.push(project(bdd, ef, &self.uvar));
-        }
-        let rows = codes
-            .into_iter()
-            .map(|code| {
-                let words = eval_words(code, &self.svar, total_vars);
-                let excited = self
-                    .implemented
-                    .iter()
-                    .enumerate()
-                    .map(|(k, _)| {
-                        if bdd.evaluate_words(rise_proj[k], &words) {
-                            Some(Edge::Rise)
-                        } else if bdd.evaluate_words(fall_proj[k], &words) {
-                            Some(Edge::Fall)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                CodeRow { code, excited }
-            })
-            .collect();
-        CodeTable {
-            implemented: self.implemented.clone(),
-            rows,
-        }
     }
 }

@@ -145,38 +145,3 @@ fn inconsistent_specifications_are_rejected_like_the_explicit_analyser() {
         "got {symbolic:?}"
     );
 }
-
-#[test]
-fn code_table_matches_the_explicit_graph_on_csc_free_models() {
-    use rt_stg::models;
-    for (name, stg) in [
-        ("handshake", models::handshake_stg()),
-        ("fifo_csc", models::fifo_stg_csc()),
-        ("celement", models::celement_stg()),
-    ] {
-        let sg = explore(&stg).expect("explores");
-        assert!(sg.csc_conflicts().is_empty(), "{name} is CSC-free");
-        let mut bdd = Bdd::new(0);
-        let analysis =
-            csc_conflicts_symbolic_in(&stg, &mut bdd).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let table = analysis.code_table(&mut bdd);
-        let mut explicit_codes: Vec<u64> = sg.distinct_codes().into_iter().collect();
-        explicit_codes.sort_unstable();
-        let symbolic_codes: Vec<u64> = table.rows.iter().map(|r| r.code).collect();
-        assert_eq!(symbolic_codes, explicit_codes, "{name}: reachable codes");
-        for row in &table.rows {
-            let state = sg
-                .states()
-                .find(|&s| sg.code(s) == row.code)
-                .expect("code has a state");
-            for (k, &signal) in table.implemented.iter().enumerate() {
-                assert_eq!(
-                    row.excited[k],
-                    sg.excitation(state, signal),
-                    "{name}: excitation of {signal:?} at code {:b}",
-                    row.code
-                );
-            }
-        }
-    }
-}

@@ -12,64 +12,32 @@
 //!
 //! All re-exploration funnels through one [`ReachEngine`]
 //! ([`resolve_csc_engine`]): the candidate search is the hottest
-//! repeated-reachability loop in the pipeline, and the engine is the
-//! seam that lets it run over either backend. On the symbolic backend
-//! the accepted resolution is additionally **audited** against the
-//! engine's persistent-manager symbolic marking count and the symbolic
-//! conflict detector ([`SynthError::BackendMismatch`] /
-//! [`SynthError::DetectorMismatch`] on divergence), so the two
-//! analysers continuously cross-check each other in production use.
-//!
-//! ## The explicit/symbolic detector threshold
-//!
-//! The candidate loop has two interchangeable conflict detectors:
-//!
-//! * **explicit** — build the coded [`StateGraph`] per candidate and
-//!   call [`StateGraph::csc_conflicts`]. Fastest for paper-scale
-//!   controllers (tens of states), and the only path that yields the
-//!   graph downstream logic synthesis consumes, so the accepted
-//!   resolution carries `sg: Some(_)`.
-//! * **symbolic** — ask the engine for
-//!   [`rt_stg::engine::ReachEngine::csc_conflicts_symbolic`]: conflict
-//!   counts, liveness flags and encoding costs all come off BDDs in the
-//!   persistent manager, and **no explicit state graph is ever
-//!   constructed** (`EngineStats::graph_builds` stays 0; the
-//!   resolution carries `sg: None`). This is the path that scales past
-//!   the explicit-enumeration wall on huge nets.
-//!
-//! [`CscOptions::symbolic_threshold`] arbitrates: on a
-//! [`ReachBackend::Symbolic`] engine, nets with at least that many
-//! places rank candidates symbolically; smaller nets keep the explicit
-//! detector (whose per-candidate graphs are microseconds at that size
-//! and whose literal-count costs are the historical tie-breakers). The
-//! default, [`DEFAULT_SYMBOLIC_THRESHOLD`], switches over right where
-//! packed markings spill past one machine word — below it the two
-//! backends produce bit-identical resolutions, above it the symbolic
-//! path may tie-break differently (its logic costs come from per-*code*
-//! covers rather than per-*state* covers) while still accepting only
-//! CSC-free, live, deadlock-free encodings. Set the threshold to 0 to
-//! force the symbolic detector everywhere, or `usize::MAX` to disable
-//! it.
+//! repeated-reachability loop in the pipeline. Candidates are ranked
+//! one way on every backend and at every net size — on explicitly
+//! built state graphs — so a resolution does not depend on the
+//! engine's backend. On the symbolic backend the accepted resolution is
+//! additionally **audited** against the engine's persistent-manager
+//! symbolic marking count and the symbolic conflict detector
+//! ([`SynthError::BackendMismatch`] / [`SynthError::DetectorMismatch`]
+//! on divergence), so the two analysers continuously cross-check each
+//! other in production use.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use rt_boolean::{minimize, Cover, Cube};
+use rt_boolean::minimize;
 use rt_stg::engine::{ReachBackend, ReachEngine};
 use rt_stg::par::parallel_argmin;
 use rt_stg::petri::PlaceId;
-use rt_stg::reach::count_markings_with;
 use rt_stg::stg::TransitionLabel;
-use rt_stg::symbolic::csc::CscAnalysis;
-use rt_stg::{Edge, SignalKind, StateGraph, Stg, TransitionId};
+use rt_stg::{SignalKind, StateGraph, Stg, StgError, TransitionId};
 
 use crate::error::SynthError;
-use crate::regions::{derive_functions, unreachable_cover, LocalDontCares};
+use crate::regions::{derive_functions, LocalDontCares};
 
-/// Default [`CscOptions::symbolic_threshold`]: the first place count
-/// whose packed markings no longer fit one machine word — the size
-/// class the paper's wide adder/fabric workloads start at, and where
-/// per-candidate explicit graphs stop being microseconds.
+/// Default [`CscOptions::symbolic_threshold`]. Has no effect, like the
+/// field: it stays exported only because existing callers (the
+/// `perfbench` harness) name it, and the `ResolveCsc` wire payload
+/// carries the field until `PROTO_VERSION` 3.
 pub const DEFAULT_SYMBOLIC_THRESHOLD: usize = 65;
 
 /// Outcome of CSC resolution.
@@ -77,9 +45,10 @@ pub const DEFAULT_SYMBOLIC_THRESHOLD: usize = 65;
 pub struct CscResolution {
     /// The (possibly rewritten) STG, CSC-free.
     pub stg: Stg,
-    /// Its state graph — `Some` on the explicit-detector path, `None`
-    /// when the symbolic path accepted the encoding without ever
-    /// enumerating states (see the module docs on the threshold).
+    /// Its state graph. Always `Some`: every resolution, on either
+    /// backend, is accepted on an explicitly built graph. It stays an
+    /// `Option` only because existing callers (the `perfbench`
+    /// harness) unwrap it.
     pub sg: Option<StateGraph>,
     /// Names of inserted state signals (empty when none were needed).
     pub inserted: Vec<String>,
@@ -94,9 +63,11 @@ pub struct CscResolution {
 
 /// Options for [`resolve_csc`].
 ///
-/// A resolution is a pure function of the STG *and* this tuning, so
-/// the options are part of a service request's identity: two requests
-/// share a cached result only when both match.
+/// Only `max_signals` and `critical_path_penalty` change the answer:
+/// `threads` changes how many workers evaluate candidates, never which
+/// one wins, and `symbolic_threshold` has no effect. A service request
+/// still carries all four, and two requests share a cached result only
+/// when all four match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CscOptions {
     /// Maximum number of state signals to insert.
@@ -111,10 +82,9 @@ pub struct CscOptions {
     /// `(cost, index)` reduction of [`rt_stg::par::parallel_argmin`]
     /// guarantees the winner is identical at every width.
     pub threads: usize,
-    /// Place count at or above which a [`ReachBackend::Symbolic`]
-    /// engine ranks candidates with the symbolic conflict detector
-    /// instead of building explicit state graphs (see the module
-    /// docs). Irrelevant on explicit-backend engines.
+    /// Has no effect. It stays only because existing callers (the
+    /// `perfbench` harness) set it, and the `ResolveCsc` wire payload
+    /// carries it until `PROTO_VERSION` 3.
     pub symbolic_threshold: usize,
 }
 
@@ -148,29 +118,27 @@ pub fn resolve_csc_with(stg: &Stg, options: &CscOptions) -> Result<CscResolution
 
 /// [`resolve_csc_with`] through a caller-owned [`ReachEngine`].
 ///
-/// Every candidate re-exploration of the search goes through `engine`,
-/// so a shared engine accumulates its statistics (and, on the symbolic
-/// backend, its warm BDD manager) across the whole resolution — and
-/// across *multiple* resolutions when the caller keeps the engine
-/// alive. The accepted result is backend-independent: the candidate
-/// ranking uses only the explicitly built state graphs. On
+/// The input's graph and the audit run on `engine`; the candidates run
+/// on private worker engines of `engine`'s backend and options, whose
+/// statistics are folded back into `engine`. The accepted result is
+/// backend-independent: on every backend and at every net size the
+/// candidates are ranked only on explicitly built state graphs. On
 /// [`rt_stg::ReachBackend::Symbolic`] the final resolution is audited
-/// against the symbolic marking count.
+/// against the symbolic marking count and the symbolic conflict
+/// detector.
 ///
 /// # Errors
 ///
 /// [`resolve_csc_with`]'s errors, plus [`SynthError::BackendMismatch`]
-/// if the symbolic audit disagrees with the explicit graph.
+/// if the symbolic audit disagrees with the explicit graph, and
+/// [`StgError::Cancelled`] (as [`SynthError::Stg`]) as soon as the
+/// engine's budget is cancelled or its deadline passes, during the
+/// candidate search too.
 pub fn resolve_csc_engine(
     stg: &Stg,
     options: &CscOptions,
     engine: &mut ReachEngine,
 ) -> Result<CscResolution, SynthError> {
-    if engine.backend() == ReachBackend::Symbolic
-        && stg.net().place_count() >= options.symbolic_threshold
-    {
-        return resolve_csc_symbolic(stg, options, engine);
-    }
     let sg = engine.state_graph(stg)?;
     if sg.csc_conflicts().is_empty() {
         let cost = encoding_cost(&sg, 0);
@@ -238,113 +206,6 @@ pub fn resolve_csc_engine(
     Err(SynthError::CscUnresolvable { attempts })
 }
 
-/// The fully symbolic resolution loop: every candidate is scored by the
-/// engine's symbolic CSC analysis — conflict counts, deadlock freedom,
-/// strong connectivity and (for CSC-free candidates) per-code logic
-/// costs all come off BDDs in the persistent manager, and **no
-/// explicit [`StateGraph`] is ever constructed** (the engine's
-/// `graph_builds` counter stays where it was; `symbolic_csc` ticks
-/// instead). The accepted resolution therefore carries `sg: None`.
-///
-/// The accepted encoding is audited against the *explicit* analyser
-/// anyway — via the counting-only packed walk
-/// ([`rt_stg::reach::count_markings_with`]), which enumerates markings
-/// without building a graph — so the two reachability implementations
-/// still cross-check each other on every accepted resolution.
-fn resolve_csc_symbolic(
-    stg: &Stg,
-    options: &CscOptions,
-    engine: &mut ReachEngine,
-) -> Result<CscResolution, SynthError> {
-    let analysis = engine.csc_conflicts_symbolic(stg)?;
-    if analysis.conflicts == 0 {
-        let cost = symbolic_encoding_cost(stg, &analysis, engine, 0);
-        audit_symbolic_acceptance(stg, analysis.markings, engine)?;
-        return Ok(CscResolution {
-            stg: stg.clone(),
-            sg: None,
-            inserted: Vec::new(),
-            cost,
-            truncated: false,
-        });
-    }
-    let mut attempts = 0;
-    let mut current = stg.clone();
-    let mut before = analysis.conflicts;
-    let mut current_cost = 1_000 + (before.min((usize::MAX / 200) as u64) as usize) * 100;
-    let mut inserted = Vec::new();
-    let mut truncated = false;
-    for round in 0..options.max_signals {
-        let name = format!("csc{round}");
-        let (best, round_truncated) =
-            best_insertion_symbolic(&current, &name, options, before, engine, &mut attempts)?;
-        truncated |= round_truncated;
-        match best {
-            Some((next_stg, after, markings, cost)) => {
-                inserted.push(name);
-                if after == 0 {
-                    audit_symbolic_acceptance(&next_stg, markings, engine)?;
-                    return Ok(CscResolution {
-                        stg: next_stg,
-                        sg: None,
-                        inserted,
-                        cost,
-                        truncated: false,
-                    });
-                }
-                before = after;
-                current = next_stg;
-                current_cost = cost;
-            }
-            None => break,
-        }
-    }
-    if truncated {
-        // Mirror of the explicit loop's partial result: best-so-far
-        // encoding under an exhausted budget, never an abort.
-        engine.note_degradation(rt_stg::Degradation::PartialSynthesis);
-        return Ok(CscResolution {
-            stg: current,
-            sg: None,
-            inserted,
-            cost: current_cost,
-            truncated: true,
-        });
-    }
-    Err(SynthError::CscUnresolvable { attempts })
-}
-
-/// Acceptance audit of the symbolic path: the symbolic reachable-
-/// marking count of the accepted STG must match the explicit
-/// counting-only walk (no state graph, no 64-signal cap).
-///
-/// On nets past the explicit walk's state limit — or past the caller's
-/// soft [`rt_stg::Budget`] — the audit is **skipped**, not failed:
-/// those are precisely the nets the symbolic path exists for, and an
-/// enumeration-bounded cross-check cannot be a hard gate there. Every
-/// other explicit-walk failure (unboundedness, deadlock under
-/// `forbid_deadlock`) still propagates — it signals a real divergence
-/// between the analysers' net semantics.
-fn audit_symbolic_acceptance(
-    stg: &Stg,
-    symbolic_markings: u64,
-    engine: &mut ReachEngine,
-) -> Result<(), SynthError> {
-    let count = match count_markings_with(stg, engine.options()) {
-        Ok(count) => count,
-        Err(rt_stg::StgError::StateLimitExceeded(_)) => return Ok(()),
-        Err(err) if err.is_resource_exhaustion() => return Ok(()),
-        Err(err) => return Err(err.into()),
-    };
-    if count.markings != symbolic_markings {
-        return Err(SynthError::BackendMismatch {
-            explicit: count.markings,
-            symbolic: symbolic_markings,
-        });
-    }
-    Ok(())
-}
-
 /// Symbolic-backend audit of an explicit-path resolution: the resolved
 /// STG's explicit state count must match the persistent manager's
 /// symbolic marking count, **and** the symbolic conflict detector must
@@ -357,7 +218,7 @@ fn audit_resolution(
     let sg = resolution
         .sg
         .as_ref()
-        .expect("the explicit path always carries its graph");
+        .expect("every resolution carries its graph");
     crate::regions::audit_against_symbolic(engine, &resolution.stg, sg)?;
     if engine.backend() == ReachBackend::Symbolic {
         let analysis = engine.csc_conflicts_symbolic(&resolution.stg)?;
@@ -432,9 +293,9 @@ type SearchOutcome<T> = (Option<T>, bool);
 /// conflict count of `stg` itself (already computed by the caller — no
 /// re-exploration).
 ///
-/// Every worker owns a private explicit [`ReachEngine`] (persistent
-/// symbolic managers are not shared across threads; candidate ranking
-/// is purely explicit anyway — see [`resolve_csc_engine`]), and the
+/// Every worker owns a private [`ReachEngine`] with `engine`'s backend
+/// and options (persistent symbolic managers are not shared across
+/// threads), and candidates only build explicit graphs on it. The
 /// workers' usage counters are folded back into `engine` afterwards,
 /// so a caller watching [`ReachEngine::stats`] sees the same
 /// `graph_builds` totals as the historical serial loop. The winner is
@@ -446,12 +307,15 @@ type SearchOutcome<T> = (Option<T>, bool);
 /// when at least one candidate was disqualified only because the
 /// engine's [`rt_stg::Budget`] ran out mid-evaluation — the caller
 /// turns that into a partial resolution instead of
-/// [`SynthError::CscUnresolvable`].
+/// [`SynthError::CscUnresolvable`]. Any other failed candidate walk is
+/// disqualified, except a cancellation.
 ///
 /// # Errors
 ///
-/// [`rt_stg::StgError::WorkerPanicked`] (as [`SynthError::Stg`]) when a
-/// candidate evaluation panicked on the pool.
+/// As [`SynthError::Stg`]: [`StgError::Cancelled`] when a candidate's
+/// walk is cancelled (no further candidate starts), and
+/// [`StgError::WorkerPanicked`] when a candidate evaluation panicked
+/// on the pool.
 fn best_insertion(
     stg: &Stg,
     name: &str,
@@ -478,19 +342,20 @@ fn best_insertion(
         };
         let sg = match worker.state_graph(&candidate) {
             Ok(sg) => sg,
+            Err(StgError::Cancelled) => return Err(StgError::Cancelled),
             Err(error) => {
                 if error.is_resource_exhaustion() {
                     truncated.store(true, Ordering::Relaxed);
                 }
-                return None;
+                return Ok(None);
             }
         };
         if !sg.is_strongly_connected() || !sg.deadlock_states().is_empty() {
-            return None;
+            return Ok(None);
         }
         let after = sg.csc_conflicts().len();
         if after >= before {
-            return None; // insertion must strictly help
+            return Ok(None); // insertion must strictly help
         }
         let penalty = critical_penalty(&candidate, name) * options.critical_path_penalty;
         let cost = if after == 0 {
@@ -499,7 +364,7 @@ fn best_insertion(
             // Not yet CSC-free: rank by remaining conflicts.
             1_000 + after * 100 + penalty
         };
-        Some((cost, (candidate, sg)))
+        Ok(Some((cost, (candidate, sg))))
     };
 
     let (best, workers) = parallel_argmin(
@@ -515,152 +380,6 @@ fn best_insertion(
         best.map(|(_, cost, (candidate, sg))| (candidate, sg, cost)),
         truncated.into_inner(),
     ))
-}
-
-/// The symbolic twin of [`best_insertion`]: candidates are scored by
-/// the engine's symbolic CSC analysis instead of explicit state
-/// graphs. Returns the winner as `(stg, remaining conflicts, symbolic
-/// marking count, cost)`.
-///
-/// Every worker owns a private *symbolic* [`ReachEngine`] — one
-/// persistent manager per worker, since managers are not shared across
-/// threads (see `rt_stg::engine`'s module docs) — and the usual
-/// deterministic `(cost, index)` reduction picks the winner. Worker
-/// counters (including `symbolic_csc`) fold back into `engine`.
-///
-/// Truncation and errors follow [`best_insertion`]'s contract exactly.
-fn best_insertion_symbolic(
-    stg: &Stg,
-    name: &str,
-    options: &CscOptions,
-    before: u64,
-    engine: &mut ReachEngine,
-    attempts: &mut usize,
-) -> Result<SearchOutcome<(Stg, u64, u64, usize)>, SynthError> {
-    let specs = insertion_specs(stg);
-    *attempts += specs.len();
-    let worker_options = engine.options().clone();
-
-    let truncated = AtomicBool::new(false);
-    let evaluate = |worker: &mut ReachEngine, index: usize| {
-        let candidate = match specs[index] {
-            InsertionSpec::Place {
-                plus,
-                minus,
-                token_after,
-            } => insert_state_signal_with(stg, name, plus, minus, token_after),
-            InsertionSpec::Trans { plus, minus } => {
-                insert_after_transitions(stg, name, plus, minus)
-            }
-        };
-        // An inconsistent or diverging candidate errors, exactly like a
-        // failed explicit exploration: disqualified — unless the only
-        // problem was the budget, which flags truncation instead.
-        let analysis = match worker.csc_conflicts_symbolic(&candidate) {
-            Ok(analysis) => analysis,
-            Err(error) => {
-                if error.is_resource_exhaustion() {
-                    truncated.store(true, Ordering::Relaxed);
-                }
-                return None;
-            }
-        };
-        if !analysis.strongly_connected || !analysis.deadlock_free {
-            return None;
-        }
-        let after = analysis.conflicts;
-        if after >= before {
-            return None; // insertion must strictly help
-        }
-        let penalty = critical_penalty(&candidate, name) * options.critical_path_penalty;
-        let cost = if after == 0 {
-            symbolic_encoding_cost(&candidate, &analysis, worker, penalty)
-        } else {
-            // Not yet CSC-free: rank by remaining conflicts, the same
-            // formula as the explicit loop. Pair-space counts can be
-            // astronomically large on huge nets, so clamp before the
-            // scale-up — an overflow here would hand a massively
-            // conflicted candidate an artificially tiny cost.
-            let clamped = after.min((usize::MAX / 200) as u64) as usize;
-            1_000 + clamped * 100 + penalty
-        };
-        Some((cost, (candidate, after, analysis.markings)))
-    };
-
-    let (best, workers) = parallel_argmin(
-        specs.len(),
-        options.threads,
-        || ReachEngine::with_options(engine.backend(), worker_options.clone()),
-        evaluate,
-    )?;
-    for worker in &workers {
-        engine.absorb_stats(worker.stats());
-    }
-    Ok((
-        best.map(|(_, cost, (candidate, after, markings))| (candidate, after, markings, cost)),
-        truncated.into_inner(),
-    ))
-}
-
-/// Minimized literal count of a CSC-free candidate, derived from the
-/// symbolic analysis' per-*code* excitation table instead of a state
-/// graph: one minterm cube per reachable code (CSC-freeness makes
-/// excitation a function of the code), unreachable codes as global
-/// don't-cares — the same monotonic-cover rules as
-/// [`crate::regions::derive_functions`], so the number is the same
-/// kind of logic cost, merely derived without enumeration. Falls back
-/// to a prohibitive cost when the net has nothing to implement or more
-/// code bits than a cover can carry.
-fn symbolic_encoding_cost(
-    stg: &Stg,
-    analysis: &CscAnalysis,
-    engine: &mut ReachEngine,
-    penalty: usize,
-) -> usize {
-    let vars = stg.signal_count();
-    if vars > 16 {
-        // Two-level cover costs live in the truth-table regime (the
-        // unreachable-code don't-care complement is exponential past
-        // it — the explicit path never derives costs there either, as
-        // `bench_reach` skips synthesis above 16 signals). Rank wide
-        // CSC-free candidates by the timing-aware penalty alone; ties
-        // break by candidate order.
-        return penalty;
-    }
-    let Some(manager) = engine.manager_mut() else {
-        return usize::MAX / 2;
-    };
-    let table = analysis.code_table(manager);
-    if table.implemented.is_empty() {
-        return usize::MAX / 2;
-    }
-    let reachable: BTreeSet<u64> = table.rows.iter().map(|r| r.code).collect();
-    let unreachable_dc = unreachable_cover(vars, &reachable);
-    let mut total = penalty;
-    for (k, &signal) in table.implemented.iter().enumerate() {
-        let mut set_on = Cover::empty(vars);
-        let mut set_dc = unreachable_dc.clone();
-        let mut reset_on = Cover::empty(vars);
-        let mut reset_dc = unreachable_dc.clone();
-        for row in &table.rows {
-            let cube = Cube::minterm(vars, row.code);
-            match row.excited[k] {
-                Some(Edge::Rise) => set_on.push(cube),
-                Some(Edge::Fall) => reset_on.push(cube),
-                None => {
-                    if row.code >> signal.index() & 1 == 1 {
-                        set_dc.push(cube);
-                    } else {
-                        reset_dc.push(cube);
-                    }
-                }
-            }
-        }
-        let set = minimize(&set_on, &set_dc);
-        let reset = minimize(&reset_on, &reset_dc);
-        total += set.literal_count() + reset.literal_count() + 2;
-    }
-    total
 }
 
 /// Simple places: exactly one producer and one consumer — safe insertion
@@ -859,10 +578,9 @@ mod tests {
     use super::*;
     use rt_stg::{explore, models};
 
-    /// The explicit-path graph of a resolution (every test below that
-    /// uses it runs below the symbolic threshold).
+    /// The graph every resolution carries.
     fn graph(res: &CscResolution) -> &StateGraph {
-        res.sg.as_ref().expect("explicit path carries its graph")
+        res.sg.as_ref().expect("every resolution carries its graph")
     }
 
     #[test]
@@ -922,6 +640,9 @@ mod tests {
                 rt_stg::corpus::parse(rt_stg::corpus::VME_READ_G).unwrap(),
             ),
             ("handshake", models::handshake_stg()),
+            // 66 places and CSC-free: past one packed machine word, the
+            // size class wide nets start at.
+            ("chain32", models::chain_stg(32)),
         ] {
             let mut explicit = ReachEngine::explicit();
             let mut symbolic = ReachEngine::symbolic();
@@ -929,8 +650,10 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{name} explicit: {e}"));
             let b = resolve_csc_engine(&stg, &options, &mut symbolic)
                 .unwrap_or_else(|e| panic!("{name} symbolic: {e}"));
+            assert_eq!(a.stg, b.stg, "{name}");
             assert_eq!(a.inserted, b.inserted, "{name}");
             assert_eq!(a.cost, b.cost, "{name}");
+            assert_eq!(a.truncated, b.truncated, "{name}");
             let (ga, gb) = (graph(&a), graph(&b));
             assert_eq!(ga.state_count(), gb.state_count(), "{name}");
             assert_eq!(

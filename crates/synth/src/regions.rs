@@ -224,10 +224,7 @@ pub(crate) fn audit_against_symbolic(
 }
 
 /// The global don't-care cover: every code outside `reachable`.
-/// `pub(crate)` because the symbolic encoding-cost derivation in
-/// [`crate::csc`] builds the same don't-care set from a symbolically
-/// enumerated code list.
-pub(crate) fn unreachable_cover(vars: usize, reachable: &BTreeSet<u64>) -> Cover {
+fn unreachable_cover(vars: usize, reachable: &BTreeSet<u64>) -> Cover {
     // Complement of the reachable-code minterm cover. For small signal
     // counts enumerate directly; otherwise go through Cover::complement.
     if vars <= 16 {

@@ -1,117 +1,13 @@
-//! The symbolic CSC resolution path: fully-symbolic candidate ranking
-//! (no explicit state graph anywhere, asserted via `EngineStats`),
-//! threshold routing, and a property test pitting the two conflict
-//! detectors against each other on random insertion candidates — the
-//! exact perturbations the encoding search enumerates.
+//! The two CSC conflict detectors against each other on random
+//! state-signal insertion candidates — the exact perturbations the
+//! encoding search enumerates. The explicit detector ranks those
+//! candidates; the symbolic one answers conflict checks and audits
+//! accepted resolutions, so the two must agree on every candidate.
 
 use proptest::prelude::*;
-use rt_stg::engine::ReachEngine;
 use rt_stg::symbolic::csc::csc_conflicts_symbolic;
 use rt_stg::{corpus, explore, models, Stg, StgError};
-use rt_synth::csc::{
-    insert_state_signal_with, resolve_csc_engine, simple_places, CscOptions,
-    DEFAULT_SYMBOLIC_THRESHOLD,
-};
-
-/// Options forcing the symbolic detector regardless of net size.
-fn symbolic_everywhere() -> CscOptions {
-    CscOptions {
-        symbolic_threshold: 0,
-        ..CscOptions::default()
-    }
-}
-
-#[test]
-fn fifo_and_vme_resolve_symbolically_without_any_explicit_graph() {
-    for (name, stg) in [
-        ("fifo", models::fifo_stg()),
-        (
-            "vme_read",
-            corpus::parse(corpus::VME_READ_G).expect("parses"),
-        ),
-    ] {
-        let mut engine = ReachEngine::symbolic();
-        let res = resolve_csc_engine(&stg, &symbolic_everywhere(), &mut engine)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(!res.inserted.is_empty(), "{name}: needs a state signal");
-        assert!(
-            res.sg.is_none(),
-            "{name}: the fully symbolic resolution carries no graph"
-        );
-        assert_eq!(
-            engine.stats().graph_builds,
-            0,
-            "{name}: no explicit StateGraph may be constructed on the symbolic path"
-        );
-        assert!(
-            engine.stats().symbolic_csc > 0,
-            "{name}: candidates were ranked by the symbolic detector"
-        );
-        // Independent check with the explicit analyser, outside the
-        // engine: the accepted encoding really is CSC-free and live.
-        let sg = explore(&res.stg).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(sg.csc_conflicts().is_empty(), "{name}: CSC-free");
-        assert!(sg.is_strongly_connected(), "{name}: live");
-        assert!(sg.deadlock_states().is_empty(), "{name}: deadlock-free");
-    }
-}
-
-#[test]
-fn default_threshold_keeps_small_nets_on_the_explicit_detector() {
-    let stg = models::fifo_stg();
-    assert!(stg.net().place_count() < DEFAULT_SYMBOLIC_THRESHOLD);
-    let mut engine = ReachEngine::symbolic();
-    let res = resolve_csc_engine(&stg, &CscOptions::default(), &mut engine).expect("resolves");
-    assert!(
-        res.sg.is_some(),
-        "below the threshold the explicit detector runs and keeps its graph"
-    );
-    assert!(engine.stats().graph_builds > 0);
-}
-
-#[test]
-fn wide_csc_free_nets_route_symbolically_by_default() {
-    // chain32: 66 places (past the one-word packing budget and the
-    // default threshold), strictly sequential, CSC-free.
-    let stg = models::chain_stg(32);
-    assert!(stg.net().place_count() >= DEFAULT_SYMBOLIC_THRESHOLD);
-    let mut engine = ReachEngine::symbolic();
-    let res = resolve_csc_engine(&stg, &CscOptions::default(), &mut engine).expect("resolves");
-    assert!(res.inserted.is_empty(), "already CSC-free");
-    assert!(res.sg.is_none());
-    assert_eq!(engine.stats().graph_builds, 0);
-    assert_eq!(engine.stats().symbolic_csc, 1);
-}
-
-#[test]
-fn symbolic_and_explicit_paths_insert_equally_many_signals() {
-    // The two detectors may tie-break differently (per-code vs
-    // per-state covers), but both must reach a CSC-free encoding of
-    // the paper models with the same number of inserted signals.
-    for (name, stg) in [
-        ("fifo", models::fifo_stg()),
-        (
-            "vme_read",
-            corpus::parse(corpus::VME_READ_G).expect("parses"),
-        ),
-        (
-            "pipeline_stage",
-            corpus::parse(corpus::PIPELINE_STAGE_G).expect("parses"),
-        ),
-    ] {
-        let explicit =
-            resolve_csc_engine(&stg, &CscOptions::default(), &mut ReachEngine::explicit())
-                .unwrap_or_else(|e| panic!("{name} explicit: {e}"));
-        let symbolic =
-            resolve_csc_engine(&stg, &symbolic_everywhere(), &mut ReachEngine::symbolic())
-                .unwrap_or_else(|e| panic!("{name} symbolic: {e}"));
-        assert_eq!(
-            explicit.inserted.len(),
-            symbolic.inserted.len(),
-            "{name}: same number of state signals"
-        );
-    }
-}
+use rt_synth::csc::{insert_state_signal_with, simple_places};
 
 /// The conflicted models the search perturbs.
 fn conflicted_models() -> Vec<Stg> {

@@ -16,6 +16,7 @@ use rt_stg::engine::{Degradation, ReachEngine};
 use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{models, Budget, StgError};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
+use rt_synth::SynthError;
 
 #[test]
 fn symbolic_node_exhaustion_degrades_via_trim_retry() {
@@ -109,6 +110,34 @@ fn budget_starved_candidate_search_returns_a_partial_resolution() {
     );
     assert!(
         engine
+            .stats()
+            .degradations
+            .contains(&Degradation::PartialSynthesis),
+        "{:?}",
+        engine.stats().degradations
+    );
+}
+
+#[test]
+fn a_cancelled_candidate_walk_stops_the_search() {
+    // The fifo's own walk ends before round 12, so the shot fires in
+    // the first candidate walk that gets that far. The search must stop
+    // there with the cancellation, not go on to rank the remaining
+    // candidates (a false verdict or a resolution built from the
+    // candidates that ran before the cancel).
+    let _suite = suite();
+    let stg = models::fifo_stg();
+    let options = CscOptions {
+        threads: 1,
+        ..CscOptions::default()
+    };
+    let _guard = arm(Fault::CancelAt { round: 12 }, 1);
+    let mut engine = ReachEngine::explicit();
+    let result =
+        resolve_csc_engine(&stg, &options, &mut engine).map(|res| (res.inserted, res.cost));
+    assert_eq!(result, Err(SynthError::Stg(StgError::Cancelled)));
+    assert!(
+        !engine
             .stats()
             .degradations
             .contains(&Degradation::PartialSynthesis),
