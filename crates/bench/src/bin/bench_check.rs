@@ -37,6 +37,13 @@
 //! row, so the same sub-`--min-states` models are skipped; rows whose
 //! model has no `models` row are not gated.
 //!
+//! The bytes a fresh manager holds at the end of each of those runs
+//! (`bdd_bytes` on `models` and `csc_symbolic` rows) are gated with the
+//! same skip rule but a tight bound, [`BYTES_MAX_RATIO`]: the count is
+//! deterministic, so a trip means the manager's tables really grew.
+//! Rows lacking the key (baselines older than the column) are not
+//! gated.
+//!
 //! Beyond timing, the gate also fails (exit 1) when the **fresh**
 //! snapshot's summary reports a nonzero `degradations` count: the
 //! standard corpus must run to completion under default budgets, so any
@@ -57,6 +64,9 @@
 //! there means the batch scheduler's single-flight path went dead.
 
 use std::process::ExitCode;
+
+/// Largest allowed `bdd_bytes` ratio, fresh over baseline.
+const BYTES_MAX_RATIO: f64 = 1.25;
 
 /// One comparable model row.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,10 +125,11 @@ fn section<'a>(json: &'a str, key: &str) -> impl Iterator<Item = &'a str> {
         .take_while(|line| !line.trim_start().starts_with(']'))
 }
 
-/// One symbolic timing per row of `section` (the `key` column), as rows
-/// [`compare`] gates like exploration times: the timing goes in
-/// `explore_ns`, and the state count comes from the model's row in the
-/// `models` section. Rows whose model is not there are left out.
+/// One number per row of `section` (the `key` column: a symbolic timing
+/// or `bdd_bytes`), as rows [`compare`] gates like exploration times:
+/// the number goes in `explore_ns`, and the state count comes from the
+/// model's row in the `models` section. Rows whose model is not there,
+/// or that lack the key, are left out.
 fn parse_timing(json: &str, section_key: &str, key: &str) -> Vec<ModelRow> {
     let models = parse_models(json);
     section(json, section_key)
@@ -387,16 +398,28 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Symbolic timing gate: the same ratio and skip rule on each
-    // model's symbolic reach time and on the symbolic CSC detector's
-    // cold time.
-    for (what, section_key, key) in [
-        ("symbolic", "models", "symbolic_ns"),
-        ("symbolic csc", "csc_symbolic", "symbolic_cold_ns"),
+    // Symbolic gates: the same skip rule on each model's symbolic reach
+    // time and on the symbolic CSC detector's cold time (at the timing
+    // ratio), and on the bytes each fresh manager ends up holding.
+    for (what, section_key, key, limit) in [
+        ("symbolic", "models", "symbolic_ns", max_ratio),
+        (
+            "symbolic csc",
+            "csc_symbolic",
+            "symbolic_cold_ns",
+            max_ratio,
+        ),
+        ("bdd bytes", "models", "bdd_bytes", BYTES_MAX_RATIO),
+        (
+            "csc bdd bytes",
+            "csc_symbolic",
+            "bdd_bytes",
+            BYTES_MAX_RATIO,
+        ),
     ] {
         let base = parse_timing(&baseline_text, section_key, key);
         let fresh = parse_timing(&fresh_text, section_key, key);
-        for (name, verdict) in compare(&base, &fresh, max_ratio, min_states) {
+        for (name, verdict) in compare(&base, &fresh, limit, min_states) {
             match verdict {
                 Verdict::Ok(ratio) => println!("  ok      {name:<24} {ratio:>6.2}x  ({what})"),
                 Verdict::SkippedSmall => {
@@ -404,14 +427,14 @@ fn main() -> ExitCode {
                 }
                 Verdict::Regressed(ratio) => {
                     regressions += 1;
-                    println!("  REGRESS {name:<24} {ratio:>6.2}x  ({what}, limit {max_ratio}x)");
+                    println!("  REGRESS {name:<24} {ratio:>6.2}x  ({what}, limit {limit}x)");
                 }
             }
         }
     }
     if regressions > 0 {
         eprintln!(
-            "bench_check: {regressions} model(s) regressed past {max_ratio}x vs {baseline_path}"
+            "bench_check: {regressions} row(s) regressed past their limit vs {baseline_path}"
         );
         return ExitCode::from(1);
     }
@@ -778,6 +801,76 @@ mod tests {
         // Snapshots without symbolic columns gate nothing here.
         assert!(parse_timing(&snapshot(1.0), "models", "symbolic_ns").is_empty());
         assert!(parse_timing(&snapshot(1.0), "csc_symbolic", "symbolic_cold_ns").is_empty());
+    }
+
+    /// The fixture with `bdd_bytes` on every model and `csc_symbolic`
+    /// row, every byte count times `scale`.
+    fn bytes_snapshot(scale: f64) -> String {
+        let mut out = String::new();
+        for line in symbolic_snapshot(1.0).lines() {
+            match (field_number(line, "bdd_nodes"), line.rfind('}')) {
+                (Some(nodes), Some(end)) if line.contains("\"name\"") => {
+                    let bytes = nodes * 40.0 * scale;
+                    out.push_str(&format!(
+                        "{}, \"bdd_bytes\": {bytes:.0}{}\n",
+                        &line[..end],
+                        &line[end..]
+                    ));
+                }
+                _ => {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn table_memory_growth_is_caught_and_savings_pass() {
+        let base = bytes_snapshot(1.0);
+        let models = parse_timing(&base, "models", "bdd_bytes");
+        assert_eq!(models.len(), 3);
+        assert!(
+            (models[2].explore_ns - 104_000.0).abs() < 1.0,
+            "bytes, not time"
+        );
+        let csc = parse_timing(&base, "csc_symbolic", "bdd_bytes");
+        assert_eq!(csc.len(), 2);
+        assert_eq!(csc[1].states, 48, "state count from the models section");
+        for (section_key, rows) in [("models", 3), ("csc_symbolic", 2)] {
+            let gate = |scale: f64| {
+                compare(
+                    &parse_timing(&base, section_key, "bdd_bytes"),
+                    &parse_timing(&bytes_snapshot(scale), section_key, "bdd_bytes"),
+                    BYTES_MAX_RATIO,
+                    20,
+                )
+            };
+            // 30% more bytes trips every gated row; the sub-20-state
+            // row stays skipped.
+            let grown = gate(1.3);
+            assert_eq!(grown.len(), rows, "{section_key}");
+            assert!(matches!(grown[0].1, Verdict::SkippedSmall), "{section_key}");
+            assert!(
+                grown[1..]
+                    .iter()
+                    .all(|(_, v)| matches!(v, Verdict::Regressed(r) if (r - 1.3).abs() < 0.01)),
+                "{section_key}"
+            );
+            // 20% more, or half as many, pass.
+            for scale in [1.2, 0.5] {
+                assert!(
+                    gate(scale)
+                        .iter()
+                        .all(|(_, v)| !matches!(v, Verdict::Regressed(_))),
+                    "{section_key} x{scale}"
+                );
+            }
+        }
+        // Snapshots without the column gate nothing here.
+        assert!(parse_timing(&symbolic_snapshot(1.0), "models", "bdd_bytes").is_empty());
+        assert!(parse_timing(&symbolic_snapshot(1.0), "csc_symbolic", "bdd_bytes").is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! (serially and on a [`POOL_THREADS`]-wide candidate worker pool) and
 //! measures the persistent symbolic manager's warm-vs-fresh advantage.
 //! Writes `BENCH_reach.json` with per-model wall times, exploration
-//! throughput (states/sec) and allocated BDD node counts. Future
+//! throughput (states/sec), allocated BDD node counts and the bytes the
+//! manager holds (`bdd_bytes`, [`rt_boolean::Bdd::heap_bytes`]). Future
 //! changes compare against the committed baseline to catch
 //! regressions:
 //!
@@ -43,6 +44,7 @@ struct Row {
     symbolic_ns: f64,
     symbolic_markings: u64,
     bdd_nodes: usize,
+    bdd_bytes: usize,
 }
 
 /// One measured CSC resolution (the engine stage).
@@ -104,9 +106,10 @@ fn measure(name: &str, stg: &Stg, min_ms: u128) -> Row {
     // Symbolic reach in a fresh manager per call.
     let fresh = || {
         let mut bdd = rt_boolean::Bdd::new(stg.net().place_count());
-        reach_symbolic_in(stg, &mut bdd).expect("symbolic explores")
+        let reach = reach_symbolic_in(stg, &mut bdd).expect("symbolic explores");
+        (reach, bdd.heap_bytes())
     };
-    let symbolic = fresh();
+    let (symbolic, bdd_bytes) = fresh();
     let symbolic_ns = time_ns(min_ms, fresh);
 
     Row {
@@ -119,6 +122,7 @@ fn measure(name: &str, stg: &Stg, min_ms: u128) -> Row {
         symbolic_ns,
         symbolic_markings: symbolic.markings,
         bdd_nodes: symbolic.bdd_nodes,
+        bdd_bytes,
     }
 }
 
@@ -132,6 +136,7 @@ struct CscSymbolicRow {
     symbolic_cold_ns: f64,
     symbolic_warm_ns: f64,
     bdd_nodes: usize,
+    bdd_bytes: usize,
 }
 
 /// Times conflict *detection* (not resolution) both ways. The counts
@@ -142,9 +147,10 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
     let explicit_conflicts = sg.csc_conflicts().len() as u64;
     let cold = || {
         let mut bdd = rt_boolean::Bdd::new(0);
-        csc_conflicts_symbolic_in(stg, &mut bdd).expect("analyses")
+        let analysis = csc_conflicts_symbolic_in(stg, &mut bdd).expect("analyses");
+        (analysis, bdd.heap_bytes())
     };
-    let analysis = cold();
+    let (analysis, bdd_bytes) = cold();
     assert_eq!(
         analysis.conflicts, explicit_conflicts,
         "{name}: detectors must agree on the conflict count"
@@ -166,6 +172,7 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
         symbolic_cold_ns,
         symbolic_warm_ns,
         bdd_nodes: analysis.bdd_nodes,
+        bdd_bytes,
     }
 }
 
@@ -266,6 +273,7 @@ fn validate(json: &str) -> Result<(), String> {
         "\"warm_speedup\"",
         "\"aggregate_states_per_sec\"",
         "\"degradations\"",
+        "\"bdd_bytes\"",
     ] {
         if !json.contains(key) {
             return Err(format!("missing key {key}"));
@@ -306,9 +314,9 @@ fn main() {
     for (name, stg) in corpus_models() {
         let row = measure(&name, &stg, min_ms);
         println!(
-            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s)  symbolic {:>10.0} ns  {:>8} bdd nodes",
+            "{:<24} {:>7} states  explore {:>10.0} ns ({:>12.0} states/s)  symbolic {:>10.0} ns  {:>8} bdd nodes  {:>9} bdd bytes",
             row.name, row.states, row.explore_ns, row.states_per_sec, row.symbolic_ns,
-            row.bdd_nodes
+            row.bdd_nodes, row.bdd_bytes
         );
         rows.push(row);
     }
@@ -364,9 +372,9 @@ fn main() {
         .map(|(name, stg)| {
             let row = measure_csc_symbolic(name, stg, min_ms);
             println!(
-                "csc-sym {:<16} {:>7} conflicts  explicit {:>11.0} ns  symbolic cold {:>11.0} / warm {:>11.0} ns  {:>8} bdd nodes",
+                "csc-sym {:<16} {:>7} conflicts  explicit {:>11.0} ns  symbolic cold {:>11.0} / warm {:>11.0} ns  {:>8} bdd nodes  {:>9} bdd bytes",
                 row.name, row.conflicts, row.explicit_detect_ns, row.symbolic_cold_ns,
-                row.symbolic_warm_ns, row.bdd_nodes
+                row.symbolic_warm_ns, row.bdd_nodes, row.bdd_bytes
             );
             row
         })
@@ -388,7 +396,8 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"states\": {}, \"arcs\": {}, \
              \"explore_ns\": {:.0}, \"states_per_sec\": {:.0}, \"synth_ns\": {}, \
-             \"symbolic_ns\": {:.0}, \"symbolic_markings\": {}, \"bdd_nodes\": {}}}{}",
+             \"symbolic_ns\": {:.0}, \"symbolic_markings\": {}, \"bdd_nodes\": {}, \
+             \"bdd_bytes\": {}}}{}",
             r.name,
             r.states,
             r.arcs,
@@ -398,6 +407,7 @@ fn main() {
             r.symbolic_ns,
             r.symbolic_markings,
             r.bdd_nodes,
+            r.bdd_bytes,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
@@ -427,13 +437,15 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"conflicts\": {}, \"explicit_detect_ns\": {:.0}, \
-             \"symbolic_cold_ns\": {:.0}, \"symbolic_warm_ns\": {:.0}, \"bdd_nodes\": {}}}{}",
+             \"symbolic_cold_ns\": {:.0}, \"symbolic_warm_ns\": {:.0}, \"bdd_nodes\": {}, \
+             \"bdd_bytes\": {}}}{}",
             r.name,
             r.conflicts,
             r.explicit_detect_ns,
             r.symbolic_cold_ns,
             r.symbolic_warm_ns,
             r.bdd_nodes,
+            r.bdd_bytes,
             if i + 1 < csc_symbolic_rows.len() {
                 ","
             } else {

@@ -6,23 +6,27 @@
 //! (`rt_stg::symbolic`).
 //!
 //! A [`Bdd`] manager keeps its nodes in one vector and three flat tables
-//! beside it:
+//! beside it. Each table is sized by the work it serves, so on a large
+//! manager the tables hold less memory than the nodes:
 //!
 //! * the **unique table**, one open-addressed table of node ids hashed
 //!   on `(var, low, high)`, which makes equivalent functions
-//!   pointer-identical. It doubles at load 1/2.
+//!   pointer-identical. It doubles at load 3/4.
 //! * the **computed table**, one direct-mapped table of tagged entries
 //!   (an `apply` operator or a cofactor value, two operands and the
 //!   result). It memoizes `apply` and [`Bdd::restrict`] results across
-//!   calls, so a repeated conjunction resolves as one probe. Its slot
-//!   count is the node count rounded up to a power of two (at least the
-//!   manager's pre-sizing), and a colliding entry overwrites the old
-//!   one. A lost entry only costs a recomputation: every node a result
-//!   reaches already exists, so the recomputation adds none.
+//!   calls, so a repeated conjunction resolves as one probe. It doubles
+//!   when the node count passes four times its slot count, so once it
+//!   has grown it holds a quarter to a half as many slots as there are
+//!   nodes. A colliding entry overwrites the old one. A lost entry only
+//!   costs a recomputation: every node a result reaches already exists,
+//!   so the recomputation adds none.
 //! * the **image memo** of [`Bdd::replace_cube`], a direct-mapped table
 //!   whose entries are tagged with a per-call generation number, so a
 //!   new call never reads an old call's entries and nothing is cleared
-//!   between calls.
+//!   between calls. It is sized by one call's work, not by the
+//!   manager's history: it doubles only when one call writes more
+//!   entries than half its slots.
 //!
 //! [`Bdd::replace_cube`] fires one transition — constrain a set to the
 //! enabling cube, quantify the cube's support, set the firing cube — in
@@ -125,6 +129,8 @@ pub struct Bdd {
     memo: Vec<MemoEntry>,
     /// Tag of the current [`Bdd::replace_cube`] call's memo entries.
     generation: u32,
+    /// Memo entries the current [`Bdd::replace_cube`] call has written.
+    memo_writes: usize,
     /// Soft footprint budget (see [`Bdd::over_budget`]); `None` = unlimited.
     node_budget: Option<usize>,
 }
@@ -134,12 +140,17 @@ pub struct Bdd {
 const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Default pre-sizing of a [`Bdd::new`] manager: the node vector holds
-/// this many nodes, the computed table and the image memo as many
-/// slots, and the unique table twice as many. Large enough that small
-/// managers never grow a table, small enough that a manager built for
-/// one small query (`rt-service` builds one per request) does not fault
-/// in pages it never touches.
+/// this many nodes, the computed table as many slots, and the unique
+/// table twice as many. The computed table first grows at four times
+/// this many nodes. Small enough that a manager built for one small
+/// query (`rt-service` builds one per request) does not fault in pages
+/// it never touches.
 const NODE_CAPACITY: usize = 1 << 9;
+
+/// Image-memo slots of a [`Bdd::new`] manager. The memo first grows
+/// when one [`Bdd::replace_cube`] call writes more than half this many
+/// entries, whatever the size of the manager.
+const MEMO_CAPACITY: usize = 1 << 12;
 
 /// Computed-table tag of a cofactor at value 0; value 1 is the next tag.
 /// Below it are the [`Op`] tags.
@@ -198,17 +209,25 @@ impl Op {
 
 impl Bdd {
     /// Creates a manager over `vars` variables, pre-sized for typical
-    /// reachability workloads.
+    /// reachability workloads: 512 nodes and computed-table slots, and
+    /// 4,096 image-memo slots.
     pub fn new(vars: usize) -> Self {
-        Bdd::with_capacity(vars, NODE_CAPACITY)
+        Bdd::sized(vars, NODE_CAPACITY, MEMO_CAPACITY)
     }
 
     /// Creates a manager pre-sized for roughly `capacity` nodes: the
     /// computed table and the image memo start with `capacity` slots
     /// and the unique table with twice as many (each rounded up to a
-    /// power of two). Every table grows with the node count, so the
-    /// capacity only decides how soon; a tiny one forces collisions.
+    /// power of two, at least 2). Each table grows by its own rule (see
+    /// the module docs), so the capacity only decides how soon; a tiny
+    /// one forces collisions.
     pub fn with_capacity(vars: usize, capacity: usize) -> Self {
+        Bdd::sized(vars, capacity, capacity)
+    }
+
+    /// A manager with room for `capacity` nodes and `memo` image-memo
+    /// slots.
+    fn sized(vars: usize, capacity: usize, memo: usize) -> Self {
         let zero = Node {
             var: TERMINAL_VAR,
             low: NodeId::ZERO,
@@ -230,8 +249,9 @@ impl Bdd {
             unique: vec![0; 2 * slots],
             computed: vec![Computed::default(); slots],
             computed_len: 0,
-            memo: vec![MemoEntry::default(); slots],
+            memo: vec![MemoEntry::default(); memo.max(2).next_power_of_two()],
             generation: 0,
+            memo_writes: 0,
             node_budget: None,
         }
     }
@@ -303,10 +323,10 @@ impl Bdd {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node { var, low, high });
         self.unique[slot] = id.0;
-        if 2 * (self.nodes.len() - 2) > self.unique.len() {
+        if 4 * (self.nodes.len() - 2) > 3 * self.unique.len() {
             self.grow_unique();
         }
-        if self.nodes.len() > self.computed.len() {
+        if self.nodes.len() > 4 * self.computed.len() {
             self.grow_computed();
         }
         id
@@ -388,8 +408,8 @@ impl Bdd {
 
     /// Number of occupied slots in the computed table. The table starts
     /// at the manager's pre-sizing and doubles whenever the node count
-    /// passes it, so once it has grown this stays below twice the node
-    /// count.
+    /// passes four times its slot count, so once it has grown this stays
+    /// below half the node count.
     pub fn cache_len(&self) -> usize {
         self.computed_len
     }
@@ -398,10 +418,22 @@ impl Bdd {
     /// computed-table slots. This — not `node_count` alone — is what
     /// [`Bdd::over_budget`] compares against the budget, so that the
     /// share [`Bdd::trim_caches`] can release is part of it; nodes are
-    /// never freed. Since the computed table is bounded, so is the share
-    /// of the footprint that is not nodes.
+    /// never freed. On a grown manager the computed table holds fewer
+    /// entries than half the node count, so nodes make up more than two
+    /// thirds of the footprint.
     pub fn footprint(&self) -> usize {
         self.node_count() + self.cache_len()
+    }
+
+    /// Bytes the manager holds on the heap: the node vector and the
+    /// unique table, the computed table and the image memo, counted by
+    /// allocated capacity. The same operations on a fresh manager always
+    /// give the same number.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * size_of::<Node>()
+            + self.unique.capacity() * size_of::<u32>()
+            + self.computed.capacity() * size_of::<Computed>()
+            + self.memo.capacity() * size_of::<MemoEntry>()
     }
 
     /// Sets (or clears, with `None`) the soft footprint budget.
@@ -423,15 +455,16 @@ impl Bdd {
     /// exceeds the configured budget. Always `false` when no budget is
     /// set. A `true` answer can sometimes be cleared by
     /// [`Bdd::trim_caches`], which empties the computed table; on a
-    /// grown manager that table holds fewer entries than twice the node
-    /// count, so a trim frees less than two thirds of the footprint.
+    /// grown manager that table holds fewer entries than half the node
+    /// count, so a trim frees less than a third of the footprint.
     pub fn over_budget(&self) -> bool {
         self.node_budget.is_some_and(|b| self.footprint() > b)
     }
 
     /// Empties the computed table (its slots stay allocated) but keeps
     /// the unique table and every node alive, so [`Bdd::cache_len`]
-    /// reads 0 afterwards.
+    /// reads 0 afterwards. The image memo needs no trim: a new
+    /// [`Bdd::replace_cube`] call never reads an earlier call's entries.
     ///
     /// This is the middle ground between "keep everything" and a full
     /// manager drop: all existing [`NodeId`]s remain valid — hash
@@ -440,7 +473,8 @@ impl Bdd {
     /// (`crates/stg/tests/engine_reuse.rs` pins this) — while the
     /// memoized operation results are rebuilt on demand. The table is a
     /// pure memo over function-stable node ids; dropping entries can
-    /// only cost recomputation, never correctness.
+    /// only cost recomputation, never correctness. On a grown manager
+    /// it frees less than a third of the [`footprint`](Bdd::footprint).
     pub fn trim_caches(&mut self) {
         self.computed.fill(Computed::default());
         self.computed_len = 0;
@@ -778,6 +812,8 @@ impl Bdd {
     /// Literals may come in any order; each call sorts them by
     /// variable. The memo is the manager's image memo, read only under
     /// this call's generation tag; nothing enters the computed table.
+    /// When the call writes more entries than half the memo's slots, the
+    /// memo doubles and keeps this call's entries.
     ///
     /// # Panics
     ///
@@ -797,17 +833,28 @@ impl Bdd {
             seq.windows(2).all(|w| w[0].0 < w[1].0),
             "replace_cube literals must name distinct variables"
         );
-        // The memo keeps pace with the computed table between calls; a
-        // new generation retires every earlier call's entries at once.
-        if self.memo.len() < self.computed.len() {
-            self.memo = vec![MemoEntry::default(); self.computed.len()];
-        }
+        // A new generation retires every earlier call's entries at once.
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             self.memo.fill(MemoEntry::default());
             self.generation = 1;
         }
+        self.memo_writes = 0;
         self.replace_cube_rec(f, &seq, 0)
+    }
+
+    fn memo_slot(&self, node: NodeId, lit: u32) -> usize {
+        hash3(node.0, lit, 0) & (self.memo.len() - 1)
+    }
+
+    /// Doubles the image memo, keeping the current call's entries.
+    fn grow_memo(&mut self) {
+        let grown = vec![MemoEntry::default(); 2 * self.memo.len()];
+        let old = std::mem::replace(&mut self.memo, grown);
+        for entry in old.into_iter().filter(|e| e.generation == self.generation) {
+            let slot = self.memo_slot(NodeId(entry.node), entry.lit);
+            self.memo[slot] = entry;
+        }
     }
 
     fn replace_cube_rec(&mut self, f: NodeId, seq: &[(u32, bool, bool)], i: usize) -> NodeId {
@@ -815,8 +862,7 @@ impl Bdd {
             return f;
         }
         let lit = i as u32;
-        let slot = hash3(f.0, lit, 0) & (self.memo.len() - 1);
-        let entry = self.memo[slot];
+        let entry = self.memo[self.memo_slot(f, lit)];
         if entry.generation == self.generation && entry.node == f.0 && entry.lit == lit {
             return NodeId(entry.result);
         }
@@ -839,12 +885,18 @@ impl Bdd {
                 self.mk(var, rest, NodeId::ZERO)
             }
         };
+        // The recursion may have grown the memo: hash again.
+        let slot = self.memo_slot(f, lit);
         self.memo[slot] = MemoEntry {
             generation: self.generation,
             node: f.0,
             lit,
             result: result.0,
         };
+        self.memo_writes += 1;
+        if 2 * self.memo_writes > self.memo.len() {
+            self.grow_memo();
+        }
         result
     }
 
@@ -1147,9 +1199,12 @@ mod tests {
             assert!(bdd.cache_len() <= bdd.computed.len(), "step {v}");
             assert_eq!(bdd.cache_len(), occupied(&bdd), "step {v}");
         }
+        assert!(bdd.computed.len() > 2, "the table has grown");
         assert!(
-            bdd.computed.len() >= bdd.node_count(),
-            "grows with the nodes"
+            4 * bdd.computed.len() >= bdd.node_count() && 2 * bdd.computed.len() < bdd.node_count(),
+            "a quarter to a half as many slots as nodes: {} slots, {} nodes",
+            bdd.computed.len(),
+            bdd.node_count()
         );
         assert!(bdd.cache_len() > 0);
         let slots = bdd.computed.len();
@@ -1157,6 +1212,112 @@ mod tests {
         assert_eq!(bdd.cache_len(), 0);
         assert_eq!(occupied(&bdd), 0);
         assert_eq!(bdd.computed.len(), slots, "the slots stay allocated");
+    }
+
+    /// `∨_{i<n} (x_i ∧ x_{i+n})` over `2n` variables: every pair is
+    /// split by the order, so the diagram has about `2^(n+1)` nodes.
+    fn split_pairs(bdd: &mut Bdd, n: usize) -> NodeId {
+        let mut f = NodeId::ZERO;
+        for i in 0..n {
+            let a = bdd.var(i);
+            let b = bdd.var(i + n);
+            let ab = bdd.and(a, b);
+            f = bdd.or(f, ab);
+        }
+        f
+    }
+
+    /// Nodes reachable from `f`, terminals excluded.
+    fn size(bdd: &Bdd, f: NodeId) -> usize {
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![f];
+        while let Some(id) = stack.pop() {
+            if !bdd.is_terminal(id) && seen.insert(id) {
+                let node = bdd.node(id);
+                stack.extend([node.low, node.high]);
+            }
+        }
+        seen.len()
+    }
+
+    /// The image by the and/exists/and chain `replace_cube` replaces.
+    fn chain_image(bdd: &mut Bdd, f: NodeId, lits: &[(usize, bool, bool)]) -> NodeId {
+        let mut g = f;
+        for &(var, from, _) in lits {
+            let lit = if from { bdd.var(var) } else { bdd.nvar(var) };
+            g = bdd.and(g, lit);
+        }
+        for &(var, ..) in lits {
+            g = bdd.exists(g, var);
+        }
+        for &(var, _, to) in lits {
+            let lit = if to { bdd.var(var) } else { bdd.nvar(var) };
+            g = bdd.and(g, lit);
+        }
+        g
+    }
+
+    #[test]
+    fn two_slot_capacity_builds_two_slot_tables() {
+        let bdd = Bdd::with_capacity(6, 2);
+        assert_eq!(bdd.computed.len(), 2);
+        assert_eq!(bdd.memo.len(), 2);
+        assert_eq!(bdd.unique.len(), 4);
+        let roomy = Bdd::new(6);
+        assert_eq!(roomy.computed.len(), NODE_CAPACITY);
+        assert_eq!(roomy.memo.len(), MEMO_CAPACITY);
+        assert_eq!(roomy.unique.len(), 2 * NODE_CAPACITY);
+        assert_eq!(
+            roomy.heap_bytes(),
+            NODE_CAPACITY * (12 + 2 * 4 + 16) + MEMO_CAPACITY * 16,
+            "nodes of 12 bytes, 4-byte unique slots, 16-byte entries"
+        );
+    }
+
+    #[test]
+    fn a_large_manager_keeps_a_start_size_memo_for_small_images() {
+        let mut bdd = Bdd::new(26);
+        let f = split_pairs(&mut bdd, 13);
+        assert!(bdd.node_count() > 4 * MEMO_CAPACITY, "{}", bdd.node_count());
+        assert!(
+            bdd.computed.len() > MEMO_CAPACITY,
+            "the computed table grew"
+        );
+        let a = bdd.var(3);
+        let b = bdd.nvar(20);
+        let small = bdd.and(a, b);
+        // The last call's operand is the whole diagram, but its literals
+        // sit at the top, so the pass visits only a few nodes.
+        for (g, lits) in [
+            (small, [(3, true, false), (20, false, true)]),
+            (a, [(3, true, true), (25, false, true)]),
+            (f, [(0, true, false), (1, false, true)]),
+        ] {
+            let fused = bdd.replace_cube(g, &lits);
+            assert_eq!(fused, chain_image(&mut bdd, g, &lits), "{lits:?}");
+            assert_eq!(bdd.memo.len(), MEMO_CAPACITY, "{lits:?}");
+        }
+    }
+
+    #[test]
+    fn an_image_larger_than_the_memo_grows_it_and_matches_the_chain() {
+        let mut bdd = Bdd::with_capacity(22, 64);
+        let f = split_pairs(&mut bdd, 11);
+        assert!(size(&bdd, f) > 64, "{} nodes", size(&bdd, f));
+        // A literal on the last variable makes the pass rebuild every
+        // node above it.
+        let lits = [(21, true, false), (5, false, true)];
+        let fused = bdd.replace_cube(f, &lits);
+        assert!(
+            bdd.memo.len() > 64,
+            "the memo grew to {} slots",
+            bdd.memo.len()
+        );
+        assert!(
+            2 * bdd.memo_writes <= bdd.memo.len(),
+            "room for every write"
+        );
+        assert_eq!(fused, chain_image(&mut bdd, f, &lits));
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub struct Budget {
     pub max_states: Option<usize>,
     /// Soft ceiling on the BDD manager footprint: nodes plus occupied
     /// computed-table slots ([`rt_boolean::Bdd::footprint`]). The slots
-    /// are bounded by the node count (on a grown manager, fewer than two
-    /// per node), so a ceiling below the node count cannot be met and a
-    /// trim frees at most the slot share.
+    /// are bounded by the node count (on a grown manager, fewer than one
+    /// per two nodes), so a ceiling below the node count cannot be met
+    /// and a trim frees less than a third of the footprint.
     pub max_bdd_nodes: Option<usize>,
     /// Ceiling on symbolic fixpoint iterations
     /// ([`DEFAULT_MAX_ITERATIONS`] when `None`).

@@ -47,11 +47,12 @@
 //! width, > 64 places included. Re-running the same net then allocates
 //! no new nodes — every result is already hash-consed — and the set
 //! operations between image steps hit the computed table where their
-//! entries survived. That table is bounded (its slot count follows the
-//! node count, and a colliding entry overwrites the old one), so a
-//! mature manager keeps only part of its history. The image steps are
-//! recomputed anyway: [`rt_boolean::Bdd::replace_cube`] memoizes within
-//! one call only (`bench_reach`'s `csc` stage measures warm-vs-fresh).
+//! entries survived. That table is bounded (a quarter to a half as many
+//! slots as nodes once it has grown, and a colliding entry overwrites
+//! the old one), so a mature manager keeps only part of its history. The
+//! image steps are recomputed anyway: [`rt_boolean::Bdd::replace_cube`]
+//! memoizes within one call only, in a memo sized by one call's work
+//! (`bench_reach`'s `csc` stage measures warm-vs-fresh).
 //!
 //! The trade-off is memory: the manager never frees a node, so a
 //! long-lived engine grows with every query
@@ -118,10 +119,10 @@
 //! computed-table slots — at iteration boundaries. The manager frees no
 //! nodes, so short of a reset only a trim lowers the footprint, and
 //! only by its computed-table entries. Those are bounded by the node
-//! count (on a grown manager, fewer than two per node), so a trim frees
-//! less than two thirds of a mature manager's footprint, not the bulk
-//! of it: a budget far below the node count stays blown and falls
-//! through to the explicit walk.
+//! count (on a grown manager, fewer than one per two nodes), so a trim
+//! frees less than a third of a mature manager's footprint: a budget
+//! below the node count stays blown and falls through to the explicit
+//! walk.
 //!
 //! Two things never degrade: the hard
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)

@@ -41,6 +41,10 @@ use crate::stg::{split_event_name, Stg, TransitionLabel};
 
 /// Parses the `.g` textual format into an [`Stg`].
 ///
+/// Signals are declared in the order the directives name them (a
+/// repeated directive appends). Each transition keeps the name it was
+/// read under, so `a+/1` stays `a+/1` whichever instance appears first.
+///
 /// # Errors
 ///
 /// Returns [`StgError::Parse`] with a line number for syntax problems, and
@@ -171,7 +175,7 @@ impl<'a> Parser<'a> {
         if let Some((base, _)) = split_event_name(token) {
             if self.stg.signal_by_name(base).is_some() {
                 let event = self.stg.parse_event(token)?;
-                let id = self.stg.transition(event);
+                let id = self.stg.named_transition(token.to_string(), event);
                 self.nodes
                     .insert(token.to_string(), NodeRef::Transition(id));
                 return Ok(NodeRef::Transition(id));
@@ -300,26 +304,27 @@ impl<'a> Parser<'a> {
 
 /// Serializes an [`Stg`] to the `.g` format.
 ///
-/// Implicit places (exactly one producer and one consumer, auto-generated
-/// `<a,b>` name) are written as direct transition-to-transition arcs;
-/// everything else uses explicit place names.
+/// Signals are written in declaration order, one `.inputs`, `.outputs`
+/// or `.internal` line per run of same-kind signals, so [`parse_g`]
+/// declares them in the same order. Implicit places (exactly one
+/// producer and one consumer, auto-generated `<a,b>` name) are written
+/// as direct transition-to-transition arcs; everything else uses
+/// explicit place names.
 pub fn write_g(stg: &Stg) -> String {
     let net = stg.net();
     let mut out = String::new();
     out.push_str(&format!(".model {}\n", sanitize(stg.name())));
-    for (directive, kind) in [
-        (".inputs", SignalKind::Input),
-        (".outputs", SignalKind::Output),
-        (".internal", SignalKind::Internal),
-    ] {
-        let names: Vec<&str> = stg
-            .signals()
-            .filter(|&s| stg.signal_kind(s) == kind)
-            .map(|s| stg.signal_name(s))
-            .collect();
-        if !names.is_empty() {
-            out.push_str(&format!("{directive} {}\n", names.join(" ")));
-        }
+    // One directive per run of same-kind signals keeps the declaration
+    // order, and with it the bit order of every state code.
+    let signals: Vec<_> = stg.signals().collect();
+    for run in signals.chunk_by(|&a, &b| stg.signal_kind(a) == stg.signal_kind(b)) {
+        let directive = match stg.signal_kind(run[0]) {
+            SignalKind::Input => ".inputs",
+            SignalKind::Output => ".outputs",
+            SignalKind::Internal => ".internal",
+        };
+        let names: Vec<&str> = run.iter().map(|&s| stg.signal_name(s)).collect();
+        out.push_str(&format!("{directive} {}\n", names.join(" ")));
     }
     let dummies: Vec<String> = net
         .transitions()
@@ -563,11 +568,57 @@ a+ p0
     }
 
     #[test]
+    fn suffixed_transitions_keep_the_names_they_were_read_under() {
+        // `a+/1` is read before `a+`, and the marking names the place
+        // before `a+/1` by its suffixed token.
+        let text = "\
+.model swap
+.inputs a
+.outputs b
+.graph
+a+/1 b+
+b+ a-/1
+a-/1 b-
+b- a+
+a+ b+/1
+b+/1 a-
+a- b-/1
+b-/1 a+/1
+.marking { <b-/1,a+/1> }
+.end
+";
+        let names = |stg: &Stg| -> Vec<String> {
+            stg.net()
+                .transitions()
+                .map(|t| stg.net().transition_name(t).to_string())
+                .collect()
+        };
+        let marked = |stg: &Stg| -> Vec<String> {
+            stg.initial_marking()
+                .marked_places()
+                .map(|(p, _)| stg.net().place_name(p).to_string())
+                .collect()
+        };
+        let stg = parse_g(text).expect("the marked place is known");
+        let read = ["a+/1", "b+", "a-/1", "b-", "a+", "b+/1", "a-", "b-/1"];
+        assert_eq!(names(&stg), read);
+        for t in stg.net().transitions() {
+            let event = stg.label(t).event().expect("signal transition");
+            let name = stg.net().transition_name(t);
+            assert_eq!(stg.event_name(event), name.split('/').next().unwrap());
+        }
+        assert_eq!(marked(&stg), ["<b-/1,a+/1>"]);
+        assert_eq!(explore(&stg).expect("explores").state_count(), 8);
+
+        let again = parse_g(&write_g(&stg)).expect("the writer's text parses");
+        assert_eq!(names(&again), read);
+        assert_eq!(marked(&again), ["<b-/1,a+/1>"]);
+    }
+
+    #[test]
     fn writer_emits_all_sections() {
         let text = write_g(&models::fifo_stg_csc());
-        assert!(text.contains(".inputs li ri"));
-        assert!(text.contains(".outputs lo ro"));
-        assert!(text.contains(".internal x"));
+        assert!(text.contains(".inputs li\n.outputs lo ro\n.inputs ri\n.internal x\n"));
         assert!(text.contains(".dummy eps"));
         assert!(text.contains(".marking"));
         assert!(text.ends_with(".end\n"));

@@ -336,6 +336,12 @@ impl Stg {
         } else {
             format!("{base}/{occurrence}")
         };
+        self.named_transition(name, event)
+    }
+
+    /// Adds a transition labelled with `event` under `name`, as the
+    /// `.g` parser does with each transition it reads.
+    pub(crate) fn named_transition(&mut self, name: String, event: SignalEvent) -> TransitionId {
         let id = self.net.add_transition(name);
         self.labels.push(TransitionLabel::Event(event));
         id

@@ -3,7 +3,7 @@
 //! state-code bookkeeping.
 
 use proptest::prelude::*;
-use rt_stg::{explore, models, parse, Edge, SignalKind, Stg};
+use rt_stg::{corpus, explore, models, parse, Edge, SignalKind, Stg, StgError};
 
 /// Builds a random "token ring" STG: `n` signals, each signal's rise and
 /// fall chained around a cycle (always live, safe and consistent).
@@ -88,6 +88,7 @@ proptest! {
         let b = explore(&parsed).expect("round trip explores");
         prop_assert_eq!(a.state_count(), b.state_count());
         prop_assert_eq!(a.arc_count(), b.arc_count());
+        prop_assert_eq!(ByNames::of(&parsed), ByNames::of(&stg), "{}", text);
     }
 
     #[test]
@@ -110,6 +111,122 @@ proptest! {
 
 fn parse_g_ok(text: &str) -> Stg {
     parse::parse_g(text).expect("writer output parses")
+}
+
+/// What a `.g` text says about an STG, by name: place and transition
+/// ids may differ after a round trip, because the parser numbers both
+/// by first appearance in the arc list.
+#[derive(Debug, PartialEq, Eq)]
+struct ByNames {
+    /// Name, kind and forced initial value, in declaration order.
+    signals: Vec<(String, SignalKind, Option<bool>)>,
+    /// Name and event (`None` for a dummy), sorted.
+    transitions: Vec<(String, Option<String>)>,
+    /// `(source, target, weight)` by node name, sorted.
+    arcs: Vec<(String, String, u16)>,
+    /// Marked places by name, with their tokens, sorted.
+    marking: Vec<(String, u16)>,
+}
+
+impl ByNames {
+    fn of(stg: &Stg) -> Self {
+        let net = stg.net();
+        let signals = stg
+            .signals()
+            .map(|s| {
+                let name = stg.signal_name(s).to_string();
+                (name, stg.signal_kind(s), stg.initial_value(s))
+            })
+            .collect();
+        let mut transitions = Vec::new();
+        let mut arcs = Vec::new();
+        for t in net.transitions() {
+            let name = net.transition_name(t).to_string();
+            let event = stg.label(t).event().map(|e| stg.event_name(e));
+            transitions.push((name.clone(), event));
+            for arc in net.preset(t) {
+                let place = net.place_name(arc.place).to_string();
+                arcs.push((place, name.clone(), arc.weight));
+            }
+            for arc in net.postset(t) {
+                let place = net.place_name(arc.place).to_string();
+                arcs.push((name.clone(), place, arc.weight));
+            }
+        }
+        let mut marking: Vec<_> = stg
+            .initial_marking()
+            .marked_places()
+            .map(|(p, tokens)| (net.place_name(p).to_string(), tokens))
+            .collect();
+        transitions.sort();
+        arcs.sort();
+        marking.sort();
+        ByNames {
+            signals,
+            transitions,
+            arcs,
+            marking,
+        }
+    }
+}
+
+#[test]
+fn g_roundtrip_preserves_every_sweep_model_by_names() {
+    let sweep = corpus::sweep();
+    assert_eq!(sweep.len(), 16);
+    for (name, stg) in sweep {
+        let text = parse::write_g(&stg);
+        let parsed = parse::parse_g(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(ByNames::of(&parsed), ByNames::of(&stg), "{name}");
+    }
+}
+
+/// splitmix64: a seeded stream for the parser's mutation inputs.
+fn next_random(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn the_parser_answers_truncated_and_mutated_text_without_panicking() {
+    // Every input gives `Ok` or a typed error; a panic fails the test
+    // with the input that caused it.
+    let check = |text: &str| {
+        let outcome = std::panic::catch_unwind(|| parse::parse_g(text));
+        let answer: Result<Result<Stg, StgError>, _> = outcome;
+        assert!(answer.is_ok(), "parse_g panicked on:\n{text}");
+    };
+    // Bytes that matter to the grammar, plus a few that do not.
+    const ALPHABET: &[u8] = b".+-/<>{}=#, \n\tabxz019";
+    let mut state = 0x000d_ac99_u64;
+    let mut inputs = 0;
+    for (_, text) in corpus::all() {
+        assert!(text.is_ascii());
+        for end in 0..=text.len() {
+            check(&text[..end]);
+            inputs += 1;
+        }
+        for _ in 0..1_000 {
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..1 + next_random(&mut state) % 4 {
+                let at = (next_random(&mut state) % (bytes.len() as u64 + 1)) as usize;
+                let byte = ALPHABET[(next_random(&mut state) % ALPHABET.len() as u64) as usize];
+                match next_random(&mut state) % 3 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            check(std::str::from_utf8(&bytes).expect("ASCII edits"));
+            inputs += 1;
+        }
+    }
+    assert!(inputs > 4_000, "{inputs} inputs");
 }
 
 #[test]
