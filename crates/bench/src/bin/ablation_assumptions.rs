@@ -28,7 +28,6 @@ fn run_cell(stg: &Stg, auto: bool, early: usize, user: &[RtAssumption]) -> Strin
         auto_assumptions: auto,
         early_enable_depth: early,
         max_state_signals: 3,
-        ..RtSynthesisFlow::default()
     };
     match flow.run(stg, user) {
         Ok(r) => format!(

@@ -4,8 +4,8 @@
 //! reachability over the model corpus (including the > 64-place wide
 //! models), plus a `csc` stage that times complete-state-coding
 //! resolution through [`rt_stg::engine::ReachEngine`] on both backends
-//! (serially and on a [`POOL_THREADS`]-wide candidate worker pool) and
-//! measures the persistent symbolic manager's warm-vs-fresh advantage.
+//! and measures the persistent symbolic manager's warm-vs-fresh
+//! advantage.
 //! Writes `BENCH_reach.json` with per-model wall times, exploration
 //! throughput (states/sec), allocated BDD node counts and the bytes the
 //! manager holds (`bdd_bytes`, [`rt_boolean::Bdd::heap_bytes`]). Future
@@ -30,9 +30,6 @@ use rt_stg::{corpus, explore, models, Stg};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_synth::synthesize;
 
-/// Worker-pool width of the `csc` stage's pooled candidate search.
-const POOL_THREADS: usize = 2;
-
 /// One measured model.
 struct Row {
     name: String,
@@ -53,9 +50,6 @@ struct CscRow {
     inserted: usize,
     explicit_ns: f64,
     symbolic_ns: f64,
-    /// Resolution wall time with the candidate search on the worker
-    /// pool ([`POOL_THREADS`] wide) instead of the serial scan.
-    parallel_ns: f64,
     cold_summary_ns: f64,
     warm_summary_ns: f64,
     warm_speedup: f64,
@@ -177,46 +171,27 @@ fn measure_csc_symbolic(name: &str, stg: &Stg, min_ms: u128) -> CscSymbolicRow {
 }
 
 /// The `csc` stage: CSC resolution through the engine on both backends
-/// (results must agree), the same resolution with the candidate search
-/// on the worker pool (the winner must also agree), plus the
-/// warm-vs-fresh symbolic summary comparison on one long-lived engine.
+/// (results must agree), plus the warm-vs-fresh symbolic summary
+/// comparison on one long-lived engine.
 fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
-    let serial_options = CscOptions {
-        threads: 1,
-        ..CscOptions::default()
-    };
-    let pool_options = CscOptions {
-        threads: POOL_THREADS,
-        ..CscOptions::default()
-    };
+    let options = CscOptions::default();
     let mut explicit_engine = ReachEngine::explicit();
-    let explicit_res = resolve_csc_engine(stg, &serial_options, &mut explicit_engine)
+    let explicit_res = resolve_csc_engine(stg, &options, &mut explicit_engine)
         .expect("csc resolves on the explicit backend");
     let mut symbolic_engine = ReachEngine::symbolic();
-    let symbolic_res = resolve_csc_engine(stg, &serial_options, &mut symbolic_engine)
+    let symbolic_res = resolve_csc_engine(stg, &options, &mut symbolic_engine)
         .expect("csc resolves on the symbolic backend");
     assert_eq!(
         explicit_res.inserted, symbolic_res.inserted,
         "{name}: backends must produce identical resolutions"
     );
     assert_eq!(explicit_res.cost, symbolic_res.cost, "{name}");
-    let mut pooled_engine = ReachEngine::explicit();
-    let pooled_res = resolve_csc_engine(stg, &pool_options, &mut pooled_engine)
-        .expect("csc resolves on the candidate pool");
-    assert_eq!(
-        pooled_res.inserted, explicit_res.inserted,
-        "{name}: pool width must not change the winner"
-    );
-    assert_eq!(pooled_res.cost, explicit_res.cost, "{name}");
 
     let explicit_ns = time_ns(min_ms, || {
-        resolve_csc_engine(stg, &serial_options, &mut ReachEngine::explicit()).expect("resolves")
+        resolve_csc_engine(stg, &options, &mut ReachEngine::explicit()).expect("resolves")
     });
     let symbolic_ns = time_ns(min_ms, || {
-        resolve_csc_engine(stg, &serial_options, &mut ReachEngine::symbolic()).expect("resolves")
-    });
-    let parallel_ns = time_ns(min_ms, || {
-        resolve_csc_engine(stg, &pool_options, &mut ReachEngine::explicit()).expect("resolves")
+        resolve_csc_engine(stg, &options, &mut ReachEngine::symbolic()).expect("resolves")
     });
 
     // Manager reuse: fresh-manager summaries (cold) vs second-and-later
@@ -240,7 +215,6 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
 
     let degradations = explicit_engine.stats().degradations.len()
         + symbolic_engine.stats().degradations.len()
-        + pooled_engine.stats().degradations.len()
         + warm_engine.stats().degradations.len();
 
     CscRow {
@@ -248,7 +222,6 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         inserted: explicit_res.inserted.len(),
         explicit_ns,
         symbolic_ns,
-        parallel_ns,
         cold_summary_ns,
         warm_summary_ns,
         warm_speedup: cold_summary_ns / warm_summary_ns,
@@ -265,8 +238,7 @@ fn validate(json: &str) -> Result<(), String> {
         "\"csc\"",
         "\"summary\"",
         "\"states_per_sec\"",
-        "\"threads\"",
-        "\"parallel_ns\"",
+        "\"explicit_ns\"",
         "\"csc_symbolic\"",
         "\"explicit_detect_ns\"",
         "\"symbolic_warm_ns\"",
@@ -340,9 +312,9 @@ fn main() {
     .map(|(name, stg)| {
         let row = measure_csc(name, stg, min_ms);
         println!(
-            "csc {:<20} +{} signals  serial {:>11.0} ns  pool(x{}) {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)",
-            row.name, row.inserted, row.explicit_ns, POOL_THREADS, row.parallel_ns,
-            row.symbolic_ns, row.cold_summary_ns, row.warm_summary_ns, row.warm_speedup
+            "csc {:<20} +{} signals  explicit {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)",
+            row.name, row.inserted, row.explicit_ns, row.symbolic_ns, row.cold_summary_ns,
+            row.warm_summary_ns, row.warm_speedup
         );
         row
     })
@@ -415,15 +387,13 @@ fn main() {
     for (i, r) in csc_rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"inserted\": {}, \"threads\": {}, \
-             \"explicit_ns\": {:.0}, \"parallel_ns\": {:.0}, \"symbolic_ns\": {:.0}, \
+            "    {{\"name\": \"{}\", \"inserted\": {}, \
+             \"explicit_ns\": {:.0}, \"symbolic_ns\": {:.0}, \
              \"cold_summary_ns\": {:.0}, \"warm_summary_ns\": {:.0}, \
              \"warm_speedup\": {:.1}, \"degradations\": {}}}{}",
             r.name,
             r.inserted,
-            POOL_THREADS,
             r.explicit_ns,
-            r.parallel_ns,
             r.symbolic_ns,
             r.cold_summary_ns,
             r.warm_summary_ns,

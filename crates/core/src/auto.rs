@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use rt_stg::{SignalEvent, StateGraph};
 
 use crate::assume::RtAssumption;
-use crate::lazy::reduce_unchecked;
+use crate::lazy::{fired_events, is_live, reduce_unchecked};
 
 /// A candidate with its delay-model rationale.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +45,7 @@ struct Objective {
 
 fn objective(sg: &StateGraph) -> Objective {
     Objective {
-        csc_conflicts: sg.csc_conflicts().len(),
+        csc_conflicts: sg.csc_conflict_count(),
         states: sg.state_count(),
     }
 }
@@ -166,21 +166,7 @@ pub fn generate_assumptions(
 /// Liveness/behaviour validity of a reduction (mirrors
 /// [`crate::lazy::reduce_concurrency`]'s checks without erroring).
 pub fn reduction_valid(original: &StateGraph, reduced: &StateGraph) -> bool {
-    if !reduced.deadlock_states().is_empty() || !reduced.is_strongly_connected() {
-        return false;
-    }
-    let events_of = |sg: &StateGraph| {
-        let mut set = BTreeSet::new();
-        for s in sg.states() {
-            for arc in sg.successors(s) {
-                if let Some(ev) = arc.event {
-                    set.insert(ev);
-                }
-            }
-        }
-        set
-    };
-    events_of(original) == events_of(reduced)
+    is_live(reduced) && fired_events(original) == fired_events(reduced)
 }
 
 #[cfg(test)]

@@ -14,22 +14,23 @@
 //! ```
 
 use rt_stg::engine::ReachEngine;
-use rt_stg::par::parallel_argmin;
+use rt_stg::par::argmin;
 use rt_stg::{SignalKind, StateGraph, Stg, StgError};
 use rt_synth::csc::{insert_state_signal, simple_places};
 use rt_synth::regions::LocalDontCares;
 use rt_synth::{synthesize_with_dc, SynthesisResult};
 
 use crate::assume::{AssumptionKind, RtAssumption, RtConstraint};
-use crate::auto::{generate_assumptions, reduction_valid, Candidate};
+use crate::auto::{generate_assumptions, Candidate};
 use crate::error::RtError;
-use crate::lazy::{lazy_dont_cares, reduce_concurrency, reduce_unchecked};
+use crate::lazy::{fired_events, is_live, lazy_dont_cares, reduce_concurrency, reduce_unchecked};
 
 /// Configuration of the relative-timing synthesis flow.
 ///
 /// Every stage, the state-encoding search included, runs on explicit
-/// state graphs, so a report does not depend on the backend of the
-/// engine the flow runs on.
+/// state graphs, serially on the caller's thread and engine, so a
+/// report does not depend on the backend of the engine the flow runs
+/// on.
 #[derive(Debug, Clone, Copy)]
 pub struct RtSynthesisFlow {
     /// Run the automatic assumption generator (§3.1). On by default.
@@ -38,13 +39,6 @@ pub struct RtSynthesisFlow {
     pub early_enable_depth: usize,
     /// Maximum state signals inserted by timing-aware encoding.
     pub max_state_signals: usize,
-    /// Worker-pool width for the timing-aware encoding's candidate
-    /// search (`0`, the default, resolves to one worker per available
-    /// core; `1` runs serially). Candidates are evaluated on private
-    /// per-worker [`ReachEngine`]s with a deterministic
-    /// `(cost, index)` reduction, so the chosen insertion — and hence
-    /// the whole flow report — is identical at every width.
-    pub threads: usize,
 }
 
 impl Default for RtSynthesisFlow {
@@ -53,7 +47,6 @@ impl Default for RtSynthesisFlow {
             auto_assumptions: true,
             early_enable_depth: 1,
             max_state_signals: 2,
-            threads: 0,
         }
     }
 }
@@ -108,7 +101,6 @@ impl RtSynthesisFlow {
             auto_assumptions: false,
             early_enable_depth: 0,
             max_state_signals: 3,
-            threads: 0,
         }
     }
 
@@ -124,10 +116,9 @@ impl RtSynthesisFlow {
     }
 
     /// [`RtSynthesisFlow::run`] through a caller-owned
-    /// [`ReachEngine`]: the initial exploration runs on it, and every
-    /// timing-aware encoding candidate on a worker engine with its
-    /// backend and options, so its options and statistics span the
-    /// whole flow.
+    /// [`ReachEngine`]: the initial exploration and every timing-aware
+    /// encoding candidate run on it, so its options and statistics span
+    /// the whole flow.
     ///
     /// # Errors
     ///
@@ -140,11 +131,11 @@ impl RtSynthesisFlow {
     ) -> Result<FlowReport, RtError> {
         let mut log = Vec::new();
         let sg0 = engine.state_graph(stg)?;
+        let initial_csc_conflicts = sg0.csc_conflict_count();
         log.push(format!(
-            "reachability: {} states, {} arcs, {} CSC conflicts",
+            "reachability: {} states, {} arcs, {initial_csc_conflicts} CSC conflicts",
             sg0.state_count(),
             sg0.arc_count(),
-            sg0.csc_conflicts().len()
         ));
 
         // Stage 1: user assumptions.
@@ -172,8 +163,8 @@ impl RtSynthesisFlow {
                 auto_accepted.len(),
                 reduced.state_count(),
                 auto_reduced.state_count(),
-                reduced.csc_conflicts().len(),
-                auto_reduced.csc_conflicts().len(),
+                reduced.csc_conflict_count(),
+                auto_reduced.csc_conflict_count(),
             ));
             all_assumptions.extend(auto_accepted.iter().map(|c| c.assumption));
             accepted = auto_accepted;
@@ -186,23 +177,19 @@ impl RtSynthesisFlow {
         let mut working_stg = stg.clone();
         let mut inserted = Vec::new();
         let mut truncated = false;
+        let mut conflicts = reduced.csc_conflict_count();
         let mut round = 0;
-        while !reduced.csc_conflicts().is_empty() && round < self.max_state_signals {
+        while conflicts > 0 && round < self.max_state_signals {
             let name = format!("x{round}");
-            let (best, round_truncated) = best_insertion_on_reduced(
-                &working_stg,
-                &all_assumptions,
-                &name,
-                engine,
-                self.threads,
-            )?;
+            let (best, round_truncated) =
+                best_insertion_on_reduced(&working_stg, &all_assumptions, &name, engine)?;
             truncated |= round_truncated;
             match best {
                 Some((next_stg, next_reduced)) => {
+                    conflicts = next_reduced.csc_conflict_count();
                     log.push(format!(
-                        "timing-aware encoding: inserted `{name}`, {} states, {} conflicts",
+                        "timing-aware encoding: inserted `{name}`, {} states, {conflicts} conflicts",
                         next_reduced.state_count(),
-                        next_reduced.csc_conflicts().len()
                     ));
                     working_stg = next_stg;
                     reduced = next_reduced;
@@ -268,7 +255,7 @@ impl RtSynthesisFlow {
 
         Ok(FlowReport {
             initial_states: sg0.state_count(),
-            initial_csc_conflicts: sg0.csc_conflicts().len(),
+            initial_csc_conflicts,
             lazy_states: reduced.state_count(),
             assumptions: all_assumptions,
             constraints,
@@ -285,11 +272,10 @@ impl RtSynthesisFlow {
 /// timing-aware encoding: the encoding is chosen against the lazy state
 /// space, not the full one.
 ///
-/// Candidates (simple-place pairs) are evaluated on a `threads`-wide
-/// worker pool, one private explicit [`ReachEngine`] per worker, with
-/// the deterministic `(cost, index)` reduction of
-/// [`rt_stg::par::parallel_argmin`] — the winner matches the serial
-/// scan at every width. Worker counters are folded back into `engine`.
+/// Candidates (ordered pairs of simple places) are explored and reduced
+/// serially on `engine`, and [`rt_stg::par::argmin`] keeps the one with
+/// the fewest remaining conflicts, then the fewest lazy states, and the
+/// first such pair on a tie.
 ///
 /// The boolean of the `Ok` pair flags *truncation*: some candidate (or
 /// the baseline itself) was only disqualified because the engine's
@@ -301,65 +287,55 @@ fn best_insertion_on_reduced(
     assumptions: &[RtAssumption],
     name: &str,
     engine: &mut ReachEngine,
-    threads: usize,
 ) -> Result<(Option<(Stg, StateGraph)>, bool), RtError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let places = simple_places(stg);
+    // With no assumptions, `reduce_unchecked` would only copy the graph.
     let baseline_conflicts = match engine.state_graph(stg) {
-        Ok(sg) => reduce_unchecked(&sg, assumptions).csc_conflicts().len(),
+        Ok(sg) if assumptions.is_empty() => sg.csc_conflict_count(),
+        Ok(sg) => reduce_unchecked(&sg, assumptions).csc_conflict_count(),
         Err(err) if err.is_resource_exhaustion() => return Ok((None, true)),
         Err(err) => return Err(err.into()),
     };
-    let mut pairs = Vec::new();
-    for &p_plus in &places {
-        for &p_minus in &places {
-            if p_plus != p_minus {
-                pairs.push((p_plus, p_minus));
+    let places = simple_places(stg);
+    let pairs = places.iter().flat_map(|&plus| {
+        places
+            .iter()
+            .filter(move |&&minus| minus != plus)
+            .map(move |&minus| (plus, minus))
+    });
+    let mut truncated = false;
+    let best = argmin(pairs, |(plus, minus)| {
+        let candidate = insert_state_signal(stg, name, plus, minus);
+        let sg = match engine.state_graph(&candidate) {
+            Ok(sg) => sg,
+            Err(StgError::Cancelled) => return Err(StgError::Cancelled),
+            Err(error) => {
+                truncated |= error.is_resource_exhaustion();
+                return Ok(None);
             }
-        }
-    }
-    let worker_options = engine.options().clone();
-    let truncated = AtomicBool::new(false);
-    let (best, workers) = parallel_argmin(
-        pairs.len(),
-        threads,
-        || ReachEngine::with_options(engine.backend(), worker_options.clone()),
-        |worker: &mut ReachEngine, index| {
-            let (p_plus, p_minus) = pairs[index];
-            let candidate = insert_state_signal(stg, name, p_plus, p_minus);
-            let sg = match worker.state_graph(&candidate) {
-                Ok(sg) => sg,
-                Err(StgError::Cancelled) => return Err(StgError::Cancelled),
-                Err(error) => {
-                    if error.is_resource_exhaustion() {
-                        truncated.store(true, Ordering::Relaxed);
-                    }
-                    return Ok(None);
-                }
-            };
+        };
+        let reduced = if assumptions.is_empty() {
+            sg
+        } else {
             let reduced = reduce_unchecked(&sg, assumptions);
-            if !reduction_valid(&sg, &reduced) && sg.state_count() != reduced.state_count() {
+            // A reduction that removes states must keep every event.
+            if reduced.state_count() != sg.state_count()
+                && fired_events(&sg) != fired_events(&reduced)
+            {
                 return Ok(None);
             }
-            if !reduced.deadlock_states().is_empty() || !reduced.is_strongly_connected() {
-                return Ok(None);
-            }
-            let conflicts = reduced.csc_conflicts().len();
-            if conflicts >= baseline_conflicts {
-                return Ok(None);
-            }
-            let cost = conflicts * 1_000 + reduced.state_count();
-            Ok(Some((cost, (candidate, reduced))))
-        },
-    )?;
-    for worker in &workers {
-        engine.absorb_stats(worker.stats());
-    }
-    Ok((
-        best.map(|(_, _, (stg, sg))| (stg, sg)),
-        truncated.into_inner(),
-    ))
+            reduced
+        };
+        if !is_live(&reduced) {
+            return Ok(None);
+        }
+        let conflicts = reduced.csc_conflict_count();
+        if conflicts >= baseline_conflicts {
+            return Ok(None);
+        }
+        let cost = conflicts * 1_000 + reduced.state_count();
+        Ok(Some((cost, (candidate, reduced))))
+    })?;
+    Ok((best.map(|(_, found)| found), truncated))
 }
 
 /// Determines the minimal required constraint set.
@@ -582,7 +558,6 @@ mod tests {
                 auto_assumptions: auto,
                 early_enable_depth: early,
                 max_state_signals: 3,
-                threads: 0,
             }
             .run(&stg, user)
             .expect("flow runs")
@@ -600,28 +575,6 @@ mod tests {
         assert!(
             full.synthesis.netlist.transistor_count() < si.synthesis.netlist.transistor_count()
         );
-    }
-
-    #[test]
-    fn pool_width_does_not_change_the_flow_report() {
-        let stg = models::fifo_stg();
-        let reference = RtSynthesisFlow::speed_independent().run(&stg, &[]).unwrap();
-        for threads in [1usize, 2, 8] {
-            let flow = RtSynthesisFlow {
-                threads,
-                ..RtSynthesisFlow::speed_independent()
-            };
-            let report = flow.run(&stg, &[]).unwrap();
-            assert_eq!(
-                report.inserted_signals, reference.inserted_signals,
-                "x{threads}"
-            );
-            assert_eq!(report.lazy_states, reference.lazy_states, "x{threads}");
-            assert_eq!(
-                report.synthesis.literal_count, reference.synthesis.literal_count,
-                "x{threads}"
-            );
-        }
     }
 
     #[test]

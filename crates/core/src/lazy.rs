@@ -10,10 +10,10 @@
 //!    extended backwards over states whose exit events are known to be
 //!    faster; the extension states become per-signal local don't-cares.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use rt_stg::state_graph::{CsrBuilder, StateArc};
-use rt_stg::{SignalEvent, SignalId, StateGraph, StateId};
+use rt_stg::{Edge, SignalEvent, SignalId, StateGraph, StateId};
 use rt_synth::regions::LocalDontCares;
 
 use crate::assume::RtAssumption;
@@ -58,6 +58,9 @@ pub fn reduce_concurrency(
 /// FIFO, so each surviving state's arc row is completed in id order —
 /// the [`CsrBuilder`] contract — and the reduced graph's CSR buffers
 /// are emitted directly, with no nested per-state `Vec` intermediate.
+/// The explicit analyser numbers states in the same order, so with no
+/// assumptions the result equals `sg` in codes, arcs and markings, and
+/// the flow's encoding search skips the call then.
 pub fn reduce_unchecked(sg: &StateGraph, assumptions: &[RtAssumption]) -> StateGraph {
     // An arc firing `f` from state s is suppressed when some assumption
     // `e before f` has `e` enabled in s.
@@ -68,14 +71,15 @@ pub fn reduce_unchecked(sg: &StateGraph, assumptions: &[RtAssumption]) -> StateG
             .any(|a| a.after == f && a.before != f && sg.is_enabled(state, a.before))
     };
 
-    let mut map: HashMap<StateId, StateId> = HashMap::new();
+    // Old state index -> new id; `u32::MAX` marks a state not reached yet.
+    let mut map = vec![u32::MAX; sg.state_count()];
     let mut codes = Vec::new();
     let mut markings = Vec::new();
     let mut builder = CsrBuilder::with_capacity(sg.state_count(), sg.arc_count());
     let mut queue = VecDeque::new();
 
     let initial = sg.initial();
-    map.insert(initial, StateId(0));
+    map[initial.index()] = 0;
     codes.push(sg.code(initial));
     markings.push(sg.packed_marking(initial).clone());
     queue.push_back(initial);
@@ -95,20 +99,16 @@ pub fn reduce_unchecked(sg: &StateGraph, assumptions: &[RtAssumption]) -> StateG
             if !keep_all && suppressed(old, arc.event) {
                 continue;
             }
-            let new_to = match map.get(&arc.to) {
-                Some(&id) => id,
-                None => {
-                    let id = StateId(codes.len() as u32);
-                    map.insert(arc.to, id);
-                    codes.push(sg.code(arc.to));
-                    markings.push(sg.packed_marking(arc.to).clone());
-                    queue.push_back(arc.to);
-                    id
-                }
-            };
+            let slot = &mut map[arc.to.index()];
+            if *slot == u32::MAX {
+                *slot = codes.len() as u32;
+                codes.push(sg.code(arc.to));
+                markings.push(sg.packed_marking(arc.to).clone());
+                queue.push_back(arc.to);
+            }
             builder.push_arc(StateArc {
                 event: arc.event,
-                to: new_to,
+                to: StateId(*slot),
             });
         }
     }
@@ -145,29 +145,43 @@ fn validate_reduction(original: &StateGraph, reduced: &StateGraph) -> Result<(),
     }
     // Event preservation: every signal edge that fired in the original
     // graph still fires somewhere.
-    let events_of = |sg: &StateGraph| {
-        let mut set = std::collections::BTreeSet::new();
-        for s in sg.states() {
-            for arc in sg.successors(s) {
-                if let Some(ev) = arc.event {
-                    set.insert(ev);
-                }
-            }
-        }
-        set
-    };
-    let before = events_of(original);
-    let after = events_of(reduced);
-    if let Some(lost) = before.difference(&after).next() {
+    let lost = fired_events(original) & !fired_events(reduced);
+    if lost != 0 {
+        // The lowest lost bit is the smallest lost event.
+        let bit = lost.trailing_zeros();
+        let edge = if bit.is_multiple_of(2) {
+            Edge::Rise
+        } else {
+            Edge::Fall
+        };
         return Err(RtError::InvalidAssumptions {
             reason: format!(
                 "event {}{} is starved by the assumptions",
-                original.signal_name(lost.signal),
-                lost.edge.suffix()
+                original.signal_name(SignalId(bit / 2)),
+                edge.suffix()
             ),
         });
     }
     Ok(())
+}
+
+/// Whether `sg` is live: no deadlock state, and strongly connected.
+pub(crate) fn is_live(sg: &StateGraph) -> bool {
+    sg.deadlock_states().is_empty() && sg.is_strongly_connected()
+}
+
+/// The events that label some arc of `sg`, one bit each: bit
+/// `2·signal` for the rising edge and `2·signal + 1` for the falling
+/// one, so a lower bit is a smaller [`SignalEvent`]. Codes hold at most
+/// 64 signals, so 128 bits hold every event.
+pub(crate) fn fired_events(sg: &StateGraph) -> u128 {
+    let mut fired = 0u128;
+    for state in sg.states() {
+        for event in sg.successors(state).iter().filter_map(|arc| arc.event) {
+            fired |= 1 << (2 * event.signal.index() + usize::from(event.edge == Edge::Fall));
+        }
+    }
+    fired
 }
 
 /// Early enabling of `event` (a lazy signal edge): extends the signal's
@@ -356,5 +370,43 @@ mod tests {
         let lo = SignalId(1);
         let (_dc, implied) = lazy_dont_cares(&sg, &[lo], 1);
         assert!(!implied.is_empty());
+    }
+
+    #[test]
+    fn fired_events_sets_one_bit_per_signal_edge() {
+        // Every FIFO signal rises and falls.
+        let (_, sg) = fifo_sg();
+        assert_eq!(fired_events(&sg), (1u128 << (2 * sg.signal_count())) - 1);
+    }
+
+    #[test]
+    fn an_assumption_that_starves_an_event_is_rejected() {
+        // A free choice between an `a` cycle and a `b` cycle: `a+ before
+        // b+` cuts the `b` cycle off, though the rest stays live.
+        use rt_stg::state_graph::StateArc;
+        use rt_stg::{Marking, SignalKind};
+        let (a, b) = (SignalId(0), SignalId(1));
+        let arc = |event, to| StateArc {
+            event: Some(event),
+            to: StateId(to),
+        };
+        let sg = StateGraph::from_parts(
+            vec!["a".into(), "b".into()],
+            vec![SignalKind::Input, SignalKind::Input],
+            vec![0b00, 0b01, 0b10],
+            vec![
+                vec![arc(SignalEvent::rise(a), 1), arc(SignalEvent::rise(b), 2)],
+                vec![arc(SignalEvent::fall(a), 0)],
+                vec![arc(SignalEvent::fall(b), 0)],
+            ],
+            vec![Marking::empty(0); 3],
+            StateId(0),
+        );
+        let starve = RtAssumption::user(a, Edge::Rise, b, Edge::Rise);
+        let reason = match reduce_concurrency(&sg, &[starve]) {
+            Err(RtError::InvalidAssumptions { reason }) => reason,
+            other => panic!("expected a starved event, got {other:?}"),
+        };
+        assert_eq!(reason, "event b+ is starved by the assumptions");
     }
 }

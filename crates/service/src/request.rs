@@ -28,13 +28,12 @@ pub enum RequestPayload {
         /// The specification to rewrite.
         stg: Stg,
         /// Search tuning. Only `max_signals` and
-        /// `critical_path_penalty` change the answer. The service runs
-        /// the candidate search serially on the job's worker, so
-        /// `threads` never changes how many threads it uses, and
-        /// `symbolic_threshold` has no effect. Both fields still travel
-        /// on the wire, though, so two requests that differ only in
-        /// `threads` or `symbolic_threshold` get different flight keys,
-        /// though their answers are equal.
+        /// `critical_path_penalty` change the answer. The candidate
+        /// search runs serially on the job's worker thread, and
+        /// `threads` and `symbolic_threshold` have no effect. Both
+        /// fields still travel on the wire, though, so two requests
+        /// that differ only in them get different flight keys, though
+        /// their answers are equal.
         options: CscOptions,
     },
     /// Verify a gate-level circuit against its specification.

@@ -85,7 +85,7 @@ use std::time::{Duration, Instant};
 
 use rt_stg::engine::{ReachBackend, ReachEngine};
 use rt_stg::{faults, Budget, StgError};
-use rt_synth::csc::{resolve_csc_engine, CscOptions};
+use rt_synth::csc::resolve_csc_engine;
 use rt_verify::{verify_with_budget, VerifyOptions};
 
 use crate::error::ServiceError;
@@ -846,15 +846,7 @@ fn run_once(
             }))
         }
         RequestPayload::ResolveCsc { stg, options } => {
-            // The worker pool already runs jobs in parallel, so the
-            // candidate search runs serially on its worker, whatever
-            // width the request asks for; `parallel_argmin` returns the
-            // serial winner at every width, so the reply is the same.
-            let options = CscOptions {
-                threads: 1,
-                ..*options
-            };
-            let resolution = resolve_csc_engine(stg, &options, engine)?;
+            let resolution = resolve_csc_engine(stg, options, engine)?;
             Ok(ResponsePayload::ResolveCsc(Box::new(ResolveOutcome {
                 stg: resolution.stg,
                 inserted: resolution.inserted,

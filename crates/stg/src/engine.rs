@@ -69,19 +69,18 @@
 //! fresh-vs-reused and trimmed-vs-untrimmed bit-identical property
 //! tests over the corpus.
 //!
-//! ## Multi-core work: per-worker managers
+//! ## Multi-core work: one engine per thread
 //!
 //! The **symbolic manager deliberately stays single-threaded and
 //! per-engine**: its unique table, caches and node vector are one big
-//! shared-mutable structure, and hash-consing means every worker would
-//! contend on every `mk`. Parallel consumers therefore hold one engine
-//! *per worker* rather than sharing one manager behind a lock. The one
-//! such consumer is the CSC candidate search of
-//! `rt_synth::resolve_csc_engine` and of `rt-core`'s flow
-//! (`rt_stg::par::parallel_argmin`), and its workers only build
-//! explicit graphs ([`ReachEngine::state_graph`]), so no manager is
-//! ever created on them. Determinism is preserved there by the pool's
-//! `(cost, index)` reduction, not by scheduling.
+//! shared-mutable structure, and hash-consing means every thread would
+//! contend on every `mk`. Parallel callers therefore hold one engine
+//! per thread rather than sharing one manager behind a lock, as
+//! `rt-service`'s workers do (a fresh engine per job). The CSC
+//! candidate searches of `rt_synth::resolve_csc_engine` and of
+//! `rt-core`'s flow run serially on the caller's engine
+//! ([`crate::par::argmin`]) and only build explicit graphs
+//! ([`ReachEngine::state_graph`]), so they never touch its manager.
 //!
 //! ## Budgets and degradation
 //!
@@ -128,9 +127,9 @@
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
 //! and [`StgError::Cancelled`] (a demand to stop, honoured
 //! immediately). And no overrun — budget, cancellation, or even a
-//! candidate-worker panic (isolated via `catch_unwind` in
-//! [`crate::par`]) — ever corrupts engine state: the explicit arenas
-//! are per-call, and the persistent manager only ever grows by
+//! panicking candidate evaluation (caught by `catch_unwind` in
+//! [`crate::par::argmin`]) — ever corrupts engine state: the explicit
+//! arenas are per-call, and the persistent manager only ever grows by
 //! *complete* hash-consed nodes between iteration-boundary checks, so
 //! the engine stays fully reusable and its next run is bit-identical
 //! to a fresh engine's (`crates/stg/tests/engine_reuse.rs` and
@@ -298,22 +297,6 @@ pub struct EngineStats {
     /// healthy run — the standard corpus under default budgets must
     /// keep it empty, which `bench_check` gates on.
     pub degradations: Vec<Degradation>,
-}
-
-impl EngineStats {
-    /// Folds `other` into `self`, counter by counter. This is how a
-    /// parallel candidate search reports the work its per-worker
-    /// engines did back to the caller's engine
-    /// ([`ReachEngine::absorb_stats`]).
-    pub fn absorb(&mut self, other: &EngineStats) {
-        self.graph_builds += other.graph_builds;
-        self.summaries += other.summaries;
-        self.manager_reuses += other.manager_reuses;
-        self.resets += other.resets;
-        self.trims += other.trims;
-        self.symbolic_csc += other.symbolic_csc;
-        self.degradations.extend_from_slice(&other.degradations);
-    }
 }
 
 /// The reusable reachability façade. See the module docs for the
@@ -595,12 +578,6 @@ impl ReachEngine {
         self.manager.as_ref().map_or(0, Bdd::cache_len)
     }
 
-    /// Folds the statistics of another engine (typically a worker from
-    /// a parallel candidate search) into this engine's counters.
-    pub fn absorb_stats(&mut self, other: &EngineStats) {
-        self.stats.absorb(other);
-    }
-
     /// Records a degradation decided *outside* the engine — e.g.
     /// `rt_synth::resolve_csc_engine` noting
     /// [`Degradation::PartialSynthesis`] when a budget truncated its
@@ -722,17 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn absorbed_stats_accumulate() {
-        let mut main = ReachEngine::explicit();
-        let mut worker = ReachEngine::explicit();
-        worker.state_graph(&models::fifo_stg()).expect("explores");
-        worker.summary(&models::fifo_stg()).expect("summarizes");
-        main.absorb_stats(worker.stats());
-        assert_eq!(main.stats().graph_builds, 1);
-        assert_eq!(main.stats().summaries, 1);
-    }
-
-    #[test]
     fn options_are_respected_by_both_query_kinds() {
         let mut engine = ReachEngine::explicit();
         engine.options_mut().state_limit = 2;
@@ -826,17 +792,5 @@ mod tests {
             engine.options_mut().budget = Budget::default();
             assert_eq!(engine.summary(&stg).expect("recovers").markings, 18);
         }
-    }
-
-    #[test]
-    fn noted_degradations_travel_through_absorb() {
-        let mut main = ReachEngine::explicit();
-        let mut worker = ReachEngine::explicit();
-        worker.note_degradation(Degradation::PartialSynthesis);
-        main.absorb_stats(worker.stats());
-        assert_eq!(
-            main.stats().degradations,
-            vec![Degradation::PartialSynthesis]
-        );
     }
 }

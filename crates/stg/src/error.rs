@@ -66,9 +66,10 @@ pub enum StgError {
     /// The request was cancelled (token fired or deadline passed).
     /// Always a hard stop; never degraded around.
     Cancelled,
-    /// A pool worker panicked. The panic was isolated — sibling workers
-    /// drained cleanly and shared engine state is intact — but the
-    /// analysis produced no result.
+    /// A candidate evaluation of a CSC search panicked
+    /// ([`crate::par::argmin`]). The panic was caught, the search
+    /// stopped and the caller's engine is intact, but the analysis
+    /// produced no result.
     WorkerPanicked,
     /// The specification deadlocks (a reachable marking enables nothing).
     Deadlock(String),
@@ -115,7 +116,7 @@ impl fmt::Display for StgError {
                 )
             }
             StgError::Cancelled => write!(f, "analysis cancelled"),
-            StgError::WorkerPanicked => write!(f, "a pool worker panicked"),
+            StgError::WorkerPanicked => write!(f, "a candidate evaluation panicked"),
             StgError::Deadlock(state) => write!(f, "specification deadlocks in state {state}"),
             StgError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
@@ -184,7 +185,7 @@ mod tests {
                 "symbolic manager exceeded node budget at footprint 4096",
             ),
             (StgError::Cancelled, "analysis cancelled"),
-            (StgError::WorkerPanicked, "a pool worker panicked"),
+            (StgError::WorkerPanicked, "a candidate evaluation panicked"),
         ];
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);

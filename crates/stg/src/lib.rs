@@ -24,9 +24,9 @@
 //!   fires transitions directly on packed markings (zero per-state heap
 //!   allocations on safe nets ≤ 64 places) and accumulates arcs straight
 //!   into the state graph's compressed-sparse-row store.
-//! * [`par`] — zero-dependency worker-pool utilities: thread-count
-//!   resolution and the deterministic `(cost, index)` argmin the CSC
-//!   candidate searches in `rt-synth`/`rt-core` parallelize with.
+//! * [`par`] — the deterministic argmin the CSC candidate searches in
+//!   `rt-synth`/`rt-core` rank their candidates with, serially on the
+//!   caller's thread.
 //! * [`state_graph`] — the reachable behaviour with per-state binary
 //!   codes; successor/predecessor rows live in contiguous CSR arrays, so
 //!   synthesis, CSC detection and the lazy passes walk linear memory.

@@ -493,6 +493,50 @@ impl StateGraph {
         out
     }
 
+    /// The length of [`StateGraph::csc_conflicts`], counted without
+    /// building the pair list. States are sorted by code and by their
+    /// implied values. Within one code, two classes of states whose
+    /// implied values differ on `k` implemented signals contribute
+    /// `k` conflicts per pair of states.
+    pub fn csc_conflict_count(&self) -> usize {
+        let implemented = self
+            .signals()
+            .filter(|&s| self.signal_kind(s).is_implemented())
+            .fold(0u64, |mask, s| mask | 1 << s.index());
+        let mut rows: Vec<(u64, u64)> = self
+            .states()
+            .map(|s| (self.code(s), self.implied_code(s) & implemented))
+            .collect();
+        rows.sort_unstable();
+        let mut count = 0;
+        for same_code in rows.chunk_by(|a, b| a.0 == b.0) {
+            let classes = || same_code.chunk_by(|a, b| a.1 == b.1);
+            for (i, x) in classes().enumerate() {
+                for y in classes().skip(i + 1) {
+                    count += x.len() * y.len() * (x[0].1 ^ y[0].1).count_ones() as usize;
+                }
+            }
+        }
+        count
+    }
+
+    /// [`StateGraph::implied_value`] of every signal in `state`, one
+    /// bit per signal as in [`StateGraph::code`].
+    fn implied_code(&self, state: StateId) -> u64 {
+        let (mut excited, mut rising) = (0u64, 0u64);
+        for event in self.successors(state).iter().filter_map(|arc| arc.event) {
+            let bit = 1u64 << event.signal.index();
+            // The first arc of a signal decides, as in `excitation`.
+            if excited & bit == 0 {
+                excited |= bit;
+                if event.edge == Edge::Rise {
+                    rising |= bit;
+                }
+            }
+        }
+        self.code(state) & !excited | rising
+    }
+
     /// States whose code equals `code`.
     pub fn states_with_code(&self, code: u64) -> Vec<StateId> {
         self.states().filter(|&s| self.code(s) == code).collect()

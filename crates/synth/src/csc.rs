@@ -12,21 +12,20 @@
 //!
 //! All re-exploration funnels through one [`ReachEngine`]
 //! ([`resolve_csc_engine`]): the candidate search is the hottest
-//! repeated-reachability loop in the pipeline. Candidates are ranked
-//! one way on every backend and at every net size — on explicitly
-//! built state graphs — so a resolution does not depend on the
-//! engine's backend. On the symbolic backend the accepted resolution is
+//! repeated-reachability loop in the pipeline, and it runs serially on
+//! the caller's thread and engine. Candidates are ranked one way on
+//! every backend and at every net size — on explicitly built state
+//! graphs — so a resolution does not depend on the engine's backend.
+//! On the symbolic backend the accepted resolution is
 //! additionally **audited** against the engine's persistent-manager
 //! symbolic marking count and the symbolic conflict detector
 //! ([`SynthError::BackendMismatch`] / [`SynthError::DetectorMismatch`]
 //! on divergence), so the two analysers continuously cross-check each
 //! other in production use.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use rt_boolean::minimize;
 use rt_stg::engine::{ReachBackend, ReachEngine};
-use rt_stg::par::parallel_argmin;
+use rt_stg::par::argmin;
 use rt_stg::petri::PlaceId;
 use rt_stg::stg::TransitionLabel;
 use rt_stg::{SignalKind, StateGraph, Stg, StgError, TransitionId};
@@ -63,9 +62,8 @@ pub struct CscResolution {
 
 /// Options for [`resolve_csc`].
 ///
-/// Only `max_signals` and `critical_path_penalty` change the answer:
-/// `threads` changes how many workers evaluate candidates, never which
-/// one wins, and `symbolic_threshold` has no effect. A service request
+/// Only `max_signals` and `critical_path_penalty` change the answer;
+/// `threads` and `symbolic_threshold` have no effect. A service request
 /// still carries all four, and two requests share a cached result only
 /// when all four match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,12 +73,10 @@ pub struct CscOptions {
     /// Penalty added per output event directly triggered by a state
     /// signal transition (the timing-aware bias; 0 disables it).
     pub critical_path_penalty: usize,
-    /// Worker-pool width for the candidate search (`0`, the default,
-    /// resolves to one worker per available core; `1` runs serially).
-    /// Each worker evaluates whole candidate insertions on a private
-    /// [`ReachEngine`] of the caller's backend, and the deterministic
-    /// `(cost, index)` reduction of [`rt_stg::par::parallel_argmin`]
-    /// guarantees the winner is identical at every width.
+    /// Has no effect: the candidate search runs serially on the
+    /// caller's thread. It stays only because existing callers (the
+    /// `perfbench` harness) set it, and the `ResolveCsc` wire payload
+    /// carries it until `PROTO_VERSION` 3.
     pub threads: usize,
     /// Has no effect. It stays only because existing callers (the
     /// `perfbench` harness) set it, and the `ResolveCsc` wire payload
@@ -118,9 +114,9 @@ pub fn resolve_csc_with(stg: &Stg, options: &CscOptions) -> Result<CscResolution
 
 /// [`resolve_csc_with`] through a caller-owned [`ReachEngine`].
 ///
-/// The input's graph and the audit run on `engine`; the candidates run
-/// on private worker engines of `engine`'s backend and options, whose
-/// statistics are folded back into `engine`. The accepted result is
+/// The input's graph, every candidate and the audit run on `engine`,
+/// serially on the caller's thread, so its options govern and its
+/// statistics count the whole search. The accepted result is
 /// backend-independent: on every backend and at every net size the
 /// candidates are ranked only on explicitly built state graphs. On
 /// [`rt_stg::ReachBackend::Symbolic`] the final resolution is audited
@@ -140,7 +136,8 @@ pub fn resolve_csc_engine(
     engine: &mut ReachEngine,
 ) -> Result<CscResolution, SynthError> {
     let sg = engine.state_graph(stg)?;
-    if sg.csc_conflicts().is_empty() {
+    let mut before = sg.csc_conflict_count();
+    if before == 0 {
         let cost = encoding_cost(&sg, 0);
         let resolution = CscResolution {
             stg: stg.clone(),
@@ -154,7 +151,6 @@ pub fn resolve_csc_engine(
     }
     let mut attempts = 0;
     let mut current = stg.clone();
-    let mut before = sg.csc_conflicts().len();
     // Best-so-far state for a budget-truncated partial result: the
     // conflict-rank formula of the candidate loop, so a partial
     // resolution's cost is comparable to rejected candidates'.
@@ -170,7 +166,8 @@ pub fn resolve_csc_engine(
         match best {
             Some((next_stg, next_sg, cost)) => {
                 inserted.push(name);
-                if next_sg.csc_conflicts().is_empty() {
+                let after = next_sg.csc_conflict_count();
+                if after == 0 {
                     let resolution = CscResolution {
                         stg: next_stg,
                         sg: Some(next_sg),
@@ -181,7 +178,7 @@ pub fn resolve_csc_engine(
                     audit_resolution(&resolution, engine)?;
                     return Ok(resolution);
                 }
-                before = next_sg.csc_conflicts().len();
+                before = after;
                 current = next_stg;
                 current_sg = Some(next_sg);
                 current_cost = cost;
@@ -234,8 +231,7 @@ fn audit_resolution(
 }
 
 /// One candidate insertion point of the search, cheap to enumerate up
-/// front so the worker pool can materialize and evaluate them
-/// independently.
+/// front; the search materializes and scores one at a time.
 #[derive(Debug, Clone, Copy)]
 enum InsertionSpec {
     /// Splice `x+`/`x-` into a pair of simple places.
@@ -251,9 +247,8 @@ enum InsertionSpec {
     },
 }
 
-/// Enumerates every candidate insertion in the canonical (serial
-/// search) order. The pool's deterministic reduction ties winners to
-/// this order, so it must stay stable.
+/// Enumerates every candidate insertion in the canonical search order.
+/// Ties go to the earlier candidate, so the order must stay stable.
 fn insertion_specs(stg: &Stg) -> Vec<InsertionSpec> {
     let places = simple_places(stg);
     let mut specs = Vec::new();
@@ -288,20 +283,14 @@ fn insertion_specs(stg: &Stg) -> Vec<InsertionSpec> {
 /// disqualified only because the engine's budget ran out mid-eval.
 type SearchOutcome<T> = (Option<T>, bool);
 
-/// Tries every candidate insertion point on the worker pool; returns
+/// Tries every candidate insertion point serially on `engine`; returns
 /// the best valid insertion as `(stg, sg, cost)`. `before` is the
 /// conflict count of `stg` itself (already computed by the caller — no
 /// re-exploration).
 ///
-/// Every worker owns a private [`ReachEngine`] with `engine`'s backend
-/// and options (persistent symbolic managers are not shared across
-/// threads), and candidates only build explicit graphs on it. The
-/// workers' usage counters are folded back into `engine` afterwards,
-/// so a caller watching [`ReachEngine::stats`] sees the same
-/// `graph_builds` totals as the historical serial loop. The winner is
-/// the `(cost, index)` minimum over the canonical candidate order —
-/// bit-identical to the serial "first strictly better candidate wins"
-/// scan at every pool width.
+/// Candidates only build explicit graphs, on every backend. The winner
+/// is the lowest cost, and among equal costs the first candidate in
+/// [`insertion_specs`]'s order ([`rt_stg::par::argmin`]).
 ///
 /// The second element of the `Ok` pair is the *truncated* flag: `true`
 /// when at least one candidate was disqualified only because the
@@ -314,8 +303,7 @@ type SearchOutcome<T> = (Option<T>, bool);
 ///
 /// As [`SynthError::Stg`]: [`StgError::Cancelled`] when a candidate's
 /// walk is cancelled (no further candidate starts), and
-/// [`StgError::WorkerPanicked`] when a candidate evaluation panicked
-/// on the pool.
+/// [`StgError::WorkerPanicked`] when a candidate evaluation panicked.
 fn best_insertion(
     stg: &Stg,
     name: &str,
@@ -326,11 +314,9 @@ fn best_insertion(
 ) -> Result<SearchOutcome<(Stg, StateGraph, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
-    let worker_options = engine.options().clone();
-
-    let truncated = AtomicBool::new(false);
-    let evaluate = |worker: &mut ReachEngine, index: usize| {
-        let candidate = match specs[index] {
+    let mut truncated = false;
+    let best = argmin(specs, |spec| {
+        let candidate = match spec {
             InsertionSpec::Place {
                 plus,
                 minus,
@@ -340,20 +326,18 @@ fn best_insertion(
                 insert_after_transitions(stg, name, plus, minus)
             }
         };
-        let sg = match worker.state_graph(&candidate) {
+        let sg = match engine.state_graph(&candidate) {
             Ok(sg) => sg,
             Err(StgError::Cancelled) => return Err(StgError::Cancelled),
             Err(error) => {
-                if error.is_resource_exhaustion() {
-                    truncated.store(true, Ordering::Relaxed);
-                }
+                truncated |= error.is_resource_exhaustion();
                 return Ok(None);
             }
         };
         if !sg.is_strongly_connected() || !sg.deadlock_states().is_empty() {
             return Ok(None);
         }
-        let after = sg.csc_conflicts().len();
+        let after = sg.csc_conflict_count();
         if after >= before {
             return Ok(None); // insertion must strictly help
         }
@@ -365,20 +349,10 @@ fn best_insertion(
             1_000 + after * 100 + penalty
         };
         Ok(Some((cost, (candidate, sg))))
-    };
-
-    let (best, workers) = parallel_argmin(
-        specs.len(),
-        options.threads,
-        || ReachEngine::with_options(engine.backend(), worker_options.clone()),
-        evaluate,
-    )?;
-    for worker in &workers {
-        engine.absorb_stats(worker.stats());
-    }
+    })?;
     Ok((
-        best.map(|(_, cost, (candidate, sg))| (candidate, sg, cost)),
-        truncated.into_inner(),
+        best.map(|(cost, (candidate, sg))| (candidate, sg, cost)),
+        truncated,
     ))
 }
 
@@ -690,7 +664,9 @@ mod tests {
     }
 
     #[test]
-    fn candidate_pool_width_does_not_change_the_resolution() {
+    fn the_callers_engine_counts_every_candidate_walk() {
+        // One graph for the input, then one per candidate of the single
+        // round both nets need, all on the caller's engine.
         for (name, stg) in [
             ("fifo", models::fifo_stg()),
             (
@@ -698,33 +674,15 @@ mod tests {
                 rt_stg::corpus::parse(rt_stg::corpus::VME_READ_G).unwrap(),
             ),
         ] {
-            let serial_options = CscOptions {
-                threads: 1,
-                ..CscOptions::default()
-            };
-            let mut serial_engine = ReachEngine::explicit();
-            let serial = resolve_csc_engine(&stg, &serial_options, &mut serial_engine)
-                .unwrap_or_else(|e| panic!("{name} serial: {e}"));
-            for threads in [2usize, 8] {
-                let options = CscOptions {
-                    threads,
-                    ..CscOptions::default()
-                };
-                let mut engine = ReachEngine::explicit();
-                let parallel = resolve_csc_engine(&stg, &options, &mut engine)
-                    .unwrap_or_else(|e| panic!("{name} x{threads}: {e}"));
-                assert_eq!(parallel.inserted, serial.inserted, "{name} x{threads}");
-                assert_eq!(parallel.cost, serial.cost, "{name} x{threads}");
-                let (gp, gs) = (graph(&parallel), graph(&serial));
-                assert_eq!(
-                    gp.states().map(|s| gp.code(s)).collect::<Vec<_>>(),
-                    gs.states().map(|s| gs.code(s)).collect::<Vec<_>>(),
-                    "{name} x{threads}: identical coded graphs"
-                );
+            for mut engine in [ReachEngine::explicit(), ReachEngine::symbolic()] {
+                let resolution = resolve_csc_engine(&stg, &CscOptions::default(), &mut engine)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(resolution.inserted.len(), 1, "{name}");
                 assert_eq!(
                     engine.stats().graph_builds,
-                    serial_engine.stats().graph_builds,
-                    "{name} x{threads}: absorbed worker stats match serial accounting"
+                    1 + insertion_specs(&stg).len(),
+                    "{name} on {:?}",
+                    engine.backend()
                 );
             }
         }
