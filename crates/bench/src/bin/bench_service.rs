@@ -46,9 +46,10 @@ use rt_stg::{corpus, models};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_verify::verify;
 
-/// The measured request mix: summary + symbolic CSC check for every
-/// corpus model small enough for the symbolic detector (≤ 64 signals),
-/// plus one full CSC resolution.
+/// The measured request mix: a summary and a CSC check for every corpus
+/// model of at most 16 signals and 64 places, plus one full CSC
+/// resolution. The service answers the first two on explicit engines
+/// and the resolution on a symbolic one, which audits it with BDDs.
 fn workload(fast: bool) -> Vec<(String, Request)> {
     let mut out = Vec::new();
     let mut kept = 0usize;
@@ -65,7 +66,7 @@ fn workload(fast: bool) -> Vec<(String, Request)> {
         out.push((format!("{name}/summary"), Request::summary(stg.clone())));
         out.push((format!("{name}/csc"), Request::csc_check(stg)));
     }
-    println!("workload: {kept} corpus models ({skipped} too wide for the symbolic detector)");
+    println!("workload: {kept} corpus models ({skipped} over 16 signals or 64 places)");
     let options = CscOptions {
         threads: 1,
         ..CscOptions::default()
@@ -78,7 +79,9 @@ fn workload(fast: bool) -> Vec<(String, Request)> {
 }
 
 /// Asserts one service answer equals, as a whole payload, what a fresh
-/// direct engine call returns.
+/// direct symbolic engine call returns. The service walks summaries and
+/// CSC checks explicitly, so this checks its explicit answers against
+/// the BDD analysers.
 fn assert_direct(name: &str, request: &Request, payload: &ResponsePayload) {
     let mut engine = ReachEngine::symbolic();
     let expected = match &request.payload {

@@ -415,12 +415,11 @@ impl Bdd {
     }
 
     /// Current memory footprint proxy: allocated nodes plus occupied
-    /// computed-table slots. This — not `node_count` alone — is what
-    /// [`Bdd::over_budget`] compares against the budget, so that the
-    /// share [`Bdd::trim_caches`] can release is part of it; nodes are
-    /// never freed. On a grown manager the computed table holds fewer
-    /// entries than half the node count, so nodes make up more than two
-    /// thirds of the footprint.
+    /// computed-table slots — what [`Bdd::over_budget`] compares against
+    /// the budget. Neither share is ever released, so the footprint only
+    /// grows. On a grown manager the computed table holds fewer entries
+    /// than half the node count, so nodes make up more than two thirds
+    /// of it.
     pub fn footprint(&self) -> usize {
         self.node_count() + self.cache_len()
     }
@@ -453,31 +452,10 @@ impl Bdd {
 
     /// Whether the manager's [`footprint`](Bdd::footprint) currently
     /// exceeds the configured budget. Always `false` when no budget is
-    /// set. A `true` answer can sometimes be cleared by
-    /// [`Bdd::trim_caches`], which empties the computed table; on a
-    /// grown manager that table holds fewer entries than half the node
-    /// count, so a trim frees less than a third of the footprint.
+    /// set. The footprint never shrinks, so once `true` it stays `true`
+    /// until the budget is raised or cleared.
     pub fn over_budget(&self) -> bool {
         self.node_budget.is_some_and(|b| self.footprint() > b)
-    }
-
-    /// Empties the computed table (its slots stay allocated) but keeps
-    /// the unique table and every node alive, so [`Bdd::cache_len`]
-    /// reads 0 afterwards. The image memo needs no trim: a new
-    /// [`Bdd::replace_cube`] call never reads an earlier call's entries.
-    ///
-    /// This is the middle ground between "keep everything" and a full
-    /// manager drop: all existing [`NodeId`]s remain valid — hash
-    /// consing still makes equal functions pointer-identical, so
-    /// results after a trim are **bit-identical** to untrimmed runs
-    /// (`crates/stg/tests/engine_reuse.rs` pins this) — while the
-    /// memoized operation results are rebuilt on demand. The table is a
-    /// pure memo over function-stable node ids; dropping entries can
-    /// only cost recomputation, never correctness. On a grown manager
-    /// it frees less than a third of the [`footprint`](Bdd::footprint).
-    pub fn trim_caches(&mut self) {
-        self.computed.fill(Computed::default());
-        self.computed_len = 0;
     }
 
     fn apply(&mut self, op: Op, a: NodeId, b: NodeId) -> NodeId {
@@ -1012,7 +990,7 @@ mod tests {
     use crate::tt::TruthTable;
 
     #[test]
-    fn node_budget_is_advisory_and_trim_clears_it() {
+    fn node_budget_is_advisory_and_counts_the_footprint() {
         let mut bdd = Bdd::new(8);
         assert!(!bdd.over_budget(), "no budget set");
         assert_eq!(bdd.node_budget(), None);
@@ -1028,20 +1006,11 @@ mod tests {
         assert!(bdd.cache_len() > 0);
         assert_eq!(bdd.footprint(), bdd.node_count() + bdd.cache_len());
 
-        // A budget below the node count alone can never clear.
-        bdd.set_node_budget(Some(bdd.node_count() - 1));
-        assert!(bdd.over_budget());
-        bdd.trim_caches();
-        assert!(bdd.over_budget(), "nodes survive trim");
-
-        // A budget between nodes and footprint clears after a trim.
-        let x = bdd.var(0);
-        let y = bdd.var(1);
-        let _ = bdd.xor(x, y); // repopulate the cache
+        // The cache entries count against the budget too.
         bdd.set_node_budget(Some(bdd.node_count()));
         assert!(bdd.over_budget());
-        bdd.trim_caches();
-        assert!(!bdd.over_budget(), "trim released enough footprint");
+        bdd.set_node_budget(Some(bdd.footprint()));
+        assert!(!bdd.over_budget(), "the footprint itself fits");
 
         bdd.set_node_budget(None);
         assert!(!bdd.over_budget());
@@ -1168,25 +1137,7 @@ mod tests {
     }
 
     #[test]
-    fn trim_caches_preserves_nodes_and_results() {
-        let mut bdd = Bdd::new(6);
-        let a = bdd.var(0);
-        let b = bdd.var(3);
-        let ab = bdd.and(a, b);
-        let ex = bdd.exists(ab, 3);
-        let nodes = bdd.node_count();
-        assert!(bdd.cache_len() > 0, "ops and cofactors were cached");
-        bdd.trim_caches();
-        assert_eq!(bdd.cache_len(), 0);
-        assert_eq!(bdd.node_count(), nodes, "unique table untouched");
-        // Recomputing after the trim lands on the identical nodes.
-        assert_eq!(bdd.and(a, b), ab);
-        assert_eq!(bdd.exists(ab, 3), ex);
-        assert_eq!(bdd.node_count(), nodes, "hash consing still deduplicates");
-    }
-
-    #[test]
-    fn computed_table_stays_bounded_and_trim_empties_it() {
+    fn computed_table_stays_bounded() {
         let mut bdd = Bdd::with_capacity(12, 2);
         let occupied = |bdd: &Bdd| bdd.computed.iter().filter(|e| e.key.tag != 0).count();
         let mut acc = NodeId::ZERO;
@@ -1206,12 +1157,6 @@ mod tests {
             bdd.computed.len(),
             bdd.node_count()
         );
-        assert!(bdd.cache_len() > 0);
-        let slots = bdd.computed.len();
-        bdd.trim_caches();
-        assert_eq!(bdd.cache_len(), 0);
-        assert_eq!(occupied(&bdd), 0);
-        assert_eq!(bdd.computed.len(), slots, "the slots stay allocated");
     }
 
     /// `∨_{i<n} (x_i ∧ x_{i+n})` over `2n` variables: every pair is

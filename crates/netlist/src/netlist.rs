@@ -379,16 +379,6 @@ impl Netlist {
         out.push_str("}\n");
         out
     }
-
-    /// Worst-case single-gate delay in the design (used as a sanity bound
-    /// in timing reports).
-    pub fn worst_gate_delay_ps(&self) -> u64 {
-        self.gates
-            .iter()
-            .map(|g| g.kind.delay_model(g.inputs.len()).worst())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub enum ServiceError {
     /// The underlying reachability/verification analysis failed —
     /// including hard budget stops ([`StgError::Cancelled`] for a
     /// missed deadline) and soft exhaustion that survived the engine's
-    /// degradation chain *and* the service's bounded retries.
+    /// BDD fallback *and* the service's bounded retries.
     Engine(StgError),
     /// The underlying synthesis pass failed.
     Synth(SynthError),

@@ -3,10 +3,13 @@
 //! The long-running front the DAC-99 flow is meant to be driven
 //! through: clients submit [`Request`]s to a [`SynthService`] whose
 //! worker pool sits behind admission control. Each request runs on its
-//! own freshly built [`rt_stg::ReachEngine`], so its symbolic manager
-//! is freed when the request ends and no answer depends on what the
-//! pool served before. Zero external dependencies — `std` threads,
-//! channels and condvars only.
+//! own freshly built [`rt_stg::ReachEngine`], so its BDD manager is
+//! freed when the request ends and no answer depends on what the pool
+//! served before. `Summary`, `CscCheck` and `Verify` run on explicit
+//! engines (BDDs only past the engine's state ceiling); `ResolveCsc`
+//! runs on a symbolic engine, which audits the accepted encoding with
+//! BDDs. Zero external dependencies — `std` threads, channels and
+//! condvars only.
 //!
 //! What the service adds over direct engine calls:
 //!
@@ -19,7 +22,7 @@
 //!   queue depth, and per-request deadlines become hard
 //!   [`Budget`](rt_stg::Budget) deadlines.
 //! * **Retry with bounded backoff** — soft resource exhaustion that
-//!   survives the engine's own degradation chain is retried a bounded
+//!   survives the engine's own BDD fallback is retried a bounded
 //!   number of times, with pauses capped by the remaining deadline.
 //! * **Memo cache** — a bounded LRU of successful replies keyed by the
 //!   request's *exact* payload bytes (its canonical wire encoding,

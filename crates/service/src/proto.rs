@@ -974,12 +974,12 @@ pub fn decode_request(payload: &[u8]) -> Decoded<Request> {
 // Response
 // ---------------------------------------------------------------------
 
+// Tags 0 and 1 are retired: they decode as `BadTag` and are never
+// reused.
 fn enc_degradations(enc: &mut Enc, degradations: &[Degradation]) {
     enc.len(degradations.len());
     for degradation in degradations {
         enc.u8(match degradation {
-            Degradation::SymbolicTrimRetry => 0,
-            Degradation::SymbolicToExplicit => 1,
             Degradation::ExplicitToSymbolic => 2,
             Degradation::PartialSynthesis => 3,
         });
@@ -991,8 +991,6 @@ fn dec_degradations(dec: &mut Dec<'_>) -> Decoded<Vec<Degradation>> {
     let mut degradations = Vec::with_capacity(len);
     for _ in 0..len {
         degradations.push(match dec.u8()? {
-            0 => Degradation::SymbolicTrimRetry,
-            1 => Degradation::SymbolicToExplicit,
             2 => Degradation::ExplicitToSymbolic,
             3 => Degradation::PartialSynthesis,
             tag => {
@@ -1596,8 +1594,8 @@ mod tests {
                     iterations: 9,
                 }),
                 degradations: vec![
-                    Degradation::SymbolicTrimRetry,
-                    Degradation::SymbolicToExplicit,
+                    Degradation::ExplicitToSymbolic,
+                    Degradation::PartialSynthesis,
                 ],
                 cached: true,
                 retries: 2,
@@ -1650,6 +1648,35 @@ mod tests {
         for reply in &replies {
             let decoded = roundtrip_reply(reply);
             assert_eq!(format!("{decoded:?}"), format!("{reply:?}"));
+        }
+    }
+
+    #[test]
+    fn retired_degradation_tags_are_rejected() {
+        let reply = Ok(Response {
+            payload: ResponsePayload::Summary(SummaryOutcome {
+                markings: 18,
+                iterations: 9,
+            }),
+            degradations: vec![Degradation::ExplicitToSymbolic],
+            cached: false,
+            retries: 0,
+        });
+        let good = encode_reply(&reply);
+        // The tag sits after the degradation count, and the cached flag
+        // and the retry count (five bytes) follow it.
+        let at = good.len() - 6;
+        assert_eq!(good[at], 2, "ExplicitToSymbolic keeps tag 2");
+        for tag in [0, 1] {
+            let mut bad = good.clone();
+            bad[at] = tag;
+            assert_eq!(
+                decode_reply(&bad),
+                Err(ProtoError::BadTag {
+                    what: "Degradation",
+                    tag
+                })
+            );
         }
     }
 

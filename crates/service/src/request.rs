@@ -11,14 +11,18 @@ use rt_verify::{NetOrdering, VerifyReport};
 /// What a client asks the service to compute.
 #[derive(Debug, Clone)]
 pub enum RequestPayload {
-    /// Count the reachable markings of `stg` (backend per
-    /// [`crate::ServiceConfig::backend`], degradation chain included).
+    /// Count the reachable markings of `stg`
+    /// ([`rt_stg::ReachEngine::summary`] on an explicit engine: an
+    /// explicit walk, BDDs past its state ceiling or the budget's
+    /// `max_states`).
     Summary {
         /// The specification to analyse.
         stg: Stg,
     },
-    /// Full symbolic CSC conflict analysis of `stg` — counts, liveness
-    /// flags — without building an explicit state graph (≤ 64 signals).
+    /// CSC conflict count, deadlock freedom and strong connectivity of
+    /// `stg` ([`rt_stg::ReachEngine::csc_check`] on an explicit engine:
+    /// the coded state graph, BDDs past its state ceiling or the
+    /// budget's `max_states`; ≤ 64 signals).
     CscCheck {
         /// The specification to analyse.
         stg: Stg,
@@ -109,7 +113,7 @@ impl Request {
         }
     }
 
-    /// A symbolic CSC conflict-analysis request.
+    /// A CSC conflict-check request.
     pub fn csc_check(stg: Stg) -> Self {
         Request {
             payload: RequestPayload::CscCheck { stg },
@@ -176,7 +180,7 @@ pub struct SummaryOutcome {
     pub iterations: usize,
 }
 
-/// Result of a symbolic CSC conflict analysis.
+/// Result of a CSC conflict check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CscCheckOutcome {
     /// Reachable markings (the audit count).

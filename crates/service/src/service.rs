@@ -6,9 +6,14 @@
 //! [`SynthService::start`] spawns `workers` OS threads. A worker keeps
 //! no engine between jobs: each job — and each retry attempt of a job —
 //! runs on a freshly built [`ReachEngine`] carrying the job's budget,
-//! so its symbolic manager is freed when the attempt ends and a reply
-//! never depends on what the worker served before. Exact repeats are
-//! served by the flight table instead.
+//! so its BDD manager is freed when the attempt ends and a reply never
+//! depends on what the worker served before. Exact repeats are served
+//! by the flight table instead.
+//!
+//! `Summary`, `CscCheck` and `Verify` run on explicit engines, which
+//! walk state graphs up to a ceiling and hand larger nets to BDDs (see
+//! `rt_stg::engine`). `ResolveCsc` runs on a symbolic engine, so the
+//! encoding it accepts is audited against the BDD analysers.
 //!
 //! Clients [`submit`](SynthService::submit) a [`Request`] and block
 //! for the `Result<Response, ServiceError>`; the non-blocking
@@ -68,7 +73,7 @@
 //!
 //! A request that fails with soft exhaustion
 //! ([`ServiceError::is_resource_exhaustion`]) after the engine's own
-//! degradation chain is retried up to [`ServiceConfig::max_retries`]
+//! BDD fallback is retried up to [`ServiceConfig::max_retries`]
 //! times with exponential backoff, each pause capped both by
 //! [`ServiceConfig::max_backoff`] and by half the request's
 //! [`remaining_deadline`](Budget::remaining_deadline). Deadlines are
@@ -83,7 +88,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use rt_stg::engine::{ReachBackend, ReachEngine};
+use rt_stg::engine::ReachEngine;
 use rt_stg::{faults, Budget, StgError};
 use rt_synth::csc::resolve_csc_engine;
 use rt_verify::{verify_with_budget, VerifyOptions};
@@ -120,8 +125,6 @@ pub struct ServiceConfig {
     /// Baseline budget each request runs under; a request deadline is
     /// layered on top of a fresh clone per request.
     pub budget: Budget,
-    /// Backend of the per-request engines.
-    pub backend: ReachBackend,
     /// Per-client fairness quota: how many requests one client identity
     /// ([`Request::client`]) may have admitted-but-incomplete at once.
     /// The next one is refused with [`ServiceError::QuotaExceeded`].
@@ -148,7 +151,6 @@ impl Default for ServiceConfig {
             backoff: Duration::from_micros(500),
             max_backoff: Duration::from_millis(10),
             budget: Budget::default(),
-            backend: ReachBackend::Symbolic,
             max_inflight_per_client: 0,
             io_timeout: Duration::from_secs(30),
             drain_deadline: Duration::from_secs(5),
@@ -227,13 +229,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn budget(mut self, budget: Budget) -> Self {
         self.config.budget = budget;
-        self
-    }
-
-    /// Backend of the per-request engines.
-    #[must_use]
-    pub fn backend(mut self, backend: ReachBackend) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -794,7 +789,11 @@ fn process(
         if job.budget.cancelled() {
             return Err(ServiceError::Engine(StgError::Cancelled));
         }
-        let mut engine = ReachEngine::new(config.backend).with_budget(job.budget.clone());
+        let engine = match job.payload {
+            RequestPayload::ResolveCsc { .. } => ReachEngine::symbolic(),
+            _ => ReachEngine::explicit(),
+        };
+        let mut engine = engine.with_budget(job.budget.clone());
         match run_once(&mut engine, &job.payload, &job.budget) {
             Ok(payload) => {
                 return Ok(Response {
@@ -837,12 +836,12 @@ fn run_once(
             }))
         }
         RequestPayload::CscCheck { stg } => {
-            let analysis = engine.csc_conflicts_symbolic(stg)?;
+            let check = engine.csc_check(stg)?;
             Ok(ResponsePayload::CscCheck(CscCheckOutcome {
-                markings: analysis.markings,
-                conflicts: analysis.conflicts,
-                deadlock_free: analysis.deadlock_free,
-                strongly_connected: analysis.strongly_connected,
+                markings: check.markings,
+                conflicts: check.conflicts,
+                deadlock_free: check.deadlock_free,
+                strongly_connected: check.strongly_connected,
             }))
         }
         RequestPayload::ResolveCsc { stg, options } => {

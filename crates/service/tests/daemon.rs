@@ -296,13 +296,20 @@ mod faulted {
     #[test]
     fn injected_exhaustion_retries_and_stays_bit_identical_over_tcp() {
         let _suite = suite();
-        let daemon = ephemeral_daemon();
+        // No room for a BDD fallback: the first attempt's injected walk
+        // exhaustion fails the whole attempt, and the retry walks.
+        let config = ServiceConfig::builder()
+            .budget(rt_stg::Budget::default().with_max_bdd_nodes(1))
+            .build()
+            .expect("a soft node cap is a valid configuration");
+        let daemon = Daemon::bind(config, "127.0.0.1:0").expect("bind ephemeral port");
         let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
-        let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 2);
+        let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
         let response = client
             .submit(&Request::csc_check(models::fifo_stg()))
             .expect("service retry absorbs the exhaustion");
         assert_eq!(response.retries, 1);
+        assert!(response.degradations.is_empty(), "the retry walked cleanly");
         let direct = ReachEngine::symbolic()
             .csc_conflicts_symbolic(&models::fifo_stg())
             .expect("direct");

@@ -2,8 +2,9 @@
 //! pool, each submitting the corpus in a different order, must observe
 //! answers bit-identical to serial direct-engine calls — and, with
 //! fault injection on, must keep doing so while a worker panic is
-//! being isolated. Under a node budget, a reply must also not depend on
-//! what the worker served before.
+//! being isolated. Under a budget whose BDD fallback only a fresh
+//! manager fits, a reply must also not depend on what the worker served
+//! before.
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
@@ -60,9 +61,8 @@ fn requests(models: &[(String, Stg)]) -> Vec<(String, Request)> {
 /// on the way to it.
 type Answer = (ResponsePayload, Vec<Degradation>);
 
-/// A fresh direct engine's answer to `request` under `budget`.
-fn direct(request: &Request, budget: &Budget) -> Answer {
-    let mut engine = ReachEngine::symbolic().with_budget(budget.clone());
+/// `engine`'s answer to `request`.
+fn direct(request: &Request, mut engine: ReachEngine) -> Answer {
     let payload = match &request.payload {
         RequestPayload::Summary { stg } => {
             let summary = engine.summary(stg).expect("direct summary");
@@ -72,12 +72,12 @@ fn direct(request: &Request, budget: &Budget) -> Answer {
             })
         }
         RequestPayload::CscCheck { stg } => {
-            let analysis = engine.csc_conflicts_symbolic(stg).expect("direct csc");
+            let check = engine.csc_check(stg).expect("direct csc");
             ResponsePayload::CscCheck(rt_service::CscCheckOutcome {
-                markings: analysis.markings,
-                conflicts: analysis.conflicts,
-                deadlock_free: analysis.deadlock_free,
-                strongly_connected: analysis.strongly_connected,
+                markings: check.markings,
+                conflicts: check.conflicts,
+                deadlock_free: check.deadlock_free,
+                strongly_connected: check.strongly_connected,
             })
         }
         other => unreachable!("suite only submits summaries and checks: {other:?}"),
@@ -86,11 +86,11 @@ fn direct(request: &Request, budget: &Budget) -> Answer {
 }
 
 /// Serial ground truth: every request answered by a fresh direct
-/// engine under the default budget, no pool, no cache.
+/// symbolic engine under the default budget, no pool, no cache.
 fn direct_expected(models: &[(String, Stg)]) -> BTreeMap<String, Answer> {
     requests(models)
         .into_iter()
-        .map(|(key, request)| (key, direct(&request, &Budget::default())))
+        .map(|(key, request)| (key, direct(&request, ReachEngine::symbolic())))
         .collect()
 }
 
@@ -223,9 +223,10 @@ fn budgeted_nets() -> Vec<(&'static str, Stg)> {
 fn budgeted_replies_do_not_depend_on_what_the_worker_served_before() {
     let _suite = suite_guard();
     let nets = budgeted_nets();
-    // 10% above the largest footprint a fresh engine reaches on any one
-    // net: no fresh engine trips it, a manager kept across the
-    // sequence would.
+    // A one-marking state budget sends every summary to its BDD
+    // fallback. The node budget sits 10% above the largest footprint a
+    // fresh manager reaches on any one net: no fresh engine trips it, a
+    // manager kept across the sequence would.
     let largest = nets
         .iter()
         .map(|(name, stg)| {
@@ -233,11 +234,13 @@ fn budgeted_replies_do_not_depend_on_what_the_worker_served_before() {
             engine
                 .summary(stg)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            engine.manager_nodes() + engine.manager_cache_len()
+            engine.manager().map_or(0, |bdd| bdd.footprint())
         })
         .max()
         .expect("nets");
-    let budget = Budget::default().with_max_bdd_nodes(largest + largest / 10);
+    let budget = Budget::default()
+        .with_max_states(1)
+        .with_max_bdd_nodes(largest + largest / 10);
     let config = ServiceConfig::builder()
         .workers(1)
         .cache_capacity(0)
@@ -247,7 +250,15 @@ fn budgeted_replies_do_not_depend_on_what_the_worker_served_before() {
     let service = SynthService::start(config);
     for (name, stg) in nets {
         let request = Request::summary(stg);
-        let expected = direct(&request, &budget);
+        let expected = direct(
+            &request,
+            ReachEngine::explicit().with_budget(budget.clone()),
+        );
+        assert_eq!(
+            expected.1,
+            vec![Degradation::ExplicitToSymbolic],
+            "{name}: BDDs answered"
+        );
         let response = service
             .submit(request)
             .unwrap_or_else(|e| panic!("{name}: {e}"));

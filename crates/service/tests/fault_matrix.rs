@@ -13,9 +13,9 @@
 use std::time::{Duration, Instant};
 
 use rt_service::{Request, ResponsePayload, ServiceConfig, ServiceError, SynthService};
-use rt_stg::engine::{Degradation, ReachBackend, ReachEngine};
+use rt_stg::engine::{Degradation, ReachEngine};
 use rt_stg::faults::{arm, Fault};
-use rt_stg::{models, StgError};
+use rt_stg::{models, Budget, StgError};
 
 fn serial() -> rt_stg::faults::SuiteGuard {
     rt_stg::faults::suite()
@@ -26,6 +26,16 @@ fn one_worker() -> ServiceConfig {
         .workers(1)
         .build()
         .expect("one worker is a valid pool")
+}
+
+/// One worker whose BDD fallback can never fit: an attempt whose
+/// explicit walk is exhausted by injection fails as a whole.
+fn one_worker_without_bdd_room() -> ServiceConfig {
+    ServiceConfig::builder()
+        .workers(1)
+        .budget(Budget::default().with_max_bdd_nodes(1))
+        .build()
+        .expect("a soft node cap is a valid configuration")
 }
 
 fn fifo_markings(response: &rt_service::Response) -> u64 {
@@ -61,12 +71,13 @@ fn injected_worker_panic_is_typed_and_the_engine_is_rebuilt() {
 }
 
 #[test]
-fn injected_node_exhaustion_is_absorbed_by_the_service_retry() {
+fn injected_exhaustion_is_absorbed_by_the_service_retry() {
     let _suite = serial();
-    let service = SynthService::start(one_worker());
-    // Two shots: the engine's own attempt + trim-retry both fail, so
-    // the failure escapes the engine and exercises the service loop.
-    let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 2);
+    let service = SynthService::start(one_worker_without_bdd_room());
+    // One shot: the first attempt's walk and then its BDD fallback are
+    // both exhausted, so the failure escapes the engine and exercises
+    // the service loop; the retry walks cleanly.
+    let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
     let response = service
         .submit(Request::csc_check(models::fifo_stg()))
         .expect("service retry succeeds after the engine gives up");
@@ -95,12 +106,12 @@ fn repeated_exhaustion_leaves_no_engine_to_quarantine() {
     let _suite = serial();
     let config = ServiceConfig {
         max_retries: 0,
-        ..one_worker()
+        ..one_worker_without_bdd_room()
     };
     let service = SynthService::start(config);
-    // Four shots: two requests × (attempt + engine trim-retry), both
-    // requests ending in hard failure.
-    let _fault = arm(Fault::ExhaustNodesAt { iteration: 1 }, 4);
+    // Two shots: two requests whose walks and BDD fallbacks are both
+    // exhausted, each ending in hard failure.
+    let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 2);
     for request in 0..2 {
         match service.submit(Request::csc_check(models::fifo_stg())) {
             Err(ServiceError::Engine(StgError::NodeBudgetExceeded { .. })) => {}
@@ -125,11 +136,7 @@ fn repeated_exhaustion_leaves_no_engine_to_quarantine() {
 #[test]
 fn injected_state_exhaustion_degrades_and_the_cache_keeps_it_partial() {
     let _suite = serial();
-    let config = ServiceConfig {
-        backend: ReachBackend::Explicit,
-        ..one_worker()
-    };
-    let service = SynthService::start(config);
+    let service = SynthService::start(one_worker());
     let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
     let response = service
         .submit(Request::summary(models::fifo_stg()))

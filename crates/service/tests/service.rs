@@ -155,22 +155,20 @@ fn a_reused_idempotency_token_never_replays_another_payload() {
 
 #[test]
 fn degraded_results_are_cached_with_their_degradations() {
-    // A one-node BDD allowance forces the symbolic summary through its
-    // whole degradation chain down to the explicit walk.
+    // A four-marking state budget sends the explicit summary of the
+    // 18-marking FIFO to its BDD fallback.
     let config = ServiceConfig::builder()
-        .budget(Budget::default().with_max_bdd_nodes(1))
+        .budget(Budget::default().with_max_states(4))
         .build()
-        .expect("a soft node cap is a valid configuration");
+        .expect("a soft state cap is a valid configuration");
     let service = SynthService::start(config);
     let first = service
         .submit(Request::summary(models::fifo_stg()))
         .expect("degraded summary still succeeds");
-    assert!(
-        first
-            .degradations
-            .contains(&Degradation::SymbolicToExplicit),
-        "chain bottomed out in the explicit walk: {:?}",
-        first.degradations
+    assert_eq!(
+        first.degradations,
+        vec![Degradation::ExplicitToSymbolic],
+        "BDDs answered past the caller's budget"
     );
     assert!(!first.is_full_fidelity());
     match &first.payload {

@@ -105,7 +105,6 @@ pub struct Simulator<'a> {
     transition_counts: Vec<u64>,
     energy_fj: u64,
     hazards: Vec<Hazard>,
-    delay: DelayConfig,
     /// Per-gate delay scale in percent (filled for Jitter).
     gate_scale: Vec<u64>,
     /// Start time of an ongoing set/reset contention per gate.
@@ -145,7 +144,6 @@ impl<'a> Simulator<'a> {
             transition_counts: vec![0; nets],
             energy_fj: 0,
             hazards: Vec::new(),
-            delay,
             gate_scale,
             fight_since: vec![None; netlist.gate_count()],
             trace: None,
@@ -193,11 +191,6 @@ impl<'a> Simulator<'a> {
         &self.hazards
     }
 
-    /// The delay configuration in force.
-    pub fn delay_config(&self) -> DelayConfig {
-        self.delay
-    }
-
     /// Forces `net` to `value` at the current time + `delay_ps` (external
     /// stimulus; normally used on input nets by [`crate::agent`]s).
     pub fn schedule(&mut self, net: NetId, value: bool, delay_ps: u64) {
@@ -222,16 +215,6 @@ impl<'a> Simulator<'a> {
             for &gate in self.netlist.fanout(net) {
                 self.evaluate_gate(gate);
             }
-        }
-    }
-
-    /// Schedules a (re)evaluation of every gate against current values —
-    /// used after [`Simulator::initialize`] when the initialized net is a
-    /// gate *output* (whose driver would otherwise never notice the
-    /// discrepancy and precharge/settle it).
-    pub fn reevaluate_all(&mut self) {
-        for gate in self.netlist.gates() {
-            self.evaluate_gate(gate);
         }
     }
 
@@ -405,11 +388,6 @@ impl<'a> Simulator<'a> {
             }
         }
         committed
-    }
-
-    /// Whether any events remain scheduled.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Flushes contention tracking at the end of a run: any set/reset

@@ -9,11 +9,12 @@
 //!
 //! * `max_states` — soft ceiling on explicitly interned markings. Unlike
 //!   the hard [`ExploreOptions::state_limit`](crate::reach::ExploreOptions),
-//!   blowing this budget is *degradable*: the engine may fall back to a
-//!   symbolic run instead of erroring (see `rt_stg::engine`).
+//!   blowing this budget is *degradable*: an explicit engine's
+//!   set-level queries fall back to BDDs instead of erroring (see
+//!   `rt_stg::engine`).
 //! * `max_bdd_nodes` — soft ceiling on the symbolic manager's footprint
-//!   (live nodes **plus** occupied computed-table slots; the slots are
-//!   the share `rt_boolean::Bdd::trim_caches` can release).
+//!   (live nodes **plus** occupied computed-table slots,
+//!   `rt_boolean::Bdd::footprint`).
 //! * `max_iterations` — ceiling on symbolic image/fixpoint iterations;
 //!   defaults to [`DEFAULT_MAX_ITERATIONS`] when unset.
 //! * `deadline` + [`CancelToken`] — a soft wall-clock deadline and a
@@ -77,10 +78,9 @@ pub struct Budget {
     /// Soft ceiling on explicitly interned markings (`None` = unlimited).
     pub max_states: Option<usize>,
     /// Soft ceiling on the BDD manager footprint: nodes plus occupied
-    /// computed-table slots ([`rt_boolean::Bdd::footprint`]). The slots
-    /// are bounded by the node count (on a grown manager, fewer than one
-    /// per two nodes), so a ceiling below the node count cannot be met
-    /// and a trim frees less than a third of the footprint.
+    /// computed-table slots ([`rt_boolean::Bdd::footprint`]). The
+    /// manager releases neither, so a blown ceiling stays blown for that
+    /// manager and the query's error propagates.
     pub max_bdd_nodes: Option<usize>,
     /// Ceiling on symbolic fixpoint iterations
     /// ([`DEFAULT_MAX_ITERATIONS`] when `None`).
@@ -118,12 +118,6 @@ impl Budget {
     /// Builder: sets a wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Builder: attaches a (possibly shared) cancellation token.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
         self
     }
 

@@ -7,40 +7,44 @@
 //! resolution re-ran [`crate::reach::explore`] per candidate insertion,
 //! and every symbolic query built (and threw away) a fresh
 //! [`rt_boolean::Bdd`] manager. The engine is the shared façade those
-//! consumers now go through — `rt-synth`'s `resolve_csc_engine` and
-//! `derive_functions_for`, `rt-core`'s lazy passes, and `rt-verify`'s
-//! composition all take a `&mut ReachEngine` — and it is the seam later
-//! scaling work (batching, more backends) plugs into.
+//! consumers now go through — `rt-synth`'s `resolve_csc_engine`,
+//! `rt-core`'s lazy passes, and `rt-verify`'s composition all take a
+//! `&mut ReachEngine`.
 //!
 //! ## Backend selection
 //!
-//! [`ReachBackend`] picks how **set-level** queries
-//! ([`ReachEngine::summary`]) are answered:
+//! [`ReachBackend`] gives each engine one rule for the **set-level**
+//! queries, [`ReachEngine::summary`] and [`ReachEngine::csc_check`]:
 //!
-//! * [`ReachBackend::Explicit`] — the packed-marking/interned-arena BFS
-//!   of [`crate::reach`], in a counting-only variant that skips codes
-//!   and arcs. Fastest for the paper-scale controllers; handles any
-//!   width the packed layouts do (`W1`/`W2`/`W4`/`Big`).
-//! * [`ReachBackend::Symbolic`] — BDD image computation
-//!   ([`crate::symbolic`]) inside a **persistent manager** owned by the
-//!   engine (see below). Scales with BDD structure instead of state
-//!   count and additionally yields the reachable set as a membership
-//!   oracle ([`ReachEngine::symbolic_set`]).
+//! * [`ReachBackend::Explicit`] — explicit first, BDDs past a ceiling.
+//!   The query walks the packed-marking/interned-arena BFS of
+//!   [`crate::reach`] (a counting-only variant for `summary`, the coded
+//!   [`StateGraph`] for `csc_check`) under a soft state ceiling: the
+//!   caller's [`Budget::max_states`] or [`EXPLICIT_CEILING`], whichever
+//!   is lower. Past it, BDD image computation ([`crate::symbolic`])
+//!   answers instead, exactly. The ceiling sits near the measured
+//!   crossover: on pipeline rings the walk wins or ties up to about
+//!   2^17 markings on `summary` and 2^18 on `csc_check`.
+//! * [`ReachBackend::Symbolic`] — BDDs and nothing else, in a
+//!   **persistent manager** owned by the engine (see below). This is
+//!   the independent oracle the explicit answers are checked against.
 //!
 //! [`ReachEngine::state_graph`] builds the full coded [`StateGraph`] —
 //! the object logic synthesis consumes — and is *intrinsically
 //! explicit* (per-state binary codes cannot be read off a BDD without
 //! enumeration), so both backends share the explicit constructor there.
 //! What the symbolic backend adds on that path is an independent audit:
-//! consumers cross-check the graph's state count against the symbolic
-//! marking count (see `rt_synth::resolve_csc_engine`), so a bug in
-//! either analyser surfaces as a loud mismatch instead of a silently
-//! wrong circuit.
+//! `rt_synth::resolve_csc_engine` cross-checks an accepted graph's state
+//! and conflict counts against the BDD analysers, so a bug in either
+//! surfaces as a loud mismatch instead of a silently wrong circuit.
+//! [`ReachEngine::symbolic_set`] and
+//! [`ReachEngine::csc_conflicts_symbolic`] run the BDD analysers
+//! directly on either backend.
 //!
-//! ## Manager reuse and `reset`
+//! ## Manager reuse
 //!
-//! The symbolic backend's `Bdd` manager is created lazily on the first
-//! symbolic query and then **survives across calls**: the unique table
+//! The engine's `Bdd` manager is created lazily on the first BDD query
+//! and then **survives across calls** of that engine: the unique table
 //! and the computed table are both kept (the variable order is fixed),
 //! and the variable universe widens on demand
 //! ([`rt_boolean::Bdd::ensure_vars`]) so one engine serves nets of any
@@ -54,20 +58,14 @@
 //! memoizes within one call only, in a memo sized by one call's work
 //! (`bench_reach`'s `csc` stage measures warm-vs-fresh).
 //!
-//! The trade-off is memory: the manager never frees a node, so a
-//! long-lived engine grows with every query
-//! ([`ReachEngine::manager_nodes`] is the gauge). Two escape hatches,
-//! cheapest first: [`ReachEngine::trim`] empties only the computed
-//! table while keeping the unique table, so every node id stays valid
-//! and later queries are bit-identical, just recomputed;
-//! [`ReachEngine::reset`] drops the whole manager (the next symbolic
-//! call starts cold). Neither touches the engine's options or backend.
-//! Reuse is sound because nothing is ever invalidated: a cached
-//! `(op, lhs, rhs)` entry describes pure functions of immutable nodes,
-//! so a poisoned result is impossible by construction — and
-//! `crates/stg/tests/engine_reuse.rs` holds the line with
-//! fresh-vs-reused and trimmed-vs-untrimmed bit-identical property
-//! tests over the corpus.
+//! The manager never frees a node, so an engine grows with every BDD
+//! query ([`ReachEngine::manager_nodes`] is the gauge) until it is
+//! dropped. Callers that serve many unrelated queries build one engine
+//! per request, as `rt-service` does. Reuse is sound because nothing is
+//! ever invalidated: a cached `(op, lhs, rhs)` entry describes pure
+//! functions of immutable nodes, so a poisoned result is impossible by
+//! construction — and `crates/stg/tests/engine_reuse.rs` holds the line
+//! with fresh-vs-reused bit-identical property tests over the corpus.
 //!
 //! ## Multi-core work: one engine per thread
 //!
@@ -90,23 +88,23 @@
 //! ceiling, fixpoint-iteration ceiling, and deadline/cancellation via a
 //! shared [`crate::budget::CancelToken`]. Checks run at **round /
 //! iteration granularity** — once per BFS layer or image step, never
-//! per state — so an overrun stops within one round.
+//! per state — so an overrun stops within one round. The built-in
+//! [`EXPLICIT_CEILING`] is the exception: it rides on the per-state
+//! hard limit, so a walk stops at the ceiling exactly.
 //!
-//! On a *soft* budget overrun ([`StgError::is_resource_exhaustion`])
-//! the engine degrades along a policy chain instead of dying, recording
-//! each step as a typed [`Degradation`] in [`EngineStats::degradations`]:
+//! A fallback the caller's own budget forced is recorded as a typed
+//! [`Degradation`] in [`EngineStats::degradations`]:
 //!
-//! * **Symbolic backend, node/iteration budget blown** →
-//!   [`Degradation::SymbolicTrimRetry`]: [`ReachEngine::trim`] empties
-//!   the computed table and the query retries once. Still blown →
-//!   [`Degradation::SymbolicToExplicit`]:
-//!   the summary is served by the explicit counting walk (which has no
-//!   signal cap) under the same budget.
-//! * **Explicit backend, state budget blown** →
-//!   [`Degradation::ExplicitToSymbolic`]: the summary is served
-//!   symbolically when the net fits the engine's code-width contract
-//!   (≤ 64 signals); BDD size scales with structure, not state count,
-//!   so the symbolic run routinely fits where enumeration does not.
+//! * **Explicit backend, the caller's `max_states` blown** →
+//!   [`Degradation::ExplicitToSymbolic`]: BDDs answer the query. BDD
+//!   size scales with structure, not state count, so the symbolic run
+//!   routinely fits where enumeration does not. Crossing
+//!   [`EXPLICIT_CEILING`] is policy, not a degradation: that answer is
+//!   exact and unflagged, and its `bdd_nodes > 0` shows which analyser
+//!   gave it.
+//! * **Any BDD query, node or iteration budget blown** → the error
+//!   propagates. A retry on a fresh engine under the same budget blows
+//!   it again, so only the caller can decide to spend more.
 //! * **Synthesis truncation** — `rt_synth::resolve_csc_engine` records
 //!   [`Degradation::PartialSynthesis`] (via
 //!   [`ReachEngine::note_degradation`]) when a budget cut its candidate
@@ -116,14 +114,9 @@
 //! The BDD-footprint ceiling is checked against
 //! [`rt_boolean::Bdd::footprint`] — allocated nodes plus occupied
 //! computed-table slots — at iteration boundaries. The manager frees no
-//! nodes, so short of a reset only a trim lowers the footprint, and
-//! only by its computed-table entries. Those are bounded by the node
-//! count (on a grown manager, fewer than one per two nodes), so a trim
-//! frees less than a third of a mature manager's footprint: a budget
-//! below the node count stays blown and falls through to the explicit
-//! walk.
+//! nodes, so a footprint only grows.
 //!
-//! Two things never degrade: the hard
+//! Two things never degrade: the caller's hard
 //! [`ExploreOptions::state_limit`] (an error contract callers rely on)
 //! and [`StgError::Cancelled`] (a demand to stop, honoured
 //! immediately). And no overrun — budget, cancellation, or even a
@@ -137,83 +130,39 @@
 //!
 //! ## Service layer
 //!
-//! `rt-service` runs these engines behind a long-lived, supervised
-//! synthesis/verification service, and the budget contract above is
-//! exactly what makes that safe. The division of labour:
-//!
-//! * **The engine** owns per-request execution: budgets polled at
-//!   round/iteration granularity, the degradation chain, and warm
-//!   reuse *within* one request (the two symbolic queries that audit
-//!   a `rt_synth::resolve_csc_engine` resolution share one manager).
-//! * **The service** owns cross-request policy. It builds a fresh
-//!   engine for every request and every retry attempt, so a worker
-//!   holds no manager between jobs and an answer — degradations
-//!   included — never depends on what the worker served before. A
-//!   request whose worker panics loses only its own engine. On top of
-//!   that sit bounded admission with deterministic load shedding,
-//!   retry with bounded backoff on [`StgError::is_resource_exhaustion`]
-//!   errors (the residual deadline is split across attempts via
-//!   [`Budget::remaining_deadline`](crate::budget::Budget::remaining_deadline)),
-//!   and a bounded memo of successful replies keyed by the request's
-//!   exact payload bytes (its canonical wire encoding, names included),
-//!   so a hit is exactly the answer to the caller's own input. Cached
-//!   entries keep the [`Degradation`]s of the run that produced them,
-//!   so a cache hit can never silently upgrade a partial answer to a
-//!   full one.
-//!
-//! Deadlines and cancellation stay hard stops at every layer: the
-//! service never retries a [`StgError::Cancelled`], and a request
-//! admitted past its deadline is answered with it before the engine is
-//! touched.
-//!
-//! ## Daemon
-//!
-//! One layer further out, `rt-service` exposes the pool over TCP:
-//! `rt-daemon` accepts connections on `std::net` (no external
-//! dependencies), speaks a versioned length-prefixed binary protocol
-//! (`rt_service::proto`), and maps every wire-level failure — framing
-//! errors, a client vanishing mid-request, a deadline carried in the
-//! request — onto the same typed service errors and budget machinery
-//! described above, never onto new ad-hoc paths. In front of the pool
-//! the service coalesces identical in-flight requests (single-flight
-//! dedup on the same exact payload bytes as the memo; open flights,
-//! memo entries and idempotency records are rows of one table) and
-//! drains admissions in deterministic FIFO order, so N clients asking
-//! the same question cost one engine dispatch and each receives the
-//! bit-identical response a direct engine call would have produced.
-//!
-//! The daemon also survives hostile or flaky peers without ever
-//! touching engine semantics: every connection carries an I/O deadline
-//! (a half-open or slow-loris peer costs a counted timeout and a
-//! closed socket, nothing more), per-client fairness quotas bound how
-//! many requests one identity may hold in flight (excess is refused
-//! with a typed quota error, so one greedy tenant can never starve
-//! another's access to the pool), and deadline-free requests may carry
-//! an idempotency key: a client that loses its connection mid-request
-//! can resubmit the same request under the same key and is guaranteed
-//! **exactly one** engine execution — the resubmission joins the
-//! original flight or replays its recorded reply, bit-identical either
-//! way. Requests that
-//! carry deadlines are excluded from replay (the budget machinery
-//! above already makes re-running them observable), keeping the
-//! exactly-once contract aligned with the hard-stop contract.
+//! `rt-service` runs these engines behind a supervised, multi-tenant
+//! daemon, and the budget contract above is what makes that safe. The
+//! engine owns per-request execution: budgets, the explicit-first rule
+//! and its BDD fallback, and warm reuse *within* one request (the two
+//! BDD queries that audit a `rt_synth::resolve_csc_engine` resolution
+//! share one manager). The service owns cross-request policy: it
+//! answers `Summary`, `CscCheck` and `Verify` on explicit engines and
+//! `ResolveCsc` on a symbolic one, builds a fresh engine for every
+//! request and every retry attempt (so no answer depends on what a
+//! worker served before), and adds admission control, bounded retries
+//! of [`StgError::is_resource_exhaustion`] errors, a memo of exact
+//! replies that keeps their [`Degradation`]s, and the wire protocol.
+//! Cancellation stays a hard stop at every layer.
 //!
 //! ## Example
 //!
 //! ```
-//! use rt_stg::engine::{ReachBackend, ReachEngine};
+//! use rt_stg::engine::ReachEngine;
 //! use rt_stg::models;
 //!
 //! # fn main() -> Result<(), rt_stg::StgError> {
-//! let mut engine = ReachEngine::symbolic();
 //! let stg = models::fifo_stg();
-//! let sg = engine.state_graph(&stg)?;          // coded graph for synthesis
-//! let summary = engine.summary(&stg)?;         // first symbolic call: cold
-//! assert_eq!(summary.markings, sg.state_count() as u64);
-//! engine.summary(&stg)?;                       // warm: reuses the manager
-//! assert_eq!(engine.stats().manager_reuses, 1);
-//! engine.reset();                              // drop the manager
-//! assert_eq!(engine.manager_nodes(), 0);
+//! let mut explicit = ReachEngine::explicit();
+//! let sg = explicit.state_graph(&stg)?;          // coded graph for synthesis
+//! let check = explicit.csc_check(&stg)?;         // 18 markings: walked explicitly
+//! assert_eq!(check.markings, sg.state_count() as u64);
+//! assert_eq!(check.bdd_nodes, 0);
+//!
+//! let mut symbolic = ReachEngine::symbolic();
+//! let oracle = symbolic.csc_check(&stg)?;        // BDDs only: first call is cold
+//! assert_eq!((oracle.markings, oracle.conflicts), (check.markings, check.conflicts));
+//! symbolic.summary(&stg)?;                       // warm: reuses the manager
+//! assert_eq!(symbolic.stats().manager_reuses, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -229,10 +178,14 @@ use crate::stg::Stg;
 use crate::symbolic::csc::{csc_conflicts_symbolic_opts, CscAnalysis};
 use crate::symbolic::{reach_symbolic_with, SymbolicReach};
 
+/// Markings an explicit engine enumerates for a set-level query before
+/// BDDs answer it instead (see the module docs' *Backend selection*).
+pub const EXPLICIT_CEILING: usize = 1 << 17;
+
 /// Which analyser answers the engine's set-level queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReachBackend {
-    /// Packed-marking explicit enumeration (counting-only walk).
+    /// Explicit enumeration up to a state ceiling, BDDs past it.
     #[default]
     Explicit,
     /// BDD image computation in the engine's persistent manager.
@@ -244,31 +197,40 @@ pub enum ReachBackend {
 pub struct ReachSummary {
     /// Number of distinct reachable markings.
     pub markings: u64,
-    /// Fixpoint iterations (BFS layers). The two backends count layers
-    /// the same way, but silent-transition structure can make them
-    /// differ by the layer the initial marking is assigned to; treat as
-    /// a per-backend diagnostic, not a cross-backend invariant.
+    /// Fixpoint iterations: BFS layers, the initial marking's counted
+    /// as the first. Both analysers count the same layers
+    /// (`crates/stg/tests/agreement.rs` pins it).
     pub iterations: usize,
-    /// Nodes allocated in the engine's manager after the call (0 on
-    /// the explicit backend). Nothing is freed, so a reused manager
-    /// counts every earlier query's nodes too.
+    /// Nodes allocated in the engine's manager after the call; 0 when
+    /// the explicit walk answered. Nothing is freed, so a reused
+    /// manager counts every earlier query's nodes too.
     pub bdd_nodes: usize,
 }
 
-/// One step of the engine's budget-degradation policy chain (see the
-/// module docs), recorded in [`EngineStats::degradations`] so callers —
-/// and the bench regression gate — can tell a first-class answer from a
-/// fallback one.
+/// A backend-agnostic CSC check ([`ReachEngine::csc_check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CscSummary {
+    /// Number of distinct reachable markings.
+    pub markings: u64,
+    /// CSC conflicts — exactly
+    /// [`StateGraph::csc_conflicts`]`().len()`.
+    pub conflicts: u64,
+    /// Whether no reachable marking enables nothing.
+    pub deadlock_free: bool,
+    /// Whether every reachable marking can return to the initial one.
+    pub strongly_connected: bool,
+    /// Nodes allocated in the engine's manager after the call; 0 when
+    /// the explicit walk answered.
+    pub bdd_nodes: usize,
+}
+
+/// A fallback the caller's budget forced (see the module docs),
+/// recorded in [`EngineStats::degradations`] so callers — and the bench
+/// regression gate — can tell a first-class answer from a fallback one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Degradation {
-    /// A symbolic query blew its node/iteration budget; the manager's
-    /// memo caches were trimmed and the query retried once.
-    SymbolicTrimRetry,
-    /// The trim-retry still blew the budget; the summary was served by
-    /// the explicit counting walk instead.
-    SymbolicToExplicit,
-    /// An explicit summary blew the soft state budget; it was served
-    /// symbolically instead.
+    /// An explicit query blew the caller's soft state budget
+    /// ([`Budget::max_states`]); BDDs answered it instead.
     ExplicitToSymbolic,
     /// A budget cut a synthesis candidate search short; the caller
     /// returned the best candidate found so far, flagged `truncated`.
@@ -278,20 +240,17 @@ pub enum Degradation {
 /// Usage counters, mostly for benches and reuse assertions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Full state-graph constructions served.
+    /// Full state-graph constructions served, the explicit walks of
+    /// [`ReachEngine::csc_check`] included.
     pub graph_builds: usize,
     /// Set-level summaries served (either backend).
     pub summaries: usize,
-    /// Symbolic queries that found a manager already alive (the reuse
-    /// path, as opposed to a cold first build).
+    /// BDD queries that found a manager already alive (the reuse path,
+    /// as opposed to a cold first build).
     pub manager_reuses: usize,
-    /// Times [`ReachEngine::reset`] dropped the manager.
-    pub resets: usize,
-    /// Times [`ReachEngine::trim`] dropped the manager's memo caches.
-    pub trims: usize,
     /// Symbolic CSC conflict analyses served
-    /// ([`ReachEngine::csc_conflicts_symbolic`]): conflict checks, and
-    /// the audit of each resolution a symbolic engine accepts.
+    /// ([`ReachEngine::csc_conflicts_symbolic`]): symbolic CSC checks,
+    /// and the audit of each resolution a symbolic engine accepts.
     pub symbolic_csc: usize,
     /// Every degradation the engine performed, in order. Empty on a
     /// healthy run — the standard corpus under default budgets must
@@ -373,8 +332,8 @@ impl ReachEngine {
 
     /// Builds the full coded [`StateGraph`] of `stg` — the explicit
     /// object every downstream synthesis pass consumes. Identical on
-    /// both backends (see module docs); the backend governs
-    /// [`ReachEngine::summary`].
+    /// both backends (see module docs); the backend governs the
+    /// set-level queries.
     ///
     /// # Errors
     ///
@@ -385,70 +344,96 @@ impl ReachEngine {
     }
 
     /// Answers the set-level question "how many markings are reachable"
-    /// through the configured backend, degrading to the other backend
-    /// on a *soft* budget overrun (see the module docs' *Budgets and
-    /// degradation*; each fallback step is recorded in
-    /// [`EngineStats::degradations`]). The hard `state_limit` and
-    /// cancellation never degrade.
+    /// by the backend's rule (see the module docs' *Backend selection*):
+    /// an explicit engine counts explicitly up to the ceiling and hands
+    /// larger nets to BDDs, a symbolic engine uses BDDs only.
     ///
     /// # Errors
     ///
-    /// Explicit backend: [`crate::reach::count_markings_with`]'s errors.
-    /// Symbolic backend: [`crate::symbolic::reach_symbolic_in`]'s.
-    /// Either may additionally surface the budget errors of
-    /// [`crate::budget::Budget`] when the fallback chain is exhausted.
+    /// [`crate::reach::count_markings_with`]'s errors while the walk
+    /// runs, [`crate::symbolic::reach_symbolic_with`]'s once BDDs
+    /// answer — budget overruns included.
     pub fn summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
         self.stats.summaries += 1;
         match self.backend {
-            ReachBackend::Explicit => match self.explicit_summary(stg) {
-                Err(error @ StgError::StateBudgetExceeded { .. }) => {
-                    // Enumeration blew the soft budget. A symbolic run
-                    // scales with BDD structure instead of state count,
-                    // so serve it symbolically when the net fits the
-                    // engine's code-width contract.
-                    if stg.signal_count() <= 64 {
-                        self.stats
-                            .degradations
-                            .push(Degradation::ExplicitToSymbolic);
-                        self.symbolic_summary(stg)
-                    } else {
-                        Err(error)
-                    }
-                }
-                other => other,
-            },
-            ReachBackend::Symbolic => match self.symbolic_summary(stg) {
-                Err(error) if error.is_resource_exhaustion() => {
-                    // First rung: empty the computed table and retry
-                    // once. Trim never changes results (bit-identical
-                    // replay), only frees headroom.
-                    self.stats.degradations.push(Degradation::SymbolicTrimRetry);
-                    self.trim();
-                    match self.symbolic_summary(stg) {
-                        Err(retry) if retry.is_resource_exhaustion() => {
-                            // Second rung: the explicit counting walk,
-                            // under the same budget.
-                            self.stats
-                                .degradations
-                                .push(Degradation::SymbolicToExplicit);
-                            self.explicit_summary(stg)
-                        }
-                        other => other,
-                    }
-                }
-                other => other,
-            },
+            ReachBackend::Explicit => self.explicit_first(
+                |options| {
+                    let count = count_markings_with(stg, options)?;
+                    Ok(ReachSummary {
+                        markings: count.markings,
+                        iterations: count.iterations,
+                        bdd_nodes: 0,
+                    })
+                },
+                |engine| engine.symbolic_summary(stg),
+            ),
+            ReachBackend::Symbolic => self.symbolic_summary(stg),
         }
     }
 
-    /// The explicit counting walk as a [`ReachSummary`].
-    fn explicit_summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
-        let count = count_markings_with(stg, &self.options)?;
-        Ok(ReachSummary {
-            markings: count.markings,
-            iterations: count.iterations,
-            bdd_nodes: 0,
-        })
+    /// Checks `stg` for CSC conflicts, deadlocks and strong
+    /// connectivity by the backend's rule, like
+    /// [`ReachEngine::summary`]: an explicit engine builds the coded
+    /// [`StateGraph`] up to the ceiling and hands larger nets to
+    /// [`ReachEngine::csc_conflicts_symbolic`], a symbolic engine calls
+    /// that alone. Both analysers give the same answer.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::reach::explore_with`]'s errors while the walk runs,
+    /// [`ReachEngine::csc_conflicts_symbolic`]'s once BDDs answer.
+    pub fn csc_check(&mut self, stg: &Stg) -> Result<CscSummary, StgError> {
+        match self.backend {
+            ReachBackend::Explicit => {
+                self.stats.graph_builds += 1;
+                self.explicit_first(
+                    |options| {
+                        let sg = explore_with(stg, options)?;
+                        Ok(CscSummary {
+                            markings: sg.state_count() as u64,
+                            conflicts: sg.csc_conflict_count() as u64,
+                            deadlock_free: sg.deadlock_states().is_empty(),
+                            strongly_connected: sg.is_strongly_connected(),
+                            bdd_nodes: 0,
+                        })
+                    },
+                    |engine| engine.symbolic_csc_check(stg),
+                )
+            }
+            ReachBackend::Symbolic => self.symbolic_csc_check(stg),
+        }
+    }
+
+    /// The explicit backend's rule: `walk` runs under the ceiling, and
+    /// past it `bdd` answers. The caller's own `max_states`, when lower
+    /// than [`EXPLICIT_CEILING`], is the ceiling instead; tripping it is
+    /// recorded as [`Degradation::ExplicitToSymbolic`].
+    fn explicit_first<T>(
+        &mut self,
+        walk: impl FnOnce(&ExploreOptions) -> Result<T, StgError>,
+        bdd: impl FnOnce(&mut Self) -> Result<T, StgError>,
+    ) -> Result<T, StgError> {
+        // The built-in ceiling rides on the per-state hard limit, so the
+        // walk stops at it exactly rather than up to a BFS layer later.
+        let mut options = self.options.clone();
+        let ceiling = options.state_limit > EXPLICIT_CEILING
+            && options
+                .budget
+                .max_states
+                .is_none_or(|max| max > EXPLICIT_CEILING);
+        if ceiling {
+            options.state_limit = EXPLICIT_CEILING;
+        }
+        match walk(&options) {
+            Err(StgError::StateLimitExceeded(_)) if ceiling => bdd(self),
+            Err(StgError::StateBudgetExceeded { .. }) => {
+                self.stats
+                    .degradations
+                    .push(Degradation::ExplicitToSymbolic);
+                bdd(self)
+            }
+            other => other,
+        }
     }
 
     /// The symbolic run as a [`ReachSummary`].
@@ -461,28 +446,32 @@ impl ReachEngine {
         })
     }
 
+    /// The symbolic CSC analysis as a [`CscSummary`].
+    fn symbolic_csc_check(&mut self, stg: &Stg) -> Result<CscSummary, StgError> {
+        let analysis = self.csc_conflicts_symbolic(stg)?;
+        Ok(CscSummary {
+            markings: analysis.markings,
+            conflicts: analysis.conflicts,
+            deadlock_free: analysis.deadlock_free,
+            strongly_connected: analysis.strongly_connected,
+            bdd_nodes: analysis.bdd_nodes,
+        })
+    }
+
     /// Runs symbolic reachability in the engine's persistent manager and
     /// returns the full [`SymbolicReach`], including the reachable-set
     /// node for membership queries against [`ReachEngine::manager`].
     /// Available regardless of the configured backend (it *is* the
-    /// symbolic facility; the backend only selects what
-    /// [`ReachEngine::summary`] uses).
+    /// symbolic facility; the backend only selects what the set-level
+    /// queries use).
     ///
     /// # Errors
     ///
     /// Propagates [`crate::symbolic::reach_symbolic_in`]'s errors, plus
-    /// the budget errors of [`crate::budget::Budget`] (no degradation
-    /// at this level — [`ReachEngine::summary`] owns the policy chain).
+    /// the budget errors of [`crate::budget::Budget`].
     pub fn symbolic_set(&mut self, stg: &Stg) -> Result<SymbolicReach, StgError> {
-        if self.manager.is_some() {
-            self.stats.manager_reuses += 1;
-        }
         let options = self.options.clone();
-        let manager = self
-            .manager
-            .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
-        manager.set_node_budget(options.budget.max_bdd_nodes);
-        reach_symbolic_with(stg, manager, &options)
+        reach_symbolic_with(stg, self.warm_manager(stg), &options)
     }
 
     /// Runs the full symbolic CSC conflict analysis of `stg`
@@ -499,83 +488,42 @@ impl ReachEngine {
     /// # Errors
     ///
     /// Propagates [`csc_conflicts_symbolic_in`]'s errors
-    /// (> 64 signals, inconsistency, no fixpoint). A *soft* budget
-    /// overrun gets one [`Degradation::SymbolicTrimRetry`] (trim the
-    /// caches, retry once) before propagating — there is no explicit
-    /// fallback here, because the explicit detector needs a
-    /// [`StateGraph`] this call exists to avoid.
+    /// (> 64 signals, inconsistency, no fixpoint) and the budget errors
+    /// of [`crate::budget::Budget`].
     ///
     /// [`csc_conflicts_symbolic_in`]: crate::symbolic::csc::csc_conflicts_symbolic_in
     pub fn csc_conflicts_symbolic(&mut self, stg: &Stg) -> Result<CscAnalysis, StgError> {
+        self.stats.symbolic_csc += 1;
+        let options = self.options.clone();
+        // The engine's own options drive the initial-code inference so
+        // both detectors derive identical codes under any tuning.
+        csc_conflicts_symbolic_opts(stg, self.warm_manager(stg), &options)
+    }
+
+    /// The persistent manager, built on the first BDD query and reused
+    /// by every later one, with the budget's node ceiling installed.
+    fn warm_manager(&mut self, stg: &Stg) -> &mut Bdd {
         if self.manager.is_some() {
             self.stats.manager_reuses += 1;
         }
-        self.stats.symbolic_csc += 1;
-        match self.csc_symbolic_once(stg) {
-            Err(error) if error.is_resource_exhaustion() => {
-                self.stats.degradations.push(Degradation::SymbolicTrimRetry);
-                self.trim();
-                self.csc_symbolic_once(stg)
-            }
-            other => other,
-        }
-    }
-
-    /// One un-degraded symbolic CSC analysis in the persistent manager.
-    fn csc_symbolic_once(&mut self, stg: &Stg) -> Result<CscAnalysis, StgError> {
-        let options = self.options.clone();
         let manager = self
             .manager
             .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
-        manager.set_node_budget(options.budget.max_bdd_nodes);
-        // The engine's own options drive the initial-code inference so
-        // both detectors derive identical codes under any tuning.
-        csc_conflicts_symbolic_opts(stg, manager, &options)
+        manager.set_node_budget(self.options.budget.max_bdd_nodes);
+        manager
     }
 
-    /// The persistent manager, if a symbolic query has run since the
-    /// last [`ReachEngine::reset`]. Needed to evaluate a
-    /// [`SymbolicReach::set`] returned by [`ReachEngine::symbolic_set`].
+    /// The persistent manager, if a BDD query has run on this engine.
+    /// Needed to evaluate a [`SymbolicReach::set`] returned by
+    /// [`ReachEngine::symbolic_set`].
     pub fn manager(&self) -> Option<&Bdd> {
         self.manager.as_ref()
     }
 
     /// Nodes allocated in the persistent manager (0 when no manager is
-    /// alive) — the memory gauge for deciding when to
-    /// [`ReachEngine::reset`].
+    /// alive) — the engine's memory gauge.
     pub fn manager_nodes(&self) -> usize {
         self.manager.as_ref().map_or(0, Bdd::node_count)
-    }
-
-    /// Drops the persistent symbolic manager: the next symbolic query
-    /// starts from a cold unique table and caches. Options, backend and
-    /// counters (except the `resets` increment) are untouched. Explicit
-    /// state is per-call, so this is a no-op for the explicit backend
-    /// beyond bookkeeping.
-    pub fn reset(&mut self) {
-        self.stats.resets += 1;
-        self.manager = None;
-    }
-
-    /// Empties the persistent manager's computed table while keeping
-    /// the unique table and all nodes alive — the cheap middle ground
-    /// between full reuse and [`ReachEngine::reset`]. Later queries
-    /// return bit-identical results (hash consing still deduplicates
-    /// onto the same nodes; the computed table only avoids
-    /// recomputation), so this trades warm-query speed for footprint
-    /// without a cold restart. No-op when no manager is alive.
-    pub fn trim(&mut self) {
-        self.stats.trims += 1;
-        if let Some(manager) = self.manager.as_mut() {
-            manager.trim_caches();
-        }
-    }
-
-    /// Occupied slots of the persistent manager's computed table (0
-    /// when no manager is alive) — the gauge [`ReachEngine::trim`]
-    /// empties.
-    pub fn manager_cache_len(&self) -> usize {
-        self.manager.as_ref().map_or(0, Bdd::cache_len)
     }
 
     /// Records a degradation decided *outside* the engine — e.g.
@@ -616,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_manager_persists_and_resets() {
+    fn symbolic_manager_persists_across_queries() {
         let mut engine = ReachEngine::symbolic();
         let stg = models::fifo_stg();
         engine.summary(&stg).expect("first run");
@@ -633,16 +581,6 @@ mod tests {
         engine.summary(&models::celement_stg()).expect("third run");
         assert!(engine.manager_nodes() > nodes_after_first);
         assert_eq!(engine.stats().manager_reuses, 2);
-
-        engine.reset();
-        assert_eq!(engine.manager_nodes(), 0);
-        assert!(engine.manager().is_none());
-        assert_eq!(engine.stats().resets, 1);
-
-        // Cold again after reset.
-        engine.summary(&stg).expect("post-reset run");
-        assert_eq!(engine.stats().manager_reuses, 2, "post-reset call is cold");
-        assert_eq!(engine.manager_nodes(), nodes_after_first);
     }
 
     #[test]
@@ -674,27 +612,6 @@ mod tests {
         assert_eq!(
             summary.markings, 140,
             "one state per transition of the ring"
-        );
-    }
-
-    #[test]
-    fn trim_keeps_nodes_and_reproduces_results() {
-        let mut engine = ReachEngine::symbolic();
-        let stg = models::fifo_stg();
-        let before = engine.symbolic_set(&stg).expect("first run");
-        let nodes = engine.manager_nodes();
-        assert!(engine.manager_cache_len() > 0, "warm caches exist");
-        engine.trim();
-        assert_eq!(engine.stats().trims, 1);
-        assert_eq!(engine.manager_cache_len(), 0, "caches dropped");
-        assert_eq!(engine.manager_nodes(), nodes, "unique table kept");
-        let after = engine.symbolic_set(&stg).expect("post-trim run");
-        assert_eq!(before.markings, after.markings);
-        assert_eq!(before.set, after.set, "same node id: bit-identical set");
-        assert_eq!(
-            engine.manager_nodes(),
-            nodes,
-            "no new nodes after trim replay"
         );
     }
 
@@ -734,46 +651,147 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_iteration_budget_degrades_via_trim_to_explicit() {
+    fn symbolic_budget_overruns_propagate() {
         let stg = models::fifo_stg();
         let mut engine =
             ReachEngine::symbolic().with_budget(Budget::default().with_max_iterations(1));
-        let summary = engine.summary(&stg).expect("explicit fallback succeeds");
-        assert_eq!(summary.markings, 18);
-        assert_eq!(summary.bdd_nodes, 0, "served by the explicit walk");
-        assert_eq!(
-            engine.stats().degradations,
-            vec![
-                Degradation::SymbolicTrimRetry,
-                Degradation::SymbolicToExplicit
-            ]
+        assert!(matches!(
+            engine.summary(&stg),
+            Err(StgError::IterationLimitExceeded { .. })
+        ));
+        assert!(matches!(
+            engine.csc_check(&stg),
+            Err(StgError::IterationLimitExceeded { .. })
+        ));
+        let mut engine =
+            ReachEngine::symbolic().with_budget(Budget::default().with_max_bdd_nodes(1));
+        assert!(matches!(
+            engine.summary(&stg),
+            Err(StgError::NodeBudgetExceeded { .. })
+        ));
+        assert!(
+            engine.stats().degradations.is_empty(),
+            "BDDs have no fallback"
         );
-        assert_eq!(engine.stats().trims, 1);
+        assert_eq!(engine.stats().graph_builds, 0);
+    }
+
+    /// `stages` independent `a+ → a-` cycles: 2^stages markings, all
+    /// with distinct codes, in stages + 1 BFS layers.
+    fn independent_cycles(stages: usize) -> Stg {
+        let mut stg = Stg::new(format!("cycles{stages}"));
+        for i in 0..stages {
+            let signal = stg
+                .add_signal(format!("a{i}"), crate::signal::SignalKind::Output)
+                .expect("fresh");
+            let rise = stg.transition_for(signal, crate::signal::Edge::Rise);
+            let fall = stg.transition_for(signal, crate::signal::Edge::Fall);
+            stg.arc(rise, fall);
+            stg.marked_arc(fall, rise);
+        }
+        stg
     }
 
     #[test]
-    fn symbolic_node_budget_can_clear_after_a_trim() {
-        // Warm the manager on other nets so its caches dominate the
-        // footprint, then set a budget the trimmed manager fits in: the
-        // trim-retry rung alone must rescue the query.
+    fn explicit_csc_check_walks_the_state_graph() {
         let stg = models::fifo_stg();
-        let mut engine = ReachEngine::symbolic();
-        engine.summary(&stg).expect("warm-up");
-        engine.summary(&models::celement_stg()).expect("warm-up 2");
-        engine.summary(&models::ring_stg(6, 2)).expect("warm-up 3");
-        let nodes = engine.manager_nodes();
-        assert!(engine.manager_cache_len() > 0);
-        // Fits the nodes plus a replay's worth of fresh cache entries,
-        // but not the current accumulated caches.
-        let budget_nodes = nodes + engine.manager_cache_len() / 2;
-        assert!(nodes + engine.manager_cache_len() > budget_nodes);
-        engine.options_mut().budget = Budget::default().with_max_bdd_nodes(budget_nodes);
-        let summary = engine.summary(&stg).expect("trim-retry rescues");
-        assert_eq!(summary.markings, 18);
-        assert!(summary.bdd_nodes > 2, "still served symbolically");
+        let sg = crate::reach::explore(&stg).expect("explores");
+        let mut engine = ReachEngine::explicit();
+        let check = engine.csc_check(&stg).expect("checks");
+        assert_eq!(
+            check,
+            CscSummary {
+                markings: 18,
+                conflicts: sg.csc_conflicts().len() as u64,
+                deadlock_free: sg.deadlock_states().is_empty(),
+                strongly_connected: sg.is_strongly_connected(),
+                bdd_nodes: 0,
+            }
+        );
+        assert!(check.conflicts > 0, "the FIFO needs a state signal");
+        assert_eq!(engine.stats().graph_builds, 1);
+        assert_eq!(engine.stats().symbolic_csc, 0);
+        assert!(engine.manager().is_none(), "no BDD was built");
+        assert!(engine.stats().degradations.is_empty());
+    }
+
+    #[test]
+    fn explicit_csc_check_falls_back_on_the_callers_state_budget() {
+        let stg = models::fifo_stg();
+        let full = ReachEngine::explicit().csc_check(&stg).expect("full walk");
+        let mut engine = ReachEngine::explicit().with_budget(Budget::default().with_max_states(4));
+        let check = engine.csc_check(&stg).expect("BDDs answer");
+        assert!(check.bdd_nodes > 2, "served by the BDD analyser");
+        assert_eq!(
+            CscSummary {
+                bdd_nodes: 0,
+                ..check
+            },
+            full
+        );
         assert_eq!(
             engine.stats().degradations,
-            vec![Degradation::SymbolicTrimRetry]
+            vec![Degradation::ExplicitToSymbolic]
+        );
+        assert_eq!(engine.stats().symbolic_csc, 1);
+    }
+
+    #[test]
+    fn symbolic_csc_check_uses_bdds_alone() {
+        let stg = models::fifo_stg();
+        let explicit = ReachEngine::explicit().csc_check(&stg).expect("explicit");
+        let mut engine = ReachEngine::symbolic();
+        let check = engine.csc_check(&stg).expect("symbolic");
+        assert!(check.bdd_nodes > 2);
+        assert_eq!(
+            CscSummary {
+                bdd_nodes: 0,
+                ..check
+            },
+            explicit
+        );
+        assert_eq!(engine.stats().graph_builds, 0);
+        assert_eq!(engine.stats().symbolic_csc, 1);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "walks 2^17 markings: seconds in a debug build, run in release"
+    )]
+    fn past_the_ceiling_bdds_answer_without_a_degradation() {
+        const { assert!(1 << 18 > EXPLICIT_CEILING) };
+        let stg = independent_cycles(18);
+        // A caller budget above the ceiling leaves the ceiling in force.
+        let mut engine =
+            ReachEngine::explicit().with_budget(Budget::default().with_max_states(1 << 20));
+        let summary = engine.summary(&stg).expect("summary");
+        assert_eq!((summary.markings, summary.iterations), (1 << 18, 19));
+        assert!(summary.bdd_nodes > 0, "BDDs answered");
+        let check = engine.csc_check(&stg).expect("check");
+        assert_eq!(check.markings, 1 << 18);
+        assert_eq!(check.conflicts, 0, "every marking has its own code");
+        assert!(check.deadlock_free && check.strongly_connected);
+        assert!(check.bdd_nodes > 0, "BDDs answered");
+        assert!(
+            engine.stats().degradations.is_empty(),
+            "the ceiling is policy, not a degradation"
+        );
+        // A caller budget below the ceiling is the ceiling, and tripping
+        // it is a degradation.
+        engine.options_mut().budget = Budget::default().with_max_states(1_000);
+        let again = engine.summary(&stg).expect("summary");
+        assert_eq!((again.markings, again.iterations), (1 << 18, 19));
+        assert_eq!(
+            engine.stats().degradations,
+            vec![Degradation::ExplicitToSymbolic]
+        );
+        // The caller's hard limit stays an error when it is the lower one.
+        engine.options_mut().budget = Budget::default();
+        engine.options_mut().state_limit = 1_000;
+        assert_eq!(
+            engine.summary(&stg),
+            Err(StgError::StateLimitExceeded(1_000))
         );
     }
 

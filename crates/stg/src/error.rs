@@ -48,16 +48,16 @@ pub enum StgError {
     },
     /// Exploration blew the *soft* state budget
     /// ([`crate::budget::Budget::max_states`]). Unlike
-    /// [`StgError::StateLimitExceeded`] this is degradable: the engine
-    /// may retry the request symbolically instead of failing.
+    /// [`StgError::StateLimitExceeded`] this is degradable: an explicit
+    /// engine's set-level queries hand the net to BDDs instead of
+    /// failing.
     StateBudgetExceeded {
         /// Markings interned when the budget was blown.
         states: usize,
     },
     /// The symbolic manager's footprint blew the *soft* node budget
-    /// ([`crate::budget::Budget::max_bdd_nodes`]). Degradable: the
-    /// engine may trim the manager's caches and retry, or fall back to
-    /// an explicit walk.
+    /// ([`crate::budget::Budget::max_bdd_nodes`]). Soft: the engine
+    /// propagates it, and a caller may retry with a larger budget.
     NodeBudgetExceeded {
         /// Manager footprint (nodes plus occupied computed-table
         /// slots) at the check.

@@ -123,8 +123,8 @@ mod enabled {
 
     /// The armed fault plus its remaining shot count. Shots decrement
     /// only when a fault actually *fires*, so one armed fault triggers
-    /// a bounded number of times (trim-retry paths legitimately hit the
-    /// same injection point more than once).
+    /// a bounded number of times (retries legitimately hit the same
+    /// injection point more than once).
     static ARMED: Mutex<Option<(Fault, usize)>> = Mutex::new(None);
 
     /// Logical test-serialization lock: `true` while some [`Armed`]

@@ -38,9 +38,10 @@
 //!   shared BDD variables over a primed/unprimed place pair space);
 //!   it answers conflict checks and audits accepted encodings.
 //! * [`engine`] — the [`ReachEngine`] façade the whole synthesis
-//!   pipeline queries: one engine, two interchangeable backends
-//!   (explicit enumeration / persistent-manager symbolic), covering
-//!   nets past 64 places through the packed `W2`/`W4`/`Big` variants.
+//!   pipeline queries: one engine, two backends (explicit enumeration
+//!   with BDDs past a state ceiling / BDDs alone in a persistent
+//!   manager), covering nets past 64 places through the packed
+//!   `W2`/`W4`/`Big` variants.
 //! * [`models`] — ready-made specifications from the paper: the FIFO
 //!   controller of Figure 3, the C-element, pipeline rings, and more.
 //!   [`corpus`] adds the classic `.g` benchmarks plus generated wide
@@ -77,7 +78,7 @@ pub mod stg;
 pub mod symbolic;
 
 pub use budget::{Budget, CancelToken};
-pub use engine::{Degradation, ReachBackend, ReachEngine, ReachSummary};
+pub use engine::{CscSummary, Degradation, ReachBackend, ReachEngine, ReachSummary};
 pub use error::StgError;
 pub use marking::{MarkingArena, MarkingId, MarkingLayout, PackedMarking};
 pub use petri::{Marking, PetriNet, PlaceId, TransitionId};

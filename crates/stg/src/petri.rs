@@ -521,13 +521,6 @@ impl PetriNet {
             .collect()
     }
 
-    /// Degree statistics used in diagnostics: `(max preset, max postset)`.
-    pub fn degree_stats(&self) -> (usize, usize) {
-        let max_pre = self.presets.iter().map(Vec::len).max().unwrap_or(0);
-        let max_post = self.postsets.iter().map(Vec::len).max().unwrap_or(0);
-        (max_pre, max_post)
-    }
-
     /// Renders the net as Graphviz DOT for debugging.
     pub fn to_dot(&self, marking: &Marking) -> String {
         let mut out = String::from("digraph petri {\n  rankdir=LR;\n");
@@ -585,13 +578,6 @@ impl PetriNet {
             .iter()
             .position(|n| n == name)
             .map(|i| TransitionId(i as u32))
-    }
-
-    /// Counts tokens per place name, for human-readable marking dumps.
-    pub fn describe_marking(&self, m: &Marking) -> BTreeMap<String, u16> {
-        m.marked_places()
-            .map(|(p, t)| (self.place_name(p).to_string(), t))
-            .collect()
     }
 }
 

@@ -6,7 +6,7 @@
 //! analysis detects coding conflicts on it, and relative timing produces a
 //! *lazy* (pruned, early-enabled) variant of it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::marking::{MarkingLayout, PackedMarking};
@@ -535,16 +535,6 @@ impl StateGraph {
             }
         }
         self.code(state) & !excited | rising
-    }
-
-    /// States whose code equals `code`.
-    pub fn states_with_code(&self, code: u64) -> Vec<StateId> {
-        self.states().filter(|&s| self.code(s) == code).collect()
-    }
-
-    /// All distinct codes present in the graph.
-    pub fn distinct_codes(&self) -> BTreeSet<u64> {
-        self.codes.iter().copied().collect()
     }
 
     /// States with no outgoing arcs (deadlocks).

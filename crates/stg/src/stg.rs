@@ -456,12 +456,6 @@ impl Stg {
             .ok_or_else(|| StgError::UnknownSignal(base.to_string()))?;
         Ok(SignalEvent::new(signal, edge))
     }
-
-    /// Human-readable description of a transition (event name or dummy
-    /// name).
-    pub fn describe_transition(&self, transition: TransitionId) -> String {
-        self.net.transition_name(transition).to_string()
-    }
 }
 
 impl fmt::Display for Stg {

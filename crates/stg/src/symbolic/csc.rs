@@ -7,11 +7,12 @@
 //! and the conflict relation are all BDDs in one (typically
 //! persistent, engine-owned) manager.
 //!
-//! It has two users, both through
-//! [`crate::engine::ReachEngine::csc_conflicts_symbolic`]: the
-//! service's `CscCheck` requests, and the audit of every resolution
-//! `rt_synth::csc::resolve_csc_engine` accepts on a symbolic engine,
-//! which checks it against the explicit detector. It does not rank
+//! Its users go through
+//! [`crate::engine::ReachEngine::csc_conflicts_symbolic`]: CSC checks
+//! on a symbolic engine, and on an explicit one past its state ceiling
+//! ([`crate::engine::ReachEngine::csc_check`]), and the audit of every
+//! resolution `rt_synth::csc::resolve_csc_engine` accepts on a symbolic
+//! engine, which checks it against the explicit detector. It does not rank
 //! state-encoding candidates: that search builds an explicit graph per
 //! candidate on every backend.
 //!

@@ -59,15 +59,18 @@ fn explicit_and_symbolic_agree_on_wide_models() {
 fn engine_backends_agree_on_models_and_wide_corpus() {
     // The same sweep through the ReachEngine facade: one explicit and
     // one symbolic engine (single persistent manager) across all
-    // models.
+    // models, on both set-level queries.
     let mut explicit = ReachEngine::explicit();
     let mut symbolic = ReachEngine::symbolic();
     let mut specs: Vec<(String, Stg)> = vec![
         ("fifo".into(), models::fifo_stg()),
         ("celement".into(), models::celement_stg()),
         ("ring6_2".into(), models::ring_stg(6, 2)),
+        ("fork70".into(), fork_net(70)),
+        ("silent_ring6_2".into(), silent_ring(6, 2)),
     ];
     specs.extend(corpus::wide());
+    let mut csc_checks = 0;
     for (name, stg) in &specs {
         let e = explicit
             .summary(stg)
@@ -76,14 +79,78 @@ fn engine_backends_agree_on_models_and_wide_corpus() {
             .summary(stg)
             .unwrap_or_else(|err| panic!("{name}: {err}"));
         assert_eq!(e.markings, s.markings, "{name}: backends diverge");
+        assert_eq!(e.iterations, s.iterations, "{name}: BFS layers diverge");
         let sg = explore(stg).unwrap_or_else(|err| panic!("{name}: {err}"));
         assert_eq!(e.markings, sg.state_count() as u64, "{name}");
+
+        // fabric4x4's pair space is seconds of work even in release.
+        if name == "fabric4x4" {
+            continue;
+        }
+        let oracle = csc_conflicts_symbolic(stg).unwrap_or_else(|err| panic!("{name}: {err}"));
+        for engine in [&mut explicit, &mut symbolic] {
+            let check = engine
+                .csc_check(stg)
+                .unwrap_or_else(|err| panic!("{name}: {err}"));
+            assert_eq!(
+                (
+                    check.markings,
+                    check.conflicts,
+                    check.deadlock_free,
+                    check.strongly_connected
+                ),
+                (
+                    oracle.markings,
+                    oracle.conflicts,
+                    oracle.deadlock_free,
+                    oracle.strongly_connected
+                ),
+                "{name}: {:?} CSC check",
+                engine.backend()
+            );
+        }
+        csc_checks += 1;
     }
+    assert!(
+        explicit.manager().is_none(),
+        "every explicit answer came from the walk"
+    );
     assert_eq!(
         symbolic.stats().manager_reuses,
-        specs.len() - 1,
+        specs.len() + csc_checks - 1,
         "every symbolic call after the first reused the one manager"
     );
+}
+
+/// `ring_stg(n, tokens)` with a silent buffer between each stage's rise
+/// and fall: the same handshakes, one BFS layer deeper per stage.
+fn silent_ring(n: usize, tokens: usize) -> Stg {
+    let mut stg = Stg::new(format!("silent_ring{n}_{tokens}"));
+    let stages: Vec<_> = (0..n)
+        .map(|i| {
+            let signal = stg
+                .add_signal(format!("r{i}"), SignalKind::Internal)
+                .expect("fresh signal");
+            let rise = stg.transition_for(signal, Edge::Rise);
+            let fall = stg.transition_for(signal, Edge::Fall);
+            let buffer = stg.silent(format!("buf{i}"));
+            stg.arc(rise, buffer);
+            stg.arc(buffer, fall);
+            (rise, fall)
+        })
+        .collect();
+    for i in 0..n {
+        let (rise, fall) = stages[i];
+        let (next_rise, next_fall) = stages[(i + 1) % n];
+        if i < tokens {
+            stg.marked_arc(fall, next_rise);
+            stg.arc(next_fall, rise);
+        } else {
+            stg.arc(fall, next_rise);
+            stg.marked_arc(next_fall, rise);
+        }
+    }
+    stg
 }
 
 /// `a+` forks into `width` places, a silent join collects them and

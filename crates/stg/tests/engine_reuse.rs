@@ -122,53 +122,6 @@ fn reused_manager_matches_fresh_runs_across_the_whole_sweep() {
     assert_bit_identical("fabric4x4", &corpus::fabric4x4_stg(), &mut engine);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// A manager trimmed at random points of the sweep must keep
-    /// returning bit-identical reachable sets: `trim` drops only memo
-    /// tables, never nodes, so every answer — count, fixpoint depth and
-    /// set membership — is unchanged, merely recomputed.
-    #[test]
-    fn trimmed_manager_matches_fresh_runs(
-        seed in 0u64..1 << 16,
-    ) {
-        let specs = sweep();
-        let mut engine = ReachEngine::symbolic();
-        let mut s = seed | 1;
-        for (i, (name, stg)) in specs.iter().enumerate() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if s >> 33 & 1 == 1 {
-                engine.trim();
-                prop_assert_eq!(engine.manager_cache_len(), 0, "trim empties the caches");
-            }
-            assert_bit_identical(name, stg, &mut engine);
-            prop_assert!(engine.manager_nodes() > 2, "manager alive after visit {i}");
-        }
-        prop_assert!(engine.stats().trims <= specs.len());
-    }
-}
-
-#[test]
-fn trim_then_revisit_allocates_no_new_nodes() {
-    // Replaying an already-interned net after a trim rebuilds cache
-    // entries but must land on the very same unique-table nodes.
-    let stg = models::fifo_stg();
-    let mut engine = ReachEngine::symbolic();
-    let before = engine.symbolic_set(&stg).expect("first run");
-    let nodes = engine.manager_nodes();
-    engine.trim();
-    let after = engine.symbolic_set(&stg).expect("post-trim run");
-    assert_eq!(before.set, after.set, "same reachable-set node id");
-    assert_eq!(before.markings, after.markings);
-    assert_eq!(before.iterations, after.iterations);
-    assert_eq!(
-        engine.manager_nodes(),
-        nodes,
-        "no fresh nodes, only recomputed memos"
-    );
-}
-
 /// A budget-interrupted explicit engine must stay fully reusable: after
 /// an exhausted or cancelled run, lifting the budget and re-asking must
 /// reproduce a fresh engine's graph exactly.
@@ -260,22 +213,4 @@ proptest! {
             assert_bit_identical(name, stg, &mut engine);
         }
     }
-}
-
-#[test]
-fn reset_restores_cold_start_equivalence() {
-    // reset() must be a true escape hatch: post-reset results equal
-    // pre-reset results equal fresh results.
-    let stg = models::fifo_stg();
-    let mut engine = ReachEngine::symbolic();
-    let before = engine.symbolic_set(&stg).expect("explores");
-    engine.reset();
-    assert_eq!(engine.manager_nodes(), 0);
-    let after = engine.symbolic_set(&stg).expect("explores after reset");
-    assert_eq!(before.markings, after.markings);
-    assert_eq!(before.iterations, after.iterations);
-    assert_eq!(
-        before.bdd_nodes, after.bdd_nodes,
-        "cold rebuild is byte-for-byte"
-    );
 }

@@ -216,7 +216,7 @@ fn audit_resolution(
         .sg
         .as_ref()
         .expect("every resolution carries its graph");
-    crate::regions::audit_against_symbolic(engine, &resolution.stg, sg)?;
+    audit_against_symbolic(engine, &resolution.stg, sg)?;
     if engine.backend() == ReachBackend::Symbolic {
         let analysis = engine.csc_conflicts_symbolic(&resolution.stg)?;
         let explicit = sg.csc_conflicts().len() as u64;
@@ -226,6 +226,32 @@ fn audit_resolution(
                 symbolic: analysis.conflicts,
             });
         }
+    }
+    Ok(())
+}
+
+/// On [`ReachBackend::Symbolic`], `stg`'s BDD marking count must match
+/// the explicitly built graph's state count.
+///
+/// # Errors
+///
+/// [`SynthError::BackendMismatch`] on divergence; the symbolic query's
+/// own errors.
+fn audit_against_symbolic(
+    engine: &mut ReachEngine,
+    stg: &Stg,
+    sg: &StateGraph,
+) -> Result<(), SynthError> {
+    if engine.backend() != ReachBackend::Symbolic {
+        return Ok(());
+    }
+    let summary = engine.summary(stg)?;
+    let explicit = sg.state_count() as u64;
+    if summary.markings != explicit {
+        return Err(SynthError::BackendMismatch {
+            explicit,
+            symbolic: summary.markings,
+        });
     }
     Ok(())
 }

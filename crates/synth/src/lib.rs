@@ -16,11 +16,10 @@
 //! the don't-care sets (Section 3 of the paper).
 //!
 //! Reachability runs through one [`rt_stg::ReachEngine`]: CSC
-//! resolution's candidate search ([`csc::resolve_csc_engine`]) and the
-//! STG-level function derivation ([`regions::derive_functions_for`])
-//! take a caller-owned engine, so repeated explorations share state
-//! (and, on the symbolic backend, a warm persistent BDD manager that
-//! audits every accepted graph).
+//! resolution's candidate search ([`csc::resolve_csc_engine`]) takes a
+//! caller-owned engine, so its explorations share one set of options
+//! and counters (and, on the symbolic backend, a persistent BDD manager
+//! that audits the accepted graph).
 //!
 //! ## Example: the C-element synthesizes to a C-element
 //!
@@ -46,4 +45,4 @@ pub use error::SynthError;
 pub use map::{
     synthesize, synthesize_with_dc, synthesize_with_options, MapOptions, SynthesisResult,
 };
-pub use regions::{derive_functions_for, excitation_cover_for, SetResetSpec, SignalFunctions};
+pub use regions::{SetResetSpec, SignalFunctions};

@@ -17,8 +17,7 @@
 use std::collections::BTreeSet;
 
 use rt_boolean::{Cover, Cube};
-use rt_stg::engine::{ReachBackend, ReachEngine};
-use rt_stg::{Edge, SignalEvent, SignalId, StateGraph, StateId, Stg};
+use rt_stg::{Edge, SignalEvent, SignalId, StateGraph, StateId};
 
 use crate::error::SynthError;
 
@@ -150,79 +149,6 @@ pub fn excitation_cover(sg: &StateGraph, event: SignalEvent) -> Cover {
     cover
 }
 
-/// STG-level entry point: explores `stg` through `engine` and derives
-/// the set/reset functions from the resulting graph. The reachable-set
-/// query behind the global unreachable-code don't-cares thereby runs on
-/// whichever backend the engine is configured with, and on
-/// [`ReachBackend::Symbolic`] the graph is audited against the
-/// persistent manager's marking count before any cover is derived.
-///
-/// # Errors
-///
-/// [`derive_functions`]'s errors, plus exploration failures and
-/// [`SynthError::BackendMismatch`] from the symbolic audit.
-pub fn derive_functions_for(
-    engine: &mut ReachEngine,
-    stg: &Stg,
-    local_dc: &LocalDontCares,
-) -> Result<SignalFunctions, SynthError> {
-    let sg = audited_graph(engine, stg)?;
-    derive_functions(&sg, local_dc)
-}
-
-/// STG-level twin of [`excitation_cover`]: explores through `engine`
-/// (with the symbolic audit on that backend) and covers `event`'s
-/// excitation region.
-///
-/// # Errors
-///
-/// Exploration failures and [`SynthError::BackendMismatch`].
-pub fn excitation_cover_for(
-    engine: &mut ReachEngine,
-    stg: &Stg,
-    event: SignalEvent,
-) -> Result<Cover, SynthError> {
-    let sg = audited_graph(engine, stg)?;
-    Ok(excitation_cover(&sg, event))
-}
-
-/// Builds the state graph through the engine and, on the symbolic
-/// backend, cross-checks its state count against the symbolic marking
-/// count.
-fn audited_graph(engine: &mut ReachEngine, stg: &Stg) -> Result<StateGraph, SynthError> {
-    let sg = engine.state_graph(stg)?;
-    audit_against_symbolic(engine, stg, &sg)?;
-    Ok(sg)
-}
-
-/// The one symbolic-audit implementation shared by every engine-level
-/// synthesis entry point (here and in [`crate::csc`]): on
-/// [`ReachBackend::Symbolic`], `stg`'s symbolic marking count must
-/// match the explicitly built graph's state count.
-///
-/// # Errors
-///
-/// [`SynthError::BackendMismatch`] on divergence; the symbolic query's
-/// own errors.
-pub(crate) fn audit_against_symbolic(
-    engine: &mut ReachEngine,
-    stg: &Stg,
-    sg: &StateGraph,
-) -> Result<(), SynthError> {
-    if engine.backend() != ReachBackend::Symbolic {
-        return Ok(());
-    }
-    let summary = engine.summary(stg)?;
-    let explicit = sg.state_count() as u64;
-    if summary.markings != explicit {
-        return Err(SynthError::BackendMismatch {
-            explicit,
-            symbolic: summary.markings,
-        });
-    }
-    Ok(())
-}
-
 /// The global don't-care cover: every code outside `reachable`.
 fn unreachable_cover(vars: usize, reachable: &BTreeSet<u64>) -> Cover {
     // Complement of the reachable-code minterm cover. For small signal
@@ -314,59 +240,6 @@ mod tests {
         let cover = excitation_cover(&sg, SignalEvent::rise(b));
         assert!(cover.evaluate(0b01));
         assert!(!cover.evaluate(0b00));
-    }
-
-    #[test]
-    fn derive_functions_for_agrees_across_backends() {
-        let mut explicit = ReachEngine::explicit();
-        let mut symbolic = ReachEngine::symbolic();
-        for (name, stg) in [
-            ("handshake", models::handshake_stg()),
-            ("celement", models::celement_stg()),
-            ("fifo_csc", models::fifo_stg_csc()),
-        ] {
-            let a = derive_functions_for(&mut explicit, &stg, &LocalDontCares::none())
-                .unwrap_or_else(|e| panic!("{name} explicit: {e}"));
-            let b = derive_functions_for(&mut symbolic, &stg, &LocalDontCares::none())
-                .unwrap_or_else(|e| panic!("{name} symbolic: {e}"));
-            assert_eq!(a.vars, b.vars, "{name}");
-            assert_eq!(a.specs.len(), b.specs.len(), "{name}");
-            for (sa, sb) in a.specs.iter().zip(&b.specs) {
-                assert_eq!(sa.signal, sb.signal, "{name}");
-                for code in 0..(1u64 << a.vars) {
-                    assert_eq!(sa.set_on.evaluate(code), sb.set_on.evaluate(code), "{name}");
-                    assert_eq!(sa.set_dc.evaluate(code), sb.set_dc.evaluate(code), "{name}");
-                    assert_eq!(
-                        sa.reset_on.evaluate(code),
-                        sb.reset_on.evaluate(code),
-                        "{name}"
-                    );
-                    assert_eq!(
-                        sa.reset_dc.evaluate(code),
-                        sb.reset_dc.evaluate(code),
-                        "{name}"
-                    );
-                }
-            }
-        }
-        assert!(
-            symbolic.stats().manager_reuses >= 2,
-            "one manager across the sweep"
-        );
-    }
-
-    #[test]
-    fn excitation_cover_for_matches_graph_level_cover() {
-        let mut engine = ReachEngine::symbolic();
-        let stg = models::handshake_stg();
-        let b = rt_stg::SignalId(1);
-        let via_engine =
-            excitation_cover_for(&mut engine, &stg, SignalEvent::rise(b)).expect("covers");
-        let sg = explore(&stg).unwrap();
-        let direct = excitation_cover(&sg, SignalEvent::rise(b));
-        for code in 0..4u64 {
-            assert_eq!(via_engine.evaluate(code), direct.evaluate(code));
-        }
     }
 
     #[test]

@@ -12,51 +12,26 @@
 
 #![cfg(feature = "fault-injection")]
 
-use rt_stg::engine::{Degradation, ReachEngine};
+use rt_stg::engine::{CscSummary, Degradation, ReachEngine};
 use rt_stg::faults::{arm, suite, Fault};
 use rt_stg::{models, Budget, StgError};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
 use rt_synth::SynthError;
 
 #[test]
-fn symbolic_node_exhaustion_degrades_via_trim_retry() {
+fn symbolic_node_exhaustion_propagates() {
+    // A symbolic engine has no fallback: the overrun is the caller's to
+    // retry, and the engine serves the next query normally.
     let _suite = suite();
     let stg = models::fifo_stg();
-    let expected = ReachEngine::explicit()
-        .summary(&stg)
-        .expect("fresh summary")
-        .markings;
     let _guard = arm(Fault::ExhaustNodesAt { iteration: 1 }, 1);
     let mut engine = ReachEngine::symbolic();
-    let summary = engine.summary(&stg).expect("trim-retry rescues the query");
-    assert_eq!(summary.markings, expected);
-    assert_eq!(
-        engine.stats().degradations,
-        vec![Degradation::SymbolicTrimRetry]
-    );
-}
-
-#[test]
-fn persistent_node_exhaustion_degrades_to_the_explicit_walk() {
-    let _suite = suite();
-    let stg = models::fifo_stg();
-    let expected = ReachEngine::explicit()
-        .summary(&stg)
-        .expect("fresh summary")
-        .markings;
-    // Two shots: the first blows the initial fixpoint, the second blows
-    // the post-trim retry, leaving only the explicit fallback.
-    let _guard = arm(Fault::ExhaustNodesAt { iteration: 1 }, 2);
-    let mut engine = ReachEngine::symbolic();
-    let summary = engine.summary(&stg).expect("explicit fallback serves");
-    assert_eq!(summary.markings, expected);
-    assert_eq!(
-        engine.stats().degradations,
-        vec![
-            Degradation::SymbolicTrimRetry,
-            Degradation::SymbolicToExplicit
-        ]
-    );
+    assert!(matches!(
+        engine.summary(&stg),
+        Err(StgError::NodeBudgetExceeded { .. })
+    ));
+    assert!(engine.stats().degradations.is_empty());
+    assert_eq!(engine.summary(&stg).expect("shot spent").markings, 18);
 }
 
 #[test]
@@ -74,6 +49,53 @@ fn explicit_state_exhaustion_degrades_to_the_symbolic_backend() {
     assert_eq!(
         engine.stats().degradations,
         vec![Degradation::ExplicitToSymbolic]
+    );
+}
+
+#[test]
+fn explicit_csc_check_degrades_to_the_symbolic_detector() {
+    let _suite = suite();
+    let stg = models::fifo_stg();
+    let expected = ReachEngine::explicit()
+        .csc_check(&stg)
+        .expect("fresh check");
+    let _guard = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+    let mut engine = ReachEngine::explicit();
+    let check = engine.csc_check(&stg).expect("symbolic fallback serves");
+    assert!(check.bdd_nodes > 0, "served by the BDD detector");
+    assert_eq!(
+        CscSummary {
+            bdd_nodes: 0,
+            ..check
+        },
+        expected
+    );
+    assert_eq!(
+        engine.stats().degradations,
+        vec![Degradation::ExplicitToSymbolic]
+    );
+}
+
+#[test]
+fn an_exhausted_fallback_surfaces_the_bdd_error() {
+    // Both analysers out of budget: the walk by injection, its BDD
+    // fallback by a one-node allowance. The error leaves the engine,
+    // with the fallback it tried on record.
+    let _suite = suite();
+    let stg = models::fifo_stg();
+    let _guard = arm(Fault::ExhaustStatesAt { round: 1 }, 2);
+    let mut engine = ReachEngine::explicit().with_budget(Budget::default().with_max_bdd_nodes(1));
+    assert!(matches!(
+        engine.summary(&stg),
+        Err(StgError::NodeBudgetExceeded { .. })
+    ));
+    assert!(matches!(
+        engine.csc_check(&stg),
+        Err(StgError::NodeBudgetExceeded { .. })
+    ));
+    assert_eq!(
+        engine.stats().degradations,
+        vec![Degradation::ExplicitToSymbolic; 2]
     );
 }
 
