@@ -43,5 +43,5 @@ pub use bdd::Bdd;
 pub use cover::Cover;
 pub use cube::Cube;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use minimize::{minimize, minimize_with_stats, MinimizeStats};
+pub use minimize::minimize;
 pub use tt::TruthTable;

@@ -18,21 +18,6 @@
 use crate::cover::Cover;
 use crate::cube::Cube;
 
-/// Statistics reported by [`minimize_with_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MinimizeStats {
-    /// Number of EXPAND/IRREDUNDANT/REDUCE sweeps executed.
-    pub iterations: usize,
-    /// Cube count before minimization.
-    pub cubes_before: usize,
-    /// Cube count after minimization.
-    pub cubes_after: usize,
-    /// Literal count before minimization.
-    pub literals_before: usize,
-    /// Literal count after minimization.
-    pub literals_after: usize,
-}
-
 /// Minimizes `on` against the don't-care set `dc`.
 ///
 /// The result covers every on-set minterm, avoids every off-set minterm,
@@ -61,33 +46,24 @@ pub struct MinimizeStats {
 /// assert_eq!(g.literal_count(), 0); // the universal cube
 /// ```
 pub fn minimize(on: &Cover, dc: &Cover) -> Cover {
-    minimize_with_stats(on, dc).0
-}
-
-/// Like [`minimize`] but also returns [`MinimizeStats`].
-pub fn minimize_with_stats(on: &Cover, dc: &Cover) -> (Cover, MinimizeStats) {
     assert_eq!(on.vars(), dc.vars(), "on/dc arity mismatch");
     let vars = on.vars();
-    let mut stats = MinimizeStats {
-        cubes_before: on.cube_count(),
-        literals_before: on.literal_count(),
-        ..MinimizeStats::default()
-    };
     if on.is_empty() {
-        return (Cover::empty(vars), stats);
+        return Cover::empty(vars);
     }
     let off = on.or(dc).complement();
     if off.is_empty() {
-        stats.cubes_after = 1;
-        return (Cover::one(vars), stats);
+        return Cover::one(vars);
     }
 
+    let order = expansion_order(&off);
     let mut current = on.single_cube_containment();
     let mut best: Option<Cover> = None;
     let mut best_cost = (usize::MAX, usize::MAX);
+    let mut sweeps = 0;
     loop {
-        stats.iterations += 1;
-        let expanded = expand(&current, &off);
+        sweeps += 1;
+        let expanded = expand(&current, &off, &order);
         let trimmed = irredundant(&expanded, on);
         let cost = (trimmed.cube_count(), trimmed.literal_count());
         if cost < best_cost {
@@ -96,22 +72,35 @@ pub fn minimize_with_stats(on: &Cover, dc: &Cover) -> (Cover, MinimizeStats) {
         } else {
             break; // no improvement this sweep
         }
-        if stats.iterations >= 8 {
+        if sweeps >= 8 {
             break;
         }
         // REDUCE to open fresh expansion directions for the next sweep.
-        current = reduce(&trimmed, on, &off);
+        current = reduce(&trimmed, on);
     }
-    let current = best.unwrap_or(current);
-    stats.cubes_after = current.cube_count();
-    stats.literals_after = current.literal_count();
-    (current, stats)
+    best.unwrap_or(current)
 }
 
-/// EXPAND: for each cube, greedily remove literals while the cube stays
-/// disjoint from the off-set, then drop cubes contained in earlier
-/// expanded ones.
-fn expand(cover: &Cover, off: &Cover) -> Cover {
+/// The order in which EXPAND tries to drop literals: ascending by how
+/// often the variable is constrained in the off-set (least-blocking
+/// first) — the classic espresso expansion-ordering heuristic. The
+/// off-set is fixed for a whole [`minimize`] call, so so is the order.
+fn expansion_order(off: &Cover) -> Vec<usize> {
+    let mut off_freq = vec![0usize; off.vars()];
+    for o in off.cubes() {
+        for (var, _) in o.literals() {
+            off_freq[var] += 1;
+        }
+    }
+    let mut order: Vec<usize> = (0..off.vars()).collect();
+    order.sort_by_key(|&v| off_freq[v]);
+    order
+}
+
+/// EXPAND: for each cube, greedily remove literals in `order` while the
+/// cube stays disjoint from the off-set, iterating to a fixpoint, then
+/// drop cubes contained in earlier expanded ones.
+fn expand(cover: &Cover, off: &Cover, order: &[usize]) -> Cover {
     let vars = cover.vars();
     let mut cubes: Vec<Cube> = cover.cubes().to_vec();
     // Expand biggest cubes first: they are most likely to swallow others.
@@ -122,20 +111,9 @@ fn expand(cover: &Cover, off: &Cover) -> Cover {
             continue 'next_cube;
         }
         let mut expanded = cube;
-        // Drop literals in ascending order of how often the variable is
-        // constrained in the off-set (least-blocking first), iterating to
-        // a fixpoint — the classic espresso expansion-ordering heuristic.
-        let mut off_freq = vec![0usize; vars];
-        for o in off.cubes() {
-            for (var, _) in o.literals() {
-                off_freq[var] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..vars).collect();
-        order.sort_by_key(|&v| off_freq[v]);
         loop {
             let mut dropped = false;
-            for &var in &order {
+            for &var in order {
                 if expanded.literal(var).is_none() {
                     continue;
                 }
@@ -194,7 +172,7 @@ fn irredundant(cover: &Cover, on: &Cover) -> Cover {
 /// REDUCE: shrink each cube to the smallest cube still covering its share
 /// of the on-set not covered by other cubes, opening new expand
 /// directions.
-fn reduce(cover: &Cover, on: &Cover, _off: &Cover) -> Cover {
+fn reduce(cover: &Cover, on: &Cover) -> Cover {
     let vars = cover.vars();
     let cubes: Vec<Cube> = cover.cubes().to_vec();
     let mut out = Vec::with_capacity(cubes.len());
@@ -335,13 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_reflect_improvement() {
-        let on = Cover::from_minterms(3, &[0, 1, 2, 3]); // = ā·b̄? no: a'b' quadrant -> c̄... Σm(0..3) = ā (var 2 = 0)
-        let (g, stats) = minimize_with_stats(&on, &Cover::empty(3));
+    fn minimize_shrinks_the_cover() {
+        let on = Cover::from_minterms(3, &[0, 1, 2, 3]); // Σm(0..3): var 2 low
+        let g = minimize(&on, &Cover::empty(3));
         assert_eq!(TruthTable::from_cover(&g), TruthTable::from_cover(&on));
-        assert!(stats.cubes_after < stats.cubes_before);
-        assert!(stats.iterations >= 1);
-        assert_eq!(stats.cubes_after, g.cube_count());
+        assert!(g.cube_count() < on.cube_count());
+        assert_eq!((g.cube_count(), g.literal_count()), (1, 1));
     }
 
     #[test]

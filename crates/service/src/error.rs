@@ -32,7 +32,7 @@ pub enum ServiceError {
     /// The underlying reachability/verification analysis failed —
     /// including hard budget stops ([`StgError::Cancelled`] for a
     /// missed deadline) and soft exhaustion that survived the engine's
-    /// BDD fallback *and* the service's bounded retries.
+    /// BDD fallback ([`StgError::is_resource_exhaustion`]).
     Engine(StgError),
     /// The underlying synthesis pass failed.
     Synth(SynthError),
@@ -125,21 +125,6 @@ impl From<SynthError> for ServiceError {
     }
 }
 
-impl ServiceError {
-    /// Whether this failure reports *soft* resource exhaustion — the
-    /// class the service's retry/backoff loop is allowed to spend more
-    /// attempts on. Hard stops (cancellation, deadlines, hard state
-    /// limits, panics, shedding) are excluded: retrying them would
-    /// either violate a caller demand or loop forever.
-    pub fn is_resource_exhaustion(&self) -> bool {
-        match self {
-            ServiceError::Engine(err) => err.is_resource_exhaustion(),
-            ServiceError::Synth(SynthError::Stg(err)) => err.is_resource_exhaustion(),
-            _ => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,29 +141,13 @@ mod tests {
     }
 
     #[test]
-    fn exhaustion_classification_matches_the_engine_contract() {
-        assert!(
-            ServiceError::Engine(StgError::NodeBudgetExceeded { nodes: 1 })
-                .is_resource_exhaustion()
-        );
-        assert!(
-            ServiceError::Synth(SynthError::Stg(StgError::StateBudgetExceeded { states: 1 }))
-                .is_resource_exhaustion()
-        );
-        assert!(!ServiceError::Engine(StgError::Cancelled).is_resource_exhaustion());
-        assert!(!ServiceError::Shed { queue_depth: 0 }.is_resource_exhaustion());
-        assert!(!ServiceError::WorkerPanicked.is_resource_exhaustion());
-    }
-
-    #[test]
-    fn wire_and_config_errors_are_terminal_not_retryable() {
+    fn wire_and_config_errors_render_their_detail() {
         let protocol = ServiceError::Protocol {
             detail: "bad tag 9".to_string(),
         };
-        assert!(!protocol.is_resource_exhaustion());
         assert!(protocol.source().is_none());
         assert!(protocol.to_string().contains("bad tag 9"));
-        assert!(!ServiceError::Disconnected.is_resource_exhaustion());
+        assert!(ServiceError::Disconnected.source().is_none());
         let config = ServiceError::InvalidConfig {
             detail: "workers must be >= 1".to_string(),
         };
@@ -186,14 +155,11 @@ mod tests {
     }
 
     #[test]
-    fn quota_refusal_is_backpressure_not_exhaustion() {
+    fn quota_refusal_names_the_client_and_its_load() {
         let quota = ServiceError::QuotaExceeded {
             client: "tenant-a".to_string(),
             inflight: 4,
         };
-        // Retrying instantly would spin against the same full quota;
-        // the caller must wait for its own in-flight work to finish.
-        assert!(!quota.is_resource_exhaustion());
         assert!(quota.source().is_none());
         let rendered = quota.to_string();
         assert!(rendered.contains("tenant-a") && rendered.contains('4'));

@@ -21,9 +21,6 @@
 //!   *immediately* with a typed [`ServiceError::Shed`] carrying the
 //!   queue depth, and per-request deadlines become hard
 //!   [`Budget`](rt_stg::Budget) deadlines.
-//! * **Retry with bounded backoff** — soft resource exhaustion that
-//!   survives the engine's own BDD fallback is retried a bounded
-//!   number of times, with pauses capped by the remaining deadline.
 //! * **Memo cache** — a bounded LRU of successful replies keyed by the
 //!   request's *exact* payload bytes (its canonical wire encoding,
 //!   names included), so a hit is exactly the answer to the caller's own

@@ -1175,6 +1175,7 @@ fn dec_response(dec: &mut Dec<'_>) -> Decoded<Response> {
 // Errors
 // ---------------------------------------------------------------------
 
+// Tag 13 is retired: it decodes as `BadTag` and is never reused.
 fn enc_stg_error(enc: &mut Enc, err: &StgError) {
     match err {
         StgError::UnknownSignal(name) => {
@@ -1221,10 +1222,6 @@ fn enc_stg_error(enc: &mut Enc, err: &StgError) {
         }
         StgError::Cancelled => enc.u8(11),
         StgError::WorkerPanicked => enc.u8(12),
-        StgError::Deadlock(detail) => {
-            enc.u8(13);
-            enc.str(detail);
-        }
         StgError::Parse { line, message } => {
             enc.u8(14);
             enc.usize(*line);
@@ -1263,7 +1260,6 @@ fn dec_stg_error(dec: &mut Dec<'_>) -> Decoded<StgError> {
         },
         11 => StgError::Cancelled,
         12 => StgError::WorkerPanicked,
-        13 => StgError::Deadlock(dec.str()?),
         14 => StgError::Parse {
             line: dec.usize()?,
             message: dec.str()?,
@@ -1544,7 +1540,10 @@ mod tests {
             ServiceError::Engine(StgError::NodeBudgetExceeded { nodes: 13 }),
             ServiceError::Engine(StgError::Cancelled),
             ServiceError::Engine(StgError::WorkerPanicked),
-            ServiceError::Engine(StgError::Deadlock("wedged".into())),
+            ServiceError::Synth(SynthError::Stg(StgError::Inconsistent {
+                signal: "w".into(),
+                detail: "wedged".into(),
+            })),
             ServiceError::Engine(StgError::Parse {
                 line: 4,
                 message: "bad".into(),
@@ -1678,6 +1677,26 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn retired_stg_error_tag_is_rejected() {
+        // The StgError tag is the last byte of a tag-only error, and a
+        // string-carrying error puts its string after the same byte, as
+        // tag 13 did.
+        let at = encode_reply(&Err(ServiceError::Engine(StgError::Cancelled))).len() - 1;
+        let mut bad = encode_reply(&Err(ServiceError::Engine(StgError::UnknownSignal(
+            "wedged".into(),
+        ))));
+        assert_eq!(bad[at], 1, "UnknownSignal keeps tag 1");
+        bad[at] = 13;
+        assert_eq!(
+            decode_reply(&bad),
+            Err(ProtoError::BadTag {
+                what: "StgError",
+                tag: 13
+            })
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! A self-healing wrapper over [`DaemonClient`]: bounded reconnection
-//! with the service's exponential-backoff discipline, plus *safe*
+//! with capped exponential backoff, plus *safe*
 //! resubmission — deadline-free requests are stamped with an
 //! idempotency key before the first send, so a resubmit after a
 //! severed connection joins the original flight (or replays its
@@ -30,9 +30,11 @@ static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// just as the next request frame starts arriving) — the client cannot
 /// know whether the daemon executed the request, so it reconnects
 /// (re-declaring its client identity with `Hello`) and resubmits, up
-/// to [`max_reconnects`](Self::with_max_reconnects) times with the
-/// same bounded exponential backoff discipline the service's own retry
-/// loop uses. Resubmission is only attempted for
+/// to [`max_reconnects`](Self::with_max_reconnects) times with capped
+/// exponential backoff. A dropped connection is worth another try, as
+/// the network or the daemon may have recovered; an engine failure is
+/// not, since a replay on the same input fails the same way, so the
+/// service itself never retries. Resubmission is only attempted for
 /// deadline-free requests, which this client stamps with a fresh
 /// idempotency key before the first send: the daemon's record of that
 /// key then guarantees the request executes **once** no matter how many
@@ -105,7 +107,7 @@ impl ReconnectingClient {
     }
 
     /// Builder: reconnect backoff schedule — `backoff` doubles per
-    /// attempt, capped at `max_backoff` (the service's discipline).
+    /// attempt, capped at `max_backoff`.
     #[must_use]
     pub fn with_backoff(mut self, backoff: Duration, max_backoff: Duration) -> Self {
         self.backoff = backoff;
@@ -220,7 +222,7 @@ impl ReconnectingClient {
         Ok(self.inner.as_mut().expect("just connected"))
     }
 
-    /// The service's backoff discipline: exponential, capped.
+    /// Exponential backoff, capped at `max_backoff`.
     fn pause(&self, attempt: u32) {
         let pause = self
             .backoff

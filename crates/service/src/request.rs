@@ -237,8 +237,8 @@ impl ResponsePayload {
 }
 
 /// A completed request: the answer plus full provenance — every
-/// degradation the engine performed producing it, whether it came from
-/// the memo cache, and how many service-level retries it took.
+/// degradation the engine performed producing it, and whether it came
+/// from the memo cache.
 ///
 /// Cached responses replay the `degradations` of the run that produced
 /// them, so a hit can never silently upgrade a partial (degraded or
@@ -247,14 +247,13 @@ impl ResponsePayload {
 pub struct Response {
     /// The computed answer.
     pub payload: ResponsePayload,
-    /// Degradations recorded by the engine during the successful
-    /// attempt (empty on a first-class answer).
+    /// Degradations recorded by the engine that produced the answer
+    /// (empty on a first-class answer).
     pub degradations: Vec<Degradation>,
     /// Whether this response was served from the memo cache.
     pub cached: bool,
-    /// Service-level retry attempts spent before the answer (0 when
-    /// the first attempt succeeded; cached responses keep the value of
-    /// the run that populated the cache).
+    /// Always 0: the service runs each request once. The wire still
+    /// carries the field at protocol version 2; it goes at version 3.
     pub retries: u32,
 }
 

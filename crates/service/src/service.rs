@@ -1,14 +1,14 @@
 //! The supervised service: per-request engines, bounded admission
-//! queue, retry/backoff, panic isolation, and the flight table front.
+//! queue, panic isolation, and the flight table front.
 //!
 //! # Architecture
 //!
 //! [`SynthService::start`] spawns `workers` OS threads. A worker keeps
-//! no engine between jobs: each job — and each retry attempt of a job —
-//! runs on a freshly built [`ReachEngine`] carrying the job's budget,
-//! so its BDD manager is freed when the attempt ends and a reply never
-//! depends on what the worker served before. Exact repeats are served
-//! by the flight table instead.
+//! no engine between jobs: each job runs once, on a freshly built
+//! [`ReachEngine`] carrying the job's budget, so its BDD manager is
+//! freed when the job ends and a reply never depends on what the
+//! worker served before. Exact repeats are served by the flight table
+//! instead.
 //!
 //! `Summary`, `CscCheck` and `Verify` run on explicit engines, which
 //! walk state graphs up to a ceiling and hand larger nets to BDDs (see
@@ -69,16 +69,13 @@
 //! the engine it was running on is discarded with the unwind (counted
 //! in [`ServiceStats::worker_panics`]), and the worker keeps serving.
 //!
-//! # Retry and deadlines
+//! # Failures and deadlines
 //!
-//! A request that fails with soft exhaustion
-//! ([`ServiceError::is_resource_exhaustion`]) after the engine's own
-//! BDD fallback is retried up to [`ServiceConfig::max_retries`]
-//! times with exponential backoff, each pause capped both by
-//! [`ServiceConfig::max_backoff`] and by half the request's
-//! [`remaining_deadline`](Budget::remaining_deadline). Deadlines are
-//! hard: they surface as [`StgError::Cancelled`] and are never retried
-//! around.
+//! A job gets one attempt. Soft exhaustion that survives the engine's
+//! own BDD fallback comes back at once as its typed error: a second
+//! attempt would replay a fresh engine on the same input under the same
+//! budget and fail the same way. Deadlines are hard: they surface as
+//! [`StgError::Cancelled`].
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -102,8 +99,7 @@ use crate::request::{
 };
 
 /// Tuning of one [`SynthService`]. `Default` is sized for tests and
-/// embedded use: two workers, a small bounded queue, a couple of
-/// retries with sub-millisecond backoff.
+/// embedded use: two workers and a small bounded queue.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Pooled worker threads, each running one request at a time on a
@@ -116,12 +112,6 @@ pub struct ServiceConfig {
     /// Successful replies kept for exact repeats (memo hits), evicted
     /// least-recently-used; `0` disables memo hits, not flight joins.
     pub cache_capacity: usize,
-    /// Service-level retry attempts after soft resource exhaustion.
-    pub max_retries: u32,
-    /// First retry pause; doubles per attempt.
-    pub backoff: Duration,
-    /// Hard per-pause cap on the exponential backoff.
-    pub max_backoff: Duration,
     /// Baseline budget each request runs under; a request deadline is
     /// layered on top of a fresh clone per request.
     pub budget: Budget,
@@ -147,9 +137,6 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 64,
             cache_capacity: 256,
-            max_retries: 2,
-            backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_millis(10),
             budget: Budget::default(),
             max_inflight_per_client: 0,
             io_timeout: Duration::from_secs(30),
@@ -172,9 +159,8 @@ impl ServiceConfig {
 
 /// Builder for [`ServiceConfig`] ([`ServiceConfig::builder`]). Each
 /// setter overrides one default; [`build`](Self::build) validates the
-/// combination and rejects nonsense (a zero-size pool or queue, a
-/// backoff schedule that cannot fit its own caps or the baseline
-/// deadline) with [`ServiceError::InvalidConfig`].
+/// combination and rejects nonsense (a zero-size pool or queue, a zero
+/// I/O deadline) with [`ServiceError::InvalidConfig`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfigBuilder {
     config: ServiceConfig,
@@ -201,27 +187,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Service-level retry attempts after soft resource exhaustion.
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.config.max_retries = retries;
-        self
-    }
-
-    /// First retry pause; doubles per attempt.
-    #[must_use]
-    pub fn backoff(mut self, backoff: Duration) -> Self {
-        self.config.backoff = backoff;
-        self
-    }
-
-    /// Hard per-pause cap on the exponential backoff.
-    #[must_use]
-    pub fn max_backoff(mut self, max_backoff: Duration) -> Self {
-        self.config.max_backoff = max_backoff;
         self
     }
 
@@ -258,9 +223,7 @@ impl ServiceConfigBuilder {
     /// # Errors
     ///
     /// [`ServiceError::InvalidConfig`] when `workers == 0`,
-    /// `queue_capacity == 0`, `backoff > max_backoff`, the baseline
-    /// budget carries a deadline shorter than the first backoff pause
-    /// (every retry would overshoot it), or `io_timeout` is zero.
+    /// `queue_capacity == 0`, or `io_timeout` is zero.
     pub fn build(self) -> Result<ServiceConfig, ServiceError> {
         let invalid = |detail: &str| {
             Err(ServiceError::InvalidConfig {
@@ -273,14 +236,6 @@ impl ServiceConfigBuilder {
         }
         if config.queue_capacity == 0 {
             return invalid("queue_capacity must be >= 1 (0 sheds every request)");
-        }
-        if config.backoff > config.max_backoff {
-            return invalid("backoff exceeds max_backoff: the first pause already overshoots");
-        }
-        if let Some(remaining) = config.budget.remaining_deadline() {
-            if config.backoff > remaining {
-                return invalid("backoff exceeds the baseline budget deadline");
-            }
         }
         if config.io_timeout.is_zero() {
             return invalid("io_timeout must be nonzero (every read would expire instantly)");
@@ -302,7 +257,6 @@ struct Counters {
     batch_dedup_hits: AtomicU64,
     quota_sheds: AtomicU64,
     idempotent_replays: AtomicU64,
-    retries: AtomicU64,
     worker_panics: AtomicU64,
     degraded: AtomicU64,
     errors: AtomicU64,
@@ -338,7 +292,9 @@ pub struct ServiceStats {
     /// execution: a resubmit that joined the original flight still in
     /// progress or replayed its recorded reply.
     pub idempotent_replays: u64,
-    /// Service-level retry attempts spent (not requests retried).
+    /// Always 0: the service runs each request once (see the module
+    /// docs). Kept while perfbench reads it; it goes with
+    /// [`Response::retries`] at the next protocol version.
     pub retries: u64,
     /// Worker panics caught and isolated. Every engine is
     /// per-request, so each panic also discards the engine it ran on.
@@ -635,7 +591,7 @@ impl SynthService {
             batch_dedup_hits: c.batch_dedup_hits.load(Ordering::Relaxed),
             quota_sheds: c.quota_sheds.load(Ordering::Relaxed),
             idempotent_replays: c.idempotent_replays.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
+            retries: 0,
             worker_panics: c.worker_panics.load(Ordering::Relaxed),
             degraded: c.degraded.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
@@ -679,7 +635,6 @@ impl Drop for SynthService {
 }
 
 fn worker_loop(shared: &Shared) {
-    let config = &shared.config;
     let counters = &shared.counters;
     loop {
         let job = {
@@ -707,7 +662,7 @@ fn worker_loop(shared: &Shared) {
             if faults::service_panic(job.seq) {
                 panic!("injected service-worker fault");
             }
-            process(config, counters, &job)
+            process(&job)
         }));
         let reply = match outcome {
             Ok(reply) => {
@@ -775,51 +730,24 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one admitted job, retrying soft exhaustion with bounded
-/// backoff. Every attempt runs on a fresh engine, so the response
-/// carries only the degradations of the attempt that succeeded —
-/// failed attempts are summarized by the `retries` count instead.
-fn process(
-    config: &ServiceConfig,
-    counters: &Counters,
-    job: &Job,
-) -> Result<Response, ServiceError> {
-    let mut retries = 0u32;
-    loop {
-        if job.budget.cancelled() {
-            return Err(ServiceError::Engine(StgError::Cancelled));
-        }
-        let engine = match job.payload {
-            RequestPayload::ResolveCsc { .. } => ReachEngine::symbolic(),
-            _ => ReachEngine::explicit(),
-        };
-        let mut engine = engine.with_budget(job.budget.clone());
-        match run_once(&mut engine, &job.payload, &job.budget) {
-            Ok(payload) => {
-                return Ok(Response {
-                    payload,
-                    degradations: engine.stats().degradations.clone(),
-                    cached: false,
-                    retries,
-                });
-            }
-            Err(err) if err.is_resource_exhaustion() && retries < config.max_retries => {
-                // Free the failed attempt's manager before backing off.
-                drop(engine);
-                retries += 1;
-                counters.retries.fetch_add(1, Ordering::Relaxed);
-                let mut pause = config.backoff.saturating_mul(1u32 << (retries - 1).min(16));
-                pause = pause.min(config.max_backoff);
-                if let Some(left) = job.budget.remaining_deadline() {
-                    pause = pause.min(left / 2);
-                }
-                if !pause.is_zero() {
-                    thread::sleep(pause);
-                }
-            }
-            Err(err) => return Err(err),
-        }
+/// Runs one admitted job on a fresh engine; the response carries the
+/// degradations that engine recorded.
+fn process(job: &Job) -> Result<Response, ServiceError> {
+    if job.budget.cancelled() {
+        return Err(ServiceError::Engine(StgError::Cancelled));
     }
+    let engine = match job.payload {
+        RequestPayload::ResolveCsc { .. } => ReachEngine::symbolic(),
+        _ => ReachEngine::explicit(),
+    };
+    let mut engine = engine.with_budget(job.budget.clone());
+    let payload = run_once(&mut engine, &job.payload, &job.budget)?;
+    Ok(Response {
+        payload,
+        degradations: engine.stats().degradations.clone(),
+        cached: false,
+        retries: 0,
+    })
 }
 
 fn run_once(

@@ -294,22 +294,39 @@ mod faulted {
     }
 
     #[test]
-    fn injected_exhaustion_retries_and_stays_bit_identical_over_tcp() {
+    fn injected_exhaustion_fails_once_and_stays_bit_identical_over_tcp() {
         let _suite = suite();
-        // No room for a BDD fallback: the first attempt's injected walk
-        // exhaustion fails the whole attempt, and the retry walks.
+        // No room for a BDD fallback: an injected walk exhaustion fails
+        // the whole request, and the error must cross the wire exactly
+        // as a direct engine call returns it.
+        let budget = rt_stg::Budget::default().with_max_bdd_nodes(1);
+        let expected = {
+            let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+            ReachEngine::explicit()
+                .with_budget(budget.clone())
+                .csc_check(&models::fifo_stg())
+                .expect_err("the walk and its BDD fallback are both exhausted")
+        };
         let config = ServiceConfig::builder()
-            .budget(rt_stg::Budget::default().with_max_bdd_nodes(1))
+            .budget(budget)
             .build()
             .expect("a soft node cap is a valid configuration");
         let daemon = Daemon::bind(config, "127.0.0.1:0").expect("bind ephemeral port");
         let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
-        let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+        let fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+        assert_eq!(
+            client.submit(&Request::csc_check(models::fifo_stg())),
+            Err(ServiceError::Engine(expected)),
+            "one attempt, and its typed error verbatim"
+        );
+        drop(fault);
+        // The shot is spent and errors are not memoized: the same
+        // request now walks cleanly on the same connection.
         let response = client
             .submit(&Request::csc_check(models::fifo_stg()))
-            .expect("service retry absorbs the exhaustion");
-        assert_eq!(response.retries, 1);
-        assert!(response.degradations.is_empty(), "the retry walked cleanly");
+            .expect("the next request is served");
+        assert_eq!(response.retries, 0);
+        assert!(response.degradations.is_empty(), "the walk was clean");
         let direct = ReachEngine::symbolic()
             .csc_conflicts_symbolic(&models::fifo_stg())
             .expect("direct");

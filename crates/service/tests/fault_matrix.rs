@@ -28,7 +28,7 @@ fn one_worker() -> ServiceConfig {
         .expect("one worker is a valid pool")
 }
 
-/// One worker whose BDD fallback can never fit: an attempt whose
+/// One worker whose BDD fallback can never fit: a request whose
 /// explicit walk is exhausted by injection fails as a whole.
 fn one_worker_without_bdd_room() -> ServiceConfig {
     ServiceConfig::builder()
@@ -36,6 +36,22 @@ fn one_worker_without_bdd_room() -> ServiceConfig {
         .budget(Budget::default().with_max_bdd_nodes(1))
         .build()
         .expect("a soft node cap is a valid configuration")
+}
+
+/// The error a direct explicit engine returns for `csc_check` on the
+/// fifo under [`one_worker_without_bdd_room`]'s budget, with the walk
+/// exhausted at round 1: what the service must answer verbatim.
+fn direct_exhaustion() -> StgError {
+    let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+    let error = ReachEngine::explicit()
+        .with_budget(one_worker_without_bdd_room().budget)
+        .csc_check(&models::fifo_stg())
+        .expect_err("the walk and its BDD fallback are both exhausted");
+    assert!(
+        matches!(error, StgError::NodeBudgetExceeded { .. }),
+        "got {error:?}"
+    );
+    error
 }
 
 fn fifo_markings(response: &rt_service::Response) -> u64 {
@@ -71,21 +87,32 @@ fn injected_worker_panic_is_typed_and_the_engine_is_rebuilt() {
 }
 
 #[test]
-fn injected_exhaustion_is_absorbed_by_the_service_retry() {
+fn injected_exhaustion_fails_the_first_attempt_with_its_typed_error() {
     let _suite = serial();
+    let expected = direct_exhaustion();
     let service = SynthService::start(one_worker_without_bdd_room());
-    // One shot: the first attempt's walk and then its BDD fallback are
-    // both exhausted, so the failure escapes the engine and exercises
-    // the service loop; the retry walks cleanly.
-    let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+    // One shot: the walk and then its BDD fallback are both exhausted,
+    // so the failure escapes the engine. A second attempt would walk
+    // cleanly, so the error itself shows there was only one.
+    let fault = arm(Fault::ExhaustStatesAt { round: 1 }, 1);
+    assert_eq!(
+        service.submit(Request::csc_check(models::fifo_stg())),
+        Err(ServiceError::Engine(expected)),
+        "the engine's own error, verbatim"
+    );
+    drop(fault);
+    let stats = service.stats();
+    assert_eq!(stats.retries, 0);
+    assert_eq!(stats.errors, 1);
+    assert_eq!(stats.worker_panics, 0, "exhaustion never panics a worker");
+
+    // Errors are not memoized: the same request runs again, cleanly.
     let response = service
         .submit(Request::csc_check(models::fifo_stg()))
-        .expect("service retry succeeds after the engine gives up");
-    assert_eq!(response.retries, 1, "exactly one service-level retry");
-    assert!(
-        response.degradations.is_empty(),
-        "the winning attempt was clean"
-    );
+        .expect("the next request is served");
+    assert_eq!(response.retries, 0);
+    assert!(!response.cached);
+    assert!(response.degradations.is_empty(), "the walk was clean");
     let direct = ReachEngine::symbolic()
         .csc_conflicts_symbolic(&models::fifo_stg())
         .expect("direct");
@@ -96,27 +123,19 @@ fn injected_exhaustion_is_absorbed_by_the_service_retry() {
         }
         other => panic!("wrong payload kind: {other:?}"),
     }
-    let stats = service.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.worker_panics, 0, "exhaustion never panics a worker");
 }
 
 #[test]
 fn repeated_exhaustion_leaves_no_engine_to_quarantine() {
     let _suite = serial();
-    let config = ServiceConfig {
-        max_retries: 0,
-        ..one_worker_without_bdd_room()
-    };
-    let service = SynthService::start(config);
+    let expected = Err(ServiceError::Engine(direct_exhaustion()));
+    let service = SynthService::start(one_worker_without_bdd_room());
     // Two shots: two requests whose walks and BDD fallbacks are both
     // exhausted, each ending in hard failure.
     let _fault = arm(Fault::ExhaustStatesAt { round: 1 }, 2);
     for request in 0..2 {
-        match service.submit(Request::csc_check(models::fifo_stg())) {
-            Err(ServiceError::Engine(StgError::NodeBudgetExceeded { .. })) => {}
-            other => panic!("request {request}: expected node exhaustion, got {other:?}"),
-        }
+        let reply = service.submit(Request::csc_check(models::fifo_stg()));
+        assert_eq!(reply, expected, "request {request}");
     }
     let stats = service.stats();
     assert_eq!(stats.worker_panics, 0);

@@ -295,9 +295,6 @@ fn config_builder_validates_the_combination() {
         .workers(3)
         .queue_capacity(16)
         .cache_capacity(8)
-        .max_retries(1)
-        .backoff(Duration::from_micros(100))
-        .max_backoff(Duration::from_millis(1))
         .build()
         .expect("a sensible combination builds");
     assert_eq!(config.workers, 3);
@@ -310,22 +307,8 @@ fn config_builder_validates_the_combination() {
             "queue_capacity",
         ),
         (
-            ServiceConfig::builder()
-                .backoff(Duration::from_millis(5))
-                .max_backoff(Duration::from_millis(1))
-                .build(),
-            "max_backoff",
-        ),
-        (
-            ServiceConfig::builder()
-                .backoff(Duration::from_secs(3600))
-                .max_backoff(Duration::from_secs(7200))
-                .budget(
-                    Budget::default()
-                        .with_deadline(std::time::Instant::now() + Duration::from_millis(1)),
-                )
-                .build(),
-            "deadline",
+            ServiceConfig::builder().io_timeout(Duration::ZERO).build(),
+            "io_timeout",
         ),
     ] {
         match broken {

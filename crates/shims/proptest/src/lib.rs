@@ -216,7 +216,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Length specification for [`vec`]: a fixed size or a range.
+    /// Length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,

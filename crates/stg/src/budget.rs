@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Fixed fixpoint-iteration ceiling used when
 /// [`Budget::max_iterations`] is `None`. Matches the historical
@@ -141,20 +141,6 @@ impl Budget {
         self.cancel.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
-    /// Wall-clock time left before [`Budget::deadline`], saturating at
-    /// zero once the deadline has passed. `None` when no deadline is
-    /// set. This is the accessor retry loops split their residual time
-    /// with (e.g. `rt-service`'s bounded backoff caps each pause at a
-    /// fraction of what is left) instead of re-deriving `Instant`
-    /// arithmetic at every call site.
-    ///
-    /// A zero return means the deadline has passed — equivalent to
-    /// [`Budget::cancelled`] reading `true` on a token that never fired.
-    pub fn remaining_deadline(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
     /// The effective fixpoint-iteration ceiling.
     pub fn effective_max_iterations(&self) -> usize {
         self.max_iterations.unwrap_or(DEFAULT_MAX_ITERATIONS)
@@ -215,15 +201,5 @@ mod tests {
         assert!(budget.cancelled());
         let future = Budget::default().with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!future.cancelled());
-    }
-
-    #[test]
-    fn remaining_deadline_saturates_and_tracks_the_clock() {
-        assert_eq!(Budget::default().remaining_deadline(), None);
-        let expired = Budget::default().with_deadline(Instant::now() - Duration::from_secs(1));
-        assert_eq!(expired.remaining_deadline(), Some(Duration::ZERO));
-        let ample = Budget::default().with_deadline(Instant::now() + Duration::from_secs(3600));
-        let left = ample.remaining_deadline().expect("deadline set");
-        assert!(left > Duration::from_secs(3500) && left <= Duration::from_secs(3600));
     }
 }

@@ -138,11 +138,12 @@
 //! share one manager). The service owns cross-request policy: it
 //! answers `Summary`, `CscCheck` and `Verify` on explicit engines and
 //! `ResolveCsc` on a symbolic one, builds a fresh engine for every
-//! request and every retry attempt (so no answer depends on what a
-//! worker served before), and adds admission control, bounded retries
-//! of [`StgError::is_resource_exhaustion`] errors, a memo of exact
-//! replies that keeps their [`Degradation`]s, and the wire protocol.
-//! Cancellation stays a hard stop at every layer.
+//! request (so no answer depends on what a worker served before), and
+//! adds admission control, a memo of exact replies that keeps their
+//! [`Degradation`]s, and the wire protocol. An error the engine returns
+//! reaches the caller as is: a second attempt on the same input under
+//! the same budget would fail the same way. Cancellation stays a hard
+//! stop at every layer.
 //!
 //! ## Example
 //!

@@ -71,8 +71,6 @@ pub enum StgError {
     /// stopped and the caller's engine is intact, but the analysis
     /// produced no result.
     WorkerPanicked,
-    /// The specification deadlocks (a reachable marking enables nothing).
-    Deadlock(String),
     /// Syntax error while parsing a `.g` file.
     Parse {
         /// 1-based line number.
@@ -117,7 +115,6 @@ impl fmt::Display for StgError {
             }
             StgError::Cancelled => write!(f, "analysis cancelled"),
             StgError::WorkerPanicked => write!(f, "a candidate evaluation panicked"),
-            StgError::Deadlock(state) => write!(f, "specification deadlocks in state {state}"),
             StgError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
@@ -200,7 +197,6 @@ mod tests {
         assert!(!StgError::StateLimitExceeded(1).is_resource_exhaustion());
         assert!(!StgError::Cancelled.is_resource_exhaustion());
         assert!(!StgError::WorkerPanicked.is_resource_exhaustion());
-        assert!(!StgError::Deadlock("s".into()).is_resource_exhaustion());
     }
 
     #[test]

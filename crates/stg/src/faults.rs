@@ -9,8 +9,8 @@
 //! The hooks are compiled to `#[inline(always)]` no-op stubs unless the
 //! `fault-injection` cargo feature is on, so production call sites in
 //! the hot loops are unconditional and cost nothing. With the feature
-//! on, [`arm`] installs one fault in a process-global slot and returns
-//! an [`Armed`] guard; the guard also owns a global test-serialization
+//! on, `arm` installs one fault in a process-global slot and returns
+//! an `Armed` guard; the guard also owns a global test-serialization
 //! lock (faults are process-global state, so fault tests must not
 //! interleave) and disarms on drop.
 //!
@@ -35,12 +35,11 @@
 //! instance handle through — a cost the zero-overhead stub design
 //! exists to avoid. So fault tests must serialize against *all* other
 //! fault-polling tests in the binary regardless. Instead of each test
-//! binary carrying its own `static SUITE: Mutex<()>` (the PR 8
-//! arrangement), the exclusion now lives here, in one place:
-//! [`suite`] returns a guard on the shared suite lock, and [`arm`]
-//! continues to self-serialize between armers. Tests that poll hooks
-//! without arming (e.g. determinism sweeps that must not observe a
-//! sibling's fault) take [`suite`] too.
+//! binary carrying its own `static SUITE: Mutex<()>`, the exclusion
+//! lives here, in one place: `suite` returns a guard on the shared
+//! suite lock, and `arm` continues to self-serialize between armers.
+//! Tests that poll hooks without arming (e.g. determinism sweeps that
+//! must not observe a sibling's fault) take `suite` too.
 //!
 //! Injection points, polled by the execution paths:
 //!
@@ -123,8 +122,8 @@ mod enabled {
 
     /// The armed fault plus its remaining shot count. Shots decrement
     /// only when a fault actually *fires*, so one armed fault triggers
-    /// a bounded number of times (retries legitimately hit the same
-    /// injection point more than once).
+    /// a bounded number of times (successive walks legitimately hit the
+    /// same injection point more than once).
     static ARMED: Mutex<Option<(Fault, usize)>> = Mutex::new(None);
 
     /// Logical test-serialization lock: `true` while some [`Armed`]

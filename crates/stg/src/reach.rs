@@ -26,7 +26,9 @@ use crate::signal::SignalId;
 use crate::state_graph::{CsrBuilder, StateArc, StateGraph, StateId};
 use crate::stg::{Stg, TransitionLabel};
 
-/// Tuning knobs for [`explore_with`].
+/// Tuning knobs for [`explore_with`]. A reachable deadlock is never an
+/// error: the state graph keeps it, and
+/// [`StateGraph::deadlock_states`] lists it.
 #[derive(Debug, Clone)]
 pub struct ExploreOptions {
     /// Maximum number of states before aborting with
@@ -34,8 +36,6 @@ pub struct ExploreOptions {
     pub state_limit: usize,
     /// Per-place token bound (1 = safe net). `None` disables the check.
     pub bound: Option<u16>,
-    /// When `true`, a reachable deadlock is an error.
-    pub forbid_deadlock: bool,
     /// Soft resource budget, polled at round granularity by every
     /// execution path. Unlimited by default; unlike `state_limit`,
     /// blowing it yields *degradable* errors (see [`crate::engine`]).
@@ -47,7 +47,6 @@ impl Default for ExploreOptions {
         ExploreOptions {
             state_limit: 1 << 20,
             bound: Some(1),
-            forbid_deadlock: false,
             budget: Budget::default(),
         }
     }
@@ -100,8 +99,6 @@ pub fn explore(stg: &Stg) -> Result<StateGraph, StgError> {
 /// * [`StgError::StateLimitExceeded`] — exploration exceeded the limit.
 /// * [`StgError::Unbounded`] — a place exceeded the token bound.
 /// * [`StgError::Inconsistent`] — some signal's edges do not alternate.
-/// * [`StgError::Deadlock`] — with `forbid_deadlock`, a marking enabling
-///   nothing was reached.
 /// * [`StgError::StateBudgetExceeded`] / [`StgError::Cancelled`] — the
 ///   soft [`Budget`] was blown or the request was cancelled; checked
 ///   once per BFS round, so the walk stops within one layer.
@@ -150,12 +147,10 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
         builder.start_row();
         let marking = arena.resolve(MarkingId(state as u32)).clone();
         let code = codes[state];
-        let mut any_enabled = false;
         for transition in net.transitions() {
             if !net.is_enabled_packed(transition, &marking, &layout) {
                 continue;
             }
-            any_enabled = true;
             net.fire_packed_into(transition, &marking, &layout, options.bound, &mut scratch)
                 .map_err(|place| StgError::Unbounded {
                     place: net.place_name(place).to_string(),
@@ -207,9 +202,6 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
                 to: StateId(next_id.0),
             });
         }
-        if !any_enabled && options.forbid_deadlock {
-            return Err(StgError::Deadlock(format!("{}", marking.unpack(&layout))));
-        }
         state += 1;
     }
     let (offsets, arcs) = builder.finish();
@@ -255,8 +247,6 @@ pub struct ExplicitCount {
 ///
 /// * [`StgError::StateLimitExceeded`] — exploration exceeded the limit.
 /// * [`StgError::Unbounded`] — a place exceeded the token bound.
-/// * [`StgError::Deadlock`] — with `forbid_deadlock`, a marking enabling
-///   nothing was reached.
 /// * [`StgError::StateBudgetExceeded`] / [`StgError::Cancelled`] — as
 ///   in [`explore_with`].
 pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<ExplicitCount, StgError> {
@@ -285,12 +275,10 @@ pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<Explic
             }
         }
         let marking = arena.resolve(MarkingId(state as u32)).clone();
-        let mut any_enabled = false;
         for transition in net.transitions() {
             if !net.is_enabled_packed(transition, &marking, &layout) {
                 continue;
             }
-            any_enabled = true;
             net.fire_packed_into(transition, &marking, &layout, options.bound, &mut scratch)
                 .map_err(|place| StgError::Unbounded {
                     place: net.place_name(place).to_string(),
@@ -300,9 +288,6 @@ pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<Explic
             if fresh && arena.len() > options.state_limit {
                 return Err(StgError::StateLimitExceeded(options.state_limit));
             }
-        }
-        if !any_enabled && options.forbid_deadlock {
-            return Err(StgError::Deadlock(format!("{}", marking.unpack(&layout))));
         }
         state += 1;
     }
@@ -540,16 +525,13 @@ mod tests {
         let p = stg.add_place("start");
         stg.set_tokens(p, 1);
         stg.arc_from_place(p, t1);
-        // t1 produces nothing: deadlock after firing.
-        let options = ExploreOptions {
-            forbid_deadlock: true,
-            ..ExploreOptions::default()
-        };
-        let err = explore_with(&stg, &options).unwrap_err();
-        assert!(matches!(err, StgError::Deadlock(_)), "got {err:?}");
-        // Without the flag the deadlock state is simply present.
+        // t1 produces nothing: the marking after it enables nothing. Both
+        // walks keep the dead marking, and the graph lists it.
         let sg = explore(&stg).unwrap();
-        assert_eq!(sg.deadlock_states().len(), 1);
+        assert_eq!(sg.state_count(), 2);
+        assert_eq!(sg.deadlock_states(), vec![StateId(1)]);
+        let count = count_markings_with(&stg, &ExploreOptions::default()).unwrap();
+        assert_eq!(count.markings, 2);
     }
 
     #[test]

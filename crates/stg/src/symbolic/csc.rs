@@ -192,10 +192,9 @@ pub fn csc_conflicts_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<CscAnalysis
 
 /// [`csc_conflicts_symbolic_in`] under explicit [`ExploreOptions`].
 /// The BDD analysis itself is unaffected by exploration tuning, but
-/// the **initial-code inference** (the bounded explicit sweep of
-/// [`infer_initial_code`]) runs under `options`, so an engine-driven
-/// analysis derives the same initial code as that engine's explicit
-/// detector would.
+/// the **initial-code inference** (a bounded explicit sweep) runs
+/// under `options`, so an engine-driven analysis derives the same
+/// initial code as that engine's explicit detector would.
 ///
 /// # Errors
 ///
