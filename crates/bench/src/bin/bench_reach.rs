@@ -3,8 +3,9 @@
 //! Runs explicit reachability, SI synthesis and symbolic (BDD)
 //! reachability over the model corpus (including the > 64-place wide
 //! models), plus a `csc` stage that times complete-state-coding
-//! resolution through [`rt_stg::engine::ReachEngine`] on both backends
-//! and measures the persistent symbolic manager's warm-vs-fresh
+//! resolution through [`rt_stg::engine::ReachEngine`] on both backends,
+//! the cost per encoding candidate of `resolve_csc` and of the SI flow's
+//! search, and the persistent symbolic manager's warm-vs-fresh
 //! advantage.
 //! Writes `BENCH_reach.json` with per-model wall times, exploration
 //! throughput (states/sec), allocated BDD node counts and the bytes the
@@ -23,6 +24,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use rt_core::RtSynthesisFlow;
 use rt_stg::engine::ReachEngine;
 use rt_stg::symbolic::csc::csc_conflicts_symbolic_in;
 use rt_stg::symbolic::reach_symbolic_in;
@@ -53,6 +55,14 @@ struct CscRow {
     cold_summary_ns: f64,
     warm_summary_ns: f64,
     warm_speedup: f64,
+    /// Encoding candidates one explicit `resolve_csc` scores.
+    candidates: usize,
+    /// `explicit_ns` over `candidates` (`None` without candidates).
+    ns_per_candidate: Option<f64>,
+    /// Encoding candidates one SI flow run scores.
+    flow_candidates: usize,
+    /// One SI flow run's time over `flow_candidates`.
+    flow_ns_per_candidate: Option<f64>,
     /// Engine degradations recorded across this row's verification
     /// resolutions. Under default (unlimited) budgets this must be 0 —
     /// `bench_check` fails the gate when a fresh snapshot reports any,
@@ -193,6 +203,20 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
     let symbolic_ns = time_ns(min_ms, || {
         resolve_csc_engine(stg, &options, &mut ReachEngine::symbolic()).expect("resolves")
     });
+    // Every candidate counts one graph build, after the input's own.
+    let candidates = explicit_engine.stats().graph_builds - 1;
+    let per_candidate = |ns: f64, count: usize| (count > 0).then(|| ns / count as f64);
+
+    // The SI flow's encoding search, per candidate of one run.
+    let flow = RtSynthesisFlow::speed_independent();
+    let mut flow_engine = ReachEngine::explicit();
+    flow.run_with_engine(stg, &[], &mut flow_engine)
+        .expect("the SI flow runs");
+    let flow_candidates = flow_engine.stats().graph_builds - 1;
+    let flow_ns = time_ns(min_ms, || {
+        flow.run_with_engine(stg, &[], &mut ReachEngine::explicit())
+            .expect("the SI flow runs")
+    });
 
     // Manager reuse: fresh-manager summaries (cold) vs second-and-later
     // summaries on one engine (warm). The resolved STG is the repeated
@@ -225,6 +249,10 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         cold_summary_ns,
         warm_summary_ns,
         warm_speedup: cold_summary_ns / warm_summary_ns,
+        candidates,
+        ns_per_candidate: per_candidate(explicit_ns, candidates),
+        flow_candidates,
+        flow_ns_per_candidate: per_candidate(flow_ns, flow_candidates),
         degradations,
     }
 }
@@ -243,6 +271,7 @@ fn validate(json: &str) -> Result<(), String> {
         "\"explicit_detect_ns\"",
         "\"symbolic_warm_ns\"",
         "\"warm_speedup\"",
+        "\"ns_per_candidate\"",
         "\"aggregate_states_per_sec\"",
         "\"degradations\"",
         "\"bdd_bytes\"",
@@ -312,9 +341,11 @@ fn main() {
     .map(|(name, stg)| {
         let row = measure_csc(name, stg, min_ms);
         println!(
-            "csc {:<20} +{} signals  explicit {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)",
+            "csc {:<20} +{} signals  explicit {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)  {} candidates {:>7.0} ns each  SI flow {} candidates {:>7.0} ns each",
             row.name, row.inserted, row.explicit_ns, row.symbolic_ns, row.cold_summary_ns,
-            row.warm_summary_ns, row.warm_speedup
+            row.warm_summary_ns, row.warm_speedup, row.candidates,
+            row.ns_per_candidate.unwrap_or(0.0), row.flow_candidates,
+            row.flow_ns_per_candidate.unwrap_or(0.0)
         );
         row
     })
@@ -384,13 +415,16 @@ fn main() {
         );
     }
     json.push_str("  ],\n  \"csc\": [\n");
+    let or_null = |ns: Option<f64>| ns.map_or("null".to_string(), |ns| format!("{ns:.0}"));
     for (i, r) in csc_rows.iter().enumerate() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"inserted\": {}, \
              \"explicit_ns\": {:.0}, \"symbolic_ns\": {:.0}, \
              \"cold_summary_ns\": {:.0}, \"warm_summary_ns\": {:.0}, \
-             \"warm_speedup\": {:.1}, \"degradations\": {}}}{}",
+             \"warm_speedup\": {:.1}, \"candidates\": {}, \"ns_per_candidate\": {}, \
+             \"flow_candidates\": {}, \"flow_ns_per_candidate\": {}, \
+             \"degradations\": {}}}{}",
             r.name,
             r.inserted,
             r.explicit_ns,
@@ -398,6 +432,10 @@ fn main() {
             r.cold_summary_ns,
             r.warm_summary_ns,
             r.warm_speedup,
+            r.candidates,
+            or_null(r.ns_per_candidate),
+            r.flow_candidates,
+            or_null(r.flow_ns_per_candidate),
             r.degradations,
             if i + 1 < csc_rows.len() { "," } else { "" }
         );

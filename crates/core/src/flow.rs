@@ -15,8 +15,8 @@
 
 use rt_stg::engine::ReachEngine;
 use rt_stg::par::argmin;
-use rt_stg::{SignalKind, StateGraph, Stg, StgError};
-use rt_synth::csc::{insert_state_signal, simple_places};
+use rt_stg::splice::{fresh_signal_name, simple_places};
+use rt_stg::{SignalKind, Splice, StateGraph, Stg, StgError};
 use rt_synth::regions::LocalDontCares;
 use rt_synth::{synthesize_with_dc, SynthesisResult};
 
@@ -64,7 +64,8 @@ pub struct FlowReport {
     pub assumptions: Vec<RtAssumption>,
     /// The back-annotated constraint set the netlist requires.
     pub constraints: Vec<RtConstraint>,
-    /// State signals inserted by timing-aware encoding.
+    /// State signals inserted by timing-aware encoding: `x0`, `x1`, …
+    /// skipping names the specification already uses.
     pub inserted_signals: Vec<String>,
     /// The synthesized implementation.
     pub synthesis: SynthesisResult,
@@ -173,25 +174,34 @@ impl RtSynthesisFlow {
 
         // Stage 3: timing-aware state encoding on the reduced graph.
         // Candidates are ranked on their explicit lazy graphs, on every
-        // engine backend and at every net size.
+        // engine backend and at every net size. Each round splices its
+        // candidates from the full graph of the working STG, which the
+        // flow already holds: the specification's, then each winner's.
         let mut working_stg = stg.clone();
+        let mut working_sg: Option<StateGraph> = None;
         let mut inserted = Vec::new();
         let mut truncated = false;
         let mut conflicts = reduced.csc_conflict_count();
         let mut round = 0;
         while conflicts > 0 && round < self.max_state_signals {
-            let name = format!("x{round}");
-            let (best, round_truncated) =
-                best_insertion_on_reduced(&working_stg, &all_assumptions, &name, engine)?;
+            let name = fresh_signal_name(&working_stg, "x");
+            let (best, round_truncated) = best_insertion_on_reduced(
+                &working_stg,
+                working_sg.as_ref().unwrap_or(&sg0),
+                &all_assumptions,
+                &name,
+                engine,
+            )?;
             truncated |= round_truncated;
             match best {
-                Some((next_stg, next_reduced)) => {
+                Some((splice, next_sg, next_reduced)) => {
                     conflicts = next_reduced.csc_conflict_count();
                     log.push(format!(
                         "timing-aware encoding: inserted `{name}`, {} states, {conflicts} conflicts",
                         next_reduced.state_count(),
                     ));
-                    working_stg = next_stg;
+                    working_stg = splice.insert(&working_stg, &name);
+                    working_sg = Some(next_sg);
                     reduced = next_reduced;
                     inserted.push(name);
                 }
@@ -268,45 +278,58 @@ impl RtSynthesisFlow {
     }
 }
 
+/// An encoding round's winner: its splice, its full state graph (the
+/// next round's base) and its reduced graph.
+type Winner = (Splice, StateGraph, StateGraph);
+
 /// Searches state-signal insertions whose *reduced* graph is CSC-free —
 /// timing-aware encoding: the encoding is chosen against the lazy state
 /// space, not the full one.
 ///
-/// Candidates (ordered pairs of simple places) are explored and reduced
-/// serially on `engine`, and [`rt_stg::par::argmin`] keeps the one with
-/// the fewest remaining conflicts, then the fewest lazy states, and the
-/// first such pair on a tie.
+/// `sg` is the full state graph of `stg`, which the caller already
+/// holds. Each candidate (an ordered pair of simple places, the token
+/// before the new transition) gets its full graph spliced from `sg`
+/// ([`ReachEngine::spliced_state_graph`]), serially on `engine`, and is
+/// then reduced under `assumptions`; no candidate rebuilds or
+/// re-explores an STG. A candidate qualifies when its reduced graph is
+/// live, keeps every event the full graph fires, and has fewer
+/// conflicts than `sg` reduced the same way. [`rt_stg::par::argmin`]
+/// keeps the one with the fewest remaining conflicts, then the fewest
+/// lazy states, and the first such pair on a tie.
 ///
-/// The boolean of the `Ok` pair flags *truncation*: some candidate (or
-/// the baseline itself) was only disqualified because the engine's
-/// [`rt_stg::Budget`] ran out. A cancelled candidate walk stops the
-/// search with [`StgError::Cancelled`], and a panicking candidate
-/// evaluation surfaces as [`StgError::WorkerPanicked`].
+/// The boolean of the `Ok` pair flags *truncation*: some candidate was
+/// only disqualified because the engine's [`rt_stg::Budget`] ran out. A
+/// cancelled candidate walk stops the search with
+/// [`StgError::Cancelled`], and a panicking candidate evaluation
+/// surfaces as [`StgError::WorkerPanicked`].
 fn best_insertion_on_reduced(
     stg: &Stg,
+    sg: &StateGraph,
     assumptions: &[RtAssumption],
     name: &str,
     engine: &mut ReachEngine,
-) -> Result<(Option<(Stg, StateGraph)>, bool), RtError> {
+) -> Result<(Option<Winner>, bool), RtError> {
     // With no assumptions, `reduce_unchecked` would only copy the graph.
-    let baseline_conflicts = match engine.state_graph(stg) {
-        Ok(sg) if assumptions.is_empty() => sg.csc_conflict_count(),
-        Ok(sg) => reduce_unchecked(&sg, assumptions).csc_conflict_count(),
-        Err(err) if err.is_resource_exhaustion() => return Ok((None, true)),
-        Err(err) => return Err(err.into()),
+    let baseline_conflicts = if assumptions.is_empty() {
+        sg.csc_conflict_count()
+    } else {
+        reduce_unchecked(sg, assumptions).csc_conflict_count()
     };
     let places = simple_places(stg);
     let pairs = places.iter().flat_map(|&plus| {
         places
             .iter()
             .filter(move |&&minus| minus != plus)
-            .map(move |&minus| (plus, minus))
+            .map(move |&minus| Splice::Places {
+                plus,
+                minus,
+                token_after: false,
+            })
     });
     let mut truncated = false;
-    let best = argmin(pairs, |(plus, minus)| {
-        let candidate = insert_state_signal(stg, name, plus, minus);
-        let sg = match engine.state_graph(&candidate) {
-            Ok(sg) => sg,
+    let best = argmin(pairs, |splice| {
+        let full = match engine.spliced_state_graph(sg, stg, name, splice) {
+            Ok(full) => full,
             Err(StgError::Cancelled) => return Err(StgError::Cancelled),
             Err(error) => {
                 truncated |= error.is_resource_exhaustion();
@@ -314,28 +337,35 @@ fn best_insertion_on_reduced(
             }
         };
         let reduced = if assumptions.is_empty() {
-            sg
+            None
         } else {
-            let reduced = reduce_unchecked(&sg, assumptions);
+            let reduced = reduce_unchecked(&full, assumptions);
             // A reduction that removes states must keep every event.
-            if reduced.state_count() != sg.state_count()
-                && fired_events(&sg) != fired_events(&reduced)
+            if reduced.state_count() != full.state_count()
+                && fired_events(&full) != fired_events(&reduced)
             {
                 return Ok(None);
             }
-            reduced
+            Some(reduced)
         };
-        if !is_live(&reduced) {
+        let lazy = reduced.as_ref().unwrap_or(&full);
+        if !is_live(lazy) {
             return Ok(None);
         }
-        let conflicts = reduced.csc_conflict_count();
+        let conflicts = lazy.csc_conflict_count();
         if conflicts >= baseline_conflicts {
             return Ok(None);
         }
-        let cost = conflicts * 1_000 + reduced.state_count();
-        Ok(Some((cost, (candidate, reduced))))
+        let cost = conflicts * 1_000 + lazy.state_count();
+        Ok(Some((cost, (splice, full, reduced))))
     })?;
-    Ok((best.map(|(_, found)| found), truncated))
+    Ok((
+        best.map(|(_, (splice, full, reduced))| {
+            let reduced = reduced.unwrap_or_else(|| full.clone());
+            (splice, full, reduced)
+        }),
+        truncated,
+    ))
 }
 
 /// Determines the minimal required constraint set.
@@ -575,6 +605,93 @@ mod tests {
         assert!(
             full.synthesis.netlist.transistor_count() < si.synthesis.netlist.transistor_count()
         );
+    }
+
+    /// The FIFO beside an independent free choice between two input
+    /// cycles, `g1+ → g1-` and `g2+ → g2-`.
+    fn fifo_beside_a_choice() -> Stg {
+        let mut stg = models::fifo_stg();
+        let choice = stg.add_place("choice");
+        stg.set_tokens(choice, 1);
+        for name in ["g1", "g2"] {
+            let g = stg.add_signal(name, SignalKind::Input).unwrap();
+            let rise = stg.transition_for(g, Edge::Rise);
+            let fall = stg.transition_for(g, Edge::Fall);
+            stg.arc_from_place(choice, rise);
+            stg.arc(rise, fall);
+            stg.arc_to_place(fall, choice);
+        }
+        stg
+    }
+
+    #[test]
+    fn a_candidate_whose_reduction_starves_an_event_is_never_chosen() {
+        let stg = fifo_beside_a_choice();
+        let mut engine = ReachEngine::explicit();
+        let sg = engine.state_graph(&stg).unwrap();
+        let (best, _) = best_insertion_on_reduced(&stg, &sg, &[], "x0", &mut engine).unwrap();
+        assert!(best.is_some(), "unreduced, the FIFO's conflicts resolve");
+        // Wherever g2+ is enabled, so is g1+: every candidate's reduced
+        // graph loses g2's events, though it stays live and some have
+        // fewer conflicts than the specification's.
+        let s = |n: &str| stg.signal_by_name(n).unwrap();
+        let starving = [RtAssumption::user(s("g1"), Edge::Rise, s("g2"), Edge::Rise)];
+        let (best, truncated) =
+            best_insertion_on_reduced(&stg, &sg, &starving, "x0", &mut engine).unwrap();
+        assert!(best.is_none(), "{:?}", best.map(|(splice, ..)| splice));
+        assert!(!truncated);
+    }
+
+    #[test]
+    fn a_candidate_whose_reduction_is_not_live_is_never_chosen() {
+        let stg = models::ring_stg(4, 2);
+        let mut engine = ReachEngine::explicit();
+        let sg = engine.state_graph(&stg).unwrap();
+        let (best, _) = best_insertion_on_reduced(&stg, &sg, &[], "x0", &mut engine).unwrap();
+        assert!(best.is_some(), "unreduced, the ring has a live candidate");
+        // Under `r2+ before r0+` every candidate with fewer conflicts
+        // than the ring reduces to a graph that cannot return to its
+        // initial state.
+        let s = |n: &str| stg.signal_by_name(n).unwrap();
+        let trapping = [RtAssumption::user(s("r2"), Edge::Rise, s("r0"), Edge::Rise)];
+        let (best, truncated) =
+            best_insertion_on_reduced(&stg, &sg, &trapping, "x0", &mut engine).unwrap();
+        assert!(best.is_none(), "{:?}", best.map(|(splice, ..)| splice));
+        assert!(!truncated);
+    }
+
+    #[test]
+    fn si_flow_keeps_forced_initial_values() {
+        // An input that never fires, forced high, stays high in every
+        // state of the lazy graph the inserted signal is chosen on.
+        let mut stg = models::fifo_stg();
+        let en = stg.add_signal("en", SignalKind::Input).unwrap();
+        stg.set_initial_value(en, true);
+        let report = RtSynthesisFlow::speed_independent().run(&stg, &[]).unwrap();
+        assert_eq!(report.inserted_signals, ["x0"]);
+        let lazy = &report.lazy_sg;
+        assert!(
+            lazy.states().all(|s| lazy.signal_value(s, en)),
+            "en stays high"
+        );
+    }
+
+    #[test]
+    fn si_flow_skips_a_state_signal_name_the_spec_uses() {
+        // The FIFO beside an input that never fires: called `x0`, the
+        // flow names its state signal `x1` and otherwise encodes it as
+        // under any other name.
+        let with_input = |name: &str| {
+            let mut stg = models::fifo_stg();
+            stg.add_signal(name, SignalKind::Input).unwrap();
+            RtSynthesisFlow::speed_independent().run(&stg, &[]).unwrap()
+        };
+        let (taken, free) = (with_input("x0"), with_input("u"));
+        assert_eq!(taken.inserted_signals, ["x1"]);
+        assert_eq!(free.inserted_signals, ["x0"]);
+        assert_eq!(taken.lazy_states, free.lazy_states);
+        assert_eq!(taken.lazy_sg.csc_conflict_count(), 0);
+        assert_eq!(taken.synthesis.literal_count, free.synthesis.literal_count);
     }
 
     #[test]

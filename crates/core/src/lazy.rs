@@ -60,7 +60,8 @@ pub fn reduce_concurrency(
 /// are emitted directly, with no nested per-state `Vec` intermediate.
 /// The explicit analyser numbers states in the same order, so with no
 /// assumptions the result equals `sg` in codes, arcs and markings, and
-/// the flow's encoding search skips the call then.
+/// the flow's encoding search skips the call then. The result shares
+/// `sg`'s signal table ([`StateGraph::with_states`]).
 pub fn reduce_unchecked(sg: &StateGraph, assumptions: &[RtAssumption]) -> StateGraph {
     // An arc firing `f` from state s is suppressed when some assumption
     // `e before f` has `e` enabled in s.
@@ -113,22 +114,8 @@ pub fn reduce_unchecked(sg: &StateGraph, assumptions: &[RtAssumption]) -> StateG
         }
     }
 
-    let signal_names = sg
-        .signals()
-        .map(|s| sg.signal_name(s).to_string())
-        .collect();
-    let signal_kinds = sg.signals().map(|s| sg.signal_kind(s)).collect();
     let (offsets, arcs) = builder.finish();
-    StateGraph::from_csr_parts(
-        signal_names,
-        signal_kinds,
-        codes,
-        offsets,
-        arcs,
-        markings,
-        *sg.marking_layout(),
-        StateId(0),
-    )
+    sg.with_states(codes, offsets, arcs, markings, StateId(0))
 }
 
 /// Checks that a reduction kept the specification alive.

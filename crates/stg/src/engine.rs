@@ -41,6 +41,20 @@
 //! [`ReachEngine::csc_conflicts_symbolic`] run the BDD analysers
 //! directly on either backend.
 //!
+//! ## Spliced graphs
+//!
+//! The CSC encoding searches score hundreds of candidate insertions of
+//! a state signal per round, each a small change to one net.
+//! [`ReachEngine::spliced_state_graph`] builds a candidate's coded graph
+//! from the graph of the net it splices, which the search already holds:
+//! it walks the base graph's states paired with where the spliced tokens
+//! sit, in [`crate::reach::explore_with`]'s order, so it neither rebuilds
+//! the candidate STG nor hashes a marking. The result equals
+//! [`ReachEngine::state_graph`] on the rebuilt STG ([`Splice::insert`])
+//! in state order, codes, arcs and markings, or fails with the same
+//! [`StgError`] variant; it counts as one graph build and runs under
+//! the same options and budget (see [`crate::splice`]).
+//!
 //! ## Manager reuse
 //!
 //! The engine's `Bdd` manager is created lazily on the first BDD query
@@ -78,7 +92,8 @@
 //! candidate searches of `rt_synth::resolve_csc_engine` and of
 //! `rt-core`'s flow run serially on the caller's engine
 //! ([`crate::par::argmin`]) and only build explicit graphs
-//! ([`ReachEngine::state_graph`]), so they never touch its manager.
+//! ([`ReachEngine::spliced_state_graph`]), so they never touch its
+//! manager.
 //!
 //! ## Budgets and degradation
 //!
@@ -173,6 +188,7 @@ use rt_boolean::Bdd;
 use crate::budget::Budget;
 use crate::error::StgError;
 use crate::reach::{count_markings_with, explore_with, ExploreOptions};
+use crate::splice::{spliced_explore, Splice};
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
 
@@ -342,6 +358,32 @@ impl ReachEngine {
     pub fn state_graph(&mut self, stg: &Stg) -> Result<StateGraph, StgError> {
         self.stats.graph_builds += 1;
         explore_with(stg, &self.options)
+    }
+
+    /// Builds the coded [`StateGraph`] of
+    /// [`Splice::insert`]`(stg, name)` from `base`, the graph of `stg`
+    /// under this engine's options (callers pass the graph they already
+    /// hold), without rebuilding or re-exploring an STG (see the module
+    /// docs' *Spliced graphs*). It
+    /// counts one [`EngineStats::graph_builds`], polls the budget and
+    /// the fault probe per BFS round, and honours
+    /// [`ExploreOptions::state_limit`], as [`ReachEngine::state_graph`]
+    /// on the rebuilt STG does.
+    ///
+    /// # Errors
+    ///
+    /// The [`StgError`] variant [`ReachEngine::state_graph`] returns on
+    /// the rebuilt STG, and [`StgError::DuplicateSignal`] when `stg`
+    /// already has a signal called `name`.
+    pub fn spliced_state_graph(
+        &mut self,
+        base: &StateGraph,
+        stg: &Stg,
+        name: &str,
+        splice: Splice,
+    ) -> Result<StateGraph, StgError> {
+        self.stats.graph_builds += 1;
+        spliced_explore(base, stg, name, splice, &self.options)
     }
 
     /// Answers the set-level question "how many markings are reachable"

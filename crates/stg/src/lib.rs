@@ -27,6 +27,10 @@
 //! * [`par`] — the deterministic argmin the CSC candidate searches in
 //!   `rt-synth`/`rt-core` rank their candidates with, serially on the
 //!   caller's thread.
+//! * [`splice`] — state-signal insertion: the candidate shapes the CSC
+//!   encoding searches try ([`Splice`]), the STG each one rebuilds, and
+//!   the walk that builds a candidate's state graph from the graph of the
+//!   net it splices, without rebuilding or re-exploring an STG.
 //! * [`state_graph`] — the reachable behaviour with per-state binary
 //!   codes; successor/predecessor rows live in contiguous CSR arrays, so
 //!   synthesis, CSC detection and the lazy passes walk linear memory.
@@ -73,6 +77,7 @@ pub mod parse;
 pub mod petri;
 pub mod reach;
 pub mod signal;
+pub mod splice;
 pub mod state_graph;
 pub mod stg;
 pub mod symbolic;
@@ -84,5 +89,6 @@ pub use marking::{MarkingArena, MarkingId, MarkingLayout, PackedMarking};
 pub use petri::{Marking, PetriNet, PlaceId, TransitionId};
 pub use reach::explore;
 pub use signal::{Edge, SignalEvent, SignalId, SignalKind};
+pub use splice::Splice;
 pub use state_graph::{CsrBuilder, StateGraph, StateId};
 pub use stg::Stg;

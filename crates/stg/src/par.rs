@@ -6,8 +6,10 @@
 //! [`argmin`] and keep the cheapest.
 //!
 //! The search runs serially, on the caller's thread and the caller's
-//! engine. One candidate costs 10–20 µs on the paper's FIFO, and the
-//! callers that run many searches already keep every core busy (the
+//! engine. One candidate costs about a microsecond on the paper's FIFO
+//! (its graph is spliced from the graph the search already holds, see
+//! [`crate::splice`]), and the callers that run many searches already
+//! keep every core busy (the
 //! service runs one job per worker thread, the benchmark one caller per
 //! CPU), so a per-search thread pool only oversubscribes them. Explicit
 //! reachability is serial for the same reason: a level-synchronous

@@ -57,7 +57,7 @@ impl Default for ExploreOptions {
 /// on), then cancellation/deadline, then the soft state budget. Runs
 /// once per BFS layer, never per state, so the poll cost (one atomic
 /// load; a clock read only when a deadline is set) is invisible.
-fn round_budget_check(budget: &Budget, states: usize, round: usize) -> Option<StgError> {
+pub(crate) fn round_budget_check(budget: &Budget, states: usize, round: usize) -> Option<StgError> {
     if let Some(error) = crate::faults::explicit_round_fault(round) {
         return Some(error);
     }

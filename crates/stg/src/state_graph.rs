@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::marking::{MarkingLayout, PackedMarking};
 use crate::petri::Marking;
@@ -128,6 +129,14 @@ impl CsrBuilder {
     }
 }
 
+/// The signals a graph codes, shared by the graphs built over the same
+/// signals (a reduction and its input), so building one clones no names.
+#[derive(Debug)]
+struct Signals {
+    names: Vec<String>,
+    kinds: Vec<SignalKind>,
+}
+
 /// Arc rows in compressed-sparse-row form: all rows live in one
 /// contiguous `Vec<StateArc>`, with `offsets[i]..offsets[i+1]` delimiting
 /// state `i`'s row. Synthesis, CSC analysis and the lazy passes iterate
@@ -141,19 +150,18 @@ struct CsrArcs {
 
 impl CsrArcs {
     /// Builds the reversed (predecessor) CSR of `succ` by counting sort:
-    /// one pass to count indegrees, a prefix sum, one pass to fill.
+    /// one pass to count indegrees, a prefix sum, one pass to fill (each
+    /// row's start doubles as its cursor, then shifts back one row).
     /// Row-internal order matches iterating successor rows in state
     /// order, preserving the historical nested-`Vec` predecessor order.
     fn reversed(succ: &CsrArcs, states: usize) -> Self {
-        let mut counts = vec![0u32; states + 1];
+        let mut offsets = vec![0u32; states + 1];
         for arc in &succ.arcs {
-            counts[arc.to.index() + 1] += 1;
+            offsets[arc.to.index() + 1] += 1;
         }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let offsets = counts.clone();
-        let mut cursor = counts;
         let mut arcs = vec![
             StateArc {
                 event: None,
@@ -163,7 +171,7 @@ impl CsrArcs {
         ];
         for from in 0..states {
             for arc in succ.row(from) {
-                let slot = &mut cursor[arc.to.index()];
+                let slot = &mut offsets[arc.to.index()];
                 arcs[*slot as usize] = StateArc {
                     event: arc.event,
                     to: StateId(from as u32),
@@ -171,6 +179,9 @@ impl CsrArcs {
                 *slot += 1;
             }
         }
+        // Each cursor now sits at the next row's start.
+        offsets.copy_within(0..states, 1);
+        offsets[0] = 0;
         CsrArcs { offsets, arcs }
     }
 
@@ -204,8 +215,7 @@ impl CsrArcs {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StateGraph {
-    signal_names: Vec<String>,
-    signal_kinds: Vec<SignalKind>,
+    signals: Arc<Signals>,
     codes: Vec<u64>,
     succ: CsrArcs,
     preds: CsrArcs,
@@ -279,32 +289,52 @@ impl StateGraph {
         layout: MarkingLayout,
         initial: StateId,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), codes.len() + 1);
-        let succ = CsrArcs { offsets, arcs };
-        Self::from_csr_rows(
-            signal_names,
-            signal_kinds,
+        let signals = Arc::new(Signals {
+            names: signal_names,
+            kinds: signal_kinds,
+        });
+        Self::from_shared_parts(signals, codes, offsets, arcs, markings, layout, initial)
+    }
+
+    /// A graph over this graph's signals and marking layout with the
+    /// given states, in [`StateGraph::from_csr_parts`]'s form. The two
+    /// graphs share their signal table, so a derived graph (a
+    /// concurrency reduction, say) copies no names.
+    pub fn with_states(
+        &self,
+        codes: Vec<u64>,
+        offsets: Vec<u32>,
+        arcs: Vec<StateArc>,
+        markings: Vec<PackedMarking>,
+        initial: StateId,
+    ) -> Self {
+        Self::from_shared_parts(
+            Arc::clone(&self.signals),
             codes,
-            succ,
+            offsets,
+            arcs,
             markings,
-            layout,
+            self.layout,
             initial,
         )
     }
 
-    fn from_csr_rows(
-        signal_names: Vec<String>,
-        signal_kinds: Vec<SignalKind>,
+    /// [`StateGraph::from_csr_parts`] over a shared signal table.
+    fn from_shared_parts(
+        signals: Arc<Signals>,
         codes: Vec<u64>,
-        succ: CsrArcs,
+        offsets: Vec<u32>,
+        arcs: Vec<StateArc>,
         markings: Vec<PackedMarking>,
         layout: MarkingLayout,
         initial: StateId,
     ) -> Self {
+        debug_assert_eq!(offsets.len(), codes.len() + 1);
+        debug_assert_eq!(signals.names.len(), signals.kinds.len());
+        let succ = CsrArcs { offsets, arcs };
         let preds = CsrArcs::reversed(&succ, codes.len());
         StateGraph {
-            signal_names,
-            signal_kinds,
+            signals,
             codes,
             succ,
             preds,
@@ -331,17 +361,17 @@ impl StateGraph {
 
     /// Number of signals in the code.
     pub fn signal_count(&self) -> usize {
-        self.signal_names.len()
+        self.signals.names.len()
     }
 
     /// Name of `signal`.
     pub fn signal_name(&self, signal: SignalId) -> &str {
-        &self.signal_names[signal.index()]
+        &self.signals.names[signal.index()]
     }
 
     /// Kind of `signal`.
     pub fn signal_kind(&self, signal: SignalId) -> SignalKind {
-        self.signal_kinds[signal.index()]
+        self.signals.kinds[signal.index()]
     }
 
     /// Iterates over all signals.

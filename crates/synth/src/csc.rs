@@ -3,14 +3,18 @@
 //! The paper's FIFO specification (Figure 3) has CSC conflicts; `petrify`
 //! resolves them by inserting the state signal `x` (Figures 4–5) using
 //! *timing-aware* encoding. This module reproduces the mechanism: it
-//! searches over pairs of simple places of the STG, inserting `x+` on one
-//! and `x-` on the other, re-exploring, and keeping the valid insertion
-//! with the cheapest logic. The cost function can be biased to keep the
+//! searches over pairs of simple places of the STG (both token
+//! placements) and pairs of transitions, splicing `x+` on one and `x-`
+//! on the other ([`Splice`]), and keeps the valid insertion with the
+//! cheapest logic. Each candidate's state graph is built from the graph
+//! of the net it splices ([`ReachEngine::spliced_state_graph`]): no
+//! candidate rebuilds or re-explores an STG, and only each round's
+//! winner is rebuilt as one. The cost function can be biased to keep the
 //! state signal off the critical path (the paper's "timing-aware state
 //! encoding"): insertions whose state-signal transitions trigger output
 //! events are penalized.
 //!
-//! All re-exploration funnels through one [`ReachEngine`]
+//! Every graph of the search comes from one [`ReachEngine`]
 //! ([`resolve_csc_engine`]): the candidate search is the hottest
 //! repeated-reachability loop in the pipeline, and it runs serially on
 //! the caller's thread and engine. Candidates are ranked one way on
@@ -26,9 +30,11 @@
 use rt_boolean::minimize;
 use rt_stg::engine::{ReachBackend, ReachEngine};
 use rt_stg::par::argmin;
-use rt_stg::petri::PlaceId;
 use rt_stg::stg::TransitionLabel;
-use rt_stg::{SignalKind, StateGraph, Stg, StgError, TransitionId};
+use rt_stg::{SignalKind, Splice, StateGraph, Stg, StgError, TransitionId};
+
+use rt_stg::splice::{candidates as insertion_specs, fresh_signal_name};
+pub use rt_stg::splice::{insert_after_transitions, insert_state_signal_with, simple_places};
 
 use crate::error::SynthError;
 use crate::regions::{derive_functions, LocalDontCares};
@@ -49,7 +55,8 @@ pub struct CscResolution {
     /// `Option` only because existing callers (the `perfbench`
     /// harness) unwrap it.
     pub sg: Option<StateGraph>,
-    /// Names of inserted state signals (empty when none were needed).
+    /// Names of inserted state signals (empty when none were needed):
+    /// `csc0`, `csc1`, … skipping names the specification already uses.
     pub inserted: Vec<String>,
     /// Cost of the chosen encoding (minimized literal count).
     pub cost: usize,
@@ -153,18 +160,27 @@ pub fn resolve_csc_engine(
     let mut current = stg.clone();
     // Best-so-far state for a budget-truncated partial result: the
     // conflict-rank formula of the candidate loop, so a partial
-    // resolution's cost is comparable to rejected candidates'.
-    let mut current_sg = Some(sg);
+    // resolution's cost is comparable to rejected candidates'. The
+    // current graph is also each round's base.
+    let mut current_sg = sg;
     let mut current_cost = 1_000 + before * 100;
     let mut inserted = Vec::new();
     let mut truncated = false;
-    for round in 0..options.max_signals {
-        let name = format!("csc{round}");
-        let (best, round_truncated) =
-            best_insertion(&current, &name, options, before, engine, &mut attempts)?;
+    for _ in 0..options.max_signals {
+        let name = fresh_signal_name(&current, "csc");
+        let (best, round_truncated) = best_insertion(
+            &current,
+            &current_sg,
+            &name,
+            options,
+            before,
+            engine,
+            &mut attempts,
+        )?;
         truncated |= round_truncated;
         match best {
-            Some((next_stg, next_sg, cost)) => {
+            Some((splice, next_sg, cost)) => {
+                let next_stg = splice.insert(&current, &name);
                 inserted.push(name);
                 let after = next_sg.csc_conflict_count();
                 if after == 0 {
@@ -180,7 +196,7 @@ pub fn resolve_csc_engine(
                 }
                 before = after;
                 current = next_stg;
-                current_sg = Some(next_sg);
+                current_sg = next_sg;
                 current_cost = cost;
             }
             None => break,
@@ -194,7 +210,7 @@ pub fn resolve_csc_engine(
         engine.note_degradation(rt_stg::Degradation::PartialSynthesis);
         return Ok(CscResolution {
             stg: current,
-            sg: current_sg,
+            sg: Some(current_sg),
             inserted,
             cost: current_cost,
             truncated: true,
@@ -256,67 +272,21 @@ fn audit_against_symbolic(
     Ok(())
 }
 
-/// One candidate insertion point of the search, cheap to enumerate up
-/// front; the search materializes and scores one at a time.
-#[derive(Debug, Clone, Copy)]
-enum InsertionSpec {
-    /// Splice `x+`/`x-` into a pair of simple places.
-    Place {
-        plus: PlaceId,
-        minus: PlaceId,
-        token_after: bool,
-    },
-    /// Insert `x+`/`x-` after whole transitions.
-    Trans {
-        plus: TransitionId,
-        minus: TransitionId,
-    },
-}
-
-/// Enumerates every candidate insertion in the canonical search order.
-/// Ties go to the earlier candidate, so the order must stay stable.
-fn insertion_specs(stg: &Stg) -> Vec<InsertionSpec> {
-    let places = simple_places(stg);
-    let mut specs = Vec::new();
-    for &plus in &places {
-        for &minus in &places {
-            if plus == minus {
-                continue;
-            }
-            for token_after in [false, true] {
-                specs.push(InsertionSpec::Place {
-                    plus,
-                    minus,
-                    token_after,
-                });
-            }
-        }
-    }
-    let transitions: Vec<_> = stg.net().transitions().collect();
-    for &plus in &transitions {
-        for &minus in &transitions {
-            if plus == minus {
-                continue;
-            }
-            specs.push(InsertionSpec::Trans { plus, minus });
-        }
-    }
-    specs
-}
-
 /// A candidate search's verdict: the winning candidate (if any) plus
 /// the truncated flag — `true` when at least one candidate was
 /// disqualified only because the engine's budget ran out mid-eval.
 type SearchOutcome<T> = (Option<T>, bool);
 
 /// Tries every candidate insertion point serially on `engine`; returns
-/// the best valid insertion as `(stg, sg, cost)`. `before` is the
-/// conflict count of `stg` itself (already computed by the caller — no
-/// re-exploration).
+/// the best valid insertion as `(splice, sg, cost)`. `sg` is the state
+/// graph of `stg` (the round's base, already held by the caller) and
+/// `before` its conflict count: no candidate re-explores `stg`.
 ///
-/// Candidates only build explicit graphs, on every backend. The winner
-/// is the lowest cost, and among equal costs the first candidate in
-/// [`insertion_specs`]'s order ([`rt_stg::par::argmin`]).
+/// Each candidate's graph is spliced from `sg`
+/// ([`ReachEngine::spliced_state_graph`]), on every backend, and no
+/// candidate builds an STG: the caller rebuilds only the winner. The
+/// winner is the lowest cost, and among equal costs the first candidate
+/// in [`rt_stg::splice::candidates`]' order ([`rt_stg::par::argmin`]).
 ///
 /// The second element of the `Ok` pair is the *truncated* flag: `true`
 /// when at least one candidate was disqualified only because the
@@ -332,205 +302,45 @@ type SearchOutcome<T> = (Option<T>, bool);
 /// [`StgError::WorkerPanicked`] when a candidate evaluation panicked.
 fn best_insertion(
     stg: &Stg,
+    sg: &StateGraph,
     name: &str,
     options: &CscOptions,
     before: usize,
     engine: &mut ReachEngine,
     attempts: &mut usize,
-) -> Result<SearchOutcome<(Stg, StateGraph, usize)>, SynthError> {
+) -> Result<SearchOutcome<(Splice, StateGraph, usize)>, SynthError> {
     let specs = insertion_specs(stg);
     *attempts += specs.len();
     let mut truncated = false;
-    let best = argmin(specs, |spec| {
-        let candidate = match spec {
-            InsertionSpec::Place {
-                plus,
-                minus,
-                token_after,
-            } => insert_state_signal_with(stg, name, plus, minus, token_after),
-            InsertionSpec::Trans { plus, minus } => {
-                insert_after_transitions(stg, name, plus, minus)
-            }
-        };
-        let sg = match engine.state_graph(&candidate) {
-            Ok(sg) => sg,
+    let best = argmin(specs, |splice| {
+        let candidate = match engine.spliced_state_graph(sg, stg, name, splice) {
+            Ok(candidate) => candidate,
             Err(StgError::Cancelled) => return Err(StgError::Cancelled),
             Err(error) => {
                 truncated |= error.is_resource_exhaustion();
                 return Ok(None);
             }
         };
-        if !sg.is_strongly_connected() || !sg.deadlock_states().is_empty() {
+        if !candidate.is_strongly_connected() || !candidate.deadlock_states().is_empty() {
             return Ok(None);
         }
-        let after = sg.csc_conflict_count();
+        let after = candidate.csc_conflict_count();
         if after >= before {
             return Ok(None); // insertion must strictly help
         }
-        let penalty = critical_penalty(&candidate, name) * options.critical_path_penalty;
+        let penalty = critical_penalty(stg, splice) * options.critical_path_penalty;
         let cost = if after == 0 {
-            encoding_cost(&sg, penalty)
+            encoding_cost(&candidate, penalty)
         } else {
             // Not yet CSC-free: rank by remaining conflicts.
             1_000 + after * 100 + penalty
         };
-        Ok(Some((cost, (candidate, sg))))
+        Ok(Some((cost, (splice, candidate))))
     })?;
     Ok((
-        best.map(|(cost, (candidate, sg))| (candidate, sg, cost)),
+        best.map(|(cost, (splice, candidate))| (splice, candidate, cost)),
         truncated,
     ))
-}
-
-/// Simple places: exactly one producer and one consumer — safe insertion
-/// points for state-signal splicing.
-pub fn simple_places(stg: &Stg) -> Vec<PlaceId> {
-    let net = stg.net();
-    net.places()
-        .filter(|&p| net.producers(p).len() == 1 && net.consumers(p).len() == 1)
-        .collect()
-}
-
-/// Rebuilds `stg` with a fresh internal signal whose rising transition is
-/// spliced into `place_plus` and falling transition into `place_minus`.
-/// A token on a spliced place rests *before* the new transition.
-pub fn insert_state_signal(
-    stg: &Stg,
-    name: &str,
-    place_plus: PlaceId,
-    place_minus: PlaceId,
-) -> Stg {
-    insert_state_signal_with(stg, name, place_plus, place_minus, false)
-}
-
-/// Like [`insert_state_signal`], but `token_after` chooses whether a
-/// token on a spliced marked place rests before (`false`) or after
-/// (`true`) the new transition — the two placements give different
-/// initial values and firing orders, and the search tries both.
-pub fn insert_state_signal_with(
-    stg: &Stg,
-    name: &str,
-    place_plus: PlaceId,
-    place_minus: PlaceId,
-    token_after: bool,
-) -> Stg {
-    let net = stg.net();
-    let mut out = Stg::new(format!("{}_{}", stg.name(), name));
-    // Copy the signal table and add the new internal signal.
-    for signal in stg.signals() {
-        out.add_signal(stg.signal_name(signal), stg.signal_kind(signal))
-            .expect("copied signals are unique");
-    }
-    let x = out
-        .add_signal(name, SignalKind::Internal)
-        .expect("fresh state-signal name");
-    // Copy transitions in order (ids are preserved).
-    for t in net.transitions() {
-        match stg.label(t) {
-            TransitionLabel::Event(ev) => {
-                out.transition(ev);
-            }
-            TransitionLabel::Silent => {
-                out.silent(net.transition_name(t));
-            }
-        }
-    }
-    let x_plus = out.transition_for(x, rt_stg::Edge::Rise);
-    let x_minus = out.transition_for(x, rt_stg::Edge::Fall);
-    // Copy places, splitting the two chosen ones.
-    let marking = stg.initial_marking();
-    for p in net.places() {
-        let tokens = marking.tokens(p);
-        if (p == place_plus || p == place_minus) && !net.producers(p).is_empty() {
-            let splice = if p == place_plus { x_plus } else { x_minus };
-            let producer = net.producers(p)[0];
-            let consumer = net.consumers(p)[0];
-            let p1 = out.add_place(format!("{}_in", net.place_name(p)));
-            let p2 = out.add_place(format!("{}_out", net.place_name(p)));
-            out.arc_to_place(producer, p1);
-            out.arc_from_place(p1, splice);
-            out.arc_to_place(splice, p2);
-            out.arc_from_place(p2, consumer);
-            if token_after {
-                out.set_tokens(p2, tokens);
-            } else {
-                out.set_tokens(p1, tokens);
-            }
-        } else {
-            let copy = out.add_place(net.place_name(p));
-            for &producer in net.producers(p) {
-                out.arc_to_place(producer, copy);
-            }
-            for &consumer in net.consumers(p) {
-                out.arc_from_place(copy, consumer);
-            }
-            out.set_tokens(copy, tokens);
-        }
-    }
-    out
-}
-
-/// Rebuilds `stg` with a fresh internal signal inserted *after whole
-/// transitions*: `x+` fires right after `after_plus` (taking over its
-/// entire postset) and `x-` right after `after_minus`. Often succeeds
-/// where single-place splicing cannot, because the new signal serializes
-/// against every successor at once.
-pub fn insert_after_transitions(
-    stg: &Stg,
-    name: &str,
-    after_plus: rt_stg::TransitionId,
-    after_minus: rt_stg::TransitionId,
-) -> Stg {
-    let net = stg.net();
-    let mut out = Stg::new(format!("{}_{}", stg.name(), name));
-    for signal in stg.signals() {
-        out.add_signal(stg.signal_name(signal), stg.signal_kind(signal))
-            .expect("copied signals are unique");
-    }
-    let x = out
-        .add_signal(name, SignalKind::Internal)
-        .expect("fresh state-signal name");
-    for tr in net.transitions() {
-        match stg.label(tr) {
-            TransitionLabel::Event(ev) => {
-                out.transition(ev);
-            }
-            TransitionLabel::Silent => {
-                out.silent(net.transition_name(tr));
-            }
-        }
-    }
-    let x_plus = out.transition_for(x, rt_stg::Edge::Rise);
-    let x_minus = out.transition_for(x, rt_stg::Edge::Fall);
-    // Chain each spliced transition to its new successor.
-    let chain = |out: &mut Stg, from: rt_stg::TransitionId, to: rt_stg::TransitionId| {
-        let p = out.add_place(format!("splice_{}", out.net().place_count()));
-        out.arc_to_place(from, p);
-        out.arc_from_place(p, to);
-    };
-    chain(&mut out, after_plus, x_plus);
-    chain(&mut out, after_minus, x_minus);
-    let marking = stg.initial_marking();
-    for p in net.places() {
-        let copy = out.add_place(net.place_name(p));
-        for &producer in net.producers(p) {
-            // Arcs formerly produced by the spliced transitions now come
-            // from the new signal's transitions.
-            let source = if producer == after_plus {
-                x_plus
-            } else if producer == after_minus {
-                x_minus
-            } else {
-                producer
-            };
-            out.arc_to_place(source, copy);
-        }
-        for &consumer in net.consumers(p) {
-            out.arc_from_place(copy, consumer);
-        }
-        out.set_tokens(copy, marking.tokens(p));
-    }
-    out
 }
 
 /// Minimized literal count of every implemented signal — the logic cost
@@ -551,26 +361,29 @@ fn encoding_cost(sg: &StateGraph, penalty: usize) -> usize {
 }
 
 /// Number of *output* transitions directly triggered by the state
-/// signal's transitions (the timing-aware "keep x off the critical path"
-/// metric).
-fn critical_penalty(stg: &Stg, name: &str) -> usize {
-    let Some(x) = stg.signal_by_name(name) else {
-        return 0;
-    };
+/// signal's transitions once `splice` inserts it into `stg` (the
+/// timing-aware "keep x off the critical path" metric), read off the
+/// splice: `x±` spliced into a place triggers that place's consumer,
+/// and `x±` after a transition triggers every consumer of that
+/// transition's postset.
+fn critical_penalty(stg: &Stg, splice: Splice) -> usize {
     let net = stg.net();
-    let mut count = 0;
-    for t in stg.transitions_of(x) {
-        for arc in net.postset(t) {
-            for &consumer in net.consumers(arc.place) {
-                if let TransitionLabel::Event(ev) = stg.label(consumer) {
-                    if stg.signal_kind(ev.signal) == SignalKind::Output {
-                        count += 1;
-                    }
-                }
-            }
-        }
+    let is_output = |t: TransitionId| match stg.label(t) {
+        TransitionLabel::Event(ev) => stg.signal_kind(ev.signal) == SignalKind::Output,
+        TransitionLabel::Silent => false,
+    };
+    match splice {
+        Splice::Places { plus, minus, .. } => [plus, minus]
+            .into_iter()
+            .filter(|&p| is_output(net.consumers(p)[0]))
+            .count(),
+        Splice::Transitions { plus, minus } => [plus, minus]
+            .into_iter()
+            .flat_map(|t| net.postset(t))
+            .flat_map(|arc| net.consumers(arc.place))
+            .filter(|&&t| is_output(t))
+            .count(),
     }
-    count
 }
 
 #[cfg(test)]
@@ -624,7 +437,7 @@ mod tests {
         let net = stg.net();
         // Splice x+ into the first place and x- into the second.
         let places: Vec<_> = net.places().collect();
-        let rewritten = insert_state_signal(&stg, "x", places[0], places[1]);
+        let rewritten = insert_state_signal_with(&stg, "x", places[0], places[1], false);
         assert_eq!(rewritten.signal_count(), stg.signal_count() + 1);
         // The rewrite may or may not be consistent; exploration decides.
         let _ = explore(&rewritten);
@@ -714,11 +527,75 @@ mod tests {
         }
     }
 
+    /// The FIFO plus an input `en` that never fires, forced high.
+    fn fifo_with_forced_en() -> Stg {
+        let mut stg = models::fifo_stg();
+        let en = stg.add_signal("en", SignalKind::Input).unwrap();
+        stg.set_initial_value(en, true);
+        stg
+    }
+
+    #[test]
+    fn a_resolution_keeps_forced_initial_values() {
+        let stg = fifo_with_forced_en();
+        let res = resolve_csc(&stg).unwrap();
+        assert_eq!(res.inserted, ["csc0"]);
+        let en = res.stg.signal_by_name("en").unwrap();
+        assert_eq!(res.stg.initial_value(en), Some(true));
+        let sg = graph(&res);
+        assert!(sg.states().all(|s| sg.signal_value(s, en)), "en stays high");
+    }
+
+    #[test]
+    fn a_resolution_skips_a_state_signal_name_the_spec_uses() {
+        // The FIFO beside an input that never fires: called `csc0`, the
+        // search names its signal `csc1` and otherwise resolves it as
+        // under any other name.
+        let resolve = |name: &str| {
+            let mut stg = models::fifo_stg();
+            stg.add_signal(name, SignalKind::Input).unwrap();
+            resolve_csc(&stg).unwrap()
+        };
+        let (taken, free) = (resolve("csc0"), resolve("u"));
+        assert_eq!(taken.inserted, ["csc1"]);
+        assert_eq!(free.inserted, ["csc0"]);
+        assert_eq!(taken.cost, free.cost);
+        assert_eq!(graph(&taken).csc_conflict_count(), 0);
+    }
+
     #[test]
     fn timing_aware_penalty_counts_output_triggers() {
-        // In fifo_stg_csc, x+ directly triggers lo+ (an output).
-        let stg = models::fifo_stg_csc();
-        assert!(critical_penalty(&stg, "x") >= 1);
-        assert_eq!(critical_penalty(&stg, "nonexistent"), 0);
+        // The penalty read off a splice counts the output transitions
+        // that x's transitions trigger in the rebuilt STG.
+        let rebuilt_count = |stg: &Stg| {
+            let x = stg.signal_by_name("x").expect("inserted");
+            let net = stg.net();
+            stg.transitions_of(x)
+                .into_iter()
+                .flat_map(|t| net.postset(t))
+                .flat_map(|arc| net.consumers(arc.place))
+                .filter(|&&t| {
+                    stg.label(t)
+                        .event()
+                        .is_some_and(|ev| stg.signal_kind(ev.signal) == SignalKind::Output)
+                })
+                .count()
+        };
+        let mut penalized = 0;
+        for stg in [
+            models::fifo_stg(),
+            rt_stg::corpus::parse(rt_stg::corpus::VME_READ_G).unwrap(),
+        ] {
+            for splice in insertion_specs(&stg) {
+                let penalty = critical_penalty(&stg, splice);
+                assert_eq!(
+                    penalty,
+                    rebuilt_count(&splice.insert(&stg, "x")),
+                    "{splice:?}"
+                );
+                penalized += usize::from(penalty > 0);
+            }
+        }
+        assert!(penalized > 0, "some candidate triggers an output");
     }
 }
