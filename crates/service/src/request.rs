@@ -40,7 +40,10 @@ pub enum RequestPayload {
         /// their answers are equal.
         options: CscOptions,
     },
-    /// Verify a gate-level circuit against its specification.
+    /// Verify a gate-level circuit against its specification
+    /// ([`rt_verify::verify_with_budget`]: a composed walk past the
+    /// budget's `max_states` or 2^18 states is an error, never a
+    /// verdict).
     Verify {
         /// The circuit.
         netlist: Netlist,

@@ -8,7 +8,8 @@
 //! cap every request the same way:
 //!
 //! * `max_states` — soft ceiling on explicitly interned markings. Unlike
-//!   the hard [`ExploreOptions::state_limit`](crate::reach::ExploreOptions),
+//!   the hard cap every explicit walk stops at
+//!   ([`STATE_LIMIT`](crate::reach::STATE_LIMIT)),
 //!   blowing this budget is *degradable*: an explicit engine's
 //!   set-level queries fall back to BDDs instead of erroring (see
 //!   `rt_stg::engine`).

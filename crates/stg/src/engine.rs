@@ -53,7 +53,7 @@
 //! [`ReachEngine::state_graph`] on the rebuilt STG ([`Splice::insert`])
 //! in state order, codes, arcs and markings, or fails with the same
 //! [`StgError`] variant; it counts as one graph build and runs under
-//! the same options and budget (see [`crate::splice`]).
+//! the same budget and hard cap (see [`crate::splice`]).
 //!
 //! ## Manager reuse
 //!
@@ -97,15 +97,19 @@
 //!
 //! ## Budgets and degradation
 //!
-//! Every query runs under the [`ExploreOptions::budget`] — one
-//! [`Budget`] covering all three execution paths (explicit BFS,
+//! Every query runs under the engine's [`Budget`] and nothing else —
+//! one budget covering all three execution paths (explicit BFS,
 //! symbolic reach, symbolic CSC): soft state ceiling, BDD-footprint
 //! ceiling, fixpoint-iteration ceiling, and deadline/cancellation via a
 //! shared [`crate::budget::CancelToken`]. Checks run at **round /
 //! iteration granularity** — once per BFS layer or image step, never
-//! per state — so an overrun stops within one round. The built-in
-//! [`EXPLICIT_CEILING`] is the exception: it rides on the per-state
-//! hard limit, so a walk stops at the ceiling exactly.
+//! per state — so an overrun stops within one round. Besides the
+//! budget, every walk takes safe nets only and stops at the hard cap
+//! [`STATE_LIMIT`] (see [`crate::reach`]): an initial marking with two
+//! tokens on a place is the same [`StgError::Unbounded`] on both
+//! backends, before any BDD is built. The built-in [`EXPLICIT_CEILING`]
+//! is handed to the walk in place of that cap, so a walk stops at the
+//! ceiling exactly.
 //!
 //! A fallback the caller's own budget forced is recorded as a typed
 //! [`Degradation`] in [`EngineStats::degradations`]:
@@ -131,11 +135,12 @@
 //! computed-table slots — at iteration boundaries. The manager frees no
 //! nodes, so a footprint only grows.
 //!
-//! Two things never degrade: the caller's hard
-//! [`ExploreOptions::state_limit`] (an error contract callers rely on)
-//! and [`StgError::Cancelled`] (a demand to stop, honoured
-//! immediately). And no overrun — budget, cancellation, or even a
-//! panicking candidate evaluation (caught by `catch_unwind` in
+//! Two things never degrade: the hard cap [`STATE_LIMIT`] of
+//! [`ReachEngine::state_graph`] and [`ReachEngine::spliced_state_graph`]
+//! (no analyser builds a coded graph past it) and
+//! [`StgError::Cancelled`] (a demand to stop, honoured immediately).
+//! And no overrun — budget, cancellation, or even a panicking candidate
+//! evaluation (caught by `catch_unwind` in
 //! [`crate::par::argmin`]) — ever corrupts engine state: the explicit
 //! arenas are per-call, and the persistent manager only ever grows by
 //! *complete* hash-consed nodes between iteration-boundary checks, so
@@ -187,7 +192,7 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::reach::{count_markings_with, explore_with, ExploreOptions};
+use crate::reach::{count_markings_capped, explore_capped, STATE_LIMIT};
 use crate::splice::{spliced_explore, Splice};
 use crate::state_graph::StateGraph;
 use crate::stg::Stg;
@@ -197,6 +202,7 @@ use crate::symbolic::{reach_symbolic_with, SymbolicReach};
 
 /// Markings an explicit engine enumerates for a set-level query before
 /// BDDs answer it instead (see the module docs' *Backend selection*).
+/// It stands in for the walk's hard cap [`STATE_LIMIT`].
 pub const EXPLICIT_CEILING: usize = 1 << 17;
 
 /// Which analyser answers the engine's set-level queries.
@@ -280,66 +286,48 @@ pub struct EngineStats {
 #[derive(Debug, Clone, Default)]
 pub struct ReachEngine {
     backend: ReachBackend,
-    options: ExploreOptions,
+    budget: Budget,
     manager: Option<Bdd>,
     stats: EngineStats,
 }
 
 impl ReachEngine {
-    /// An engine with the explicit backend and default
-    /// [`ExploreOptions`].
+    /// An engine with the explicit backend and an unlimited [`Budget`].
     pub fn explicit() -> Self {
         ReachEngine::new(ReachBackend::Explicit)
     }
 
-    /// An engine with the symbolic backend (persistent manager) and
-    /// default [`ExploreOptions`].
+    /// An engine with the symbolic backend (persistent manager) and an
+    /// unlimited [`Budget`].
     pub fn symbolic() -> Self {
         ReachEngine::new(ReachBackend::Symbolic)
     }
 
-    /// An engine with `backend` and default options.
+    /// An engine with `backend` and an unlimited [`Budget`].
     pub fn new(backend: ReachBackend) -> Self {
-        ReachEngine::with_options(backend, ExploreOptions::default())
-    }
-
-    /// Full-control constructor.
-    pub fn with_options(backend: ReachBackend, options: ExploreOptions) -> Self {
         ReachEngine {
             backend,
-            options,
-            manager: None,
-            stats: EngineStats::default(),
+            ..ReachEngine::default()
         }
     }
 
     /// Builder-style [`Budget`] override: every subsequent query runs
-    /// under it (see the module docs' *Budgets and degradation*).
+    /// under it (see the module docs' *Budgets and degradation*). The
+    /// engine keeps its manager and its stats.
     #[must_use]
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.options.budget = budget;
+        self.budget = budget;
         self
     }
 
     /// The budget every query runs under.
     pub fn budget(&self) -> &Budget {
-        &self.options.budget
+        &self.budget
     }
 
     /// The configured backend.
     pub fn backend(&self) -> ReachBackend {
         self.backend
-    }
-
-    /// The exploration options every query runs under.
-    pub fn options(&self) -> &ExploreOptions {
-        &self.options
-    }
-
-    /// Mutable access to the options (e.g. to tighten `state_limit`
-    /// between pipeline stages).
-    pub fn options_mut(&mut self) -> &mut ExploreOptions {
-        &mut self.options
     }
 
     /// Usage counters.
@@ -356,19 +344,24 @@ impl ReachEngine {
     ///
     /// Propagates every failure mode of [`crate::reach::explore_with`].
     pub fn state_graph(&mut self, stg: &Stg) -> Result<StateGraph, StgError> {
+        self.coded_graph(stg, STATE_LIMIT)
+    }
+
+    /// [`ReachEngine::state_graph`] with the walk's hard cap at `limit`
+    /// markings: [`STATE_LIMIT`] there, the ceiling in
+    /// [`ReachEngine::csc_check`].
+    fn coded_graph(&mut self, stg: &Stg, limit: usize) -> Result<StateGraph, StgError> {
         self.stats.graph_builds += 1;
-        explore_with(stg, &self.options)
+        explore_capped(stg, &self.budget, limit)
     }
 
     /// Builds the coded [`StateGraph`] of
     /// [`Splice::insert`]`(stg, name)` from `base`, the graph of `stg`
-    /// under this engine's options (callers pass the graph they already
-    /// hold), without rebuilding or re-exploring an STG (see the module
-    /// docs' *Spliced graphs*). It
+    /// (callers pass the graph they already hold), without rebuilding or
+    /// re-exploring an STG (see the module docs' *Spliced graphs*). It
     /// counts one [`EngineStats::graph_builds`], polls the budget and
-    /// the fault probe per BFS round, and honours
-    /// [`ExploreOptions::state_limit`], as [`ReachEngine::state_graph`]
-    /// on the rebuilt STG does.
+    /// the fault probe per BFS round, and stops at [`STATE_LIMIT`], as
+    /// [`ReachEngine::state_graph`] on the rebuilt STG does.
     ///
     /// # Errors
     ///
@@ -383,7 +376,7 @@ impl ReachEngine {
         splice: Splice,
     ) -> Result<StateGraph, StgError> {
         self.stats.graph_builds += 1;
-        spliced_explore(base, stg, name, splice, &self.options)
+        spliced_explore(base, stg, name, splice, &self.budget, STATE_LIMIT)
     }
 
     /// Answers the set-level question "how many markings are reachable"
@@ -393,15 +386,16 @@ impl ReachEngine {
     ///
     /// # Errors
     ///
-    /// [`crate::reach::count_markings_with`]'s errors while the walk
-    /// runs, [`crate::symbolic::reach_symbolic_with`]'s once BDDs
+    /// The counting walk's errors while it runs (those of
+    /// [`crate::reach::explore_with`] bar the signal and consistency
+    /// checks), [`crate::symbolic::reach_symbolic_with`]'s once BDDs
     /// answer — budget overruns included.
     pub fn summary(&mut self, stg: &Stg) -> Result<ReachSummary, StgError> {
         self.stats.summaries += 1;
         match self.backend {
             ReachBackend::Explicit => self.explicit_first(
-                |options| {
-                    let count = count_markings_with(stg, options)?;
+                |engine, limit| {
+                    let count = count_markings_capped(stg, &engine.budget, limit)?;
                     Ok(ReachSummary {
                         markings: count.markings,
                         iterations: count.iterations,
@@ -427,22 +421,19 @@ impl ReachEngine {
     /// [`ReachEngine::csc_conflicts_symbolic`]'s once BDDs answer.
     pub fn csc_check(&mut self, stg: &Stg) -> Result<CscSummary, StgError> {
         match self.backend {
-            ReachBackend::Explicit => {
-                self.stats.graph_builds += 1;
-                self.explicit_first(
-                    |options| {
-                        let sg = explore_with(stg, options)?;
-                        Ok(CscSummary {
-                            markings: sg.state_count() as u64,
-                            conflicts: sg.csc_conflict_count() as u64,
-                            deadlock_free: sg.deadlock_states().is_empty(),
-                            strongly_connected: sg.is_strongly_connected(),
-                            bdd_nodes: 0,
-                        })
-                    },
-                    |engine| engine.symbolic_csc_check(stg),
-                )
-            }
+            ReachBackend::Explicit => self.explicit_first(
+                |engine, limit| {
+                    let sg = engine.coded_graph(stg, limit)?;
+                    Ok(CscSummary {
+                        markings: sg.state_count() as u64,
+                        conflicts: sg.csc_conflict_count() as u64,
+                        deadlock_free: sg.deadlock_states().is_empty(),
+                        strongly_connected: sg.is_strongly_connected(),
+                        bdd_nodes: 0,
+                    })
+                },
+                |engine| engine.symbolic_csc_check(stg),
+            ),
             ReachBackend::Symbolic => self.symbolic_csc_check(stg),
         }
     }
@@ -453,21 +444,21 @@ impl ReachEngine {
     /// recorded as [`Degradation::ExplicitToSymbolic`].
     fn explicit_first<T>(
         &mut self,
-        walk: impl FnOnce(&ExploreOptions) -> Result<T, StgError>,
+        walk: impl FnOnce(&mut Self, usize) -> Result<T, StgError>,
         bdd: impl FnOnce(&mut Self) -> Result<T, StgError>,
     ) -> Result<T, StgError> {
-        // The built-in ceiling rides on the per-state hard limit, so the
-        // walk stops at it exactly rather than up to a BFS layer later.
-        let mut options = self.options.clone();
-        let ceiling = options.state_limit > EXPLICIT_CEILING
-            && options
-                .budget
-                .max_states
-                .is_none_or(|max| max > EXPLICIT_CEILING);
-        if ceiling {
-            options.state_limit = EXPLICIT_CEILING;
-        }
-        match walk(&options) {
+        // The built-in ceiling is the walk's hard cap, so the walk stops
+        // at it exactly rather than up to a BFS layer later.
+        let ceiling = self
+            .budget
+            .max_states
+            .is_none_or(|max| max > EXPLICIT_CEILING);
+        let limit = if ceiling {
+            EXPLICIT_CEILING
+        } else {
+            STATE_LIMIT
+        };
+        match walk(self, limit) {
             Err(StgError::StateLimitExceeded(_)) if ceiling => bdd(self),
             Err(StgError::StateBudgetExceeded { .. }) => {
                 self.stats
@@ -513,8 +504,8 @@ impl ReachEngine {
     /// Propagates [`crate::symbolic::reach_symbolic_in`]'s errors, plus
     /// the budget errors of [`crate::budget::Budget`].
     pub fn symbolic_set(&mut self, stg: &Stg) -> Result<SymbolicReach, StgError> {
-        let options = self.options.clone();
-        reach_symbolic_with(stg, self.warm_manager(stg), &options)
+        let budget = self.budget.clone();
+        reach_symbolic_with(stg, self.warm_manager(stg), &budget)
     }
 
     /// Runs the full symbolic CSC conflict analysis of `stg`
@@ -537,10 +528,8 @@ impl ReachEngine {
     /// [`csc_conflicts_symbolic_in`]: crate::symbolic::csc::csc_conflicts_symbolic_in
     pub fn csc_conflicts_symbolic(&mut self, stg: &Stg) -> Result<CscAnalysis, StgError> {
         self.stats.symbolic_csc += 1;
-        let options = self.options.clone();
-        // The engine's own options drive the initial-code inference so
-        // both detectors derive identical codes under any tuning.
-        csc_conflicts_symbolic_opts(stg, self.warm_manager(stg), &options)
+        let budget = self.budget.clone();
+        csc_conflicts_symbolic_opts(stg, self.warm_manager(stg), &budget)
     }
 
     /// The persistent manager, built on the first BDD query and reused
@@ -552,7 +541,7 @@ impl ReachEngine {
         let manager = self
             .manager
             .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
-        manager.set_node_budget(self.options.budget.max_bdd_nodes);
+        manager.set_node_budget(self.budget.max_bdd_nodes);
         manager
     }
 
@@ -659,21 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn options_are_respected_by_both_query_kinds() {
-        let mut engine = ReachEngine::explicit();
-        engine.options_mut().state_limit = 2;
-        let stg = models::fifo_stg();
-        assert!(engine.state_graph(&stg).is_err());
-        assert!(engine.summary(&stg).is_err());
-        assert_eq!(engine.stats().graph_builds, 1);
-        assert_eq!(engine.stats().summaries, 1);
-        assert!(
-            engine.stats().degradations.is_empty(),
-            "the hard state_limit never degrades"
-        );
-    }
-
-    #[test]
     fn explicit_state_budget_degrades_to_symbolic() {
         let stg = models::fifo_stg(); // 18 markings
         let mut engine = ReachEngine::explicit().with_budget(Budget::default().with_max_states(4));
@@ -686,7 +660,7 @@ mod tests {
         );
         // The engine stays reusable and un-degraded runs stay clean:
         // lift the budget and the next summary is explicit again.
-        engine.options_mut().budget = Budget::default();
+        engine = engine.with_budget(Budget::default());
         let clean = engine.summary(&stg).expect("clean run");
         assert_eq!(clean.markings, 18);
         assert_eq!(clean.bdd_nodes, 0, "explicit again");
@@ -822,19 +796,52 @@ mod tests {
         );
         // A caller budget below the ceiling is the ceiling, and tripping
         // it is a degradation.
-        engine.options_mut().budget = Budget::default().with_max_states(1_000);
+        engine = engine.with_budget(Budget::default().with_max_states(1_000));
         let again = engine.summary(&stg).expect("summary");
         assert_eq!((again.markings, again.iterations), (1 << 18, 19));
         assert_eq!(
             engine.stats().degradations,
             vec![Degradation::ExplicitToSymbolic]
         );
-        // The caller's hard limit stays an error when it is the lower one.
-        engine.options_mut().budget = Budget::default();
-        engine.options_mut().state_limit = 1_000;
+        // The coded graph has no BDD fallback: past the hard cap (here
+        // a small one, in place of STATE_LIMIT) it is an error, and never
+        // a degradation.
+        engine = engine.with_budget(Budget::default());
         assert_eq!(
-            engine.summary(&stg),
-            Err(StgError::StateLimitExceeded(1_000))
+            engine.coded_graph(&stg, 1_000).unwrap_err(),
+            StgError::StateLimitExceeded(1_000)
+        );
+        assert_eq!(
+            engine.stats().degradations,
+            vec![Degradation::ExplicitToSymbolic]
+        );
+    }
+
+    #[test]
+    fn an_unsafe_initial_marking_is_the_same_error_on_every_query() {
+        // The handshake with two tokens on its marked place.
+        let mut stg = models::handshake_stg();
+        let place = stg.net().place_by_name("<b-,a+>").expect("marked place");
+        stg.set_tokens(place, 2);
+        let not_safe = StgError::Unbounded {
+            place: "<b-,a+>".to_string(),
+            bound: 1,
+        };
+        for mut engine in [ReachEngine::explicit(), ReachEngine::symbolic()] {
+            assert_eq!(engine.summary(&stg), Err(not_safe.clone()));
+            assert_eq!(engine.csc_check(&stg), Err(not_safe.clone()));
+            assert_eq!(engine.state_graph(&stg).unwrap_err(), not_safe);
+            assert_eq!(engine.symbolic_set(&stg).unwrap_err(), not_safe);
+            assert_eq!(engine.csc_conflicts_symbolic(&stg).unwrap_err(), not_safe);
+            assert!(engine.stats().degradations.is_empty());
+            // The check runs before any BDD operation: the manager holds
+            // its two terminals and nothing else.
+            assert_eq!(engine.manager_nodes(), 2);
+        }
+        assert_eq!(crate::symbolic::reach_symbolic(&stg).unwrap_err(), not_safe);
+        assert_eq!(
+            crate::symbolic::csc::csc_conflicts_symbolic(&stg).unwrap_err(),
+            not_safe
         );
     }
 
@@ -850,7 +857,7 @@ mod tests {
             );
             // Un-cancellable only by replacing the budget — after which
             // the engine serves normally again.
-            engine.options_mut().budget = Budget::default();
+            engine = engine.with_budget(Budget::default());
             assert_eq!(engine.summary(&stg).expect("recovers").markings, 18);
         }
     }

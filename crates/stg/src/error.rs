@@ -23,11 +23,12 @@ pub enum StgError {
     UnknownPlace(String),
     /// A transition name was referenced that does not exist.
     UnknownTransition(String),
-    /// The net is not 1-bounded (safe) and analysis assumed safeness.
+    /// The net is not 1-bounded (safe): a marking puts a second token
+    /// on a place. Every walk takes safe nets only.
     Unbounded {
         /// Place that exceeded the token bound.
         place: String,
-        /// Bound that was exceeded.
+        /// Bound that was exceeded: always 1.
         bound: u32,
     },
     /// The STG is inconsistent: along some firing sequence a signal would
@@ -38,7 +39,9 @@ pub enum StgError {
         /// Human-readable description of the offending state/event.
         detail: String,
     },
-    /// Reachability analysis exceeded the configured state limit.
+    /// An explicit walk exceeded its hard cap
+    /// ([`crate::reach::STATE_LIMIT`] markings), or the verifier's
+    /// composed walk its own.
     StateLimitExceeded(usize),
     /// A symbolic fixpoint did not converge within the configured
     /// iteration ceiling ([`crate::budget::Budget::max_iterations`]).
@@ -129,10 +132,10 @@ impl StgError {
     /// Whether this error reports resource exhaustion under a *soft*
     /// [`Budget`](crate::budget::Budget) — the class of errors the
     /// engine's degradation policy (and partial-result synthesis) is
-    /// allowed to recover from. Hard limits
+    /// allowed to recover from. Hard caps
     /// ([`StgError::StateLimitExceeded`]) and cancellation are not
-    /// included: the former is a caller-demanded error contract, the
-    /// latter a demand to stop.
+    /// included: past the former no analyser answers, the latter is a
+    /// demand to stop.
     pub fn is_resource_exhaustion(&self) -> bool {
         matches!(
             self,

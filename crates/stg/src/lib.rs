@@ -14,15 +14,17 @@
 //!   (input/output/internal), consistency checking and convenience builders.
 //! * [`parse`] — reader/writer for the `.g` (astg) interchange format used
 //!   by `petrify` and SIS.
-//! * [`marking`] — the state-space hot-path representation: token counts
-//!   bit-packed into inline `u64` words ([`PackedMarking`], one register
-//!   for a safe net with ≤ 64 places) under a per-net [`MarkingLayout`],
+//! * [`marking`] — the state-space hot-path representation: safe
+//!   markings bit-packed, one bit per place, into inline `u64` words
+//!   ([`PackedMarking`], one register for a net with ≤ 64 places) under
+//!   a per-net [`MarkingLayout`],
 //!   interned in a [`MarkingArena`] keyed by an FxHash table so visited
 //!   markings resolve to dense 4-byte [`MarkingId`]s.
 //! * [`reach`] — explicit reachability analysis producing a [`StateGraph`]
-//!   with binary-coded states, the input to logic synthesis. The BFS
-//!   fires transitions directly on packed markings (zero per-state heap
-//!   allocations on safe nets ≤ 64 places) and accumulates arcs straight
+//!   with binary-coded states, the input to logic synthesis. Every walk
+//!   takes safe nets and the caller's [`Budget`] only. The BFS fires
+//!   transitions directly on packed markings (zero per-state heap
+//!   allocations on nets ≤ 64 places) and accumulates arcs straight
 //!   into the state graph's compressed-sparse-row store.
 //! * [`par`] — the deterministic argmin the CSC candidate searches in
 //!   `rt-synth`/`rt-core` rank their candidates with, serially on the

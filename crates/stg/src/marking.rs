@@ -3,22 +3,24 @@
 //! The explicit analyser visits every reachable marking of the net; with
 //! markings as heap-allocated `Vec<u16>` token vectors, each visited
 //! state costs an allocation, a full-vector hash and a full-vector
-//! equality compare. A [`PackedMarking`] instead bit-packs all token
-//! counts into inline `u64` words under a [`MarkingLayout`] computed once
-//! per net:
+//! equality compare. A [`PackedMarking`] instead packs the marking of a
+//! safe net into inline `u64` words under a [`MarkingLayout`] computed
+//! once per net:
 //!
-//! * safe nets (bound 1) use **1 bit per place**, so any net with ≤ 64
-//!   places fits one register — copying, hashing and comparing a marking
-//!   are single-word operations and firing a transition performs **zero
-//!   heap allocations**;
-//! * bounded nets use `ceil(log2(bound+1))` bits per place, spilling to
-//!   2- and 4-word inline variants before falling back to a boxed slice;
+//! * **one bit per place**, bit *i* of the word stream set exactly when
+//!   place *i* holds its token, so any net with ≤ 64 places fits one
+//!   register — copying, hashing and comparing a marking are single-word
+//!   operations and firing a transition performs **zero heap
+//!   allocations**;
+//! * wider nets spill to 2- and 4-word inline variants before falling
+//!   back to a boxed slice;
 //! * the [`MarkingArena`] deduplicates markings, handing exploration a
 //!   dense 4-byte [`MarkingId`] so downstream tables key on ids, not
 //!   token vectors.
 //!
-//! Token fields never straddle word boundaries (each word holds
-//! `64 / bits` whole fields), keeping every access two shifts and a mask.
+//! Every walk takes safe nets only: it rejects an initial marking with
+//! two tokens on a place, and a firing that would put a second token on
+//! one, as [`crate::StgError::Unbounded`] (see [`crate::reach`]).
 
 use std::fmt;
 use std::hash::Hash;
@@ -44,44 +46,20 @@ impl fmt::Display for MarkingId {
     }
 }
 
-/// Bit-packing scheme for the markings of one net: how many bits each
-/// place's token count occupies and how fields map onto `u64` words.
+/// Bit-packing scheme for the markings of one safe net: one bit per
+/// place, 64 places to a `u64` word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkingLayout {
     places: usize,
-    bits: u32,
-    /// Fields per 64-bit word (`64 / bits`).
-    per_word: usize,
     words: usize,
-    /// Largest token count a field can hold.
-    capacity: u16,
 }
 
 impl MarkingLayout {
-    /// Computes the layout for a net with `places` places whose token
-    /// counts never need to exceed `max_tokens` per place.
-    ///
-    /// `max_tokens` should be the exploration bound (plus any slack for
-    /// the initial marking); pass `None` for unbounded analysis, which
-    /// falls back to full 16-bit fields.
-    pub fn new(places: usize, max_tokens: Option<u16>) -> Self {
-        let bits = match max_tokens {
-            Some(0) | None => u16::BITS,
-            Some(b) => u16::BITS - b.leading_zeros(),
-        };
-        let per_word = (64 / bits) as usize;
-        let words = places.div_ceil(per_word).max(1);
-        let capacity = if bits >= 16 {
-            u16::MAX
-        } else {
-            (1u16 << bits) - 1
-        };
+    /// The layout for a safe net with `places` places.
+    pub fn new(places: usize) -> Self {
         MarkingLayout {
             places,
-            bits,
-            per_word,
-            words,
-            capacity,
+            words: places.div_ceil(64).max(1),
         }
     }
 
@@ -90,46 +68,23 @@ impl MarkingLayout {
         self.places
     }
 
-    /// Bits per token field.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Number of `u64` words a packed marking occupies.
     pub fn words(&self) -> usize {
         self.words
     }
 
-    /// Largest token count a field can hold; firing past this is an
-    /// overflow (reported as unboundedness by the analyser).
-    pub fn capacity(&self) -> u16 {
-        self.capacity
-    }
-
     #[inline]
     fn slot(&self, place: usize) -> (usize, u32) {
         debug_assert!(place < self.places, "place out of range");
-        (
-            place / self.per_word,
-            (place % self.per_word) as u32 * self.bits,
-        )
-    }
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        if self.bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits) - 1
-        }
+        (place / 64, (place % 64) as u32)
     }
 }
 
-/// A marking with token counts bit-packed into inline words.
+/// A safe marking bit-packed into inline words.
 ///
 /// Equality and hashing operate on the packed words directly; two packed
-/// markings compare equal iff they encode the same token vector (under
-/// the same [`MarkingLayout`] — mixing layouts is a logic error).
+/// markings compare equal iff they mark the same places (under the same
+/// [`MarkingLayout`] — mixing layouts is a logic error).
 ///
 /// # Examples
 ///
@@ -137,7 +92,7 @@ impl MarkingLayout {
 /// use rt_stg::marking::{MarkingLayout, PackedMarking};
 /// use rt_stg::{Marking, PlaceId};
 ///
-/// let layout = MarkingLayout::new(10, Some(1)); // safe net: 1 bit/place
+/// let layout = MarkingLayout::new(10); // one bit per place
 /// let mut m = Marking::empty(10);
 /// m.set(PlaceId(3), 1);
 /// let packed = PackedMarking::pack(&layout, &m);
@@ -172,7 +127,7 @@ impl PackedMarking {
     /// # Panics
     ///
     /// Panics if `marking` covers a different number of places than
-    /// `layout`, or some token count exceeds the layout capacity.
+    /// `layout`, or puts more than one token on a place.
     pub fn pack(layout: &MarkingLayout, marking: &Marking) -> Self {
         assert_eq!(
             marking.len(),
@@ -182,9 +137,8 @@ impl PackedMarking {
         let mut packed = PackedMarking::zero(layout);
         for (place, tokens) in marking.marked_places() {
             assert!(
-                tokens <= layout.capacity,
-                "token count {tokens} exceeds layout capacity {}",
-                layout.capacity
+                tokens <= 1,
+                "token count {tokens} exceeds layout capacity 1"
             );
             packed.set_tokens(layout, place, tokens);
         }
@@ -200,14 +154,10 @@ impl PackedMarking {
         Marking::from_tokens(tokens)
     }
 
-    /// The raw packed words backing the marking.
-    ///
-    /// For a safe-net layout (1 bit per place) bit *i* of the word
+    /// The raw packed words backing the marking: bit *i* of the word
     /// stream is exactly "place *i* is marked", which makes the words a
     /// direct variable assignment for the symbolic reachable set
-    /// ([`rt_boolean::Bdd::evaluate_words`]). For wider layouts the
-    /// words are an opaque field encoding; use
-    /// [`PackedMarking::tokens`] instead.
+    /// ([`rt_boolean::Bdd::evaluate_words`]).
     #[inline]
     pub fn words(&self) -> &[u64] {
         match self {
@@ -228,35 +178,24 @@ impl PackedMarking {
         }
     }
 
-    /// Tokens on `place`.
+    /// Tokens on `place`: 0 or 1.
     #[inline]
     pub fn tokens(&self, layout: &MarkingLayout, place: PlaceId) -> u16 {
         let (word, shift) = layout.slot(place.index());
-        ((self.words()[word] >> shift) & layout.mask()) as u16
+        (self.words()[word] >> shift & 1) as u16
     }
 
     /// Sets the token count of `place`.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that `count` fits the layout's field width.
+    /// Debug-asserts that `count` is 0 or 1.
     #[inline]
     pub fn set_tokens(&mut self, layout: &MarkingLayout, place: PlaceId, count: u16) {
-        debug_assert!(
-            count <= layout.capacity,
-            "token count exceeds field capacity"
-        );
+        debug_assert!(count <= 1, "token count exceeds layout capacity 1");
         let (word, shift) = layout.slot(place.index());
-        let mask = layout.mask();
         let w = &mut self.words_mut()[word];
-        *w = (*w & !(mask << shift)) | (u64::from(count) << shift);
-    }
-
-    /// Total number of tokens in the marking.
-    pub fn total_tokens(&self, layout: &MarkingLayout) -> u32 {
-        (0..layout.places)
-            .map(|p| u32::from(self.tokens(layout, PlaceId(p as u32))))
-            .sum()
+        *w = (*w & !(1 << shift)) | (u64::from(count) << shift);
     }
 }
 
@@ -347,53 +286,46 @@ mod tests {
 
     #[test]
     fn safe_net_layout_is_one_bit_per_place() {
-        let layout = MarkingLayout::new(64, Some(1));
-        assert_eq!(layout.bits(), 1);
+        let layout = MarkingLayout::new(64);
         assert_eq!(layout.words(), 1);
-        assert_eq!(layout.capacity(), 1);
         assert!(matches!(PackedMarking::zero(&layout), PackedMarking::W1(0)));
-    }
-
-    #[test]
-    fn bounded_layouts_widen_fields() {
-        assert_eq!(MarkingLayout::new(10, Some(2)).bits(), 2);
-        assert_eq!(MarkingLayout::new(10, Some(3)).bits(), 2);
-        assert_eq!(MarkingLayout::new(10, Some(4)).bits(), 3);
-        assert_eq!(MarkingLayout::new(10, None).bits(), 16);
-        assert_eq!(MarkingLayout::new(10, Some(0)).bits(), 16);
+        let mut m = Marking::empty(64);
+        m.set(PlaceId(5), 1);
+        m.set(PlaceId(63), 1);
+        let packed = PackedMarking::pack(&layout, &m);
+        assert_eq!(packed.words(), &[1 << 5 | 1 << 63]);
     }
 
     #[test]
     fn wide_nets_spill_to_larger_variants() {
         assert!(matches!(
-            PackedMarking::zero(&MarkingLayout::new(65, Some(1))),
+            PackedMarking::zero(&MarkingLayout::new(65)),
             PackedMarking::W2(_)
         ));
         assert!(matches!(
-            PackedMarking::zero(&MarkingLayout::new(200, Some(1))),
+            PackedMarking::zero(&MarkingLayout::new(200)),
             PackedMarking::W4(_)
         ));
         assert!(matches!(
-            PackedMarking::zero(&MarkingLayout::new(300, Some(1))),
+            PackedMarking::zero(&MarkingLayout::new(300)),
             PackedMarking::Big(_)
         ));
     }
 
     #[test]
     fn pack_unpack_roundtrip() {
-        let layout = MarkingLayout::new(7, Some(3));
-        let m = Marking::from_tokens(vec![0, 3, 1, 0, 2, 3, 1]);
+        let layout = MarkingLayout::new(70);
+        let m = Marking::from_tokens((0..70).map(|p| u16::from(p % 3 == 1)).collect());
         let packed = PackedMarking::pack(&layout, &m);
         assert_eq!(packed.unpack(&layout), m);
-        assert_eq!(packed.total_tokens(&layout), 10);
-        for p in 0..7 {
+        for p in 0..70 {
             assert_eq!(packed.tokens(&layout, PlaceId(p)), m.tokens(PlaceId(p)));
         }
     }
 
     #[test]
     fn set_tokens_updates_single_field() {
-        let layout = MarkingLayout::new(20, Some(1));
+        let layout = MarkingLayout::new(20);
         let mut packed = PackedMarking::zero(&layout);
         packed.set_tokens(&layout, PlaceId(13), 1);
         assert_eq!(packed.tokens(&layout, PlaceId(13)), 1);
@@ -406,14 +338,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds layout capacity")]
     fn pack_rejects_overflowing_tokens() {
-        let layout = MarkingLayout::new(3, Some(1));
+        let layout = MarkingLayout::new(3);
         let m = Marking::from_tokens(vec![0, 2, 0]);
         let _ = PackedMarking::pack(&layout, &m);
     }
 
     #[test]
     fn arena_interns_and_deduplicates() {
-        let layout = MarkingLayout::new(8, Some(1));
+        let layout = MarkingLayout::new(8);
         let mut arena = MarkingArena::with_capacity(layout, 16);
         let mut a = PackedMarking::zero(&layout);
         a.set_tokens(&layout, PlaceId(2), 1);
@@ -426,13 +358,5 @@ mod tests {
         assert_eq!(arena.resolve(id1), &a);
         assert_eq!(arena.get(&a), Some(id1));
         assert_eq!(arena.get(&PackedMarking::zero(&layout)), None);
-    }
-
-    #[test]
-    fn sixteen_bit_fields_hold_full_u16_range() {
-        let layout = MarkingLayout::new(5, None);
-        let m = Marking::from_tokens(vec![u16::MAX, 0, 1234, 7, u16::MAX - 1]);
-        let packed = PackedMarking::pack(&layout, &m);
-        assert_eq!(packed.unpack(&layout), m);
     }
 }

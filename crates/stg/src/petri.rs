@@ -440,21 +440,17 @@ impl PetriNet {
     /// for inline layouts).
     ///
     /// The transition must be enabled (checked in debug builds only).
-    /// With `bound = Some(b)`, producing more than `b` tokens on a place
-    /// returns `Err(place)`; with `bound = None` token counts saturate at
-    /// the layout capacity, mirroring [`PetriNet::fire`]'s saturating
-    /// `u16` arithmetic under the default 16-bit layout.
     ///
     /// # Errors
     ///
-    /// Returns the first place pushed past `bound`.
+    /// Returns the first place the firing would give a second token: the
+    /// successor is not safe.
     #[inline]
     pub fn fire_packed_into(
         &self,
         transition: TransitionId,
         m: &PackedMarking,
         layout: &MarkingLayout,
-        bound: Option<u16>,
         out: &mut PackedMarking,
     ) -> Result<(), PlaceId> {
         debug_assert!(self.is_enabled_packed(transition, m, layout));
@@ -464,29 +460,11 @@ impl PetriNet {
             out.set_tokens(layout, arc.place, current - arc.weight);
         }
         for arc in self.postset(transition) {
-            let current = out.tokens(layout, arc.place);
-            let next = current.saturating_add(arc.weight);
-            match bound {
-                Some(b) if next > b => return Err(arc.place),
-                _ => out.set_tokens(layout, arc.place, next.min(layout.capacity())),
+            let next = out.tokens(layout, arc.place).saturating_add(arc.weight);
+            if next > 1 {
+                return Err(arc.place);
             }
-        }
-        Ok(())
-    }
-
-    /// Checks that `m` keeps every place within `bound` tokens.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StgError::Unbounded`] naming the first offending place.
-    pub fn check_bound(&self, m: &Marking, bound: u16) -> Result<(), StgError> {
-        for place in self.places() {
-            if m.tokens(place) > bound {
-                return Err(StgError::Unbounded {
-                    place: self.place_name(place).to_string(),
-                    bound: u32::from(bound),
-                });
-            }
+            out.set_tokens(layout, arc.place, next);
         }
         Ok(())
     }
@@ -663,20 +641,6 @@ mod tests {
         assert!(net.is_enabled(t, &m));
         let next = net.fire(t, &m).unwrap();
         assert_eq!(next.tokens(p), 0);
-    }
-
-    #[test]
-    fn bound_check_reports_offending_place() {
-        let (net, mut m, _, _) = ring2();
-        m.set(PlaceId(1), 3);
-        let err = net.check_bound(&m, 1).unwrap_err();
-        assert_eq!(
-            err,
-            StgError::Unbounded {
-                place: "p1".to_string(),
-                bound: 1
-            }
-        );
     }
 
     #[test]

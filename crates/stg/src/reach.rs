@@ -2,55 +2,49 @@
 //!
 //! The analyser plays the token game from the initial marking, assigns each
 //! reached marking a binary signal code, verifies *consistency* (edges of
-//! each signal strictly alternate along every path) and *safeness* (the net
-//! stays within a configurable token bound), and produces the state graph
-//! consumed by logic synthesis.
+//! each signal strictly alternate along every path) and *safeness* (no
+//! place ever holds two tokens), and produces the state graph consumed by
+//! logic synthesis.
+//!
+//! ## The walk's contract
+//!
+//! Every walk takes the net and the caller's [`Budget`], and nothing
+//! else. Three rules bound it:
+//!
+//! * **safe nets only**, like the symbolic walks of [`crate::symbolic`]:
+//!   an initial marking with two tokens on a place, or a firing that puts
+//!   a second token on one, is [`StgError::Unbounded`] with bound 1;
+//! * **a hard cap of [`STATE_LIMIT`] markings**: past it the walk stops
+//!   with [`StgError::StateLimitExceeded`] and never answers over a
+//!   partial state space;
+//! * **the soft [`Budget`]**, polled once per BFS round.
 //!
 //! ## Hot-path layout
 //!
 //! Exploration never touches heap-allocated token vectors: markings are
-//! bit-packed into inline words ([`crate::marking::PackedMarking`]) under
-//! a per-net [`MarkingLayout`] and interned in a [`MarkingArena`], whose
-//! FxHash-keyed table maps packed words to dense 4-byte ids. The BFS
-//! queue is implicit (ids are assigned in discovery order, so the work
-//! list is just the next unprocessed id) and arcs accumulate directly
-//! into the compressed-sparse-row buffers the [`StateGraph`] keeps, so
-//! for a safe net with ≤ 64 places a visited state costs a `u64` copy,
-//! one hash and no allocation.
+//! bit-packed, one bit per place, into inline words
+//! ([`crate::marking::PackedMarking`]) under a per-net [`MarkingLayout`]
+//! and interned in a [`MarkingArena`], whose FxHash-keyed table maps
+//! packed words to dense 4-byte ids. The BFS queue is implicit (ids are
+//! assigned in discovery order, so the work list is just the next
+//! unprocessed id) and arcs accumulate directly into the
+//! compressed-sparse-row buffers the [`StateGraph`] keeps, so for a net
+//! with ≤ 64 places a visited state costs a `u64` copy, one hash and no
+//! allocation.
 
 use crate::budget::Budget;
 use crate::error::StgError;
 use crate::marking::{MarkingArena, MarkingId, MarkingLayout, PackedMarking};
-use crate::petri::PlaceId;
+use crate::petri::{PetriNet, PlaceId};
 use crate::signal::SignalId;
 use crate::state_graph::{CsrBuilder, StateArc, StateGraph, StateId};
 use crate::stg::{Stg, TransitionLabel};
 
-/// Tuning knobs for [`explore_with`]. A reachable deadlock is never an
-/// error: the state graph keeps it, and
-/// [`StateGraph::deadlock_states`] lists it.
-#[derive(Debug, Clone)]
-pub struct ExploreOptions {
-    /// Maximum number of states before aborting with
-    /// [`StgError::StateLimitExceeded`].
-    pub state_limit: usize,
-    /// Per-place token bound (1 = safe net). `None` disables the check.
-    pub bound: Option<u16>,
-    /// Soft resource budget, polled at round granularity by every
-    /// execution path. Unlimited by default; unlike `state_limit`,
-    /// blowing it yields *degradable* errors (see [`crate::engine`]).
-    pub budget: Budget,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> Self {
-        ExploreOptions {
-            state_limit: 1 << 20,
-            bound: Some(1),
-            budget: Budget::default(),
-        }
-    }
-}
+/// The hard cap on the markings an explicit walk interns. Past it the
+/// walk stops with [`StgError::StateLimitExceeded`]; unlike the soft
+/// [`Budget::max_states`], tripping it never degrades to another
+/// analyser (see [`crate::engine`]).
+pub const STATE_LIMIT: usize = 1 << 20;
 
 /// Per-round soft-budget poll shared by the explicit walks: injected
 /// faults first (compiled out unless the `fault-injection` feature is
@@ -70,7 +64,7 @@ pub(crate) fn round_budget_check(budget: &Budget, states: usize, round: usize) -
     None
 }
 
-/// Explores `stg` with default options (2^20-state limit, safe-net check).
+/// Explores `stg` under an unlimited [`Budget`].
 ///
 /// # Errors
 ///
@@ -88,28 +82,46 @@ pub(crate) fn round_budget_check(budget: &Budget, states: usize, round: usize) -
 /// # }
 /// ```
 pub fn explore(stg: &Stg) -> Result<StateGraph, StgError> {
-    explore_with(stg, &ExploreOptions::default())
+    explore_with(stg, &Budget::default())
 }
 
-/// Explores `stg` under explicit [`ExploreOptions`].
+/// Explores `stg` under the caller's `budget`. A reachable deadlock is
+/// never an error: the state graph keeps it, and
+/// [`StateGraph::deadlock_states`] lists it.
+///
+/// This is the one public explicit walk; a
+/// [`crate::engine::ReachEngine::with_budget`] engine's `state_graph`
+/// runs the same walk and counts it in the engine's stats.
 ///
 /// # Errors
 ///
 /// * [`StgError::TooManySignals`] — more than 64 signals.
-/// * [`StgError::StateLimitExceeded`] — exploration exceeded the limit.
-/// * [`StgError::Unbounded`] — a place exceeded the token bound.
+/// * [`StgError::StateLimitExceeded`] — more than [`STATE_LIMIT`]
+///   markings.
+/// * [`StgError::Unbounded`] — the net is not safe.
 /// * [`StgError::Inconsistent`] — some signal's edges do not alternate.
 /// * [`StgError::StateBudgetExceeded`] / [`StgError::Cancelled`] — the
 ///   soft [`Budget`] was blown or the request was cancelled; checked
 ///   once per BFS round, so the walk stops within one layer.
-pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, StgError> {
+pub fn explore_with(stg: &Stg, budget: &Budget) -> Result<StateGraph, StgError> {
+    explore_capped(stg, budget, STATE_LIMIT)
+}
+
+/// [`explore_with`] with the hard cap at `limit` markings in place of
+/// [`STATE_LIMIT`]: the engine's explicit-first rule stops its walks at
+/// [`crate::engine::EXPLICIT_CEILING`] this way.
+pub(crate) fn explore_capped(
+    stg: &Stg,
+    budget: &Budget,
+    limit: usize,
+) -> Result<StateGraph, StgError> {
     if stg.signal_count() > 64 {
         return Err(StgError::TooManySignals(stg.signal_count()));
     }
     let net = stg.net();
     let initial_marking = stg.initial_marking();
-    let layout = marking_layout(stg, options)?;
-    let initial_code = infer_initial_code(stg, options, &layout)?;
+    let layout = safe_layout(stg)?;
+    let initial_code = infer_initial_code(stg, &layout, limit)?;
 
     // Start small: tables grow geometrically, so large explorations pay
     // a handful of rehashes while small ones (the common case in the
@@ -133,14 +145,14 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
     // `layer_end` is the first id of the next layer.
     let mut round = 0usize;
     let mut layer_end = arena.len();
-    if let Some(error) = round_budget_check(&options.budget, arena.len(), round) {
+    if let Some(error) = round_budget_check(budget, arena.len(), round) {
         return Err(error);
     }
     while state < arena.len() {
         if state == layer_end {
             round += 1;
             layer_end = arena.len();
-            if let Some(error) = round_budget_check(&options.budget, arena.len(), round) {
+            if let Some(error) = round_budget_check(budget, arena.len(), round) {
                 return Err(error);
             }
         }
@@ -151,11 +163,8 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
             if !net.is_enabled_packed(transition, &marking, &layout) {
                 continue;
             }
-            net.fire_packed_into(transition, &marking, &layout, options.bound, &mut scratch)
-                .map_err(|place| StgError::Unbounded {
-                    place: net.place_name(place).to_string(),
-                    bound: u32::from(options.bound.unwrap_or(u16::MAX)),
-                })?;
+            net.fire_packed_into(transition, &marking, &layout, &mut scratch)
+                .map_err(|place| unsafe_at(net, place))?;
             let (event, next_code) = match stg.label(transition) {
                 TransitionLabel::Silent => (None, code),
                 TransitionLabel::Event(ev) => {
@@ -182,8 +191,8 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
             };
             let (next_id, fresh) = arena.intern_ref(&scratch);
             if fresh {
-                if arena.len() > options.state_limit {
-                    return Err(StgError::StateLimitExceeded(options.state_limit));
+                if arena.len() > limit {
+                    return Err(StgError::StateLimitExceeded(limit));
                 }
                 codes.push(next_code);
             } else if codes[next_id.index()] != next_code {
@@ -223,9 +232,9 @@ pub fn explore_with(stg: &Stg, options: &ExploreOptions) -> Result<StateGraph, S
     ))
 }
 
-/// Result of a counting-only explicit walk ([`count_markings_with`]).
+/// Result of a counting-only explicit walk ([`count_markings_capped`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExplicitCount {
+pub(crate) struct ExplicitCount {
     /// Number of distinct reachable markings.
     pub markings: u64,
     /// Breadth-first depth at which the walk converged (number of
@@ -240,18 +249,24 @@ pub struct ExplicitCount {
 ///
 /// Because no binary codes are assigned, the walk has **no 64-signal
 /// cap** and performs **no consistency check** — it answers "how many
-/// markings" for any safe net the packed layouts can represent, which
-/// is what the symbolic backend answers too.
+/// markings" for any safe net, which is what the symbolic backend
+/// answers too.
+///
+/// The hard cap is `limit` markings, as in [`explore_capped`].
 ///
 /// # Errors
 ///
-/// * [`StgError::StateLimitExceeded`] — exploration exceeded the limit.
-/// * [`StgError::Unbounded`] — a place exceeded the token bound.
+/// * [`StgError::StateLimitExceeded`] — more than `limit` markings.
+/// * [`StgError::Unbounded`] — the net is not safe.
 /// * [`StgError::StateBudgetExceeded`] / [`StgError::Cancelled`] — as
 ///   in [`explore_with`].
-pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<ExplicitCount, StgError> {
+pub(crate) fn count_markings_capped(
+    stg: &Stg,
+    budget: &Budget,
+    limit: usize,
+) -> Result<ExplicitCount, StgError> {
     let net = stg.net();
-    let layout = marking_layout(stg, options)?;
+    let layout = safe_layout(stg)?;
     let mut arena = MarkingArena::with_capacity(layout, 64);
     let mut scratch = PackedMarking::zero(&layout);
     arena.intern(PackedMarking::pack(&layout, &stg.initial_marking()));
@@ -263,14 +278,14 @@ pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<Explic
     // `iterations - 1`.
     let mut iterations = 1usize;
     let mut layer_end = arena.len();
-    if let Some(error) = round_budget_check(&options.budget, arena.len(), 0) {
+    if let Some(error) = round_budget_check(budget, arena.len(), 0) {
         return Err(error);
     }
     while state < arena.len() {
         if state == layer_end {
             iterations += 1;
             layer_end = arena.len();
-            if let Some(error) = round_budget_check(&options.budget, arena.len(), iterations - 1) {
+            if let Some(error) = round_budget_check(budget, arena.len(), iterations - 1) {
                 return Err(error);
             }
         }
@@ -279,14 +294,11 @@ pub fn count_markings_with(stg: &Stg, options: &ExploreOptions) -> Result<Explic
             if !net.is_enabled_packed(transition, &marking, &layout) {
                 continue;
             }
-            net.fire_packed_into(transition, &marking, &layout, options.bound, &mut scratch)
-                .map_err(|place| StgError::Unbounded {
-                    place: net.place_name(place).to_string(),
-                    bound: u32::from(options.bound.unwrap_or(u16::MAX)),
-                })?;
+            net.fire_packed_into(transition, &marking, &layout, &mut scratch)
+                .map_err(|place| unsafe_at(net, place))?;
             let (_, fresh) = arena.intern_ref(&scratch);
-            if fresh && arena.len() > options.state_limit {
-                return Err(StgError::StateLimitExceeded(options.state_limit));
+            if fresh && arena.len() > limit {
+                return Err(StgError::StateLimitExceeded(limit));
             }
         }
         state += 1;
@@ -316,24 +328,29 @@ fn code_conflict(
     }
 }
 
-/// Builds the packing layout for exploring `stg` under `options`, and
-/// up-front rejects an initial marking that already violates the bound
-/// (the packed fields are sized for `bound`, so such a marking could not
-/// even be represented).
-fn marking_layout(stg: &Stg, options: &ExploreOptions) -> Result<MarkingLayout, StgError> {
+/// The packing layout of `stg`'s markings, after the check every walk
+/// runs first, the symbolic ones included: an initial marking with two
+/// tokens on a place is not safe, and one bit per place could not even
+/// hold it.
+///
+/// # Errors
+///
+/// [`StgError::Unbounded`] naming the first place with two tokens.
+pub(crate) fn safe_layout(stg: &Stg) -> Result<MarkingLayout, StgError> {
     let net = stg.net();
     let initial = stg.initial_marking();
-    if let Some(bound) = options.bound {
-        for place in net.places() {
-            if initial.tokens(place) > bound {
-                return Err(StgError::Unbounded {
-                    place: net.place_name(place).to_string(),
-                    bound: u32::from(bound),
-                });
-            }
-        }
+    match net.places().find(|&place| initial.tokens(place) > 1) {
+        Some(place) => Err(unsafe_at(net, place)),
+        None => Ok(MarkingLayout::new(net.place_count())),
     }
-    Ok(MarkingLayout::new(net.place_count(), options.bound))
+}
+
+/// The error for a marking that puts a second token on `place`.
+fn unsafe_at(net: &PetriNet, place: PlaceId) -> StgError {
+    StgError::Unbounded {
+        place: net.place_name(place).to_string(),
+        bound: 1,
+    }
 }
 
 /// Determines the initial binary code.
@@ -347,14 +364,18 @@ fn marking_layout(stg: &Stg, options: &ExploreOptions) -> Result<MarkingLayout, 
 /// exactly when it is already interned), replacing the historical
 /// `HashMap<Marking, ()>`-as-a-set over heap token vectors.
 ///
+/// The sweep stops once it holds more than `limit` markings, the cap of
+/// the walk it serves: a walk that needs more fails at its cap anyway.
+/// It polls no budget, so a blown budget surfaces from the walk itself.
+///
 /// `pub(crate)` because the symbolic CSC detector
 /// ([`crate::symbolic::csc`]) seeds its signal-code variables from the
 /// same inference, so both analysers agree on the initial code by
 /// construction.
 pub(crate) fn infer_initial_code(
     stg: &Stg,
-    options: &ExploreOptions,
     layout: &MarkingLayout,
+    limit: usize,
 ) -> Result<u64, StgError> {
     let mut value: Vec<Option<bool>> = (0..stg.signal_count())
         .map(|i| stg.initial_value(SignalId(i as u32)))
@@ -371,7 +392,7 @@ pub(crate) fn infer_initial_code(
 
     let mut state = 0usize;
     while state < arena.len() {
-        if unresolved == 0 || arena.len() > options.state_limit {
+        if unresolved == 0 || arena.len() > limit {
             break;
         }
         let marking = arena.resolve(MarkingId(state as u32)).clone();
@@ -386,11 +407,8 @@ pub(crate) fn infer_initial_code(
                     unresolved -= 1;
                 }
             }
-            net.fire_packed_into(transition, &marking, layout, options.bound, &mut scratch)
-                .map_err(|place: PlaceId| StgError::Unbounded {
-                    place: net.place_name(place).to_string(),
-                    bound: u32::from(options.bound.unwrap_or(u16::MAX)),
-                })?;
+            net.fire_packed_into(transition, &marking, layout, &mut scratch)
+                .map_err(|place| unsafe_at(net, place))?;
             arena.intern_ref(&scratch);
         }
         state += 1;
@@ -509,12 +527,16 @@ mod tests {
     #[test]
     fn state_limit_enforced() {
         let stg = handshake();
-        let options = ExploreOptions {
-            state_limit: 2,
-            ..ExploreOptions::default()
-        };
-        let err = explore_with(&stg, &options).unwrap_err();
-        assert_eq!(err, StgError::StateLimitExceeded(2));
+        let budget = Budget::default();
+        assert_eq!(
+            explore_capped(&stg, &budget, 2).unwrap_err(),
+            StgError::StateLimitExceeded(2)
+        );
+        assert_eq!(
+            count_markings_capped(&stg, &budget, 2).unwrap_err(),
+            StgError::StateLimitExceeded(2)
+        );
+        assert_eq!(explore_capped(&stg, &budget, 4).unwrap().state_count(), 4);
     }
 
     #[test]
@@ -530,7 +552,7 @@ mod tests {
         let sg = explore(&stg).unwrap();
         assert_eq!(sg.state_count(), 2);
         assert_eq!(sg.deadlock_states(), vec![StateId(1)]);
-        let count = count_markings_with(&stg, &ExploreOptions::default()).unwrap();
+        let count = count_markings_capped(&stg, &Budget::default(), STATE_LIMIT).unwrap();
         assert_eq!(count.markings, 2);
     }
 

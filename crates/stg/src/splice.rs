@@ -26,21 +26,22 @@
 //! Only `x` can be inconsistent: every other signal fires along the
 //! projected path exactly as in the original graph, which is
 //! consistent. It polls the budget and the fault probe once per BFS
-//! round, and honours `state_limit`, as that walk does.
+//! round, and stops at the same hard cap, as that walk does.
 //!
-//! The walk takes safe nets only (`bound: Some(1)`, the default every
-//! search runs under): a spliced place never holds more tokens than the
-//! base place it splits or the base postset it holds back, so each base
-//! state pairs with at most four token placements. Other bounds, and
-//! nets or splices outside the walk's premises (weighted or repeated
-//! arcs, a place splice on a place that is not simple, a transition
-//! splice after a transition with an empty postset), are rebuilt and
-//! explored instead, so the answer is the same either way.
+//! Like every walk, it takes safe nets only (see [`crate::reach`]): a
+//! spliced place never holds more tokens than the base place it splits
+//! or the base postset it holds back, so each base state pairs with at
+//! most four token placements. Nets or splices outside the walk's
+//! premises (weighted or repeated arcs, a place splice on a place that
+//! is not simple, a transition splice after a transition with an empty
+//! postset) are rebuilt and explored instead, so the answer is the same
+//! either way.
 
+use crate::budget::Budget;
 use crate::error::StgError;
 use crate::marking::{MarkingLayout, PackedMarking};
 use crate::petri::{PlaceId, TransitionId};
-use crate::reach::{explore_with, round_budget_check, ExploreOptions};
+use crate::reach::{explore_capped, round_budget_check};
 use crate::signal::{Edge, SignalEvent, SignalId, SignalKind};
 use crate::state_graph::{CsrBuilder, StateArc, StateGraph, StateId};
 use crate::stg::{Stg, TransitionLabel};
@@ -260,24 +261,25 @@ pub fn insert_after_transitions(
     out
 }
 
-/// The state graph of `splice.insert(stg, name)` under `options`, built
-/// from `base`, the graph of `stg` under the same options (see the
-/// module docs). Equal to exploring the rebuilt STG in state order,
-/// codes, arcs and markings; a failure is the same [`StgError`] variant,
-/// naming the same signal or limit, though an
+/// The state graph of `splice.insert(stg, name)` under `budget` and a
+/// hard cap of `limit` markings, built from `base`, the graph of `stg`
+/// (see the module docs). Equal to exploring the rebuilt STG in state
+/// order, codes, arcs and markings; a failure is the same [`StgError`]
+/// variant, naming the same signal or limit, though an
 /// [`StgError::Inconsistent`] detail is worded in the walk's terms.
 ///
 /// # Errors
 ///
 /// [`StgError::DuplicateSignal`] when `stg` already has a signal called
 /// `name` (the rebuild would panic), and otherwise every error
-/// [`explore_with`] returns on the rebuilt STG.
+/// [`crate::reach::explore_with`] returns on the rebuilt STG.
 pub(crate) fn spliced_explore(
     base: &StateGraph,
     stg: &Stg,
     name: &str,
     splice: Splice,
-    options: &ExploreOptions,
+    budget: &Budget,
+    limit: usize,
 ) -> Result<StateGraph, StgError> {
     if stg.signal_by_name(name).is_some() {
         return Err(StgError::DuplicateSignal(name.to_string()));
@@ -285,9 +287,9 @@ pub(crate) fn spliced_explore(
     if stg.signal_count() >= 64 {
         return Err(StgError::TooManySignals(stg.signal_count() + 1));
     }
-    match Walk::new(base, stg, splice, options) {
-        Some(walk) => walk.run(base, stg, name, options),
-        None => explore_with(&splice.insert(stg, name), options),
+    match Walk::new(base, stg, splice) {
+        Some(walk) => walk.run(base, stg, name, budget, limit),
+        None => explore_capped(&splice.insert(stg, name), budget, limit),
     }
 }
 
@@ -378,14 +380,11 @@ fn slot(event: Option<SignalEvent>, signals: usize) -> usize {
 impl Walk {
     /// The walk's tables, or `None` when the net or the splice is
     /// outside its premises (see the module docs).
-    fn new(base: &StateGraph, stg: &Stg, splice: Splice, options: &ExploreOptions) -> Option<Walk> {
+    fn new(base: &StateGraph, stg: &Stg, splice: Splice) -> Option<Walk> {
         let net = stg.net();
         let places = net.place_count();
         let transitions = net.transition_count();
-        if options.bound != Some(1) {
-            return None;
-        }
-        let base_layout = MarkingLayout::new(places, options.bound);
+        let base_layout = MarkingLayout::new(places);
         if *base.marking_layout() != base_layout
             || base.signal_count() != stg.signal_count()
             || base.state_count() == 0
@@ -484,7 +483,7 @@ impl Walk {
         Some(Walk {
             shape,
             base_layout,
-            layout: MarkingLayout::new(places + 2, options.bound),
+            layout: MarkingLayout::new(places + 2),
             labels,
             acts,
             guards,
@@ -619,7 +618,8 @@ impl Walk {
         base: &StateGraph,
         stg: &Stg,
         name: &str,
-        options: &ExploreOptions,
+        budget: &Budget,
+        limit: usize,
     ) -> Result<StateGraph, StgError> {
         let net = stg.net();
         let x = SignalId(stg.signal_count() as u32);
@@ -655,8 +655,8 @@ impl Walk {
             let slot = *entry;
             if slot == next {
                 // explore_with interns the initial marking unchecked.
-                if !states.is_empty() && states.len() >= options.state_limit {
-                    return Err(StgError::StateLimitExceeded(options.state_limit));
+                if !states.is_empty() && states.len() >= limit {
+                    return Err(StgError::StateLimitExceeded(limit));
                 }
                 states.push((from, aux, flip));
             } else if states[slot as usize].2 != flip {
@@ -672,14 +672,14 @@ impl Walk {
         let mut state = 0usize;
         let mut round = 0usize;
         let mut layer_end = states.len();
-        if let Some(error) = round_budget_check(&options.budget, states.len(), round) {
+        if let Some(error) = round_budget_check(budget, states.len(), round) {
             return Err(error);
         }
         while state < states.len() {
             if state == layer_end {
                 round += 1;
                 layer_end = states.len();
-                if let Some(error) = round_budget_check(&options.budget, states.len(), round) {
+                if let Some(error) = round_budget_check(budget, states.len(), round) {
                     return Err(error);
                 }
             }
@@ -769,7 +769,7 @@ impl Walk {
 mod tests {
     use super::*;
     use crate::engine::ReachEngine;
-    use crate::{models, Budget};
+    use crate::models;
 
     /// Same graph size, or the same error (an inconsistency by its
     /// signal).
@@ -794,23 +794,18 @@ mod tests {
         let base = crate::explore(&stg).unwrap();
         assert_eq!(base.state_count(), 18);
         let mut stopped = 0;
-        for (state_limit, max_states) in [
+        for (limit, max_states) in [
             (18, None),
             (21, None),
-            (1 << 20, Some(18)),
-            (1 << 20, Some(21)),
+            (crate::reach::STATE_LIMIT, Some(18)),
+            (crate::reach::STATE_LIMIT, Some(21)),
         ] {
-            let options = ExploreOptions {
-                state_limit,
-                budget: max_states.map_or(Budget::default(), |max| {
-                    Budget::default().with_max_states(max)
-                }),
-                ..ExploreOptions::default()
-            };
-            let mut engine = ReachEngine::with_options(crate::ReachBackend::Explicit, options);
+            let budget = max_states.map_or(Budget::default(), |max| {
+                Budget::default().with_max_states(max)
+            });
             for splice in candidates(&stg) {
-                let got = engine.spliced_state_graph(&base, &stg, "x", splice);
-                let want = engine.state_graph(&splice.insert(&stg, "x"));
+                let got = spliced_explore(&base, &stg, "x", splice, &budget, limit);
+                let want = explore_capped(&splice.insert(&stg, "x"), &budget, limit);
                 assert!(
                     same_outcome(&got, &want),
                     "{splice:?}: {:?} vs {:?}",

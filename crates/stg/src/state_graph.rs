@@ -230,6 +230,11 @@ impl StateGraph {
     /// producers (the reachability analyser, `rt-core`'s concurrency
     /// reduction) emit CSR directly through [`CsrBuilder`] and
     /// [`StateGraph::from_csr_parts`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a marking puts more than one token on a place: a graph
+    /// packs safe markings only.
     pub fn from_parts(
         signal_names: Vec<String>,
         signal_kinds: Vec<SignalKind>,
@@ -239,12 +244,7 @@ impl StateGraph {
         initial: StateId,
     ) -> Self {
         let places = markings.first().map_or(0, Marking::len);
-        let max_tokens = markings
-            .iter()
-            .flat_map(|m| m.marked_places().map(|(_, t)| t))
-            .max()
-            .unwrap_or(0);
-        let layout = MarkingLayout::new(places, Some(max_tokens.max(1)));
+        let layout = MarkingLayout::new(places);
         let packed = markings
             .iter()
             .map(|m| PackedMarking::pack(&layout, m))

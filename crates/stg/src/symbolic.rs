@@ -37,10 +37,18 @@
 //!   symbolic backend on this entry point.
 //!
 //! Only *safe* (1-bounded) nets are supported: a marking is then exactly
-//! a set of places. Nets of any width are accepted — the manager is
-//! widened on demand via [`rt_boolean::Bdd::ensure_vars`], so > 64-place
-//! nets (the `W2`/`W4`/`Big` packed-marking territory of
-//! [`crate::marking`]) work transparently.
+//! a set of places. That is every walk's contract, the explicit ones of
+//! [`crate::reach`] included, and every walk here runs the explicit
+//! walks' up-front check before any BDD operation: an initial marking
+//! with two tokens on a place is [`StgError::Unbounded`] on both
+//! analysers, and builds no node. A firing that would put a second token
+//! on a place later in the walk is a different matter: its image is
+//! simply not generated (see `firing_cube`), where the explicit walk
+//! reports it. Detecting it would build nodes the fresh-manager pins
+//! fix. Nets of any width are accepted — the manager is widened on
+//! demand via [`rt_boolean::Bdd::ensure_vars`], so > 64-place nets (the
+//! `W2`/`W4`/`Big` packed-marking territory of [`crate::marking`]) work
+//! transparently.
 //!
 //! ## Variable order
 //!
@@ -72,7 +80,7 @@ use rt_boolean::Bdd;
 use crate::budget::Budget;
 use crate::error::StgError;
 use crate::petri::{PetriNet, TransitionId};
-use crate::reach::ExploreOptions;
+use crate::reach::safe_layout;
 use crate::stg::Stg;
 
 pub mod csc;
@@ -159,14 +167,15 @@ pub fn reach_symbolic(stg: &Stg) -> Result<SymbolicReach, StgError> {
 ///
 /// # Errors
 ///
-/// Returns [`StgError::IterationLimitExceeded`] when the fixpoint has
-/// not converged after 10 000 image iterations (a diverging or enormous
-/// net).
+/// * [`StgError::Unbounded`] — the initial marking is not safe;
+/// * [`StgError::IterationLimitExceeded`] — the fixpoint has not
+///   converged after 10 000 image iterations (a diverging or enormous
+///   net).
 pub fn reach_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<SymbolicReach, StgError> {
-    reach_symbolic_with(stg, bdd, &ExploreOptions::default())
+    reach_symbolic_with(stg, bdd, &Budget::default())
 }
 
-/// [`reach_symbolic_in`] under the budget of `options`. This is the
+/// [`reach_symbolic_in`] under the caller's `budget`. This is the
 /// entry point [`crate::engine::ReachEngine`] uses. The fixpoint polls
 /// cancellation, the manager-footprint ceiling and the iteration
 /// ceiling once per image step, so an overrun stops within one
@@ -180,8 +189,9 @@ pub fn reach_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<SymbolicReach, StgE
 pub fn reach_symbolic_with(
     stg: &Stg,
     bdd: &mut Bdd,
-    options: &ExploreOptions,
+    budget: &Budget,
 ) -> Result<SymbolicReach, StgError> {
+    safe_layout(stg)?;
     let net = stg.net();
     let places = net.place_count();
     let var_of = place_order(stg);
@@ -213,7 +223,7 @@ pub fn reach_symbolic_with(
         // Budget poll at the iteration boundary: `reached`/`frontier`
         // are complete sets from the previous step, so stopping here
         // never abandons a half-built structure.
-        if let Some(error) = iteration_budget_check(bdd, &options.budget, iterations) {
+        if let Some(error) = iteration_budget_check(bdd, budget, iterations) {
             return Err(error);
         }
         iterations += 1;
@@ -286,9 +296,9 @@ pub(crate) fn place_order(stg: &Stg) -> Vec<u32> {
 /// That is the safeness side condition: a produced place must be empty
 /// unless it is also consumed, else the net would go 2-bounded. Explicit
 /// analysis reports `Unbounded` there; symbolically the successor is
-/// simply not generated, so the analyses are comparable only on safe
-/// nets. After firing the postset is marked and the rest of the preset
-/// empty.
+/// simply not generated, so the analyses agree only on safe nets (the
+/// up-front check catches an unsafe initial marking on both). After
+/// firing the postset is marked and the rest of the preset empty.
 pub(crate) fn firing_cube(
     net: &PetriNet,
     t: TransitionId,
@@ -454,7 +464,6 @@ mod tests {
         let mut bdd = Bdd::new(stg.net().place_count());
         let result = reach_symbolic_in(&stg, &mut bdd).expect("explores");
         let sg = explore(&stg).expect("explores");
-        assert_eq!(sg.marking_layout().bits(), 1, "safe net packs 1 bit/place");
         for state in sg.states() {
             let packed = sg.packed_marking(state);
             assert!(

@@ -85,9 +85,9 @@
 use rt_boolean::bdd::NodeId;
 use rt_boolean::Bdd;
 
+use crate::budget::Budget;
 use crate::error::StgError;
-use crate::marking::MarkingLayout;
-use crate::reach::{infer_initial_code, ExploreOptions};
+use crate::reach::{infer_initial_code, safe_layout, STATE_LIMIT};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
 use crate::symbolic::{firing_cube, image_step, place_order};
@@ -180,21 +180,22 @@ pub fn csc_conflicts_symbolic(stg: &Stg) -> Result<CscAnalysis, StgError> {
 ///
 /// * [`StgError::TooManySignals`] — more than 64 signals (codes and
 ///   witnesses are `u64`s, matching the explicit graph's cap);
+/// * [`StgError::Unbounded`] — the initial marking is not safe;
 /// * [`StgError::Inconsistent`] — a reachable marking enables an edge
 ///   of a signal already at that edge's target value;
 /// * [`StgError::IterationLimitExceeded`] — no fixpoint within the
 ///   iteration ceiling (10 000 by default);
 /// * [`StgError::Cancelled`] / [`StgError::NodeBudgetExceeded`] — the
-///   [`ExploreOptions::budget`] triggered; polled once per image step.
+///   caller's budget ([`csc_conflicts_symbolic_opts`]) or the manager's
+///   node ceiling triggered; polled once per image step.
 pub fn csc_conflicts_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<CscAnalysis, StgError> {
-    csc_conflicts_symbolic_opts(stg, bdd, &ExploreOptions::default())
+    csc_conflicts_symbolic_opts(stg, bdd, &Budget::default())
 }
 
-/// [`csc_conflicts_symbolic_in`] under explicit [`ExploreOptions`].
-/// The BDD analysis itself is unaffected by exploration tuning, but
-/// the **initial-code inference** (a bounded explicit sweep) runs
-/// under `options`, so an engine-driven analysis derives the same
-/// initial code as that engine's explicit detector would.
+/// [`csc_conflicts_symbolic_in`] under the caller's `budget`. The
+/// initial code comes from the explicit walks' inference sweep
+/// (capped at [`STATE_LIMIT`] markings, as [`crate::reach::explore`]
+/// caps it), so both detectors derive the same initial code.
 ///
 /// # Errors
 ///
@@ -202,7 +203,7 @@ pub fn csc_conflicts_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<CscAnalysis
 pub fn csc_conflicts_symbolic_opts(
     stg: &Stg,
     bdd: &mut Bdd,
-    options: &ExploreOptions,
+    budget: &Budget,
 ) -> Result<CscAnalysis, StgError> {
     let net = stg.net();
     let places = net.place_count();
@@ -210,6 +211,7 @@ pub fn csc_conflicts_symbolic_opts(
     if signals > 64 {
         return Err(StgError::TooManySignals(signals));
     }
+    let layout = safe_layout(stg)?;
 
     // --- Variable layout: place pairs with anchored signal splices ---
     let pos_of_place = place_order(stg);
@@ -252,8 +254,7 @@ pub fn csc_conflicts_symbolic_opts(
     debug_assert_eq!(next as usize, total_vars);
 
     // --- Initial state: exact minterm over places and code bits ---
-    let layout = MarkingLayout::new(places, Some(1));
-    let initial_code = infer_initial_code(stg, options, &layout)?;
+    let initial_code = infer_initial_code(stg, &layout, STATE_LIMIT)?;
     let initial_marking = stg.initial_marking();
     let mut initial = bdd.constant(true);
     for p in net.places() {
@@ -317,7 +318,7 @@ pub fn csc_conflicts_symbolic_opts(
     let mut frontier = initial;
     let mut iterations = 0usize;
     loop {
-        if let Some(error) = super::iteration_budget_check(bdd, &options.budget, iterations) {
+        if let Some(error) = super::iteration_budget_check(bdd, budget, iterations) {
             return Err(error);
         }
         iterations += 1;
@@ -383,7 +384,7 @@ pub fn csc_conflicts_symbolic_opts(
         // The backward sweep keeps its own iteration count but polls
         // the same budget; fault injection indexes forward and backward
         // iterations alike.
-        if let Some(error) = super::iteration_budget_check(bdd, &options.budget, back_iterations) {
+        if let Some(error) = super::iteration_budget_check(bdd, budget, back_iterations) {
             return Err(error);
         }
         back_iterations += 1;

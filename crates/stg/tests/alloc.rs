@@ -58,7 +58,7 @@ fn firing_safe_net_transitions_never_allocates() {
         "fifo model must fit the inline word"
     );
 
-    let layout = MarkingLayout::new(net.place_count(), Some(1));
+    let layout = MarkingLayout::new(net.place_count());
     let mut current = PackedMarking::pack(&layout, &stg.initial_marking());
     let mut scratch = PackedMarking::zero(&layout);
 
@@ -74,7 +74,7 @@ fn firing_safe_net_transitions_never_allocates() {
         let mut advanced = false;
         for t in net.transitions() {
             if net.is_enabled_packed(t, &current, &layout) {
-                net.fire_packed_into(t, &current, &layout, Some(1), &mut scratch)
+                net.fire_packed_into(t, &current, &layout, &mut scratch)
                     .expect("safe net stays within bound");
                 std::mem::swap(&mut current, &mut scratch);
                 fired += 1;
@@ -98,7 +98,7 @@ fn firing_safe_net_transitions_never_allocates() {
 fn interning_known_markings_never_allocates() {
     let stg = models::fifo_stg();
     let net = stg.net();
-    let layout = MarkingLayout::new(net.place_count(), Some(1));
+    let layout = MarkingLayout::new(net.place_count());
     // Pre-size generously so the measured region cannot trigger growth.
     let mut arena = MarkingArena::with_capacity(layout, 1 << 12);
     let mut current = PackedMarking::pack(&layout, &stg.initial_marking());
@@ -114,7 +114,7 @@ fn interning_known_markings_never_allocates() {
             .transitions()
             .find(|&t| net.is_enabled_packed(t, &current, &layout))
             .expect("live spec");
-        net.fire_packed_into(t, &current, &layout, Some(1), &mut scratch)
+        net.fire_packed_into(t, &current, &layout, &mut scratch)
             .expect("safe");
         std::mem::swap(&mut current, &mut scratch);
     }

@@ -201,7 +201,8 @@ pub fn verify_against_sg(
     verify_with_options(netlist, sg, orderings, VerifyOptions::default())
 }
 
-/// Full-control entry point.
+/// Full-control entry point. The walk runs to completion: it has no
+/// cap and no budget, so its verdict always covers every composed state.
 pub fn verify_with_options(
     netlist: &Netlist,
     sg: &StateGraph,
@@ -210,23 +211,25 @@ pub fn verify_with_options(
 ) -> VerifyReport {
     Composer::new(netlist, sg, orderings, options)
         .run(None)
-        .expect("the unbudgeted composed walk cannot be interrupted")
+        .expect("the unbudgeted composed walk runs to completion")
 }
 
 /// [`verify_with_options`] under an [`rt_stg::Budget`]: the composed
 /// netlist × specification walk polls the budget's cancellation token,
-/// deadline and state cap once per dequeued composed state.
+/// deadline and state cap once per dequeued composed state, and stops
+/// past a hard cap of 2^18 composed states.
 ///
 /// A verdict over a *partial* state space would be unsound (an
-/// unexplored interleaving could still fail), so budget exhaustion is a
-/// hard error here, never a degraded report — unlike reachability,
-/// where the engine can fall back to another backend.
+/// unexplored interleaving could still fail), so budget exhaustion and
+/// the cap are hard errors here, never a degraded report — unlike
+/// reachability, where the engine can fall back to another backend.
 ///
 /// # Errors
 ///
 /// * [`StgError::Cancelled`] — the token fired or the deadline passed;
 /// * [`StgError::StateBudgetExceeded`] — more composed states than
-///   `budget.max_states`.
+///   `budget.max_states`;
+/// * [`StgError::StateLimitExceeded`] — more than 2^18 composed states.
 pub fn verify_with_budget(
     netlist: &Netlist,
     sg: &StateGraph,
@@ -236,6 +239,9 @@ pub fn verify_with_budget(
 ) -> Result<VerifyReport, StgError> {
     Composer::new(netlist, sg, orderings, options).run(Some(budget))
 }
+
+/// The hard cap on the composed states a budgeted walk dequeues.
+const COMPOSED_STATE_LIMIT: usize = 1 << 18;
 
 struct Composer<'a> {
     netlist: &'a Netlist,
@@ -439,19 +445,18 @@ impl<'a> Composer<'a> {
         seen.insert(initial);
         queue.push_back(initial);
         let mut explored = 0usize;
-        let limit = 1 << 18;
 
         while let Some(state) = queue.pop_front() {
             explored += 1;
-            if explored > limit {
-                break;
-            }
             if let Some(budget) = budget {
                 if budget.cancelled() {
                     return Err(StgError::Cancelled);
                 }
                 if budget.states_exhausted(explored) {
                     return Err(StgError::StateBudgetExceeded { states: explored });
+                }
+                if explored > COMPOSED_STATE_LIMIT {
+                    return Err(StgError::StateLimitExceeded(COMPOSED_STATE_LIMIT));
                 }
             }
             let pending = self.pending(&state);
@@ -656,6 +661,73 @@ mod tests {
         let (netlist, p) = majority_celement();
         let o = NetOrdering::new((p.ac, true), (p.ab, false));
         assert_eq!(o.describe(&netlist), "ac+ before ab-");
+    }
+
+    /// Nine independent handshakes `a_i → b_i`, implemented by buffers,
+    /// an input `c` that toggles freely, and an output `z` the
+    /// specification never lets rise. The circuit drives
+    /// `z = b_0·¬a_0·…·b_8·¬a_8`, which rises only in the one handshake
+    /// phase the composed walk reaches last: past 2^18 of its 2^19
+    /// states.
+    fn late_glitch() -> (Netlist, StateGraph) {
+        use rt_netlist::GateKind;
+        use rt_stg::SignalKind;
+        let mut spec = Stg::new("late_glitch");
+        let mut netlist = Netlist::new("late_glitch");
+        let mut product = Vec::new();
+        for i in 0..9 {
+            let a = spec.add_signal(format!("a{i}"), SignalKind::Input).unwrap();
+            let b = spec
+                .add_signal(format!("b{i}"), SignalKind::Output)
+                .unwrap();
+            let a_plus = spec.transition_for(a, Edge::Rise);
+            let b_plus = spec.transition_for(b, Edge::Rise);
+            let a_minus = spec.transition_for(a, Edge::Fall);
+            let b_minus = spec.transition_for(b, Edge::Fall);
+            spec.arc(a_plus, b_plus);
+            spec.arc(b_plus, a_minus);
+            spec.arc(a_minus, b_minus);
+            spec.marked_arc(b_minus, a_plus);
+            let a_net = netlist.add_net(format!("a{i}"), NetKind::Input);
+            let b_net = netlist.add_net(format!("b{i}"), NetKind::Output);
+            let not_a = netlist.add_net(format!("na{i}"), NetKind::Internal);
+            netlist.add_gate(format!("buf{i}"), GateKind::Buf, vec![a_net], b_net);
+            netlist.add_gate(format!("inv{i}"), GateKind::Inv, vec![a_net], not_a);
+            product.extend([b_net, not_a]);
+        }
+        let c = spec.add_signal("c", SignalKind::Input).unwrap();
+        let c_plus = spec.transition_for(c, Edge::Rise);
+        let c_minus = spec.transition_for(c, Edge::Fall);
+        spec.arc(c_plus, c_minus);
+        spec.marked_arc(c_minus, c_plus);
+        netlist.add_net("c", NetKind::Input);
+        spec.add_signal("z", SignalKind::Output).unwrap();
+        let z = netlist.add_net("z", NetKind::Output);
+        netlist.add_gate("and_z", GateKind::And, product, z);
+        (netlist, rt_stg::explore(&spec).unwrap())
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "walks 2^19 composed states: a minute in a debug build, run in release"
+    )]
+    fn no_verdict_rests_on_a_partial_walk() {
+        let (netlist, sg) = late_glitch();
+        assert_eq!(sg.state_count(), 1 << 19);
+        let report = verify_against_sg(&netlist, &sg, &[]);
+        assert_eq!(
+            report.verdict,
+            Verdict::Fails,
+            "the unbudgeted walk completes"
+        );
+        assert_eq!(report.states_explored, 1 << 19);
+        // The budgeted walk stops at its cap instead of answering.
+        let unlimited = rt_stg::Budget::unlimited();
+        assert_eq!(
+            verify_with_budget(&netlist, &sg, &[], VerifyOptions::default(), &unlimited),
+            Err(StgError::StateLimitExceeded(COMPOSED_STATE_LIMIT))
+        );
     }
 
     #[test]

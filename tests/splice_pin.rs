@@ -11,15 +11,13 @@
 //! `fabric_stg(2, 2, 0)`, the FIFO with a forced-high input that never
 //! fires and a net with repeated labels, plus each one's first-round
 //! winner of both searches.
-//! Each under the default options and under `bound: None`, which the
-//! walk hands to the rebuild (it takes safe nets only). A debug
-//! build checks the nets with at most 16 places; `cargo test --release
-//! --test splice_pin` checks them all.
+//! The walk and the rebuild both run under the engine's default budget.
+//! A debug build checks the nets with at most 16 places; `cargo test
+//! --release --test splice_pin` checks them all.
 
 use std::mem::discriminant;
 
 use rt_cad::stg::engine::ReachEngine;
-use rt_cad::stg::reach::ExploreOptions;
 use rt_cad::stg::splice::{candidates, fresh_signal_name};
 use rt_cad::stg::{corpus, models, Edge, SignalKind, Splice, StateGraph, Stg, StgError};
 use rt_cad::synth::csc::{resolve_csc_with, CscOptions};
@@ -116,11 +114,10 @@ fn assert_same_graph(what: &str, got: &StateGraph, want: &StateGraph) {
     }
 }
 
-/// Checks every candidate of `stg` under `options`; returns how many
-/// candidates explored and how many failed.
-fn check_net(name: &str, stg: &Stg, options: &ExploreOptions) -> (usize, usize) {
+/// Checks every candidate of `stg`; returns how many candidates
+/// explored and how many failed.
+fn check_net(name: &str, stg: &Stg) -> (usize, usize) {
     let mut engine = ReachEngine::explicit();
-    *engine.options_mut() = options.clone();
     let base = engine
         .state_graph(stg)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -128,7 +125,7 @@ fn check_net(name: &str, stg: &Stg, options: &ExploreOptions) -> (usize, usize) 
     let x = fresh_signal_name(stg, "csc");
     let (mut explored, mut failed) = (0, 0);
     for splice in candidates(stg) {
-        let what = format!("{name} {splice:?} bound {:?}", options.bound);
+        let what = format!("{name} {splice:?}");
         let spliced = engine.spliced_state_graph(&base, stg, &x, splice);
         let rebuilt = engine.state_graph(&splice.insert(stg, &x));
         match (spliced, rebuilt) {
@@ -211,13 +208,6 @@ fn winners(name: &str, stg: &Stg) -> Vec<(String, Stg)> {
 
 #[test]
 fn spliced_graphs_equal_the_rebuilt_nets_graphs() {
-    let options = [
-        ExploreOptions::default(),
-        ExploreOptions {
-            bound: None,
-            ..ExploreOptions::default()
-        },
-    ];
     let (mut explored, mut failed, mut nets_checked) = (0, 0, 0);
     for (name, stg) in nets() {
         if cfg!(debug_assertions) && stg.net().place_count() > 16 {
@@ -226,11 +216,9 @@ fn spliced_graphs_equal_the_rebuilt_nets_graphs() {
         let mut family = vec![(name.clone(), stg.clone())];
         family.extend(winners(&name, &stg));
         for (member, net) in &family {
-            for options in &options {
-                let (e, f) = check_net(member, net, options);
-                explored += e;
-                failed += f;
-            }
+            let (e, f) = check_net(member, net);
+            explored += e;
+            failed += f;
             nets_checked += 1;
         }
     }
