@@ -65,6 +65,14 @@
 //! is an `Ok`/`Err` byte followed by the [`Response`] or
 //! [`ServiceError`].
 //!
+//! A verification report is a verdict byte (`0` conforms, `1` fails),
+//! the failure list and the composed-state count. The verdict byte is
+//! written from the failure list and checked against it on decode: a
+//! byte that contradicts the list is [`ProtoError::Inconsistent`]. Each
+//! failure is a tag byte and its fields; tag `1` is
+//! [`Failure::UnexpectedOutput`], and tag `2` (the retired strict
+//! semi-modularity record) decodes as [`ProtoError::BadTag`].
+//!
 //! STGs travel *structurally*: all six vectors of the Petri net
 //! (names, per-transition arc lists, per-place consumer/producer
 //! lists), the signal table, labels, and initial state, rebuilt via
@@ -97,7 +105,7 @@ use rt_stg::{
 };
 use rt_synth::csc::CscOptions;
 use rt_synth::SynthError;
-use rt_verify::{Failure, NetOrdering, Verdict, VerifyReport};
+use rt_verify::{Failure, NetOrdering, VerifyReport};
 
 use crate::error::ServiceError;
 use crate::request::{
@@ -1021,46 +1029,30 @@ fn dec_edge_list(dec: &mut Dec<'_>) -> Decoded<Vec<(NetId, bool)>> {
     Ok(edges)
 }
 
+// Failure tag 2 is retired: it decodes as `BadTag` and is never reused.
 fn enc_verify_report(enc: &mut Enc, report: &VerifyReport) {
-    enc.u8(match report.verdict {
-        Verdict::Conforms => 0,
-        Verdict::Fails => 1,
-    });
+    enc.u8(u8::from(!report.passed()));
     enc.len(report.failures.len());
     for failure in &report.failures {
-        match failure {
-            Failure::UnexpectedOutput {
-                net,
-                value,
-                pending_others,
-                trace,
-            } => {
-                enc.u8(1);
-                enc.u32(net.0);
-                enc.bool(*value);
-                enc_edge_list(enc, pending_others);
-                enc_edge_list(enc, trace);
-            }
-            Failure::SemiModularity {
-                gate,
-                withdrawn_by,
-                trace,
-            } => {
-                enc.u8(2);
-                enc.u32(gate.0);
-                enc.u32(withdrawn_by.0 .0);
-                enc.bool(withdrawn_by.1);
-                enc_edge_list(enc, trace);
-            }
-        }
+        let Failure::UnexpectedOutput {
+            net,
+            value,
+            pending_others,
+            trace,
+        } = failure;
+        enc.u8(1);
+        enc.u32(net.0);
+        enc.bool(*value);
+        enc_edge_list(enc, pending_others);
+        enc_edge_list(enc, trace);
     }
     enc.usize(report.states_explored);
 }
 
 fn dec_verify_report(dec: &mut Dec<'_>) -> Decoded<VerifyReport> {
-    let verdict = match dec.u8()? {
-        0 => Verdict::Conforms,
-        1 => Verdict::Fails,
+    let fails = match dec.u8()? {
+        0 => false,
+        1 => true,
         tag => {
             return Err(ProtoError::BadTag {
                 what: "Verdict",
@@ -1078,11 +1070,6 @@ fn dec_verify_report(dec: &mut Dec<'_>) -> Decoded<VerifyReport> {
                 pending_others: dec_edge_list(dec)?,
                 trace: dec_edge_list(dec)?,
             },
-            2 => Failure::SemiModularity {
-                gate: rt_netlist::GateId(dec.u32()?),
-                withdrawn_by: (NetId(dec.u32()?), dec.bool()?),
-                trace: dec_edge_list(dec)?,
-            },
             tag => {
                 return Err(ProtoError::BadTag {
                     what: "Failure",
@@ -1091,11 +1078,18 @@ fn dec_verify_report(dec: &mut Dec<'_>) -> Decoded<VerifyReport> {
             }
         });
     }
-    let states_explored = dec.usize()?;
+    if fails == failures.is_empty() {
+        return Err(ProtoError::Inconsistent {
+            detail: format!(
+                "verdict byte {} with {} failures",
+                u8::from(fails),
+                failures.len()
+            ),
+        });
+    }
     Ok(VerifyReport {
-        verdict,
         failures,
-        states_explored,
+        states_explored: dec.usize()?,
     })
 }
 
@@ -1583,9 +1577,29 @@ mod tests {
         }
     }
 
+    /// A report with two failures, the second with an empty trace.
+    fn failing_report() -> VerifyReport {
+        VerifyReport {
+            failures: vec![
+                Failure::UnexpectedOutput {
+                    net: NetId(2),
+                    value: true,
+                    pending_others: vec![(NetId(0), false)],
+                    trace: vec![(NetId(1), true), (NetId(2), false)],
+                },
+                Failure::UnexpectedOutput {
+                    net: NetId(3),
+                    value: false,
+                    pending_others: vec![],
+                    trace: vec![],
+                },
+            ],
+            states_explored: 44,
+        }
+    }
+
     #[test]
     fn responses_of_every_kind_roundtrip() {
-        use rt_netlist::GateId;
         let replies = vec![
             Ok(Response {
                 payload: ResponsePayload::Summary(SummaryOutcome {
@@ -1622,24 +1636,17 @@ mod tests {
                 retries: 1,
             }),
             Ok(Response {
-                payload: ResponsePayload::Verify(VerifyReport {
-                    verdict: Verdict::Fails,
-                    failures: vec![
-                        Failure::UnexpectedOutput {
-                            net: NetId(2),
-                            value: true,
-                            pending_others: vec![(NetId(0), false)],
-                            trace: vec![(NetId(1), true), (NetId(2), false)],
-                        },
-                        Failure::SemiModularity {
-                            gate: GateId(1),
-                            withdrawn_by: (NetId(3), false),
-                            trace: vec![],
-                        },
-                    ],
-                    states_explored: 44,
-                }),
+                payload: ResponsePayload::Verify(failing_report()),
                 degradations: vec![Degradation::ExplicitToSymbolic],
+                cached: false,
+                retries: 0,
+            }),
+            Ok(Response {
+                payload: ResponsePayload::Verify(VerifyReport {
+                    failures: vec![],
+                    states_explored: 29,
+                }),
+                degradations: vec![],
                 cached: false,
                 retries: 0,
             }),
@@ -1677,6 +1684,65 @@ mod tests {
                 })
             );
         }
+    }
+
+    /// The encoder writes the verdict byte from the failure list, and
+    /// the decoder refuses a byte that contradicts it, a byte past 1 and
+    /// the retired failure tag 2.
+    #[test]
+    fn verify_reports_carry_a_checked_verdict_byte() {
+        let reply = |report: VerifyReport| {
+            encode_reply(&Ok(Response {
+                payload: ResponsePayload::Verify(report),
+                degradations: vec![],
+                cached: false,
+                retries: 0,
+            }))
+        };
+        // Version, message kind, the `Ok` byte and the payload
+        // discriminant come first; the failure count (four bytes) then
+        // the first failure's tag follow the verdict byte.
+        let verdict_at = 4;
+        let failing = reply(failing_report());
+        let conforming = reply(VerifyReport {
+            failures: vec![],
+            states_explored: 29,
+        });
+        assert_eq!((failing[verdict_at], conforming[verdict_at]), (1, 0));
+        let contradict = |bytes: &[u8], verdict: u8| {
+            let mut bad = bytes.to_vec();
+            bad[verdict_at] = verdict;
+            decode_reply(&bad)
+        };
+        assert_eq!(
+            contradict(&failing, 0),
+            Err(ProtoError::Inconsistent {
+                detail: "verdict byte 0 with 2 failures".into()
+            })
+        );
+        assert_eq!(
+            contradict(&conforming, 1),
+            Err(ProtoError::Inconsistent {
+                detail: "verdict byte 1 with 0 failures".into()
+            })
+        );
+        assert_eq!(
+            contradict(&failing, 2),
+            Err(ProtoError::BadTag {
+                what: "Verdict",
+                tag: 2
+            })
+        );
+        let mut retired = failing.clone();
+        assert_eq!(retired[verdict_at + 5], 1, "UnexpectedOutput keeps tag 1");
+        retired[verdict_at + 5] = 2;
+        assert_eq!(
+            decode_reply(&retired),
+            Err(ProtoError::BadTag {
+                what: "Failure",
+                tag: 2
+            })
+        );
     }
 
     #[test]

@@ -40,10 +40,13 @@ pub enum RequestPayload {
         /// their answers are equal.
         options: CscOptions,
     },
-    /// Verify a gate-level circuit against its specification
-    /// ([`rt_verify::verify_with_budget`]: a composed walk past the
-    /// budget's `max_states` or 2^18 states is an error, never a
-    /// verdict).
+    /// Verify a gate-level circuit against its specification with
+    /// [`rt_verify::verify_with_budget`] on the specification's
+    /// explicit state graph. A composed walk past the budget's
+    /// `max_states` or 2^18 states is an error, never a verdict. A
+    /// composed state codes one bit per net, so a netlist of more than
+    /// 64 nets is refused with `StgError::TooManySignals`. The report passes exactly when its
+    /// failure list is empty.
     Verify {
         /// The circuit.
         netlist: Netlist,

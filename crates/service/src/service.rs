@@ -88,7 +88,7 @@ use std::time::{Duration, Instant};
 use rt_stg::engine::ReachEngine;
 use rt_stg::{faults, Budget, StgError};
 use rt_synth::csc::resolve_csc_engine;
-use rt_verify::{verify_with_budget, VerifyOptions};
+use rt_verify::verify_with_budget;
 
 use crate::error::ServiceError;
 use crate::flight::{FlightKey, FlightTable, Slot};
@@ -787,8 +787,7 @@ fn run_once(
             orderings,
         } => {
             let sg = engine.state_graph(spec)?;
-            let report =
-                verify_with_budget(netlist, &sg, orderings, VerifyOptions::default(), budget)?;
+            let report = verify_with_budget(netlist, &sg, orderings, budget)?;
             Ok(ResponsePayload::Verify(report))
         }
     }

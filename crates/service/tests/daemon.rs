@@ -8,6 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use rt_netlist::cells::majority_celement;
+use rt_netlist::{GateKind, NetKind, Netlist};
 use rt_service::{
     Daemon, DaemonClient, Request, RequestPayload, ResponsePayload, ServiceConfig, ServiceError,
     SynthService,
@@ -201,6 +202,51 @@ fn wire_deadlines_propagate_as_typed_cancellations() {
         .submit(&Request::summary(models::fifo_stg()))
         .expect("same connection serves on");
     assert!(matches!(after.payload, ResponsePayload::Summary(_)));
+    daemon.shutdown();
+}
+
+/// The handshake's `a` wired to its `b` through a chain of one-input
+/// AND gates: `nets` nets in all, `b` the last.
+fn and_chain(nets: usize) -> Netlist {
+    let mut netlist = Netlist::new("and_chain");
+    let mut previous = netlist.add_net("a", NetKind::Input);
+    for i in 1..nets {
+        let net = if i + 1 == nets {
+            netlist.add_net("b", NetKind::Output)
+        } else {
+            netlist.add_net(format!("n{i}"), NetKind::Internal)
+        };
+        netlist.add_gate(format!("and{i}"), GateKind::And, vec![previous], net);
+        previous = net;
+    }
+    netlist
+}
+
+/// A composed state codes one bit per net: a 65-net netlist is refused
+/// with the same typed error by the direct call, the service and the
+/// daemon, and a 64-net one is answered alike by all three.
+#[test]
+fn a_netlist_past_sixty_four_nets_is_refused_everywhere() {
+    let _suite = suite_guard();
+    let daemon = ephemeral_daemon();
+    let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+    let service = SynthService::start(ServiceConfig::default());
+    let spec = models::handshake_stg();
+    assert_eq!(
+        verify(&and_chain(65), &spec, &[]),
+        Err(StgError::TooManySignals(65))
+    );
+    let request = Request::verify(and_chain(65), spec.clone(), Vec::new());
+    let refused = Err(ServiceError::Engine(StgError::TooManySignals(65)));
+    assert_eq!(service.submit(request.clone()).map(|r| r.payload), refused);
+    assert_eq!(client.submit(&request).map(|r| r.payload), refused);
+    let direct = verify(&and_chain(64), &spec, &[]).expect("64 nets verify");
+    assert!(direct.passed());
+    let request = Request::verify(and_chain(64), spec, Vec::new());
+    let answer = Ok(ResponsePayload::Verify(direct));
+    assert_eq!(service.submit(request.clone()).map(|r| r.payload), answer);
+    assert_eq!(client.submit(&request).map(|r| r.payload), answer);
+    service.shutdown();
     daemon.shutdown();
 }
 

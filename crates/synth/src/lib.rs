@@ -42,7 +42,5 @@ pub mod regions;
 
 pub use csc::{resolve_csc, resolve_csc_engine, resolve_csc_with, CscResolution};
 pub use error::SynthError;
-pub use map::{
-    synthesize, synthesize_with_dc, synthesize_with_options, MapOptions, SynthesisResult,
-};
+pub use map::{synthesize, synthesize_with_dc, SynthesisResult};
 pub use regions::{SetResetSpec, SignalFunctions};

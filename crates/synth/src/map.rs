@@ -63,42 +63,9 @@ pub fn synthesize_with_dc(
     name: &str,
     local_dc: &LocalDontCares,
 ) -> Result<SynthesisResult, SynthError> {
-    synthesize_with_options(sg, name, local_dc, &MapOptions::default())
-}
-
-/// Technology-mapping options.
-///
-/// Real gate libraries bound the series-transistor stack height (deep
-/// stacks are slow and leaky); `max_stack` makes the mapper decompose
-/// any wider set/reset cube through an AND tree before it reaches the
-/// gC — the "timing-aware logic decomposition and technology mapping"
-/// step Section 6 calls for.
-#[derive(Debug, Clone, Copy)]
-pub struct MapOptions {
-    /// Maximum literals placed directly in one gC stack (≥ 1).
-    pub max_stack: usize,
-}
-
-impl Default for MapOptions {
-    fn default() -> Self {
-        MapOptions { max_stack: 4 }
-    }
-}
-
-/// Full-control synthesis entry point.
-///
-/// # Errors
-///
-/// As [`synthesize`], plus nothing extra: decomposition cannot fail.
-pub fn synthesize_with_options(
-    sg: &StateGraph,
-    name: &str,
-    local_dc: &LocalDontCares,
-    options: &MapOptions,
-) -> Result<SynthesisResult, SynthError> {
     let funcs = derive_functions(sg, local_dc)?;
     let mut netlist = Netlist::new(name);
-    let mut builder = Mapper::new(&mut netlist, sg, *options);
+    let mut builder = Mapper::new(&mut netlist, sg);
     let mut equations = Vec::new();
     let mut literal_count = 0;
 
@@ -117,6 +84,13 @@ pub fn synthesize_with_options(
         literal_count,
     })
 }
+
+/// The most literals placed directly in one gC stack. Real gate
+/// libraries bound the series-transistor stack height (deep stacks are
+/// slow and leaky), so the mapper folds any wider set/reset cube through
+/// an AND tree before it reaches the gC — the "timing-aware logic
+/// decomposition and technology mapping" step Section 6 calls for.
+const MAX_STACK: usize = 4;
 
 /// The minimized covers must never both be on in a reachable state —
 /// otherwise the gC set and reset stacks fight.
@@ -146,11 +120,10 @@ struct Mapper<'a> {
     signal_nets: Vec<NetId>,
     inverters: HashMap<usize, NetId>,
     aux: usize,
-    options: MapOptions,
 }
 
 impl<'a> Mapper<'a> {
-    fn new(netlist: &'a mut Netlist, sg: &'a StateGraph, options: MapOptions) -> Self {
+    fn new(netlist: &'a mut Netlist, sg: &'a StateGraph) -> Self {
         let mut signal_nets = Vec::new();
         for signal in sg.signals() {
             let kind = match sg.signal_kind(signal) {
@@ -166,16 +139,14 @@ impl<'a> Mapper<'a> {
             signal_nets,
             inverters: HashMap::new(),
             aux: 0,
-            options,
         }
     }
 
-    /// Reduces a literal list to at most `max_stack` nets by folding the
-    /// overflow through AND gates (balanced-ish: fold from the front).
+    /// Reduces a literal list to at most [`MAX_STACK`] nets by folding
+    /// the overflow through AND gates (balanced-ish: fold from the front).
     fn decompose_stack(&mut self, owner: &str, role: &str, mut nets: Vec<NetId>) -> Vec<NetId> {
-        let max = self.options.max_stack.max(1);
-        while nets.len() > max {
-            let take = (nets.len() - max + 1).min(nets.len()).max(2);
+        while nets.len() > MAX_STACK {
+            let take = nets.len() - MAX_STACK + 1;
             let group: Vec<NetId> = nets.drain(..take).collect();
             let folded = self
                 .netlist
@@ -360,47 +331,36 @@ mod tests {
 
     #[test]
     fn stack_limit_decomposes_wide_covers() {
-        // Force a tiny stack bound: every multi-literal cube must be
-        // folded through AND gates, and the result stays functional.
+        // Six literals fold to four stack inputs: the first three go
+        // through one AND gate, whose output leads the stack.
         let sg = explore(&models::fifo_stg_csc()).unwrap();
-        let tight = synthesize_with_options(
-            &sg,
-            "fifo_tight",
-            &crate::regions::LocalDontCares::none(),
-            &MapOptions { max_stack: 1 },
-        )
-        .unwrap();
-        tight.netlist.validate().unwrap();
-        // Every gC stack now has exactly one input per side.
-        for g in tight.netlist.gates() {
-            if let GateKind::Gc { set, reset } = tight.netlist.gate(g).kind {
-                assert!(set <= 1 && reset <= 1, "stack bound violated");
-            }
-        }
-        // The decomposition costs area relative to the default mapping.
-        let loose = synthesize(&sg, "fifo_loose").unwrap();
-        assert!(tight.netlist.transistor_count() >= loose.netlist.transistor_count());
-        // Same equations either way.
-        assert_eq!(tight.literal_count, loose.literal_count);
+        let mut netlist = Netlist::new("wide");
+        let mut mapper = Mapper::new(&mut netlist, &sg);
+        let literals: Vec<NetId> = (0..6)
+            .map(|i| mapper.netlist.add_net(format!("l{i}"), NetKind::Internal))
+            .collect();
+        let stack = mapper.decompose_stack("o", "set", literals.clone());
+        assert_eq!(stack.len(), MAX_STACK);
+        assert_eq!(&stack[1..], &literals[3..]);
+        let fold = netlist.gate(netlist.driver(stack[0]).expect("a folded net"));
+        assert_eq!(fold.kind, GateKind::And);
+        assert_eq!(fold.inputs, literals[..3]);
     }
 
     #[test]
-    fn default_stack_limit_is_transparent_for_the_paper_cells() {
-        // The FIFO covers all fit in 4-high stacks: default options must
-        // produce the same netlist cost as unlimited stacks.
+    fn the_paper_cells_fit_the_stack_limit() {
+        // The FIFO covers all fit in 4-high stacks: nothing is folded.
         let sg = explore(&models::fifo_stg_csc()).unwrap();
-        let default = synthesize(&sg, "fifo").unwrap();
-        let unlimited = synthesize_with_options(
-            &sg,
-            "fifo_unlimited",
-            &crate::regions::LocalDontCares::none(),
-            &MapOptions { max_stack: 64 },
-        )
-        .unwrap();
-        assert_eq!(
-            default.netlist.transistor_count(),
-            unlimited.netlist.transistor_count()
-        );
+        let result = synthesize(&sg, "fifo").unwrap();
+        for g in result.netlist.gates() {
+            if let GateKind::Gc { set, reset } = result.netlist.gate(g).kind {
+                assert!(usize::from(set.max(reset)) <= MAX_STACK);
+            }
+        }
+        assert!(result
+            .netlist
+            .nets()
+            .all(|n| !result.netlist.net_name(n).contains("_d")));
     }
 
     #[test]

@@ -9,25 +9,30 @@
 //! complex-gate assumption `petrify` makes; without it no gC netlist with
 //! input bubbles would be speed-independent.
 //!
-//! Failure classes:
+//! The walk is one breadth-first pass over composed states. A composed
+//! state is a specification state plus one bit per net, so the walk
+//! takes netlists of at most 64 nets; past that every entry point that
+//! returns a `Result` refuses with [`StgError::TooManySignals`], and
+//! [`verify_against_sg`] panics.
 //!
-//! * [`Failure::UnexpectedOutput`] — the circuit produced an interface
-//!   edge the specification does not allow in the current state; the
-//!   record carries the other transitions that were pending, from which
-//!   [`crate::require`] proposes repairing orderings;
-//! * [`Failure::SemiModularity`] (strict mode only) — a gate's excitation
-//!   was withdrawn before it fired.
+//! One failure class: [`Failure::UnexpectedOutput`] — the circuit
+//! produced an interface edge the specification does not allow in the
+//! current state. Each `(net, value)` is reported once, at the first
+//! composed state where the walk meets it; the record carries the other
+//! transitions that were pending, from which [`crate::require`]
+//! proposes repairing orderings.
 //!
 //! Relative timing enters through [`NetOrdering`]s: `before → after`
 //! suppresses any interleaving where `after` fires while `before` is
 //! pending — precisely how the paper's verifier "disallows" the
 //! erroneous firing through relative timing".
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use rt_netlist::{GateId, GateKind, NetId, NetKind, Netlist};
 use rt_stg::engine::ReachEngine;
-use rt_stg::{Edge, SignalEvent, StateGraph, StateId, Stg, StgError};
+use rt_stg::{Budget, Edge, SignalEvent, SignalId, StateGraph, StateId, Stg, StgError};
 
 /// A net-level relative-timing ordering: wherever both transitions are
 /// pending, `before` fires first.
@@ -74,81 +79,42 @@ pub enum Failure {
         /// Transition trace from the initial state.
         trace: Vec<(NetId, bool)>,
     },
-    /// Strict mode: a gate's excitation was withdrawn before it fired.
-    SemiModularity {
-        /// The de-excited gate.
-        gate: GateId,
-        /// The transition that withdrew the excitation.
-        withdrawn_by: (NetId, bool),
-        /// Transition trace from the initial state.
-        trace: Vec<(NetId, bool)>,
-    },
 }
 
 impl Failure {
     /// Human-readable description.
     pub fn describe(&self, netlist: &Netlist) -> String {
-        match self {
-            Failure::UnexpectedOutput {
-                net, value, trace, ..
-            } => format!(
-                "unexpected output {}{} after {} steps",
-                netlist.net_name(*net),
-                if *value { '+' } else { '-' },
-                trace.len()
-            ),
-            Failure::SemiModularity {
-                gate,
-                withdrawn_by,
-                trace,
-            } => format!(
-                "semi-modularity: gate `{}` de-excited by {}{} after {} steps",
-                netlist.gate(*gate).name,
-                netlist.net_name(withdrawn_by.0),
-                if withdrawn_by.1 { '+' } else { '-' },
-                trace.len()
-            ),
-        }
+        let Failure::UnexpectedOutput {
+            net, value, trace, ..
+        } = self;
+        format!(
+            "unexpected output {}{} after {} steps",
+            netlist.net_name(*net),
+            if *value { '+' } else { '-' },
+            trace.len()
+        )
     }
-}
-
-/// Overall verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// No failures: the circuit conforms (under the given orderings).
-    Conforms,
-    /// At least one failure was found.
-    Fails,
-}
-
-/// Verification options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VerifyOptions {
-    /// Also report semi-modularity violations (stricter than
-    /// conformance; many correct circuits trip benign de-excitations).
-    pub strict_semi_modularity: bool,
 }
 
 /// Verification result.
 ///
-/// `PartialEq`/`Eq` compare the full report — verdict, deduplicated
-/// failures (traces included) and the composed-state count — which is
-/// what the service layer's bit-identical-to-direct-call pin and its
-/// memo cache rely on.
+/// `PartialEq`/`Eq` compare the full report — failures (traces
+/// included) and the composed-state count — which is what the service
+/// layer's bit-identical-to-direct-call pin and its flight table rely
+/// on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Failures found (deduplicated).
+    /// Failures found, one per `(net, value)`, in the order the walk met
+    /// them.
     pub failures: Vec<Failure>,
     /// Number of composed states explored.
     pub states_explored: usize,
 }
 
 impl VerifyReport {
-    /// Whether verification passed.
+    /// Whether the circuit conforms: the walk found no failure.
     pub fn passed(&self) -> bool {
-        self.verdict == Verdict::Conforms
+        self.failures.is_empty()
     }
 }
 
@@ -163,7 +129,7 @@ struct ComposedState {
 ///
 /// # Errors
 ///
-/// Returns [`StgError`] when the specification cannot be explored.
+/// As [`verify_with_engine`].
 pub fn verify(
     netlist: &Netlist,
     spec: &Stg,
@@ -174,12 +140,14 @@ pub fn verify(
 
 /// [`verify`] through a caller-owned [`ReachEngine`] — the variant the
 /// synthesis pipeline uses so the specification's reachable states come
-/// from the same engine (same options, same warm symbolic manager) that
-/// drove synthesis.
+/// from the same engine (same budget, same warm symbolic manager) that
+/// drove synthesis. The composed walk runs to completion.
 ///
 /// # Errors
 ///
-/// Returns [`StgError`] when the specification cannot be explored.
+/// * [`StgError`] when the specification cannot be explored;
+/// * [`StgError::TooManySignals`] — the netlist has more than 64 nets
+///   (the net count is carried).
 pub fn verify_with_engine(
     netlist: &Netlist,
     spec: &Stg,
@@ -187,37 +155,34 @@ pub fn verify_with_engine(
     engine: &mut ReachEngine,
 ) -> Result<VerifyReport, StgError> {
     let sg = engine.state_graph(spec)?;
-    Ok(verify_against_sg(netlist, &sg, orderings))
+    Composer::new(netlist, &sg, orderings)?.run(None)
 }
 
 /// Verifies against an already-computed (possibly *lazy*) state graph —
 /// the entry point used after relative-timing synthesis, where the
-/// specification is the reduced graph.
+/// specification is the reduced graph. The walk runs to completion: it
+/// has no cap and no budget, so its verdict always covers every
+/// composed state.
+///
+/// # Panics
+///
+/// When the netlist has more than 64 nets; [`verify_with_budget`]
+/// refuses the same netlist with a typed error.
 pub fn verify_against_sg(
     netlist: &Netlist,
     sg: &StateGraph,
     orderings: &[NetOrdering],
 ) -> VerifyReport {
-    verify_with_options(netlist, sg, orderings, VerifyOptions::default())
-}
-
-/// Full-control entry point. The walk runs to completion: it has no
-/// cap and no budget, so its verdict always covers every composed state.
-pub fn verify_with_options(
-    netlist: &Netlist,
-    sg: &StateGraph,
-    orderings: &[NetOrdering],
-    options: VerifyOptions,
-) -> VerifyReport {
-    Composer::new(netlist, sg, orderings, options)
+    Composer::new(netlist, sg, orderings)
+        .unwrap_or_else(|e| panic!("the composed walk takes at most 64 nets: {e}"))
         .run(None)
         .expect("the unbudgeted composed walk runs to completion")
 }
 
-/// [`verify_with_options`] under an [`rt_stg::Budget`]: the composed
-/// netlist × specification walk polls the budget's cancellation token,
-/// deadline and state cap once per dequeued composed state, and stops
-/// past a hard cap of 2^18 composed states.
+/// [`verify_against_sg`] under a [`Budget`]: the composed netlist ×
+/// specification walk polls the budget's cancellation token, deadline
+/// and state cap once per dequeued composed state, and stops past a hard
+/// cap of 2^18 composed states.
 ///
 /// A verdict over a *partial* state space would be unsound (an
 /// unexplored interleaving could still fail), so budget exhaustion and
@@ -226,6 +191,8 @@ pub fn verify_with_options(
 ///
 /// # Errors
 ///
+/// * [`StgError::TooManySignals`] — the netlist has more than 64 nets
+///   (the net count is carried);
 /// * [`StgError::Cancelled`] — the token fired or the deadline passed;
 /// * [`StgError::StateBudgetExceeded`] — more composed states than
 ///   `budget.max_states`;
@@ -234,37 +201,42 @@ pub fn verify_with_budget(
     netlist: &Netlist,
     sg: &StateGraph,
     orderings: &[NetOrdering],
-    options: VerifyOptions,
-    budget: &rt_stg::Budget,
+    budget: &Budget,
 ) -> Result<VerifyReport, StgError> {
-    Composer::new(netlist, sg, orderings, options).run(Some(budget))
+    Composer::new(netlist, sg, orderings)?.run(Some(budget))
 }
 
 /// The hard cap on the composed states a budgeted walk dequeues.
 const COMPOSED_STATE_LIMIT: usize = 1 << 18;
 
+/// A composed state codes one bit per net in a `u64`.
+const MAX_NETS: usize = 64;
+
 struct Composer<'a> {
     netlist: &'a Netlist,
     sg: &'a StateGraph,
     orderings: &'a [NetOrdering],
-    options: VerifyOptions,
     /// Net ↔ spec-signal correspondence by name.
-    net_signal: Vec<Option<rt_stg::SignalId>>,
+    net_signal: Vec<Option<SignalId>>,
     /// Spec input events mapped to nets.
-    input_nets: Vec<(NetId, rt_stg::SignalId)>,
+    input_nets: Vec<(NetId, SignalId)>,
     /// Inverter/buffer outputs resolved combinationally.
     transparent: Vec<bool>,
-    failures: Vec<Failure>,
-    failure_keys: HashSet<String>,
 }
+
+/// A pending transition: the net, the value it switches to, and whether
+/// a gate drives it (otherwise it is an environment input event).
+type Pending = (NetId, bool, bool);
 
 impl<'a> Composer<'a> {
     fn new(
         netlist: &'a Netlist,
         sg: &'a StateGraph,
         orderings: &'a [NetOrdering],
-        options: VerifyOptions,
-    ) -> Self {
+    ) -> Result<Self, StgError> {
+        if netlist.net_count() > MAX_NETS {
+            return Err(StgError::TooManySignals(netlist.net_count()));
+        }
         let mut net_signal = vec![None; netlist.net_count()];
         let mut input_nets = Vec::new();
         for net in netlist.nets() {
@@ -286,17 +258,14 @@ impl<'a> Composer<'a> {
                 transparent[gate.output.index()] = true;
             }
         }
-        Composer {
+        Ok(Composer {
             netlist,
             sg,
             orderings,
-            options,
             net_signal,
             input_nets,
             transparent,
-            failures: Vec::new(),
-            failure_keys: HashSet::new(),
-        }
+        })
     }
 
     fn stored_value(state: u64, net: NetId) -> bool {
@@ -329,21 +298,20 @@ impl<'a> Composer<'a> {
         }
     }
 
-    fn eval_gate(&self, state: u64, gate_id: GateId) -> bool {
+    /// Evaluates a gate, reading its inputs into the reused `inputs`.
+    fn eval_gate(&self, state: u64, gate_id: GateId, inputs: &mut Vec<bool>) -> bool {
         let gate = self.netlist.gate(gate_id);
-        let inputs: Vec<bool> = gate
-            .inputs
-            .iter()
-            .map(|&n| self.read(state, n, 0))
-            .collect();
+        inputs.clear();
+        inputs.extend(gate.inputs.iter().map(|&net| self.read(state, net, 0)));
         gate.kind
-            .evaluate(&inputs, Self::stored_value(state, gate.output))
+            .evaluate(inputs, Self::stored_value(state, gate.output))
     }
 
     /// Initial net values: derived from the spec's initial code for
     /// interface nets, then the rest settled combinationally.
     fn initial_values(&self) -> u64 {
         let mut values = 0u64;
+        let mut inputs = Vec::new();
         for net in self.netlist.nets() {
             if let Some(signal) = self.net_signal[net.index()] {
                 values =
@@ -357,7 +325,7 @@ impl<'a> Composer<'a> {
                 if self.net_signal[gate.output.index()].is_some() {
                     continue; // interface nets hold their spec value
                 }
-                let out = self.eval_gate(values, gate_id);
+                let out = self.eval_gate(values, gate_id, &mut inputs);
                 if out != Self::stored_value(values, gate.output) {
                     values = Self::with_value(values, gate.output, out);
                     changed = true;
@@ -370,85 +338,58 @@ impl<'a> Composer<'a> {
         values
     }
 
-    /// All pending transitions in a composed state: excited non-
-    /// transparent gates plus spec-enabled input events.
-    fn pending(&self, state: &ComposedState) -> Vec<(NetId, bool, Option<GateId>)> {
-        let mut out = Vec::new();
+    /// Fills `out` with every pending transition of a composed state:
+    /// excited non-transparent gates, then spec-enabled input events.
+    /// `inputs` is the gate evaluation's reused buffer.
+    fn pending(&self, state: ComposedState, out: &mut Vec<Pending>, inputs: &mut Vec<bool>) {
+        out.clear();
         for gate_id in self.netlist.gates() {
             let gate = self.netlist.gate(gate_id);
             if self.transparent[gate.output.index()] {
                 continue;
             }
             let current = Self::stored_value(state.net_values, gate.output);
-            let next = self.eval_gate(state.net_values, gate_id);
+            let next = self.eval_gate(state.net_values, gate_id, inputs);
             if next != current {
-                out.push((gate.output, next, Some(gate_id)));
+                out.push((gate.output, next, true));
             }
         }
         for &(net, signal) in &self.input_nets {
             let current = Self::stored_value(state.net_values, net);
             let event = SignalEvent::new(signal, if current { Edge::Fall } else { Edge::Rise });
-            if self.sg.is_enabled(state.spec, event) || self.enabled_after_silent(state.spec, event)
-            {
-                out.push((net, !current, None));
+            if self.spec_successor(state.spec, event).is_some() {
+                out.push((net, !current, false));
             }
         }
-        out
     }
 
-    fn enabled_after_silent(&self, state: StateId, event: SignalEvent) -> bool {
-        self.sg
-            .successors(state)
-            .iter()
-            .any(|arc| arc.event.is_none() && self.sg.is_enabled(arc.to, event))
-    }
-
-    fn suppressed(
-        &self,
-        candidate: (NetId, bool),
-        pending: &[(NetId, bool, Option<GateId>)],
-    ) -> bool {
+    fn suppressed(&self, candidate: (NetId, bool), pending: &[Pending]) -> bool {
         self.orderings
             .iter()
             .any(|o| o.after == candidate && pending.iter().any(|&(n, v, _)| (n, v) == o.before))
     }
 
-    fn record(&mut self, failure: Failure) {
-        let key = match &failure {
-            Failure::UnexpectedOutput { net, value, .. } => {
-                format!("u{}{}", net.index(), value)
-            }
-            Failure::SemiModularity {
-                gate, withdrawn_by, ..
-            } => {
-                format!(
-                    "h{}:{}:{}",
-                    gate.index(),
-                    withdrawn_by.0.index(),
-                    withdrawn_by.1
-                )
-            }
-        };
-        if self.failure_keys.insert(key) {
-            self.failures.push(failure);
-        }
-    }
-
-    fn run(mut self, budget: Option<&rt_stg::Budget>) -> Result<VerifyReport, StgError> {
+    /// The breadth-first walk. `visited` holds every composed state in
+    /// discovery order with the index of the state it was first reached
+    /// from, and `index` maps a state to its position there; the queue is
+    /// the unprocessed tail of `visited`, as in `rt_stg::reach`.
+    fn run(&self, budget: Option<&Budget>) -> Result<VerifyReport, StgError> {
         let initial = ComposedState {
             net_values: self.initial_values(),
             spec: self.sg.initial(),
         };
-        let mut seen: HashSet<ComposedState> = HashSet::new();
-        let mut parents: HashMap<ComposedState, (ComposedState, (NetId, bool))> = HashMap::new();
-        let mut queue = VecDeque::new();
-        seen.insert(initial);
-        queue.push_back(initial);
-        let mut explored = 0usize;
+        let mut visited = vec![(initial, 0)];
+        let mut index = HashMap::from([(initial, 0)]);
+        let mut failures = Vec::new();
+        let mut reported = HashSet::new();
+        let mut pending = Vec::new();
+        let mut inputs = Vec::new();
+        let mut current = 0;
 
-        while let Some(state) = queue.pop_front() {
-            explored += 1;
+        while current < visited.len() {
+            let state = visited[current].0;
             if let Some(budget) = budget {
+                let explored = current + 1;
                 if budget.cancelled() {
                     return Err(StgError::Cancelled);
                 }
@@ -459,8 +400,8 @@ impl<'a> Composer<'a> {
                     return Err(StgError::StateLimitExceeded(COMPOSED_STATE_LIMIT));
                 }
             }
-            let pending = self.pending(&state);
-            for &(net, value, gate) in &pending {
+            self.pending(state, &mut pending, &mut inputs);
+            for &(net, value, driven) in &pending {
                 if self.suppressed((net, value), &pending) {
                     continue;
                 }
@@ -471,17 +412,16 @@ impl<'a> Composer<'a> {
                     match self.spec_successor(state.spec, event) {
                         Some(q) => next_spec = q,
                         None => {
-                            if gate.is_some() {
-                                let pending_others: Vec<(NetId, bool)> = pending
-                                    .iter()
-                                    .filter(|&&(n, v, _)| (n, v) != (net, value))
-                                    .map(|&(n, v, _)| (n, v))
-                                    .collect();
-                                self.record(Failure::UnexpectedOutput {
+                            if driven && reported.insert((net, value)) {
+                                failures.push(Failure::UnexpectedOutput {
                                     net,
                                     value,
-                                    pending_others,
-                                    trace: trace_of(&parents, state),
+                                    pending_others: pending
+                                        .iter()
+                                        .map(|&(n, v, _)| (n, v))
+                                        .filter(|&edge| edge != (net, value))
+                                        .collect(),
+                                    trace: trace_to(&visited, current),
                                 });
                             }
                             continue;
@@ -492,40 +432,17 @@ impl<'a> Composer<'a> {
                     net_values: Self::with_value(state.net_values, net, value),
                     spec: next_spec,
                 };
-                if self.options.strict_semi_modularity {
-                    let next_pending = self.pending(&next);
-                    for &(p_net, p_val, p_gate) in &pending {
-                        let Some(p_gate) = p_gate else { continue };
-                        if p_net == net {
-                            continue;
-                        }
-                        let still = next_pending
-                            .iter()
-                            .any(|&(n, v, _)| n == p_net && v == p_val);
-                        if !still {
-                            self.record(Failure::SemiModularity {
-                                gate: p_gate,
-                                withdrawn_by: (net, value),
-                                trace: trace_of(&parents, state),
-                            });
-                        }
-                    }
-                }
-                if seen.insert(next) {
-                    parents.insert(next, (state, (net, value)));
-                    queue.push_back(next);
+                if let Entry::Vacant(slot) = index.entry(next) {
+                    slot.insert(visited.len());
+                    visited.push((next, current));
                 }
             }
+            current += 1;
         }
 
         Ok(VerifyReport {
-            verdict: if self.failures.is_empty() {
-                Verdict::Conforms
-            } else {
-                Verdict::Fails
-            },
-            failures: self.failures,
-            states_explored: explored,
+            failures,
+            states_explored: visited.len(),
         })
     }
 
@@ -549,18 +466,18 @@ impl<'a> Composer<'a> {
     }
 }
 
-fn trace_of(
-    parents: &HashMap<ComposedState, (ComposedState, (NetId, bool))>,
-    state: ComposedState,
-) -> Vec<(NetId, bool)> {
+/// The transitions from the initial state to `visited[state]`. Each step
+/// flips exactly one net (a pending transition switches its net to the
+/// other value), so it is read off the two net codes it joins.
+fn trace_to(visited: &[(ComposedState, usize)], mut state: usize) -> Vec<(NetId, bool)> {
     let mut steps = Vec::new();
-    let mut cursor = state;
-    while let Some(&(parent, step)) = parents.get(&cursor) {
-        steps.push(step);
-        cursor = parent;
-        if steps.len() > 10_000 {
-            break;
-        }
+    while state != 0 {
+        let (child, parent) = visited[state];
+        let flipped = child.net_values ^ visited[parent].0.net_values;
+        debug_assert_eq!(flipped.count_ones(), 1, "a step flips one net");
+        let net = NetId(flipped.trailing_zeros());
+        steps.push((net, Composer::stored_value(child.net_values, net)));
+        state = parent;
     }
     steps.reverse();
     steps
@@ -585,11 +502,25 @@ mod tests {
         let (netlist, p) = majority_celement();
         let report = verify(&netlist, &models::celement_stg(), &[]).unwrap();
         assert!(!report.passed());
-        // The observable failure is c falling out of order.
-        assert!(report.failures.iter().any(|f| matches!(
-            f,
-            Failure::UnexpectedOutput { net, value: false, .. } if *net == p.c
-        )));
+        // The observable failure is c falling out of order: `ab` fell
+        // while `bc` had not risen yet. The whole report is pinned.
+        let expected = VerifyReport {
+            failures: vec![Failure::UnexpectedOutput {
+                net: p.c,
+                value: false,
+                pending_others: vec![(p.bc, true), (p.b, false)],
+                trace: vec![
+                    (p.a, true),
+                    (p.b, true),
+                    (p.ab, true),
+                    (p.c, true),
+                    (p.a, false),
+                    (p.ab, false),
+                ],
+            }],
+            states_explored: 33,
+        };
+        assert_eq!(report, expected);
     }
 
     #[test]
@@ -610,6 +541,7 @@ mod tests {
                 .map(|f| f.describe(&netlist))
                 .collect::<Vec<_>>()
         );
+        assert_eq!(report.states_explored, 29);
     }
 
     #[test]
@@ -631,29 +563,8 @@ mod tests {
     fn failure_traces_are_replayable() {
         let (netlist, _) = majority_celement();
         let report = verify(&netlist, &models::celement_stg(), &[]).unwrap();
-        let failure = &report.failures[0];
-        let trace = match failure {
-            Failure::SemiModularity { trace, .. } | Failure::UnexpectedOutput { trace, .. } => {
-                trace
-            }
-        };
+        let Failure::UnexpectedOutput { trace, .. } = &report.failures[0];
         assert!(!trace.is_empty(), "witness trace reaches the failure");
-    }
-
-    #[test]
-    fn strict_mode_reports_more() {
-        let (netlist, _) = majority_celement();
-        let sg = rt_stg::explore(&models::celement_stg()).unwrap();
-        let lax = verify_against_sg(&netlist, &sg, &[]);
-        let strict = verify_with_options(
-            &netlist,
-            &sg,
-            &[],
-            VerifyOptions {
-                strict_semi_modularity: true,
-            },
-        );
-        assert!(strict.failures.len() >= lax.failures.len());
     }
 
     #[test]
@@ -715,17 +626,35 @@ mod tests {
     fn no_verdict_rests_on_a_partial_walk() {
         let (netlist, sg) = late_glitch();
         assert_eq!(sg.state_count(), 1 << 19);
-        let report = verify_against_sg(&netlist, &sg, &[]);
-        assert_eq!(
-            report.verdict,
-            Verdict::Fails,
-            "the unbudgeted walk completes"
-        );
-        assert_eq!(report.states_explored, 1 << 19);
+        // The unbudgeted walk completes: `z` rises once every handshake
+        // has fallen back to `b_i = 1, a_i = 0`, with each `b_i-` and
+        // `c+` still pending. The whole report is pinned.
+        let net = |i: u32| NetId(i);
+        let trace = (0..9)
+            .flat_map(|i| {
+                [
+                    (net(3 * i), true),
+                    (net(3 * i + 1), true),
+                    (net(3 * i), false),
+                ]
+            })
+            .collect();
+        let mut pending_others: Vec<_> = (0..9).map(|i| (net(3 * i + 1), false)).collect();
+        pending_others.push((net(27), true));
+        let expected = VerifyReport {
+            failures: vec![Failure::UnexpectedOutput {
+                net: net(28),
+                value: true,
+                pending_others,
+                trace,
+            }],
+            states_explored: 1 << 19,
+        };
+        assert_eq!(verify_against_sg(&netlist, &sg, &[]), expected);
         // The budgeted walk stops at its cap instead of answering.
         let unlimited = rt_stg::Budget::unlimited();
         assert_eq!(
-            verify_with_budget(&netlist, &sg, &[], VerifyOptions::default(), &unlimited),
+            verify_with_budget(&netlist, &sg, &[], &unlimited),
             Err(StgError::StateLimitExceeded(COMPOSED_STATE_LIMIT))
         );
     }
@@ -736,20 +665,72 @@ mod tests {
         let sg = rt_stg::explore(&models::celement_stg()).unwrap();
         // A generous budget changes nothing.
         let roomy = rt_stg::Budget::unlimited().with_max_states(1 << 16);
-        let report =
-            verify_with_budget(&netlist, &sg, &[], VerifyOptions::default(), &roomy).unwrap();
+        let report = verify_with_budget(&netlist, &sg, &[], &roomy).unwrap();
         assert!(report.passed());
         // Exhaustion and cancellation are errors, never partial verdicts.
         let tiny = rt_stg::Budget::unlimited().with_max_states(1);
         assert!(matches!(
-            verify_with_budget(&netlist, &sg, &[], VerifyOptions::default(), &tiny),
+            verify_with_budget(&netlist, &sg, &[], &tiny),
             Err(StgError::StateBudgetExceeded { .. })
         ));
         let cancelled = rt_stg::Budget::unlimited();
         cancelled.cancel.cancel();
         assert!(matches!(
-            verify_with_budget(&netlist, &sg, &[], VerifyOptions::default(), &cancelled),
+            verify_with_budget(&netlist, &sg, &[], &cancelled),
             Err(StgError::Cancelled)
         ));
+    }
+
+    /// The handshake's `a` wired to its `b` through a chain of one-input
+    /// AND gates: `nets` nets in all, `b` the last.
+    fn and_chain(nets: usize) -> Netlist {
+        let mut netlist = Netlist::new("and_chain");
+        let mut previous = netlist.add_net("a", NetKind::Input);
+        for i in 1..nets {
+            let net = if i + 1 == nets {
+                netlist.add_net("b", NetKind::Output)
+            } else {
+                netlist.add_net(format!("n{i}"), NetKind::Internal)
+            };
+            netlist.add_gate(format!("and{i}"), GateKind::And, vec![previous], net);
+            previous = net;
+        }
+        netlist
+    }
+
+    #[test]
+    fn sixty_four_nets_are_the_widest_netlist_the_walk_takes() {
+        let spec = models::handshake_stg();
+        let report = verify(&and_chain(64), &spec, &[]).unwrap();
+        assert!(report.passed(), "{:?}", report.failures);
+        assert_eq!(report.states_explored, 128);
+        // One net more is refused, never coded into a shared bit.
+        let wide = and_chain(65);
+        let sg = rt_stg::explore(&spec).unwrap();
+        let unlimited = rt_stg::Budget::unlimited();
+        assert_eq!(verify(&wide, &spec, &[]), Err(StgError::TooManySignals(65)));
+        assert_eq!(
+            verify_with_engine(&wide, &spec, &[], &mut ReachEngine::symbolic()),
+            Err(StgError::TooManySignals(65))
+        );
+        assert_eq!(
+            verify_with_budget(&wide, &sg, &[], &unlimited),
+            Err(StgError::TooManySignals(65))
+        );
+        // Only the net count is bounded: a gate may read one net many
+        // times, here `b = a·a·…·a` over 70 inputs.
+        let mut fan_in = Netlist::new("fan_in");
+        let a = fan_in.add_net("a", NetKind::Input);
+        let b = fan_in.add_net("b", NetKind::Output);
+        fan_in.add_gate("and_wide", GateKind::And, vec![a; 70], b);
+        let report = verify_with_budget(&fan_in, &sg, &[], &unlimited).unwrap();
+        assert_eq!(report, verify(&and_chain(2), &spec, &[]).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "the composed walk takes at most 64 nets")]
+    fn the_unbudgeted_walk_panics_past_sixty_four_nets() {
+        let sg = rt_stg::explore(&models::handshake_stg()).unwrap();
+        verify_against_sg(&and_chain(65), &sg, &[]);
     }
 }

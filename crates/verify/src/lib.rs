@@ -9,8 +9,11 @@
 //! earliest-common-enabling-signal rule and checked against the delay
 //! model (the separation-analysis substitute).
 //!
-//! * [`compose`] — the composed circuit × specification state space:
-//!   unexpected outputs, semi-modularity (hazard) violations, traces;
+//! * [`compose`] — the composed circuit × specification state space,
+//!   walked breadth-first: unexpected outputs with witness traces and
+//!   the transitions pending beside them. A composed state codes one bit
+//!   per net, so the walk takes netlists of at most 64 nets; past that
+//!   it refuses with [`rt_stg::StgError::TooManySignals`];
 //! * [`require`] — the §5 loop: extract the RT requirements that make a
 //!   failing circuit verify;
 //! * [`path`] — common-source path constraints and delay-margin checks.
@@ -20,7 +23,7 @@
 //! ```
 //! use rt_netlist::cells::majority_celement;
 //! use rt_stg::models::celement_stg;
-//! use rt_verify::{verify, Verdict};
+//! use rt_verify::verify;
 //!
 //! let (netlist, _) = majority_celement();
 //! let spec = celement_stg();
@@ -35,8 +38,8 @@ pub mod require;
 
 pub use bridge::{margin_report, orderings_from_constraints, MarginLine};
 pub use compose::{
-    verify, verify_against_sg, verify_with_budget, verify_with_engine, verify_with_options,
-    Failure, NetOrdering, Verdict, VerifyOptions, VerifyReport,
+    verify, verify_against_sg, verify_with_budget, verify_with_engine, Failure, NetOrdering,
+    VerifyReport,
 };
 pub use path::{path_constraints, PathConstraint};
 pub use require::{extract_requirements, Requirements};

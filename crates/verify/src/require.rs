@@ -1,11 +1,10 @@
 //! RT requirement extraction: the Section-5 loop.
 //!
 //! "The circuits are verified using unbounded delay models to extract the
-//! RT requirements": run conformance checking; for each hazard failure,
-//! propose the ordering that suppresses it (the withdrawn gate's pending
-//! transition must occur *before* the transition that withdrew it); add
-//! the ordering and re-verify, until the circuit conforms or no progress
-//! is made.
+//! RT requirements": run conformance checking; for each unexpected
+//! output, propose the orderings that suppress it (every transition
+//! pending beside it must occur *before* it); add the orderings and
+//! re-verify, until the circuit conforms or no progress is made.
 
 use rt_netlist::Netlist;
 use rt_stg::StateGraph;
@@ -77,40 +76,24 @@ pub fn extract_requirements(
         }
         let mut extended = false;
         for failure in &report.failures {
-            match failure {
-                Failure::UnexpectedOutput {
-                    net,
-                    value,
-                    pending_others,
-                    ..
-                } => {
-                    // The offending transition fired too early: every
-                    // other pending transition is a repair candidate —
-                    // "disallow the erroneous firing through relative
-                    // timing in the verifier" (§5).
-                    for &before in pending_others {
-                        if before.0 == *net {
-                            continue;
-                        }
-                        let ordering = NetOrdering::new(before, (*net, *value));
-                        if !orderings.contains(&ordering) {
-                            orderings.push(ordering);
-                            extended = true;
-                        }
-                    }
+            let Failure::UnexpectedOutput {
+                net,
+                value,
+                pending_others,
+                ..
+            } = failure;
+            // The offending transition fired too early: every other
+            // pending transition is a repair candidate — "disallow the
+            // erroneous firing through relative timing in the verifier"
+            // (§5).
+            for &before in pending_others {
+                if before.0 == *net {
+                    continue;
                 }
-                Failure::SemiModularity {
-                    gate, withdrawn_by, ..
-                } => {
-                    let out = netlist.gate(*gate).output;
-                    for value in [true, false] {
-                        let ordering = NetOrdering::new((out, value), *withdrawn_by);
-                        if !orderings.contains(&ordering) {
-                            orderings.push(ordering);
-                            extended = true;
-                            break;
-                        }
-                    }
+                let ordering = NetOrdering::new(before, (*net, *value));
+                if !orderings.contains(&ordering) {
+                    orderings.push(ordering);
+                    extended = true;
                 }
             }
         }

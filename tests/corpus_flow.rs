@@ -1,6 +1,7 @@
 //! The classic-benchmark corpus through the full CAD flow: parse,
 //! explore, resolve CSC, synthesize, verify.
 
+use rt_cad::netlist::{GateKind, NetId};
 use rt_cad::rt::RtSynthesisFlow;
 use rt_cad::stg::{corpus, explore};
 use rt_cad::synth::{resolve_csc, synthesize};
@@ -61,6 +62,67 @@ fn rt_flow_shrinks_vme_read_too() {
         rt.synthesis.literal_count,
         si.synthesis.literal_count
     );
+}
+
+/// A gC stack holds at most four literals; the mapper folds the first
+/// literals of a wider cube through an AND gate whose output, a net
+/// named `<signal>_set_d<k>` or `<signal>_reset_d<k>`, leads the stack.
+/// The SI flows on `adder_rt_stg(5)` and `fabric_stg(2, 2, 0)` both fold.
+/// Their netlists stay well formed, and every gC side still reads each
+/// literal of its minimized cover: a single cube's literals, through the
+/// fold where there is one, or the one OR net of a multi-cube cover.
+#[test]
+fn wide_cubes_fold_into_four_high_gc_stacks() {
+    for (label, stg) in [
+        ("adder5", corpus::adder_rt_stg(5)),
+        ("fabric2x2", corpus::fabric_stg(2, 2, 0)),
+    ] {
+        let report = RtSynthesisFlow::speed_independent()
+            .run(&stg, &[])
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let netlist = &report.synthesis.netlist;
+        netlist
+            .validate()
+            .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+        let fold = |net: NetId| {
+            let name = netlist.net_name(net);
+            let driver = netlist.gate(netlist.driver(net)?);
+            let folded = name.contains("_set_d") || name.contains("_reset_d");
+            (folded && driver.kind == GateKind::And).then_some(driver.inputs.len())
+        };
+        let mut folds = 0;
+        for (signal, set, reset) in &report.synthesis.equations {
+            let name = format!("gc_{}", report.lazy_sg.signal_name(*signal));
+            let gc = netlist
+                .gates()
+                .map(|g| netlist.gate(g))
+                .find(|g| g.name == name)
+                .unwrap_or_else(|| panic!("{label}: no {name}"));
+            let GateKind::Gc {
+                set: set_len,
+                reset: reset_len,
+            } = gc.kind
+            else {
+                panic!("{label}: {name} is a {}", gc.kind);
+            };
+            assert!(
+                set_len.max(reset_len) <= 4,
+                "{label}: {name} is {}",
+                gc.kind
+            );
+            let (set_inputs, reset_inputs) = gc.inputs.split_at(usize::from(set_len));
+            for (inputs, cover) in [(set_inputs, set), (reset_inputs, reset)] {
+                let literals = match cover.cube_count() {
+                    1 => cover.literal_count(),
+                    _ => 1,
+                };
+                let read: usize = inputs.iter().map(|&net| fold(net).unwrap_or(1)).sum();
+                assert_eq!(read, literals, "{label}: {name} reads {inputs:?}");
+                folds += inputs.iter().filter(|&&net| fold(net).is_some()).count();
+            }
+        }
+        assert!(folds > 0, "{label}: no gC stack was folded");
+    }
 }
 
 #[test]

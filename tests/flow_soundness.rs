@@ -8,29 +8,79 @@
 //!
 //! Two lists are pinned. Every `flow_corpus` catalog item must conform,
 //! as must the RT flows on `ring_stg(4, 1)` and `adder_rt_stg(4)`. The
-//! known unsound flows must still fail: `corpus:vme_read` under RT, and
-//! `ring_stg(4, 2)` and `fabric_stg(2, 2, 0)` under RT and SI. The
-//! mapper splits a multi-cube cover into separate AND, OR and inverter
-//! gates, and the verifier gives each its own delay, so a stale value
-//! can fire a gC. A mapping fix that makes one of these conform must
-//! move it to the first list on purpose.
+//! known unsound flows must still fail: `corpus:vme_read` under RT,
+//! `ring_stg(4, 2)` and `fabric_stg(2, 2, 0)` under RT and SI, and
+//! `adder_rt_stg(5)` under SI. The mapper splits a multi-cube cover into
+//! separate AND, OR and inverter gates, and the verifier gives each its
+//! own delay, so a stale value can fire a gC. A mapping fix that makes
+//! one of these conform must move it to the first list on purpose.
+//!
+//! Every run's whole verification report is pinned too: its failures,
+//! with their pending transitions and witness traces, and the number of
+//! composed states the walk explored, one line per run in
+//! `flow_soundness_reports.txt`.
 
+use rt_cad::netlist::{NetId, Netlist};
 use rt_cad::rt::{RtAssumption, RtSynthesisFlow};
 use rt_cad::stg::{corpus, models, Edge, Stg};
-use rt_cad::verify::{orderings_from_constraints, verify_against_sg};
+use rt_cad::verify::{orderings_from_constraints, verify_against_sg, Failure, VerifyReport};
 
 /// One flow run: a label, the spec, the user assumptions and the flow.
 type Run = (String, Stg, Vec<RtAssumption>, RtSynthesisFlow);
 
+/// The recorded verification report of every run below, one
+/// `label => report` line each, as [`render`] writes it.
+const REPORTS: &str = include_str!("flow_soundness_reports.txt");
+
+/// A report on one line, by net names: the composed-state count, then
+/// each failure as `net± after [trace] with [pending others]`.
+fn render(netlist: &Netlist, report: &VerifyReport) -> String {
+    let edges = |edges: &[(NetId, bool)]| {
+        let names: Vec<String> = edges
+            .iter()
+            .map(|&(net, value)| {
+                format!("{}{}", netlist.net_name(net), if value { '+' } else { '-' })
+            })
+            .collect();
+        names.join(" ")
+    };
+    let mut line = format!("{} states", report.states_explored);
+    for failure in &report.failures {
+        let Failure::UnexpectedOutput {
+            net,
+            value,
+            pending_others,
+            trace,
+        } = failure;
+        line += &format!(
+            "; {} after [{}] with [{}]",
+            edges(&[(*net, *value)]),
+            edges(trace),
+            edges(pending_others)
+        );
+    }
+    line
+}
+
 /// Whether the flow's netlist for `run` conforms to its lazy graph
-/// under the orderings of its own constraints.
+/// under the orderings of its own constraints. The whole report must
+/// equal its recorded line.
 fn conforms((label, stg, user, flow): &Run) -> bool {
     let report = flow
         .run(stg, user)
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     let netlist = &report.synthesis.netlist;
     let orderings = orderings_from_constraints(netlist, &report.lazy_sg, &report.constraints);
-    verify_against_sg(netlist, &report.lazy_sg, &orderings).passed()
+    let verification = verify_against_sg(netlist, &report.lazy_sg, &orderings);
+    let recorded = REPORTS
+        .lines()
+        .find_map(|line| line.strip_prefix(label.as_str())?.strip_prefix(" => "));
+    assert_eq!(
+        Some(render(netlist, &verification).as_str()),
+        recorded,
+        "{label}: the verification report"
+    );
+    verification.passed()
 }
 
 fn rt(label: &str, stg: Stg) -> Run {
@@ -106,6 +156,7 @@ fn known_unsound_netlists_still_fail_verification() {
         si("ring4_2", models::ring_stg(4, 2)),
         rt("fabric2x2", corpus::fabric_stg(2, 2, 0)),
         si("fabric2x2", corpus::fabric_stg(2, 2, 0)),
+        si("adder5", corpus::adder_rt_stg(5)),
     ];
     let sound: Vec<&str> = runs
         .iter()
