@@ -44,6 +44,12 @@
 //! Rows lacking the key (baselines older than the column) are not
 //! gated.
 //!
+//! Each `csc` row's `dc_cubes` (the don't-care cubes the resolved
+//! graph's next-state functions hold) is gated at the same tight bound.
+//! A count has no run-to-run noise, so no row is skipped for its size;
+//! a row is keyed by its name alone, and rows lacking the key (or
+//! reading `null`) are not gated.
+//!
 //! Beyond timing, the gate also fails (exit 1) when the **fresh**
 //! snapshot's summary reports a nonzero `degradations` count: the
 //! standard corpus must run to completion under default budgets, so any
@@ -140,6 +146,22 @@ fn parse_timing(json: &str, section_key: &str, key: &str) -> Vec<ModelRow> {
                 explore_ns: field_number(line, key)?,
                 name,
                 states,
+                bdd_nodes: None,
+            })
+        })
+        .collect()
+}
+
+/// One deterministic count per row of `section` (the `key` column),
+/// keyed by the row's name alone: `states` is 0, so [`compare`] with
+/// `min_states` 0 gates every row. Rows lacking the key are left out.
+fn parse_counts(json: &str, section_key: &str, key: &str) -> Vec<ModelRow> {
+    section(json, section_key)
+        .filter_map(|line| {
+            Some(ModelRow {
+                name: field_string(line, "name")?,
+                states: 0,
+                explore_ns: field_number(line, key)?,
                 bdd_nodes: None,
             })
         })
@@ -400,25 +422,49 @@ fn main() -> ExitCode {
     }
     // Symbolic gates: the same skip rule on each model's symbolic reach
     // time and on the symbolic CSC detector's cold time (at the timing
-    // ratio), and on the bytes each fresh manager ends up holding.
-    for (what, section_key, key, limit) in [
-        ("symbolic", "models", "symbolic_ns", max_ratio),
+    // ratio), and on the bytes each fresh manager ends up holding. The
+    // don't-care cube count is deterministic: every row is gated.
+    let timing = |section_key, key| {
+        (
+            parse_timing(&baseline_text, section_key, key),
+            parse_timing(&fresh_text, section_key, key),
+        )
+    };
+    for (what, (base, fresh), limit, min_states) in [
+        (
+            "symbolic",
+            timing("models", "symbolic_ns"),
+            max_ratio,
+            min_states,
+        ),
         (
             "symbolic csc",
-            "csc_symbolic",
-            "symbolic_cold_ns",
+            timing("csc_symbolic", "symbolic_cold_ns"),
             max_ratio,
+            min_states,
         ),
-        ("bdd bytes", "models", "bdd_bytes", BYTES_MAX_RATIO),
+        (
+            "bdd bytes",
+            timing("models", "bdd_bytes"),
+            BYTES_MAX_RATIO,
+            min_states,
+        ),
         (
             "csc bdd bytes",
-            "csc_symbolic",
-            "bdd_bytes",
+            timing("csc_symbolic", "bdd_bytes"),
             BYTES_MAX_RATIO,
+            min_states,
+        ),
+        (
+            "dc cubes",
+            (
+                parse_counts(&baseline_text, "csc", "dc_cubes"),
+                parse_counts(&fresh_text, "csc", "dc_cubes"),
+            ),
+            BYTES_MAX_RATIO,
+            0,
         ),
     ] {
-        let base = parse_timing(&baseline_text, section_key, key);
-        let fresh = parse_timing(&fresh_text, section_key, key);
         for (name, verdict) in compare(&base, &fresh, limit, min_states) {
             match verdict {
                 Verdict::Ok(ratio) => println!("  ok      {name:<24} {ratio:>6.2}x  ({what})"),
@@ -871,6 +917,51 @@ mod tests {
         // Snapshots without the column gate nothing here.
         assert!(parse_timing(&symbolic_snapshot(1.0), "models", "bdd_bytes").is_empty());
         assert!(parse_timing(&symbolic_snapshot(1.0), "csc_symbolic", "bdd_bytes").is_empty());
+    }
+
+    /// The fixture's `csc` section with `dc_cubes` on each row times
+    /// `scale`: a tiny model, a row with no `models` entry, and a row
+    /// reading `null`.
+    fn dc_snapshot(scale: f64) -> String {
+        let mut out = snapshot(1.0);
+        let cut = out.find("  \"csc\": [").expect("csc section");
+        out.truncate(cut);
+        out.push_str(&format!(
+            "  \"csc\": [\n    {{\"name\": \"tiny\", \"inserted\": 1, \"dc_cubes\": {:.0}}},\n    \
+             {{\"name\": \"chain32\", \"inserted\": 0, \"dc_cubes\": {:.0}}},\n    \
+             {{\"name\": \"bare\", \"inserted\": 0, \"dc_cubes\": null}}\n  ]\n}}\n",
+            10.0 * scale,
+            900.0 * scale
+        ));
+        out
+    }
+
+    #[test]
+    fn dont_care_growth_is_caught_on_every_row() {
+        let base = dc_snapshot(1.0);
+        let rows = parse_counts(&base, "csc", "dc_cubes");
+        assert_eq!(rows.len(), 2, "the null row is not gated");
+        assert_eq!((rows[0].name.as_str(), rows[0].explore_ns), ("tiny", 10.0));
+        let gate = |scale: f64| {
+            compare(
+                &rows,
+                &parse_counts(&dc_snapshot(scale), "csc", "dc_cubes"),
+                BYTES_MAX_RATIO,
+                0,
+            )
+        };
+        // 30% more cubes trips both rows, the tiny one and the one with
+        // no `models` entry included.
+        let grown = gate(1.3);
+        assert_eq!(grown.len(), 2);
+        assert!(grown
+            .iter()
+            .all(|(_, v)| matches!(v, Verdict::Regressed(r) if (r - 1.3).abs() < 0.01)));
+        for scale in [1.2, 0.5] {
+            assert!(gate(scale).iter().all(|(_, v)| matches!(v, Verdict::Ok(_))));
+        }
+        // Snapshots without the column gate nothing here.
+        assert!(parse_counts(&snapshot(1.0), "csc", "dc_cubes").is_empty());
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! models), plus a `csc` stage that times complete-state-coding
 //! resolution through [`rt_stg::engine::ReachEngine`] on both backends,
 //! the cost per encoding candidate of `resolve_csc` and of the SI flow's
-//! search, and the persistent symbolic manager's warm-vs-fresh
-//! advantage.
+//! search, the don't-care cubes the resolved graph's next-state
+//! functions hold (`dc_cubes`), and the persistent symbolic manager's
+//! warm-vs-fresh advantage.
 //! Writes `BENCH_reach.json` with per-model wall times, exploration
 //! throughput (states/sec), allocated BDD node counts and the bytes the
 //! manager holds (`bdd_bytes`, [`rt_boolean::Bdd::heap_bytes`]). Future
@@ -30,6 +31,7 @@ use rt_stg::symbolic::csc::csc_conflicts_symbolic_in;
 use rt_stg::symbolic::reach_symbolic_in;
 use rt_stg::{corpus, explore, models, Stg};
 use rt_synth::csc::{resolve_csc_engine, CscOptions};
+use rt_synth::regions::{derive_functions, LocalDontCares};
 use rt_synth::synthesize;
 
 /// One measured model.
@@ -63,6 +65,11 @@ struct CscRow {
     flow_candidates: usize,
     /// One SI flow run's time over `flow_candidates`.
     flow_ns_per_candidate: Option<f64>,
+    /// The don't-care cubes one `derive_functions` result holds on the
+    /// resolved graph: the shared unreachable-code cover plus every
+    /// signal's own set and reset don't-cares (`None` when the graph has
+    /// nothing to implement). Deterministic.
+    dc_cubes: Option<usize>,
     /// Engine degradations recorded across this row's verification
     /// resolutions. Under default (unlimited) budgets this must be 0 —
     /// `bench_check` fails the gate when a fresh snapshot reports any,
@@ -237,6 +244,21 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         "warm path must reuse"
     );
 
+    let resolved_sg = explicit_res
+        .sg
+        .as_ref()
+        .expect("a resolution carries its graph");
+    let dc_cubes = derive_functions(resolved_sg, &LocalDontCares::none())
+        .ok()
+        .map(|funcs| {
+            let own: usize = funcs
+                .specs
+                .iter()
+                .map(|spec| spec.set_dc.cube_count() + spec.reset_dc.cube_count())
+                .sum();
+            funcs.unreachable.cube_count() + own
+        });
+
     let degradations = explicit_engine.stats().degradations.len()
         + symbolic_engine.stats().degradations.len()
         + warm_engine.stats().degradations.len();
@@ -253,6 +275,7 @@ fn measure_csc(name: &str, stg: &Stg, min_ms: u128) -> CscRow {
         ns_per_candidate: per_candidate(explicit_ns, candidates),
         flow_candidates,
         flow_ns_per_candidate: per_candidate(flow_ns, flow_candidates),
+        dc_cubes,
         degradations,
     }
 }
@@ -275,6 +298,7 @@ fn validate(json: &str) -> Result<(), String> {
         "\"aggregate_states_per_sec\"",
         "\"degradations\"",
         "\"bdd_bytes\"",
+        "\"dc_cubes\"",
     ] {
         if !json.contains(key) {
             return Err(format!("missing key {key}"));
@@ -341,11 +365,11 @@ fn main() {
     .map(|(name, stg)| {
         let row = measure_csc(name, stg, min_ms);
         println!(
-            "csc {:<20} +{} signals  explicit {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)  {} candidates {:>7.0} ns each  SI flow {} candidates {:>7.0} ns each",
+            "csc {:<20} +{} signals  explicit {:>11.0} ns  symbolic {:>11.0} ns  summary cold {:>9.0} / warm {:>7.0} ns ({:.1}x)  {} candidates {:>7.0} ns each  SI flow {} candidates {:>7.0} ns each  {} dc cubes",
             row.name, row.inserted, row.explicit_ns, row.symbolic_ns, row.cold_summary_ns,
             row.warm_summary_ns, row.warm_speedup, row.candidates,
             row.ns_per_candidate.unwrap_or(0.0), row.flow_candidates,
-            row.flow_ns_per_candidate.unwrap_or(0.0)
+            row.flow_ns_per_candidate.unwrap_or(0.0), row.dc_cubes.unwrap_or(0)
         );
         row
     })
@@ -424,7 +448,7 @@ fn main() {
              \"cold_summary_ns\": {:.0}, \"warm_summary_ns\": {:.0}, \
              \"warm_speedup\": {:.1}, \"candidates\": {}, \"ns_per_candidate\": {}, \
              \"flow_candidates\": {}, \"flow_ns_per_candidate\": {}, \
-             \"degradations\": {}}}{}",
+             \"dc_cubes\": {}, \"degradations\": {}}}{}",
             r.name,
             r.inserted,
             r.explicit_ns,
@@ -436,6 +460,7 @@ fn main() {
             or_null(r.ns_per_candidate),
             r.flow_candidates,
             or_null(r.flow_ns_per_candidate),
+            r.dc_cubes.map_or("null".to_string(), |n| n.to_string()),
             r.degradations,
             if i + 1 < csc_rows.len() { "," } else { "" }
         );

@@ -124,6 +124,30 @@ proptest! {
         }
     }
 
+    /// Synthesis joins one shared don't-care cover (the unreachable
+    /// codes) to each signal's own, in whatever order it likes: that is
+    /// sound only because the don't-care reaches the minimizer through
+    /// `complement` alone, whose cube list depends on the multiset of
+    /// cubes, not their order.
+    #[test]
+    fn the_dont_care_counts_as_a_multiset(
+        on in arb_cover(6, 6),
+        a in arb_cover(6, 8),
+        b in arb_cover(6, 8),
+        keys in prop::collection::vec(any::<u64>(), 16),
+    ) {
+        let dc = a.or(&b);
+        let mut order: Vec<usize> = (0..dc.cube_count()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let permuted = Cover::from_cubes(6, order.iter().map(|&i| dc.cubes()[i]).collect());
+        let swapped = b.or(&a);
+        let (complement, minimized) = (dc.complement(), minimize(&on, &dc));
+        for other in [&permuted, &swapped] {
+            prop_assert_eq!(other.complement().cubes(), complement.cubes());
+            prop_assert_eq!(minimize(&on, other).cubes(), minimized.cubes());
+        }
+    }
+
     #[test]
     fn minimizer_never_worsens_cube_count(on in arb_cover(4, 6)) {
         let result = minimize(&on, &Cover::empty(4));

@@ -77,7 +77,8 @@ pub enum NetlistError {
     ArityMismatch {
         /// Offending gate name.
         gate: String,
-        /// Expected input count.
+        /// Expected input count: the kind's fixed arity, or 1 (the
+        /// least) for a kind of free arity.
         expected: usize,
         /// Actual input count.
         actual: usize,
@@ -306,25 +307,43 @@ impl Netlist {
             .sum()
     }
 
+    /// Checks that every gate has an input count its kind evaluates:
+    /// exactly [`GateKind::fixed_arity`] where the kind fixes one, and
+    /// at least one input otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::ArityMismatch`] for the first gate that does not.
+    pub fn check_arity(&self) -> Result<(), NetlistError> {
+        for gate in &self.gates {
+            let actual = gate.inputs.len();
+            let (expected, fits) = match gate.kind.fixed_arity() {
+                Some(arity) => (arity, actual == arity),
+                None => (1, actual > 0),
+            };
+            if !fits {
+                return Err(NetlistError::ArityMismatch {
+                    gate: gate.name.clone(),
+                    expected,
+                    actual,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Structural validation.
     ///
     /// # Errors
     ///
-    /// Returns the first [`NetlistError`] found: undriven non-input nets,
-    /// multiply-driven nets, driven inputs, arity mismatches.
+    /// Returns the first [`NetlistError`] found: arity mismatches
+    /// ([`Netlist::check_arity`]), then undriven non-input nets,
+    /// multiply-driven nets and driven inputs.
     pub fn validate(&self) -> Result<(), NetlistError> {
+        self.check_arity()?;
         let mut driver_count: HashMap<NetId, usize> = HashMap::new();
         for gate in &self.gates {
             *driver_count.entry(gate.output).or_insert(0) += 1;
-            if let Some(expected) = gate.kind.fixed_arity() {
-                if gate.inputs.len() != expected {
-                    return Err(NetlistError::ArityMismatch {
-                        gate: gate.name.clone(),
-                        expected,
-                        actual: gate.inputs.len(),
-                    });
-                }
-            }
         }
         for net in self.nets() {
             let drivers = driver_count.get(&net).copied().unwrap_or(0);
@@ -456,6 +475,35 @@ mod tests {
         n.add_gate("g0", GateKind::Inv, vec![a, b], y);
         let err = n.validate().unwrap_err();
         assert!(matches!(err, NetlistError::ArityMismatch { .. }));
+    }
+
+    #[test]
+    fn every_gate_needs_an_input_count_its_kind_evaluates() {
+        // One input too few for a gC with a one-high set and reset
+        // stack, and no input at all for an AND (free arity, at least
+        // one): `GateKind::evaluate` panics on both.
+        let mut n = Netlist::new("bad");
+        let a = n.add_net("a", NetKind::Input);
+        let y = n.add_net("y", NetKind::Output);
+        n.add_gate("gc_y", GateKind::Gc { set: 1, reset: 1 }, vec![a], y);
+        let gc = NetlistError::ArityMismatch {
+            gate: "gc_y".into(),
+            expected: 2,
+            actual: 1,
+        };
+        assert_eq!(n.check_arity(), Err(gc.clone()));
+        assert_eq!(n.validate(), Err(gc));
+        let mut n = Netlist::new("bad");
+        let y = n.add_net("y", NetKind::Output);
+        n.add_gate("and_y", GateKind::And, Vec::new(), y);
+        assert_eq!(
+            n.check_arity(),
+            Err(NetlistError::ArityMismatch {
+                gate: "and_y".into(),
+                expected: 1,
+                actual: 0,
+            })
+        );
     }
 
     #[test]

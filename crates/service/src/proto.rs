@@ -83,6 +83,9 @@
 //! forced initial values and reorders ids.) Netlists replay
 //! `add_net`/`add_gate` in insertion order, which reproduces
 //! driver/fanout tables exactly.
+//! A gate whose input count its kind does not take
+//! ([`Netlist::check_arity`]) is [`ProtoError::Inconsistent`], as is a
+//! net index out of range.
 //!
 //! # Error mapping
 //!
@@ -818,6 +821,11 @@ fn dec_netlist(dec: &mut Dec<'_>) -> Decoded<Netlist> {
         }
         netlist.add_gate(name, kind, inputs, NetId(output));
     }
+    netlist
+        .check_arity()
+        .map_err(|err| ProtoError::Inconsistent {
+            detail: err.to_string(),
+        })?;
     Ok(netlist)
 }
 
@@ -1169,7 +1177,10 @@ fn dec_response(dec: &mut Dec<'_>) -> Decoded<Response> {
 // Errors
 // ---------------------------------------------------------------------
 
-// Tag 13 is retired: it decodes as `BadTag` and is never reused.
+// Tag 13 is retired: it decodes as `BadTag` and is never reused. Tag
+// 16, `InvalidNetlist` and its message, came after version 2's other
+// tags without a version change: a peer built before it decodes the
+// tag as `BadTag`.
 fn enc_stg_error(enc: &mut Enc, err: &StgError) {
     match err {
         StgError::UnknownSignal(name) => {
@@ -1225,6 +1236,10 @@ fn enc_stg_error(enc: &mut Enc, err: &StgError) {
             enc.u8(15);
             enc.usize(*count);
         }
+        StgError::InvalidNetlist(detail) => {
+            enc.u8(16);
+            enc.str(detail);
+        }
     }
 }
 
@@ -1259,6 +1274,7 @@ fn dec_stg_error(dec: &mut Dec<'_>) -> Decoded<StgError> {
             message: dec.str()?,
         },
         15 => StgError::TooManySignals(dec.usize()?),
+        16 => StgError::InvalidNetlist(dec.str()?),
         tag => {
             return Err(ProtoError::BadTag {
                 what: "StgError",
@@ -1543,6 +1559,7 @@ mod tests {
                 message: "bad".into(),
             }),
             ServiceError::Engine(StgError::TooManySignals(65)),
+            ServiceError::Engine(StgError::InvalidNetlist("gate `g`".into())),
             ServiceError::Synth(SynthError::CscConflict { signal: "s".into() }),
             ServiceError::Synth(SynthError::CscUnresolvable { attempts: 3 }),
             ServiceError::Synth(SynthError::OverlappingCovers {

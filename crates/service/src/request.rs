@@ -45,7 +45,10 @@ pub enum RequestPayload {
     /// explicit state graph. A composed walk past the budget's
     /// `max_states` or 2^18 states is an error, never a verdict. A
     /// composed state codes one bit per net, so a netlist of more than
-    /// 64 nets is refused with `StgError::TooManySignals`. The report passes exactly when its
+    /// 64 nets is refused with `StgError::TooManySignals`, and one with a
+    /// gate fed an input count its kind does not take with
+    /// `StgError::InvalidNetlist` (the wire refuses the latter at decode,
+    /// as an inconsistent payload). The report passes exactly when its
     /// failure list is empty.
     Verify {
         /// The circuit.

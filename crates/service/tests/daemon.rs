@@ -250,6 +250,47 @@ fn a_netlist_past_sixty_four_nets_is_refused_everywhere() {
     daemon.shutdown();
 }
 
+/// A gC with one-high set and reset stacks fed one input would panic
+/// the walk's gate evaluation. The direct call and the service refuse
+/// it with a typed engine error instead, and the wire refuses it at
+/// decode, so the daemon answers a protocol error.
+#[test]
+fn a_gate_fed_the_wrong_input_count_is_refused_everywhere() {
+    use rt_service::proto::{self, ProtoError};
+
+    let _suite = suite_guard();
+    let mut netlist = Netlist::new("short_gc");
+    let a = netlist.add_net("a", NetKind::Input);
+    let b = netlist.add_net("b", NetKind::Output);
+    netlist.add_gate("gc_b", GateKind::Gc { set: 1, reset: 1 }, vec![a], b);
+    let spec = models::handshake_stg();
+    let detail = "gate `gc_b` expects 2 inputs, got 1";
+    let refused = StgError::InvalidNetlist(detail.into());
+    assert_eq!(verify(&netlist, &spec, &[]), Err(refused.clone()));
+    let request = Request::verify(netlist, spec, Vec::new());
+    let service = SynthService::start(ServiceConfig::default());
+    assert_eq!(
+        service.submit(request.clone()).map(|r| r.payload),
+        Err(ServiceError::Engine(refused))
+    );
+    assert_eq!(service.stats().worker_panics, 0);
+    service.shutdown();
+    let inconsistent = ProtoError::Inconsistent {
+        detail: detail.into(),
+    };
+    assert_eq!(
+        proto::decode_request(&proto::encode_request(&request)).err(),
+        Some(inconsistent.clone())
+    );
+    let daemon = ephemeral_daemon();
+    let mut client = DaemonClient::connect(daemon.local_addr()).expect("connect");
+    assert_eq!(
+        client.submit(&request).map(|r| r.payload),
+        Err(inconsistent.into())
+    );
+    daemon.shutdown();
+}
+
 #[test]
 fn garbage_and_version_mismatch_get_protocol_errors_then_the_connection_closes() {
     use rt_service::proto;

@@ -83,6 +83,10 @@ pub enum StgError {
     },
     /// Analysis requires more signals than the implementation supports.
     TooManySignals(usize),
+    /// The verifier was handed a netlist it cannot evaluate: a gate
+    /// whose input count its kind does not take. Carries the netlist
+    /// check's message.
+    InvalidNetlist(String),
 }
 
 impl fmt::Display for StgError {
@@ -124,6 +128,7 @@ impl fmt::Display for StgError {
             StgError::TooManySignals(n) => {
                 write!(f, "{n} signals exceed the 64-signal state-coding limit")
             }
+            StgError::InvalidNetlist(detail) => write!(f, "invalid netlist: {detail}"),
         }
     }
 }

@@ -6,10 +6,13 @@
 //! searches over pairs of simple places of the STG (both token
 //! placements) and pairs of transitions, splicing `x+` on one and `x-`
 //! on the other ([`Splice`]), and keeps the valid insertion with the
-//! cheapest logic. Each candidate's state graph is built from the graph
-//! of the net it splices ([`ReachEngine::spliced_state_graph`]): no
-//! candidate rebuilds or re-explores an STG, and only each round's
-//! winner is rebuilt as one. The cost function can be biased to keep the
+//! cheapest logic: the minimized literal count of the candidate's
+//! next-state functions, each minimized against its own don't-cares
+//! plus the unreachable codes, which the candidate's functions hold
+//! once. Each candidate's state graph is built from the graph of the
+//! net it splices ([`ReachEngine::spliced_state_graph`]): no candidate
+//! rebuilds or re-explores an STG, and only each round's winner is
+//! rebuilt as one. The cost function can be biased to keep the
 //! state signal off the critical path (the paper's "timing-aware state
 //! encoding"): insertions whose state-signal transitions trigger output
 //! events are penalized.
@@ -27,7 +30,6 @@
 //! on divergence), so the two analysers continuously cross-check each
 //! other in production use.
 
-use rt_boolean::minimize;
 use rt_stg::engine::{ReachBackend, ReachEngine};
 use rt_stg::par::argmin;
 use rt_stg::stg::TransitionLabel;
@@ -344,14 +346,16 @@ fn best_insertion(
 }
 
 /// Minimized literal count of every implemented signal — the logic cost
-/// of an encoding.
+/// of an encoding, plus 2 per signal and `penalty`. The covers are
+/// minimized as synthesis minimizes them
+/// ([`crate::regions::SignalFunctions::minimize`]), so the literal
+/// counts are the ones [`crate::synthesize`] reports for the graph.
 fn encoding_cost(sg: &StateGraph, penalty: usize) -> usize {
     match derive_functions(sg, &LocalDontCares::none()) {
         Ok(funcs) => {
             let mut total = penalty;
             for spec in &funcs.specs {
-                let set = minimize(&spec.set_on, &spec.set_dc);
-                let reset = minimize(&spec.reset_on, &spec.reset_dc);
+                let (set, reset) = funcs.minimize(spec);
                 total += set.literal_count() + reset.literal_count() + 2;
             }
             total

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use rt_boolean::{minimize, Cover};
+use rt_boolean::Cover;
 use rt_netlist::{GateKind, NetId, NetKind, Netlist};
 use rt_stg::{SignalId, SignalKind, StateGraph};
 
@@ -58,6 +58,11 @@ pub fn synthesize(sg: &StateGraph, name: &str) -> Result<SynthesisResult, SynthE
 
 /// [`synthesize`] with caller-provided local don't-cares (used by the
 /// relative-timing flow for lazy signals).
+///
+/// Each signal's set and reset covers are minimized by
+/// [`SignalFunctions::minimize`](crate::regions::SignalFunctions::minimize):
+/// against the signal's own don't-cares plus the graph's unreachable
+/// codes, which one call holds once for all signals.
 pub fn synthesize_with_dc(
     sg: &StateGraph,
     name: &str,
@@ -70,8 +75,7 @@ pub fn synthesize_with_dc(
     let mut literal_count = 0;
 
     for spec in &funcs.specs {
-        let set = minimize(&spec.set_on, &spec.set_dc);
-        let reset = minimize(&spec.reset_on, &spec.reset_dc);
+        let (set, reset) = funcs.minimize(spec);
         check_no_overlap(sg, spec, &set, &reset)?;
         literal_count += set.literal_count() + reset.literal_count();
         builder.map_signal(spec.signal, &set, &reset);

@@ -13,37 +13,68 @@
 //!
 //! Relative timing enlarges the unreachable set — that is the entire
 //! mechanism by which RT assumptions shrink logic (Section 3).
+//!
+//! The unreachable codes are the same don't-cares for every signal, and
+//! there can be up to 2^16 of them, one minterm each (past 16 signals,
+//! the complement of the reachable codes). [`derive_functions`] builds
+//! them once per state graph, as [`SignalFunctions::unreachable`].
+//! Each [`SetResetSpec`] keeps only the signal's own don't-cares: its
+//! quiescent region and the caller's [`LocalDontCares`] states.
+//! [`SignalFunctions::minimize`] minimizes one function at a time against
+//! its own don't-cares plus the shared cover, so a call holds one copy of
+//! the unreachable codes however many signals it implements.
 
 use std::collections::BTreeSet;
 
-use rt_boolean::{Cover, Cube};
+use rt_boolean::{minimize, Cover, Cube};
 use rt_stg::{Edge, SignalEvent, SignalId, StateGraph, StateId};
 
 use crate::error::SynthError;
 
-/// The set/reset specification of one signal: on-sets and don't-care
-/// sets as covers over the state-graph signals.
+/// The set/reset specification of one signal: on-sets and the signal's
+/// own don't-care sets as covers over the state-graph signals. Every
+/// cube is the minterm of a reachable code; the unreachable codes, free
+/// for every signal, are [`SignalFunctions::unreachable`].
 #[derive(Debug, Clone)]
 pub struct SetResetSpec {
     /// The implemented signal.
     pub signal: SignalId,
-    /// Set on-set (must be 1).
+    /// Set on-set (must be 1): the codes of `ER(a+)`.
     pub set_on: Cover,
-    /// Set don't-care set.
+    /// The set function's own don't-cares: the codes of `QR(a=1)` and
+    /// of the caller's local don't-care states.
     pub set_dc: Cover,
-    /// Reset on-set.
+    /// Reset on-set: the codes of `ER(a-)`.
     pub reset_on: Cover,
-    /// Reset don't-care set.
+    /// The reset function's own don't-cares: the codes of `QR(a=0)` and
+    /// of the caller's local don't-care states.
     pub reset_dc: Cover,
 }
 
 /// Next-state functions for every implemented signal of a state graph.
 #[derive(Debug, Clone)]
 pub struct SignalFunctions {
-    /// Number of signal variables (the cover arity).
-    pub vars: usize,
     /// Per-signal set/reset specifications.
     pub specs: Vec<SetResetSpec>,
+    /// The codes no state has, shared by every spec: a don't-care of
+    /// each signal's set and reset function, held once. Its arity,
+    /// like every cover's here, is the graph's signal count.
+    pub unreachable: Cover,
+}
+
+impl SignalFunctions {
+    /// Minimizes `spec`'s set and reset covers, each against its own
+    /// don't-cares plus [`SignalFunctions::unreachable`], and returns
+    /// `(set, reset)`. It builds one combined don't-care cover at a
+    /// time, the shared codes first, so the answer is the one a spec
+    /// holding its own copy of them would get.
+    pub fn minimize(&self, spec: &SetResetSpec) -> (Cover, Cover) {
+        let against_all = |on: &Cover, own_dc: &Cover| minimize(on, &self.unreachable.or(own_dc));
+        (
+            against_all(&spec.set_on, &spec.set_dc),
+            against_all(&spec.reset_on, &spec.reset_dc),
+        )
+    }
 }
 
 /// Extra don't-care states injected by the caller (relative timing's lazy
@@ -95,17 +126,13 @@ pub fn derive_functions(
         });
     }
     let vars = sg.signal_count();
-    // Unreachable codes are global don't-cares.
-    let reachable: BTreeSet<u64> = sg.states().map(|s| sg.code(s)).collect();
-    let unreachable_dc = unreachable_cover(vars, &reachable);
-
     let mut specs = Vec::new();
     for signal in implemented {
         let free = local_dc.states_for(signal);
         let mut set_on = Cover::empty(vars);
-        let mut set_dc = unreachable_dc.clone();
+        let mut set_dc = Cover::empty(vars);
         let mut reset_on = Cover::empty(vars);
-        let mut reset_dc = unreachable_dc.clone();
+        let mut reset_dc = Cover::empty(vars);
         for state in sg.states() {
             let code = sg.code(state);
             let cube = Cube::minterm(vars, code);
@@ -136,7 +163,12 @@ pub fn derive_functions(
             reset_dc,
         });
     }
-    Ok(SignalFunctions { vars, specs })
+    // Unreachable codes are global don't-cares.
+    let reachable: BTreeSet<u64> = sg.states().map(|s| sg.code(s)).collect();
+    Ok(SignalFunctions {
+        specs,
+        unreachable: unreachable_cover(vars, &reachable),
+    })
 }
 
 /// The excitation region of `event` as a cover of state codes.
@@ -248,6 +280,7 @@ mod tests {
         let funcs = derive_functions(&sg, &LocalDontCares::none()).unwrap();
         let spec = &funcs.specs[0];
         // Handshake reaches all four codes of (a,b): no unreachable DC.
+        assert!(funcs.unreachable.is_empty());
         for code in 0..4u64 {
             let in_dc = spec.set_dc.evaluate(code) || spec.reset_dc.evaluate(code);
             let quiescent = matches!(code, 0b11 | 0b00);

@@ -13,7 +13,9 @@
 //! state is a specification state plus one bit per net, so the walk
 //! takes netlists of at most 64 nets; past that every entry point that
 //! returns a `Result` refuses with [`StgError::TooManySignals`], and
-//! [`verify_against_sg`] panics.
+//! [`verify_against_sg`] panics. They refuse a gate whose input count
+//! its kind does not take ([`Netlist::check_arity`]) the same way, as
+//! [`StgError::InvalidNetlist`], before the walk evaluates any gate.
 //!
 //! One failure class: [`Failure::UnexpectedOutput`] — the circuit
 //! produced an interface edge the specification does not allow in the
@@ -147,7 +149,9 @@ pub fn verify(
 ///
 /// * [`StgError`] when the specification cannot be explored;
 /// * [`StgError::TooManySignals`] — the netlist has more than 64 nets
-///   (the net count is carried).
+///   (the net count is carried);
+/// * [`StgError::InvalidNetlist`] — a gate has an input count its kind
+///   does not take.
 pub fn verify_with_engine(
     netlist: &Netlist,
     spec: &Stg,
@@ -166,15 +170,18 @@ pub fn verify_with_engine(
 ///
 /// # Panics
 ///
-/// When the netlist has more than 64 nets; [`verify_with_budget`]
-/// refuses the same netlist with a typed error.
+/// When the netlist has more than 64 nets or a gate has an input count
+/// its kind does not take; [`verify_with_budget`] refuses the same
+/// netlist with a typed error.
 pub fn verify_against_sg(
     netlist: &Netlist,
     sg: &StateGraph,
     orderings: &[NetOrdering],
 ) -> VerifyReport {
     Composer::new(netlist, sg, orderings)
-        .unwrap_or_else(|e| panic!("the composed walk takes at most 64 nets: {e}"))
+        .unwrap_or_else(|e| {
+            panic!("the composed walk takes at most 64 nets, each gate fed as its kind needs: {e}")
+        })
         .run(None)
         .expect("the unbudgeted composed walk runs to completion")
 }
@@ -193,6 +200,8 @@ pub fn verify_against_sg(
 ///
 /// * [`StgError::TooManySignals`] — the netlist has more than 64 nets
 ///   (the net count is carried);
+/// * [`StgError::InvalidNetlist`] — a gate has an input count its kind
+///   does not take;
 /// * [`StgError::Cancelled`] — the token fired or the deadline passed;
 /// * [`StgError::StateBudgetExceeded`] — more composed states than
 ///   `budget.max_states`;
@@ -237,6 +246,9 @@ impl<'a> Composer<'a> {
         if netlist.net_count() > MAX_NETS {
             return Err(StgError::TooManySignals(netlist.net_count()));
         }
+        netlist
+            .check_arity()
+            .map_err(|err| StgError::InvalidNetlist(err.to_string()))?;
         let mut net_signal = vec![None; netlist.net_count()];
         let mut input_nets = Vec::new();
         for net in netlist.nets() {
@@ -725,6 +737,41 @@ mod tests {
         fan_in.add_gate("and_wide", GateKind::And, vec![a; 70], b);
         let report = verify_with_budget(&fan_in, &sg, &[], &unlimited).unwrap();
         assert_eq!(report, verify(&and_chain(2), &spec, &[]).unwrap());
+    }
+
+    /// The handshake's `b` driven by a gC with one-high set and reset
+    /// stacks but a single input.
+    fn short_gc() -> Netlist {
+        let mut netlist = Netlist::new("short_gc");
+        let a = netlist.add_net("a", NetKind::Input);
+        let b = netlist.add_net("b", NetKind::Output);
+        netlist.add_gate("gc_b", GateKind::Gc { set: 1, reset: 1 }, vec![a], b);
+        netlist
+    }
+
+    #[test]
+    fn a_gate_fed_the_wrong_input_count_is_refused_before_the_walk() {
+        let spec = models::handshake_stg();
+        let sg = rt_stg::explore(&spec).unwrap();
+        let refused = Err(StgError::InvalidNetlist(
+            "gate `gc_b` expects 2 inputs, got 1".into(),
+        ));
+        assert_eq!(verify(&short_gc(), &spec, &[]), refused);
+        assert_eq!(
+            verify_with_engine(&short_gc(), &spec, &[], &mut ReachEngine::symbolic()),
+            refused
+        );
+        assert_eq!(
+            verify_with_budget(&short_gc(), &sg, &[], &rt_stg::Budget::unlimited()),
+            refused
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gate `gc_b` expects 2 inputs, got 1")]
+    fn the_unbudgeted_walk_panics_on_a_gate_fed_the_wrong_input_count() {
+        let sg = rt_stg::explore(&models::handshake_stg()).unwrap();
+        verify_against_sg(&short_gc(), &sg, &[]);
     }
 
     #[test]

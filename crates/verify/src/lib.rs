@@ -13,7 +13,9 @@
 //!   walked breadth-first: unexpected outputs with witness traces and
 //!   the transitions pending beside them. A composed state codes one bit
 //!   per net, so the walk takes netlists of at most 64 nets; past that
-//!   it refuses with [`rt_stg::StgError::TooManySignals`];
+//!   it refuses with [`rt_stg::StgError::TooManySignals`], and a gate
+//!   fed more or fewer inputs than its kind takes with
+//!   [`rt_stg::StgError::InvalidNetlist`];
 //! * [`require`] — the §5 loop: extract the RT requirements that make a
 //!   failing circuit verify;
 //! * [`path`] — common-source path constraints and delay-margin checks.
