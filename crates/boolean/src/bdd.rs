@@ -732,6 +732,57 @@ impl Bdd {
         taken
     }
 
+    /// The index of the first cube of `cubes` that some satisfying
+    /// assignment of `id` agrees with, literal by literal (the first
+    /// whose conjunction with `id` is not the constant 0), or `None`. A
+    /// cube is one `(variable, value)` literal per variable it names.
+    ///
+    /// Each cube takes one read-only traversal: a path follows only the
+    /// cube's value at a cube variable and both edges elsewhere, and a
+    /// variable it skips is free. No node is built and no table is
+    /// touched, so the manager is the same afterwards. The traversals
+    /// share one visited bitmap over the manager's nodes, cleared word by
+    /// word between cubes.
+    ///
+    /// `rt_stg::symbolic` asks it whether a reached marking enables a
+    /// transition with a produced place already marked.
+    pub fn first_cube_met<'a>(
+        &self,
+        id: NodeId,
+        cubes: impl IntoIterator<Item = &'a [(usize, bool)]>,
+    ) -> Option<usize> {
+        let mut seen = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut touched: Vec<usize> = Vec::new();
+        let mut stack: Vec<NodeId> = Vec::new();
+        for (index, cube) in cubes.into_iter().enumerate() {
+            stack.clear();
+            stack.push(id);
+            while let Some(next) = stack.pop() {
+                if next == NodeId::ONE {
+                    return Some(index);
+                }
+                let (word, bit) = (next.0 as usize / 64, next.0 % 64);
+                if next == NodeId::ZERO || seen[word] >> bit & 1 == 1 {
+                    continue;
+                }
+                if seen[word] == 0 {
+                    touched.push(word);
+                }
+                seen[word] |= 1 << bit;
+                let node = self.node(next);
+                match cube.iter().find(|&&(var, _)| var == node.var as usize) {
+                    Some(&(_, true)) => stack.push(node.high),
+                    Some(&(_, false)) => stack.push(node.low),
+                    None => stack.extend([node.low, node.high]),
+                }
+            }
+            for word in touched.drain(..) {
+                seen[word] = 0;
+            }
+        }
+        None
+    }
+
     /// Existential quantification of `var`.
     pub fn exists(&mut self, id: NodeId, var: usize) -> NodeId {
         let low = self.restrict(id, var, false);

@@ -262,6 +262,38 @@ proptest! {
     }
 
     #[test]
+    fn first_cube_met_matches_every_assignment_and_builds_nothing(
+        f in arb_cover(6, 5),
+        picks in prop::collection::vec(prop::collection::vec(0u64..64, 0..4), 0..4),
+    ) {
+        let mut bdd = Bdd::new(6);
+        let node = bdd.from_cover(&f);
+        let cubes: Vec<Vec<(usize, bool)>> = picks
+            .iter()
+            .map(|picks| {
+                let mut cube: Vec<(usize, bool)> = Vec::new();
+                for &pick in picks {
+                    let var = (pick % 6) as usize;
+                    if cube.iter().all(|&(v, _)| v != var) {
+                        cube.push((var, pick >= 32));
+                    }
+                }
+                cube
+            })
+            .collect();
+        let expected = cubes.iter().position(|cube| {
+            (0..64u64).any(|m| {
+                f.evaluate(m) && cube.iter().all(|&(v, value)| (m >> v & 1 == 1) == value)
+            })
+        });
+        let nodes = bdd.node_count();
+        let cached = bdd.cache_len();
+        let met = bdd.first_cube_met(node, cubes.iter().map(Vec::as_slice));
+        prop_assert_eq!(met, expected, "cubes {:?}", cubes);
+        prop_assert_eq!((bdd.node_count(), bdd.cache_len()), (nodes, cached));
+    }
+
+    #[test]
     fn two_slot_tables_build_the_roomy_truth_tables(f in arb_cover(6, 5)) {
         // Every table starts at two slots, so nearly every probe of a
         // small function collides; nodes must come out the same anyway.

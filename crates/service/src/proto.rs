@@ -24,17 +24,19 @@
 //!
 //! ```text
 //! +--------------------+-----------------+------...
-//! | version byte (0x02)| message kind    | body
+//! | version byte (0x03)| message kind    | body
 //! +--------------------+-----------------+------...
 //! ```
 //!
 //! The version byte is [`PROTO_VERSION`]; any other value is rejected.
-//! Each build speaks exactly one version — version 1 was the PR 9
-//! framing (requests and replies only, no trailing idempotency
-//! option); version 2 added the `Hello`/`Ping`/`Pong` control frames
-//! and the request's idempotency key. There is no negotiation: a
-//! mismatched peer gets a typed [`ProtoError::Version`] on its first
-//! frame, which is the intended upgrade signal. Message kinds:
+//! Each build speaks exactly one version. Version 1 framed requests and
+//! replies only, with no trailing idempotency option; version 2 added
+//! the `Hello`/`Ping`/`Pong` control frames and the request's
+//! idempotency key; version 3 carries only fields that can change an
+//! answer, over one net model (see *Version 3* below). There is no
+//! negotiation: a mismatched peer gets a typed [`ProtoError::Version`]
+//! on its first frame, which is the intended upgrade signal. Message
+//! kinds:
 //!
 //! * `0x01` — a client→daemon [`Request`];
 //! * `0x02` — a daemon→client reply (`Result<Response, ServiceError>`);
@@ -65,20 +67,18 @@
 //! is an `Ok`/`Err` byte followed by the [`Response`] or
 //! [`ServiceError`].
 //!
-//! A verification report is a verdict byte (`0` conforms, `1` fails),
-//! the failure list and the composed-state count. The verdict byte is
-//! written from the failure list and checked against it on decode: a
-//! byte that contradicts the list is [`ProtoError::Inconsistent`]. Each
-//! failure is a tag byte and its fields; tag `1` is
-//! [`Failure::UnexpectedOutput`], and tag `2` (the retired strict
-//! semi-modularity record) decodes as [`ProtoError::BadTag`].
+//! A verification report is the failure list and the composed-state
+//! count; it passes exactly when the list is empty. Each failure is a
+//! tag byte and its fields; tag `1` is [`Failure::UnexpectedOutput`].
 //!
 //! STGs travel *structurally*: all six vectors of the Petri net
-//! (names, per-transition arc lists, per-place consumer/producer
-//! lists), the signal table, labels, and initial state, rebuilt via
-//! [`PetriNet::from_parts`]/[`Stg::from_parts`] so the decoded value
-//! is byte-for-byte the encoded one — including the per-place arc
-//! *order* that drives conflict-group enumeration and CSC tie-breaks.
+//! (names, per-transition arc lists of `u32` place indices, per-place
+//! consumer/producer lists), the signal table, labels, and initial
+//! state, rebuilt via [`PetriNet::from_parts`]/[`Stg::from_parts`] so
+//! the decoded value is byte-for-byte the encoded one — including the
+//! per-place arc *order* that drives conflict-group enumeration and CSC
+//! tie-breaks. A preset or postset that names a place twice is
+//! [`ProtoError::Inconsistent`]: every net is ordinary.
 //! (The `.g` text format is deliberately not used here: it drops
 //! forced initial values and reorders ids.) Netlists replay
 //! `add_net`/`add_gate` in insertion order, which reproduces
@@ -86,6 +86,28 @@
 //! A gate whose input count its kind does not take
 //! ([`Netlist::check_arity`]) is [`ProtoError::Inconsistent`], as is a
 //! net index out of range.
+//!
+//! # Version 3
+//!
+//! Against version 2, version 3 drops five fields, none of which can
+//! change an answer:
+//!
+//! * the `u16` weight after each arc's place index: every arc moves one
+//!   token ([`rt_stg::petri`]);
+//! * the `u32` bound after the place name of `StgError::Unbounded`
+//!   (tag 5): it was always 1;
+//! * `ResolveCsc`'s `threads` and `symbolic_threshold`, the two `u64`s
+//!   after `critical_path_penalty`: the search runs serially whatever
+//!   they say, so two requests that differ only in them now share one
+//!   flight key. Decode fills in `0` and [`DEFAULT_SYMBOLIC_THRESHOLD`];
+//! * the reply's trailing `u32` retry count: the service runs each
+//!   request once, and decode fills in `0`;
+//! * the verdict byte before a verification report's failure list: the
+//!   list alone decides the verdict.
+//!
+//! Retired tags are never reused and decode as [`ProtoError::BadTag`]:
+//! `Degradation` tags 0 and 1, `StgError` tag 13 and `Failure` tag 2
+//! (the strict semi-modularity record).
 //!
 //! # Error mapping
 //!
@@ -106,7 +128,7 @@ use rt_stg::stg::{SignalDecl, TransitionLabel};
 use rt_stg::{
     Edge, PetriNet, PlaceId, SignalEvent, SignalId, SignalKind, Stg, StgError, TransitionId,
 };
-use rt_synth::csc::CscOptions;
+use rt_synth::csc::{CscOptions, DEFAULT_SYMBOLIC_THRESHOLD};
 use rt_synth::SynthError;
 use rt_verify::{Failure, NetOrdering, VerifyReport};
 
@@ -118,7 +140,7 @@ use crate::request::{
 
 /// The one wire-protocol version this build speaks (see the module
 /// docs for the version story).
-pub const PROTO_VERSION: u8 = 2;
+pub const PROTO_VERSION: u8 = 3;
 
 /// Hard cap on a frame's payload length. Far above any real corpus
 /// model; an announcement past it is treated as garbage, not obeyed.
@@ -525,7 +547,6 @@ fn enc_stg(enc: &mut Enc, stg: &Stg) {
             enc.len(list.len());
             for arc in list {
                 enc.u32(arc.place.0);
-                enc.u16(arc.weight);
             }
         }
     }
@@ -582,12 +603,11 @@ fn dec_stg(dec: &mut Dec<'_>) -> Decoded<Stg> {
     let mut arc_lists = |count: usize| -> Decoded<Vec<Vec<PetriArc>>> {
         let mut lists = Vec::with_capacity(count);
         for _ in 0..count {
-            let len = dec.len("arc list", 6)?;
+            let len = dec.len("arc list", 4)?;
             let mut arcs = Vec::with_capacity(len);
             for _ in 0..len {
                 arcs.push(PetriArc {
                     place: PlaceId(dec.u32()?),
-                    weight: dec.u16()?,
                 });
             }
             lists.push(arcs);
@@ -875,8 +895,6 @@ fn enc_payload(enc: &mut Enc, payload: &RequestPayload) {
             enc_stg(enc, stg);
             enc.usize(options.max_signals);
             enc.usize(options.critical_path_penalty);
-            enc.usize(options.threads);
-            enc.usize(options.symbolic_threshold);
         }
         RequestPayload::Verify {
             netlist,
@@ -933,8 +951,8 @@ pub fn decode_request(payload: &[u8]) -> Decoded<Request> {
             let options = CscOptions {
                 max_signals: dec.usize()?,
                 critical_path_penalty: dec.usize()?,
-                threads: dec.usize()?,
-                symbolic_threshold: dec.usize()?,
+                threads: 0,
+                symbolic_threshold: DEFAULT_SYMBOLIC_THRESHOLD,
             };
             RequestPayload::ResolveCsc { stg, options }
         }
@@ -1039,7 +1057,6 @@ fn dec_edge_list(dec: &mut Dec<'_>) -> Decoded<Vec<(NetId, bool)>> {
 
 // Failure tag 2 is retired: it decodes as `BadTag` and is never reused.
 fn enc_verify_report(enc: &mut Enc, report: &VerifyReport) {
-    enc.u8(u8::from(!report.passed()));
     enc.len(report.failures.len());
     for failure in &report.failures {
         let Failure::UnexpectedOutput {
@@ -1058,16 +1075,6 @@ fn enc_verify_report(enc: &mut Enc, report: &VerifyReport) {
 }
 
 fn dec_verify_report(dec: &mut Dec<'_>) -> Decoded<VerifyReport> {
-    let fails = match dec.u8()? {
-        0 => false,
-        1 => true,
-        tag => {
-            return Err(ProtoError::BadTag {
-                what: "Verdict",
-                tag,
-            })
-        }
-    };
     let len = dec.len("failures", 2)?;
     let mut failures = Vec::with_capacity(len);
     for _ in 0..len {
@@ -1084,15 +1091,6 @@ fn dec_verify_report(dec: &mut Dec<'_>) -> Decoded<VerifyReport> {
                     tag,
                 })
             }
-        });
-    }
-    if fails == failures.is_empty() {
-        return Err(ProtoError::Inconsistent {
-            detail: format!(
-                "verdict byte {} with {} failures",
-                u8::from(fails),
-                failures.len()
-            ),
         });
     }
     Ok(VerifyReport {
@@ -1127,7 +1125,6 @@ fn enc_response(enc: &mut Enc, response: &Response) {
     }
     enc_degradations(enc, &response.degradations);
     enc.bool(response.cached);
-    enc.u32(response.retries);
 }
 
 fn dec_response(dec: &mut Dec<'_>) -> Decoded<Response> {
@@ -1169,7 +1166,7 @@ fn dec_response(dec: &mut Dec<'_>) -> Decoded<Response> {
         payload,
         degradations: dec_degradations(dec)?,
         cached: dec.bool()?,
-        retries: dec.u32()?,
+        retries: 0,
     })
 }
 
@@ -1177,10 +1174,7 @@ fn dec_response(dec: &mut Dec<'_>) -> Decoded<Response> {
 // Errors
 // ---------------------------------------------------------------------
 
-// Tag 13 is retired: it decodes as `BadTag` and is never reused. Tag
-// 16, `InvalidNetlist` and its message, came after version 2's other
-// tags without a version change: a peer built before it decodes the
-// tag as `BadTag`.
+// Tag 13 is retired: it decodes as `BadTag` and is never reused.
 fn enc_stg_error(enc: &mut Enc, err: &StgError) {
     match err {
         StgError::UnknownSignal(name) => {
@@ -1199,10 +1193,9 @@ fn enc_stg_error(enc: &mut Enc, err: &StgError) {
             enc.u8(4);
             enc.str(name);
         }
-        StgError::Unbounded { place, bound } => {
+        StgError::Unbounded { place } => {
             enc.u8(5);
             enc.str(place);
-            enc.u32(*bound);
         }
         StgError::Inconsistent { signal, detail } => {
             enc.u8(6);
@@ -1249,10 +1242,7 @@ fn dec_stg_error(dec: &mut Dec<'_>) -> Decoded<StgError> {
         2 => StgError::DuplicateSignal(dec.str()?),
         3 => StgError::UnknownPlace(dec.str()?),
         4 => StgError::UnknownTransition(dec.str()?),
-        5 => StgError::Unbounded {
-            place: dec.str()?,
-            bound: dec.u32()?,
-        },
+        5 => StgError::Unbounded { place: dec.str()? },
         6 => StgError::Inconsistent {
             signal: dec.str()?,
             detail: dec.str()?,
@@ -1493,9 +1483,24 @@ mod tests {
     #[test]
     fn all_request_kinds_and_deadlines_roundtrip() {
         let (netlist, _) = majority_celement();
-        let options = rt_synth::csc::CscOptions {
+        // Only the first two options travel; the others decode as
+        // their defaults.
+        let options = CscOptions {
+            max_signals: 2,
+            critical_path_penalty: 3,
             threads: 1,
-            ..Default::default()
+            symbolic_threshold: 7,
+        };
+        let on_the_wire = |payload: &RequestPayload| match payload {
+            RequestPayload::ResolveCsc { stg, options } => RequestPayload::ResolveCsc {
+                stg: stg.clone(),
+                options: CscOptions {
+                    threads: 0,
+                    symbolic_threshold: DEFAULT_SYMBOLIC_THRESHOLD,
+                    ..*options
+                },
+            },
+            other => other.clone(),
         };
         let requests = [
             Request::csc_check(models::fifo_stg_csc()),
@@ -1521,7 +1526,11 @@ mod tests {
             );
             assert_eq!(
                 format!("{:?}", decoded.payload),
-                format!("{:?}", request.payload)
+                format!("{:?}", on_the_wire(&request.payload))
+            );
+            assert_eq!(
+                encode_payload(&request.payload),
+                encode_payload(&on_the_wire(&request.payload))
             );
         }
     }
@@ -1536,10 +1545,7 @@ mod tests {
             ServiceError::Engine(StgError::DuplicateSignal("y".into())),
             ServiceError::Engine(StgError::UnknownPlace("p".into())),
             ServiceError::Engine(StgError::UnknownTransition("t".into())),
-            ServiceError::Engine(StgError::Unbounded {
-                place: "p1".into(),
-                bound: 3,
-            }),
+            ServiceError::Engine(StgError::Unbounded { place: "p1".into() }),
             ServiceError::Engine(StgError::Inconsistent {
                 signal: "a".into(),
                 detail: "rises twice".into(),
@@ -1628,7 +1634,7 @@ mod tests {
                     Degradation::PartialSynthesis,
                 ],
                 cached: true,
-                retries: 2,
+                retries: 0,
             }),
             Ok(Response {
                 payload: ResponsePayload::CscCheck(CscCheckOutcome {
@@ -1650,7 +1656,7 @@ mod tests {
                 })),
                 degradations: vec![Degradation::PartialSynthesis],
                 cached: false,
-                retries: 1,
+                retries: 0,
             }),
             Ok(Response {
                 payload: ResponsePayload::Verify(failing_report()),
@@ -1686,9 +1692,9 @@ mod tests {
             retries: 0,
         });
         let good = encode_reply(&reply);
-        // The tag sits after the degradation count, and the cached flag
-        // and the retry count (five bytes) follow it.
-        let at = good.len() - 6;
+        // The tag sits after the degradation count, and only the cached
+        // flag follows it.
+        let at = good.len() - 2;
         assert_eq!(good[at], 2, "ExplicitToSymbolic keeps tag 2");
         for tag in [0, 1] {
             let mut bad = good.clone();
@@ -1703,11 +1709,10 @@ mod tests {
         }
     }
 
-    /// The encoder writes the verdict byte from the failure list, and
-    /// the decoder refuses a byte that contradicts it, a byte past 1 and
-    /// the retired failure tag 2.
+    /// A report travels as its failure list, with no verdict byte, and
+    /// the retired failure tag 2 is refused.
     #[test]
-    fn verify_reports_carry_a_checked_verdict_byte() {
+    fn verify_reports_carry_no_verdict_byte() {
         let reply = |report: VerifyReport| {
             encode_reply(&Ok(Response {
                 payload: ResponsePayload::Verify(report),
@@ -1717,42 +1722,28 @@ mod tests {
             }))
         };
         // Version, message kind, the `Ok` byte and the payload
-        // discriminant come first; the failure count (four bytes) then
-        // the first failure's tag follow the verdict byte.
-        let verdict_at = 4;
+        // discriminant come first; the failure count (four bytes) and
+        // then the first failure's tag follow them.
+        let count_at = 4;
         let failing = reply(failing_report());
         let conforming = reply(VerifyReport {
             failures: vec![],
             states_explored: 29,
         });
-        assert_eq!((failing[verdict_at], conforming[verdict_at]), (1, 0));
-        let contradict = |bytes: &[u8], verdict: u8| {
-            let mut bad = bytes.to_vec();
-            bad[verdict_at] = verdict;
-            decode_reply(&bad)
+        assert_eq!(failing[count_at..count_at + 4], [2, 0, 0, 0]);
+        assert_eq!(conforming[count_at..count_at + 4], [0, 0, 0, 0]);
+        let decoded = |bytes: &[u8]| match decode_reply(bytes) {
+            Ok(Ok(Response {
+                payload: ResponsePayload::Verify(report),
+                ..
+            })) => report,
+            other => panic!("not a report: {other:?}"),
         };
-        assert_eq!(
-            contradict(&failing, 0),
-            Err(ProtoError::Inconsistent {
-                detail: "verdict byte 0 with 2 failures".into()
-            })
-        );
-        assert_eq!(
-            contradict(&conforming, 1),
-            Err(ProtoError::Inconsistent {
-                detail: "verdict byte 1 with 0 failures".into()
-            })
-        );
-        assert_eq!(
-            contradict(&failing, 2),
-            Err(ProtoError::BadTag {
-                what: "Verdict",
-                tag: 2
-            })
-        );
+        assert!(!decoded(&failing).passed());
+        assert!(decoded(&conforming).passed());
         let mut retired = failing.clone();
-        assert_eq!(retired[verdict_at + 5], 1, "UnexpectedOutput keeps tag 1");
-        retired[verdict_at + 5] = 2;
+        assert_eq!(retired[count_at + 4], 1, "UnexpectedOutput keeps tag 1");
+        retired[count_at + 4] = 2;
         assert_eq!(
             decode_reply(&retired),
             Err(ProtoError::BadTag {

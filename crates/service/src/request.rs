@@ -32,12 +32,11 @@ pub enum RequestPayload {
         /// The specification to rewrite.
         stg: Stg,
         /// Search tuning. Only `max_signals` and
-        /// `critical_path_penalty` change the answer. The candidate
-        /// search runs serially on the job's worker thread, and
-        /// `threads` and `symbolic_threshold` have no effect. Both
-        /// fields still travel on the wire, though, so two requests
-        /// that differ only in them get different flight keys, though
-        /// their answers are equal.
+        /// `critical_path_penalty` change the answer, and only they
+        /// travel on the wire. The candidate search runs serially on
+        /// the job's worker thread, so `threads` and
+        /// `symbolic_threshold` have no effect; two requests that differ
+        /// only in them share one flight key and one memo entry.
         options: CscOptions,
     },
     /// Verify a gate-level circuit against its specification with
@@ -261,8 +260,9 @@ pub struct Response {
     pub degradations: Vec<Degradation>,
     /// Whether this response was served from the memo cache.
     pub cached: bool,
-    /// Always 0: the service runs each request once. The wire still
-    /// carries the field at protocol version 2; it goes at version 3.
+    /// Always 0: the service runs each request once. Not on the wire
+    /// (protocol version 3 dropped it; decode fills in 0). It stays
+    /// while perfbench builds responses with it.
     pub retries: u32,
 }
 

@@ -293,8 +293,8 @@ pub struct ServiceStats {
     /// progress or replayed its recorded reply.
     pub idempotent_replays: u64,
     /// Always 0: the service runs each request once (see the module
-    /// docs). Kept while perfbench reads it; it goes with
-    /// [`Response::retries`] at the next protocol version.
+    /// docs). Kept while perfbench reads it, like [`Response::retries`],
+    /// which is no longer on the wire.
     pub retries: u64,
     /// Worker panics caught and isolated. Every engine is
     /// per-request, so each panic also discards the engine it ran on.

@@ -291,6 +291,62 @@ fn a_gate_fed_the_wrong_input_count_is_refused_everywhere() {
     daemon.shutdown();
 }
 
+/// Every net is ordinary: no constructor builds a preset that names a
+/// place twice, so such a net can only arrive as bytes, and the wire
+/// refuses it at decode. The daemon answers with the typed protocol
+/// error.
+#[test]
+fn a_wire_stg_that_repeats_a_preset_place_is_refused() {
+    use rt_service::proto::{self, ProtoError};
+    use rt_stg::{Edge, SignalKind};
+    use std::net::TcpStream;
+
+    let _suite = suite_guard();
+    // `a+` consumes `p` and `q`, places 0 and 1.
+    let mut stg = Stg::new("twice");
+    let a = stg.add_signal("a", SignalKind::Output).expect("fresh");
+    let rise = stg.transition_for(a, Edge::Rise);
+    let fall = stg.transition_for(a, Edge::Fall);
+    let [p, q, r] = ["p", "q", "r"].map(|name| stg.add_place(name));
+    stg.arc_from_place(p, rise);
+    stg.arc_from_place(q, rise);
+    stg.arc_to_place(rise, r);
+    stg.arc_from_place(r, fall);
+    stg.arc_to_place(fall, p);
+    stg.arc_to_place(fall, q);
+    stg.set_tokens(p, 1);
+    stg.set_tokens(q, 1);
+    let mut payload = proto::encode_request(&Request::summary(stg));
+    // The presets precede the postsets, so the first two-arc list of
+    // places 0 and 1 is `a+`'s preset: make it name place 0 twice.
+    let preset = [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0];
+    let at = payload
+        .windows(preset.len())
+        .position(|window| window == preset)
+        .expect("a+'s preset is on the wire");
+    payload[at + 8] = 0;
+    let inconsistent = ProtoError::Inconsistent {
+        detail: "parse error at line 0: preset of transition 0 repeats place p0".into(),
+    };
+    assert_eq!(
+        proto::decode_request(&payload).err(),
+        Some(inconsistent.clone())
+    );
+
+    let daemon = ephemeral_daemon();
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+    proto::write_frame(&mut stream, &payload).expect("send");
+    let reply = proto::read_frame(&mut stream)
+        .expect("answered")
+        .expect("a reply frame");
+    assert_eq!(
+        proto::decode_reply(&reply).expect("reply decodes"),
+        Err(inconsistent.into())
+    );
+    assert_eq!(daemon.stats().requests, 0, "nothing was admitted");
+    daemon.shutdown();
+}
+
 #[test]
 fn garbage_and_version_mismatch_get_protocol_errors_then_the_connection_closes() {
     use rt_service::proto;

@@ -42,6 +42,7 @@ proptest! {
 
     /// Arbitrary bytes never panic either decoder — they decode or they
     /// produce a typed error.
+    #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_request(&bytes);
         let _ = decode_reply(&bytes);
@@ -50,6 +51,7 @@ proptest! {
     /// Any truncation of a valid encoding is rejected (or, at full
     /// length, decodes); no prefix ever panics or silently yields a
     /// different request.
+    #[test]
     fn truncations_of_valid_encodings_are_typed_errors(
         model in 0usize..6,
         keep_permille in 0u32..1000,
@@ -65,6 +67,7 @@ proptest! {
     /// every nonce and every client id round-trips exactly, the kinds
     /// are mutually exclusive, and corrupting the kind byte yields a
     /// typed error or a different frame — never a panic.
+    #[test]
     fn control_frames_roundtrip_for_every_nonce_and_id(
         nonce in any::<u64>(),
         id_seed in prop::collection::vec(any::<u8>(), 0..40),
@@ -97,6 +100,7 @@ proptest! {
     /// Single-byte corruption never panics, and when the corrupted
     /// payload still decodes, re-encoding it is still the identity on
     /// the corrupted bytes (the codec has one canonical form).
+    #[test]
     fn single_byte_corruption_is_total(
         model in 0usize..6,
         position_seed in any::<u32>(),

@@ -106,6 +106,38 @@ fn repeated_submissions_hit_the_memo_cache() {
 }
 
 #[test]
+fn resolutions_that_differ_only_in_options_without_effect_share_a_memo_entry() {
+    // `threads` and `symbolic_threshold` change no answer and are not on
+    // the wire, so they are not part of the flight key either.
+    let service = SynthService::start(ServiceConfig::default());
+    let first = service
+        .submit(Request::resolve_csc(
+            models::fifo_stg(),
+            CscOptions {
+                threads: 1,
+                ..CscOptions::default()
+            },
+        ))
+        .expect("first");
+    assert!(!first.cached);
+    let second = service
+        .submit(Request::resolve_csc(
+            models::fifo_stg(),
+            CscOptions {
+                threads: 8,
+                symbolic_threshold: 0,
+                ..CscOptions::default()
+            },
+        ))
+        .expect("second");
+    assert!(second.cached, "a memo hit");
+    assert_eq!(second.payload, first.payload);
+    let stats = service.stats();
+    assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+    assert_eq!(service.cache_len(), 1);
+}
+
+#[test]
 fn a_renamed_spec_is_resolved_under_its_own_names() {
     let service = SynthService::start(ServiceConfig::default());
     let options = CscOptions::default();

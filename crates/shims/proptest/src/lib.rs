@@ -335,9 +335,10 @@ pub mod prelude {
 
 /// Property-test entry point; mirrors `proptest::proptest!` syntax.
 ///
-/// Each `fn name(pat in strategy, ...) { body }` becomes a `#[test]`
-/// that generates inputs and runs the body for the configured number of
-/// cases.
+/// Each `fn name(pat in strategy, ...) { body }` becomes a function,
+/// with the attributes written on it, that generates inputs and runs
+/// the body for the configured number of cases. As with the real crate,
+/// a property is a test only when it carries `#[test]` itself.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -346,7 +347,6 @@ macro_rules! proptest {
     (@cfg ($cfg:expr) $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::test_runner::Config = $cfg;
                 let mut rng = $crate::test_runner::TestRng::deterministic();
@@ -401,20 +401,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Ranges respect their bounds.
+        #[test]
         fn range_bounds(n in 3usize..9, m in 0u64..5) {
             prop_assert!((3..9).contains(&n));
             prop_assert!(m < 5);
         }
 
+        #[test]
         fn vec_lengths(v in prop::collection::vec(any::<u8>(), 2..6)) {
             prop_assert!(v.len() >= 2 && v.len() < 6);
         }
 
+        #[test]
         fn map_applies(x in (0u32..10).prop_map(|v| v * 2)) {
             prop_assert_eq!(x % 2, 0);
             prop_assert!(x < 20);
         }
 
+        #[test]
         fn assume_skips(x in 0usize..10) {
             prop_assume!(x % 2 == 0);
             prop_assert_eq!(x % 2, 0);

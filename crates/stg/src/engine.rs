@@ -105,11 +105,14 @@
 //! iteration granularity** — once per BFS layer or image step, never
 //! per state — so an overrun stops within one round. Besides the
 //! budget, every walk takes safe nets only and stops at the hard cap
-//! [`STATE_LIMIT`] (see [`crate::reach`]): an initial marking with two
-//! tokens on a place is the same [`StgError::Unbounded`] on both
-//! backends, before any BDD is built. The built-in [`EXPLICIT_CEILING`]
-//! is handed to the walk in place of that cap, so a walk stops at the
-//! ceiling exactly.
+//! [`STATE_LIMIT`] (see [`crate::reach`]). Both backends play one token
+//! game ([`crate::petri`]): an initial marking with two tokens on a
+//! place is the same [`StgError::Unbounded`] on both, before any BDD is
+//! built, and so is a reachable firing that would put a second token on
+//! a place, which the BDD walks refuse after their fixpoint (see
+//! [`crate::symbolic`]), past the ceiling too. The built-in
+//! [`EXPLICIT_CEILING`] is handed to the walk in place of that cap, so a
+//! walk stops at the ceiling exactly.
 //!
 //! A fallback the caller's own budget forced is recorded as a typed
 //! [`Degradation`] in [`EngineStats::degradations`]:
@@ -825,7 +828,6 @@ mod tests {
         stg.set_tokens(place, 2);
         let not_safe = StgError::Unbounded {
             place: "<b-,a+>".to_string(),
-            bound: 1,
         };
         for mut engine in [ReachEngine::explicit(), ReachEngine::symbolic()] {
             assert_eq!(engine.summary(&stg), Err(not_safe.clone()));
@@ -843,6 +845,68 @@ mod tests {
             crate::symbolic::csc::csc_conflicts_symbolic(&stg).unwrap_err(),
             not_safe
         );
+    }
+
+    #[test]
+    fn an_unsafe_firing_is_the_same_error_on_every_query() {
+        // `a+` has an empty preset and feeds `p`, so its second firing
+        // would put a second token there.
+        let mut stg = Stg::new("source");
+        let a = stg
+            .add_signal("a", crate::signal::SignalKind::Output)
+            .expect("fresh");
+        let rise = stg.transition_for(a, crate::signal::Edge::Rise);
+        let fall = stg.transition_for(a, crate::signal::Edge::Fall);
+        let p = stg.add_place("p");
+        stg.arc_to_place(rise, p);
+        stg.arc_from_place(p, fall);
+        let not_safe = StgError::Unbounded {
+            place: "p".to_string(),
+        };
+        for mut engine in [ReachEngine::explicit(), ReachEngine::symbolic()] {
+            assert_eq!(engine.summary(&stg), Err(not_safe.clone()));
+            assert_eq!(engine.csc_check(&stg), Err(not_safe.clone()));
+            assert_eq!(engine.state_graph(&stg).unwrap_err(), not_safe);
+            assert_eq!(engine.symbolic_set(&stg).unwrap_err(), not_safe);
+            assert_eq!(engine.csc_conflicts_symbolic(&stg).unwrap_err(), not_safe);
+            assert!(engine.stats().degradations.is_empty());
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "walks 2^17 markings: seconds in a debug build, run in release"
+    )]
+    fn an_unsafe_firing_past_the_ceiling_is_refused_after_the_fallback() {
+        // 2^18 markings of independent cycles beside a 20-step silent
+        // chain whose last step fires into an already-marked place: the
+        // explicit walk stops at the ceiling long before the chain ends,
+        // and the BDD fixpoint that answers instead must refuse the net
+        // rather than count 2^18 * 21 markings.
+        let mut stg = independent_cycles(18);
+        let full = stg.add_place("full");
+        stg.set_tokens(full, 1);
+        let mut link = stg.add_place("c0");
+        stg.set_tokens(link, 1);
+        for step in 0..=20 {
+            let t = stg.silent(format!("step{step}"));
+            stg.arc_from_place(link, t);
+            if step == 20 {
+                stg.arc_to_place(t, full);
+            } else {
+                link = stg.add_place(format!("c{}", step + 1));
+                stg.arc_to_place(t, link);
+            }
+        }
+        let not_safe = StgError::Unbounded {
+            place: "full".to_string(),
+        };
+        let mut engine = ReachEngine::explicit();
+        assert_eq!(engine.summary(&stg), Err(not_safe.clone()));
+        assert_eq!(engine.csc_check(&stg), Err(not_safe.clone()));
+        assert!(engine.manager_nodes() > 2, "BDDs answered past the ceiling");
+        assert!(engine.stats().degradations.is_empty());
     }
 
     #[test]

@@ -23,13 +23,12 @@ pub enum StgError {
     UnknownPlace(String),
     /// A transition name was referenced that does not exist.
     UnknownTransition(String),
-    /// The net is not 1-bounded (safe): a marking puts a second token
-    /// on a place. Every walk takes safe nets only.
+    /// The net is not safe: the initial marking, or a reachable firing,
+    /// puts a second token on a place. Every walk takes safe nets only,
+    /// and both backends refuse the same nets (see [`crate::petri`]).
     Unbounded {
-        /// Place that exceeded the token bound.
+        /// Place that would hold the second token.
         place: String,
-        /// Bound that was exceeded: always 1.
-        bound: u32,
     },
     /// The STG is inconsistent: along some firing sequence a signal would
     /// rise when already high or fall when already low.
@@ -96,8 +95,8 @@ impl fmt::Display for StgError {
             StgError::DuplicateSignal(name) => write!(f, "duplicate signal `{name}`"),
             StgError::UnknownPlace(name) => write!(f, "unknown place `{name}`"),
             StgError::UnknownTransition(name) => write!(f, "unknown transition `{name}`"),
-            StgError::Unbounded { place, bound } => {
-                write!(f, "place `{place}` exceeds token bound {bound}")
+            StgError::Unbounded { place } => {
+                write!(f, "place `{place}` exceeds token bound 1")
             }
             StgError::Inconsistent { signal, detail } => {
                 write!(f, "inconsistent STG: signal `{signal}` ({detail})")
@@ -167,10 +166,7 @@ mod tests {
             ),
             (StgError::UnknownPlace("p".into()), "unknown place `p`"),
             (
-                StgError::Unbounded {
-                    place: "p0".into(),
-                    bound: 1,
-                },
+                StgError::Unbounded { place: "p0".into() },
                 "place `p0` exceeds token bound 1",
             ),
             (

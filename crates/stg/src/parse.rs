@@ -47,7 +47,8 @@ use crate::stg::{split_event_name, Stg, TransitionLabel};
 ///
 /// # Errors
 ///
-/// Returns [`StgError::Parse`] with a line number for syntax problems, and
+/// Returns [`StgError::Parse`] with a line number for syntax problems and
+/// for an arc between a place and a transition written twice, and
 /// [`StgError::DuplicateSignal`] / [`StgError::UnknownSignal`] for semantic
 /// ones.
 pub fn parse_g(text: &str) -> Result<Stg, StgError> {
@@ -219,9 +220,17 @@ impl<'a> Parser<'a> {
                         .insert(format!("<{from_name},{to_name}>"), NodeRef::Place(place));
                 }
                 (NodeRef::Transition(from), NodeRef::Place(place)) => {
+                    let postset = self.stg.net().postset(from);
+                    if postset.iter().any(|arc| arc.place == place) {
+                        return Err(repeated_arc(tokens[0], target_token, line_no));
+                    }
                     self.stg.arc_to_place(from, place);
                 }
                 (NodeRef::Place(place), NodeRef::Transition(to)) => {
+                    let preset = self.stg.net().preset(to);
+                    if preset.iter().any(|arc| arc.place == place) {
+                        return Err(repeated_arc(tokens[0], target_token, line_no));
+                    }
                     self.stg.arc_from_place(place, to);
                 }
                 (NodeRef::Place(_), NodeRef::Place(_)) => {
@@ -299,6 +308,16 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// An arc between an explicit place and a transition written a second
+/// time: every net is ordinary (see [`crate::petri`]), so an arc cannot
+/// carry a second token.
+fn repeated_arc(source: &str, target: &str, line: usize) -> StgError {
+    StgError::Parse {
+        line,
+        message: format!("arc `{source} {target}` is written twice"),
     }
 }
 
@@ -509,6 +528,37 @@ b+ a+
 ";
         let err = parse_g(text).unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }));
+    }
+
+    #[test]
+    fn an_arc_written_twice_is_an_error_naming_its_line() {
+        let text = "\
+.model twice
+.inputs a
+.outputs b
+.graph
+p b+
+b+ a+
+a+ p
+p b+
+.marking { p }
+.end
+";
+        assert_eq!(
+            parse_g(text).unwrap_err(),
+            StgError::Parse {
+                line: 8,
+                message: "arc `p b+` is written twice".to_string()
+            }
+        );
+        let text = text.replace("p b+\n.marking", "a+ b- p\n.marking");
+        assert_eq!(
+            parse_g(&text).unwrap_err(),
+            StgError::Parse {
+                line: 8,
+                message: "arc `a+ p` is written twice".to_string()
+            }
+        );
     }
 
     #[test]

@@ -1,9 +1,22 @@
-//! Petri nets: places, transitions, weighted arcs, markings and the token
-//! game.
+//! Petri nets: places, transitions, arcs, markings and the token game.
 //!
 //! The net structure is deliberately minimal and index-based; an
 //! [`crate::Stg`] wraps a [`PetriNet`] with signal labels. Analysis code
 //! (reachability, lazy state graphs) works on these indices.
+//!
+//! ## One net model
+//!
+//! Every net is an ordinary safe net, the model the paper's flow reads
+//! an STG as. An arc moves one token, and no place appears twice in one
+//! preset or postset: every constructor refuses a repeated arc. A
+//! transition is enabled when every place of its preset is marked, and
+//! firing it empties the preset and marks the postset. A firing that
+//! would put a second token on a place (a place of the postset, outside
+//! the preset, already marked) is refused: the explicit walks of
+//! [`crate::reach`] and the BDD walks of [`crate::symbolic`] both answer
+//! it with [`StgError::Unbounded`]. The one firing rule on markings is
+//! [`PetriNet::fire_packed_into`]; [`Marking`] is a dense token vector
+//! for initial markings and diagnostics.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -140,17 +153,15 @@ impl fmt::Display for Marking {
     }
 }
 
-/// A weighted arc endpoint: the place and the number of tokens
-/// consumed/produced.
+/// An arc endpoint: the place a transition consumes its token from or
+/// produces its token into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Arc {
     /// Connected place.
     pub place: PlaceId,
-    /// Arc weight (tokens moved per firing); ordinary nets use 1.
-    pub weight: u16,
 }
 
-/// A Petri net: places, transitions and weighted pre/post arcs.
+/// A Petri net: places, transitions and pre/post arcs.
 ///
 /// The net stores, per transition, its preset (consumed places) and postset
 /// (produced places); per place, the transitions it feeds and is fed by.
@@ -161,24 +172,27 @@ pub struct Arc {
 /// A two-transition ring with one token:
 ///
 /// ```
-/// use rt_stg::{Marking, PetriNet};
+/// use rt_stg::{Marking, MarkingLayout, PackedMarking, PetriNet};
 ///
 /// let mut net = PetriNet::new();
 /// let p0 = net.add_place("p0");
 /// let p1 = net.add_place("p1");
 /// let t0 = net.add_transition("t0");
 /// let t1 = net.add_transition("t1");
-/// net.add_arc_pt(p0, t0, 1);
-/// net.add_arc_tp(t0, p1, 1);
-/// net.add_arc_pt(p1, t1, 1);
-/// net.add_arc_tp(t1, p0, 1);
+/// net.add_arc_pt(p0, t0);
+/// net.add_arc_tp(t0, p1);
+/// net.add_arc_pt(p1, t1);
+/// net.add_arc_tp(t1, p0);
 ///
+/// let layout = MarkingLayout::new(net.place_count());
 /// let mut m = Marking::empty(net.place_count());
 /// m.set(p0, 1);
-/// assert!(net.is_enabled(t0, &m));
-/// assert!(!net.is_enabled(t1, &m));
-/// let m2 = net.fire(t0, &m).expect("t0 enabled");
-/// assert!(net.is_enabled(t1, &m2));
+/// let m = PackedMarking::pack(&layout, &m);
+/// assert!(net.is_enabled_packed(t0, &m, &layout));
+/// assert!(!net.is_enabled_packed(t1, &m, &layout));
+/// let mut m2 = m.clone();
+/// net.fire_packed_into(t0, &m, &layout, &mut m2).expect("the ring stays safe");
+/// assert!(net.is_enabled_packed(t1, &m2, &layout));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PetriNet {
@@ -232,11 +246,16 @@ impl PetriNet {
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is out of range or `weight == 0`.
-    pub fn add_arc_pt(&mut self, place: PlaceId, transition: TransitionId, weight: u16) {
-        assert!(weight > 0, "arc weight must be positive");
+    /// Panics if either endpoint is out of range or `place` is already
+    /// in `transition`'s preset.
+    pub fn add_arc_pt(&mut self, place: PlaceId, transition: TransitionId) {
         assert!(place.index() < self.place_count(), "place out of range");
-        self.presets[transition.index()].push(Arc { place, weight });
+        let preset = &mut self.presets[transition.index()];
+        assert!(
+            preset.iter().all(|arc| arc.place != place),
+            "repeated arc {place} -> {transition}"
+        );
+        preset.push(Arc { place });
         self.consumers[place.index()].push(transition);
     }
 
@@ -244,11 +263,16 @@ impl PetriNet {
     ///
     /// # Panics
     ///
-    /// Panics if either endpoint is out of range or `weight == 0`.
-    pub fn add_arc_tp(&mut self, transition: TransitionId, place: PlaceId, weight: u16) {
-        assert!(weight > 0, "arc weight must be positive");
+    /// Panics if either endpoint is out of range or `place` is already
+    /// in `transition`'s postset.
+    pub fn add_arc_tp(&mut self, transition: TransitionId, place: PlaceId) {
         assert!(place.index() < self.place_count(), "place out of range");
-        self.postsets[transition.index()].push(Arc { place, weight });
+        let postset = &mut self.postsets[transition.index()];
+        assert!(
+            postset.iter().all(|arc| arc.place != place),
+            "repeated arc {transition} -> {place}"
+        );
+        postset.push(Arc { place });
         self.producers[place.index()].push(transition);
     }
 
@@ -268,8 +292,9 @@ impl PetriNet {
     /// # Errors
     ///
     /// [`StgError::Parse`] (line 0) when lengths disagree, an arc index
-    /// is out of range, a weight is zero, or the per-place lists are not
-    /// a permutation-consistent view of the per-transition arcs.
+    /// is out of range, a preset or postset names a place twice, or the
+    /// per-place lists are not a permutation-consistent view of the
+    /// per-transition arcs.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         place_names: Vec<String>,
@@ -305,16 +330,17 @@ impl PetriNet {
         ] {
             let mut expected: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); places];
             for (t, arcs) in arcs.iter().enumerate() {
-                for arc in arcs {
+                for (i, arc) in arcs.iter().enumerate() {
                     if arc.place.index() >= places {
                         return Err(inconsistent(format!(
                             "{role} arc of transition {t} names place {} of {places}",
                             arc.place
                         )));
                     }
-                    if arc.weight == 0 {
+                    if arcs[..i].iter().any(|earlier| earlier.place == arc.place) {
                         return Err(inconsistent(format!(
-                            "{role} arc of transition {t} has zero weight"
+                            "{role} of transition {t} repeats place {}",
+                            arc.place
                         )));
                     }
                     *expected[arc.place.index()].entry(t as u32).or_insert(0) += 1;
@@ -387,42 +413,8 @@ impl PetriNet {
         (0..self.transition_count() as u32).map(TransitionId)
     }
 
-    /// Whether `transition` is enabled in marking `m`.
-    pub fn is_enabled(&self, transition: TransitionId, m: &Marking) -> bool {
-        self.preset(transition)
-            .iter()
-            .all(|arc| m.tokens(arc.place) >= arc.weight)
-    }
-
-    /// All transitions enabled in `m`.
-    pub fn enabled(&self, m: &Marking) -> Vec<TransitionId> {
-        self.transitions()
-            .filter(|&t| self.is_enabled(t, m))
-            .collect()
-    }
-
-    /// Fires `transition` from marking `m`, returning the successor marking,
-    /// or `None` if the transition is not enabled.
-    pub fn fire(&self, transition: TransitionId, m: &Marking) -> Option<Marking> {
-        if !self.is_enabled(transition, m) {
-            return None;
-        }
-        let mut next = m.clone();
-        for arc in self.preset(transition) {
-            let current = next.tokens(arc.place);
-            next.set(arc.place, current - arc.weight);
-        }
-        for arc in self.postset(transition) {
-            let current = next.tokens(arc.place);
-            next.set(arc.place, current.saturating_add(arc.weight));
-        }
-        Some(next)
-    }
-
-    /// Whether `transition` is enabled in packed marking `m`.
-    ///
-    /// The packed counterpart of [`PetriNet::is_enabled`]; performs no
-    /// heap allocation.
+    /// Whether `transition` is enabled in packed marking `m`: every place
+    /// of its preset is marked. Performs no heap allocation.
     #[inline]
     pub fn is_enabled_packed(
         &self,
@@ -432,19 +424,20 @@ impl PetriNet {
     ) -> bool {
         self.preset(transition)
             .iter()
-            .all(|arc| m.tokens(layout, arc.place) >= arc.weight)
+            .all(|arc| m.tokens(layout, arc.place) == 1)
     }
 
     /// Fires `transition` from packed marking `m`, writing the successor
     /// into `out` (caller-provided to keep the hot path allocation-free
-    /// for inline layouts).
+    /// for inline layouts): the preset is emptied, then the postset
+    /// marked.
     ///
     /// The transition must be enabled (checked in debug builds only).
     ///
     /// # Errors
     ///
-    /// Returns the first place the firing would give a second token: the
-    /// successor is not safe.
+    /// Returns the first place of the postset, outside the preset, that
+    /// is already marked: the successor would hold a second token there.
     #[inline]
     pub fn fire_packed_into(
         &self,
@@ -456,15 +449,13 @@ impl PetriNet {
         debug_assert!(self.is_enabled_packed(transition, m, layout));
         out.clone_from(m);
         for arc in self.preset(transition) {
-            let current = out.tokens(layout, arc.place);
-            out.set_tokens(layout, arc.place, current - arc.weight);
+            out.set_tokens(layout, arc.place, 0);
         }
         for arc in self.postset(transition) {
-            let next = out.tokens(layout, arc.place).saturating_add(arc.weight);
-            if next > 1 {
+            if out.tokens(layout, arc.place) == 1 {
                 return Err(arc.place);
             }
-            out.set_tokens(layout, arc.place, next);
+            out.set_tokens(layout, arc.place, 1);
         }
         Ok(())
     }
@@ -569,29 +560,75 @@ mod tests {
         let p1 = net.add_place("p1");
         let t0 = net.add_transition("t0");
         let t1 = net.add_transition("t1");
-        net.add_arc_pt(p0, t0, 1);
-        net.add_arc_tp(t0, p1, 1);
-        net.add_arc_pt(p1, t1, 1);
-        net.add_arc_tp(t1, p0, 1);
+        net.add_arc_pt(p0, t0);
+        net.add_arc_tp(t0, p1);
+        net.add_arc_pt(p1, t1);
+        net.add_arc_tp(t1, p0);
         let mut m = Marking::empty(net.place_count());
         m.set(p0, 1);
         (net, m, t0, t1)
     }
 
-    #[test]
-    fn firing_moves_the_token_around_the_ring() {
-        let (net, m, t0, t1) = ring2();
-        assert_eq!(net.enabled(&m), vec![t0]);
-        let m1 = net.fire(t0, &m).unwrap();
-        assert_eq!(net.enabled(&m1), vec![t1]);
-        let m2 = net.fire(t1, &m1).unwrap();
-        assert_eq!(m2, m, "ring returns to the initial marking");
+    /// The transitions `m` enables, and each one's successor.
+    fn fire_all(net: &PetriNet, m: &Marking) -> Vec<(TransitionId, Result<Marking, PlaceId>)> {
+        let layout = MarkingLayout::new(net.place_count());
+        let packed = PackedMarking::pack(&layout, m);
+        let mut out = PackedMarking::zero(&layout);
+        net.transitions()
+            .filter(|&t| net.is_enabled_packed(t, &packed, &layout))
+            .map(|t| {
+                let next = net.fire_packed_into(t, &packed, &layout, &mut out);
+                (t, next.map(|()| out.unpack(&layout)))
+            })
+            .collect()
     }
 
     #[test]
-    fn firing_a_disabled_transition_returns_none() {
-        let (net, m, _, t1) = ring2();
-        assert!(net.fire(t1, &m).is_none());
+    fn firing_moves_the_token_around_the_ring() {
+        let (net, m, t0, t1) = ring2();
+        let [(fired, Ok(m1))] = &fire_all(&net, &m)[..] else {
+            panic!("only t0 is enabled");
+        };
+        assert_eq!(*fired, t0);
+        let [(fired, Ok(m2))] = &fire_all(&net, m1)[..] else {
+            panic!("only t1 is enabled");
+        };
+        assert_eq!(*fired, t1);
+        assert_eq!(*m2, m, "ring returns to the initial marking");
+    }
+
+    #[test]
+    fn a_firing_into_a_marked_place_is_refused() {
+        // `t` consumes `p` and produces into `p` and `q`: the self-loop
+        // place is emptied first, so only a marked `q` is refused.
+        let mut net = PetriNet::new();
+        let p = net.add_place("p");
+        let q = net.add_place("q");
+        let t = net.add_transition("t");
+        net.add_arc_pt(p, t);
+        net.add_arc_tp(t, p);
+        net.add_arc_tp(t, q);
+        let m = Marking::from_tokens(vec![1, 0]);
+        assert_eq!(
+            fire_all(&net, &m),
+            vec![(t, Ok(Marking::from_tokens(vec![1, 1])))]
+        );
+        let m = Marking::from_tokens(vec![1, 1]);
+        assert_eq!(fire_all(&net, &m), vec![(t, Err(q))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated arc p0 -> t0")]
+    fn a_repeated_preset_arc_is_refused() {
+        let (mut net, _, t0, _) = ring2();
+        net.add_arc_pt(PlaceId(0), t0);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated arc t1 -> p0")]
+    fn a_repeated_postset_arc_is_refused() {
+        let (mut net, _, _, t1) = ring2();
+        net.add_arc_tp(t1, PlaceId(0));
     }
 
     #[test]
@@ -608,8 +645,8 @@ mod tests {
         let p = net.add_place("choice");
         let a = net.add_transition("a");
         let b = net.add_transition("b");
-        net.add_arc_pt(p, a, 1);
-        net.add_arc_pt(p, b, 1);
+        net.add_arc_pt(p, a);
+        net.add_arc_pt(p, b);
         assert!(!net.is_marked_graph());
         assert!(net.is_free_choice(), "single-input choice is free choice");
         assert_eq!(net.conflict_groups(), vec![vec![a, b]]);
@@ -622,25 +659,10 @@ mod tests {
         let q = net.add_place("q");
         let a = net.add_transition("a");
         let b = net.add_transition("b");
-        net.add_arc_pt(p, a, 1);
-        net.add_arc_pt(p, b, 1);
-        net.add_arc_pt(q, a, 1); // `a` has a second input: not free choice
+        net.add_arc_pt(p, a);
+        net.add_arc_pt(p, b);
+        net.add_arc_pt(q, a); // `a` has a second input: not free choice
         assert!(!net.is_free_choice());
-    }
-
-    #[test]
-    fn weighted_arcs_respected() {
-        let mut net = PetriNet::new();
-        let p = net.add_place("p");
-        let t = net.add_transition("t");
-        net.add_arc_pt(p, t, 2);
-        let mut m = Marking::empty(1);
-        m.set(p, 1);
-        assert!(!net.is_enabled(t, &m));
-        m.set(p, 2);
-        assert!(net.is_enabled(t, &m));
-        let next = net.fire(t, &m).unwrap();
-        assert_eq!(next.tokens(p), 0);
     }
 
     #[test]
@@ -677,10 +699,7 @@ mod tests {
         let err = PetriNet::from_parts(
             vec!["p".into()],
             vec!["t".into()],
-            vec![vec![Arc {
-                place: PlaceId(0),
-                weight: 1,
-            }]],
+            vec![vec![Arc { place: PlaceId(0) }]],
             vec![vec![]],
             vec![vec![]],
             vec![vec![]],
@@ -698,6 +717,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, StgError::Parse { .. }), "got {err:?}");
+        // A preset that names its place twice, with the consumers list
+        // agreeing.
+        let err = PetriNet::from_parts(
+            vec!["p".into()],
+            vec!["t".into()],
+            vec![vec![Arc { place: PlaceId(0) }; 2]],
+            vec![vec![]],
+            vec![vec![TransitionId(0); 2]],
+            vec![vec![]],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            StgError::Parse {
+                line: 0,
+                message: "preset of transition 0 repeats place p0".into()
+            }
+        );
     }
 
     #[test]

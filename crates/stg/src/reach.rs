@@ -13,7 +13,8 @@
 //!
 //! * **safe nets only**, like the symbolic walks of [`crate::symbolic`]:
 //!   an initial marking with two tokens on a place, or a firing that puts
-//!   a second token on one, is [`StgError::Unbounded`] with bound 1;
+//!   a second token on one, is [`StgError::Unbounded`] (the firing rule
+//!   is [`PetriNet::fire_packed_into`]'s, see [`crate::petri`]);
 //! * **a hard cap of [`STATE_LIMIT`] markings**: past it the walk stops
 //!   with [`StgError::StateLimitExceeded`] and never answers over a
 //!   partial state space;
@@ -346,10 +347,9 @@ pub(crate) fn safe_layout(stg: &Stg) -> Result<MarkingLayout, StgError> {
 }
 
 /// The error for a marking that puts a second token on `place`.
-fn unsafe_at(net: &PetriNet, place: PlaceId) -> StgError {
+pub(crate) fn unsafe_at(net: &PetriNet, place: PlaceId) -> StgError {
     StgError::Unbounded {
         place: net.place_name(place).to_string(),
-        bound: 1,
     }
 }
 
@@ -499,8 +499,9 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_net_rejected_with_safe_bound() {
-        // A transition that only produces tokens.
+    fn a_firing_into_a_marked_place_is_refused() {
+        // `a+` keeps itself enabled through a self-loop and feeds `sink`,
+        // so its second firing would put a second token there.
         let mut stg = Stg::new("pump");
         let a = stg.add_signal("a", SignalKind::Input).unwrap();
         let t1 = stg.transition_for(a, Edge::Rise);
@@ -510,17 +511,16 @@ mod tests {
         stg.arc_from_place(p_loop, t1);
         stg.arc_to_place(t1, p_loop); // self-loop keeps t1 live
         let sink = stg.add_place("sink");
-        stg.arc_to_place(t1, sink); // accumulates tokens unboundedly
+        stg.arc_to_place(t1, sink);
         stg.arc_from_place(sink, t2);
         stg.arc_to_place(t2, sink);
-        stg.arc_to_place(t2, sink);
-        let err = explore(&stg).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StgError::Unbounded { .. } | StgError::Inconsistent { .. }
-            ),
-            "got {err:?}"
+        let not_safe = StgError::Unbounded {
+            place: "sink".to_string(),
+        };
+        assert_eq!(explore(&stg).unwrap_err(), not_safe);
+        assert_eq!(
+            count_markings_capped(&stg, &Budget::default(), STATE_LIMIT).unwrap_err(),
+            not_safe
         );
     }
 

@@ -31,11 +31,10 @@
 //! Like every walk, it takes safe nets only (see [`crate::reach`]): a
 //! spliced place never holds more tokens than the base place it splits
 //! or the base postset it holds back, so each base state pairs with at
-//! most four token placements. Nets or splices outside the walk's
-//! premises (weighted or repeated arcs, a place splice on a place that
-//! is not simple, a transition splice after a transition with an empty
-//! postset) are rebuilt and explored instead, so the answer is the same
-//! either way.
+//! most four token placements. Splices outside the walk's premises (a
+//! place splice on a place that is not simple, a transition splice
+//! after a transition with an empty postset) are rebuilt and explored
+//! instead, so the answer is the same either way.
 
 use crate::budget::Budget;
 use crate::error::StgError;
@@ -390,15 +389,6 @@ impl Walk {
             || base.state_count() == 0
         {
             return None;
-        }
-        for t in net.transitions() {
-            for arcs in [net.preset(t), net.postset(t)] {
-                for (i, arc) in arcs.iter().enumerate() {
-                    if arc.weight != 1 || arcs[..i].iter().any(|a| a.place == arc.place) {
-                        return None;
-                    }
-                }
-            }
         }
         let initial = base.packed_marking(base.initial());
         let tokens = |p: PlaceId| initial.tokens(&base_layout, p);

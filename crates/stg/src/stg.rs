@@ -177,8 +177,8 @@ impl Stg {
     }
 
     /// A content hash of the specification: signals (names, roles,
-    /// forced initial values), transition labels, arc structure with
-    /// weights, and the initial marking. Two `Stg`s built the same way
+    /// forced initial values), transition labels, arc structure and the
+    /// initial marking. Two `Stg`s built the same way
     /// hash equal; the model *name* and place names are excluded.
     ///
     /// A structural fingerprint, not an identity: equal hashes do not
@@ -243,12 +243,10 @@ impl Stg {
             }
             for arc in self.net.preset(transition) {
                 hasher.write_u32(arc.place.0);
-                hasher.write_u16(arc.weight);
             }
             hasher.write_u8(0xff);
             for arc in self.net.postset(transition) {
                 hasher.write_u32(arc.place.0);
-                hasher.write_u16(arc.weight);
             }
             hasher.write_u8(0xfe);
         }
@@ -381,8 +379,8 @@ impl Stg {
             self.net.transition_name(to)
         );
         let place = self.add_place(name);
-        self.net.add_arc_tp(from, place, 1);
-        self.net.add_arc_pt(place, to, 1);
+        self.net.add_arc_tp(from, place);
+        self.net.add_arc_pt(place, to);
         place
     }
 
@@ -394,13 +392,23 @@ impl Stg {
     }
 
     /// Adds a transition → place arc (for explicit places).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `place` is already in `from`'s postset
+    /// ([`PetriNet::add_arc_tp`]).
     pub fn arc_to_place(&mut self, from: TransitionId, place: PlaceId) {
-        self.net.add_arc_tp(from, place, 1);
+        self.net.add_arc_tp(from, place);
     }
 
     /// Adds a place → transition arc (for explicit places).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `place` is already in `to`'s preset
+    /// ([`PetriNet::add_arc_pt`]).
     pub fn arc_from_place(&mut self, place: PlaceId, to: TransitionId) {
-        self.net.add_arc_pt(place, to, 1);
+        self.net.add_arc_pt(place, to);
     }
 
     /// Sets the initial token count of `place`.
@@ -512,6 +520,16 @@ mod tests {
         (stg, a, b)
     }
 
+    /// The transitions the initial marking enables.
+    fn initially_enabled(stg: &Stg) -> Vec<TransitionId> {
+        let layout = crate::MarkingLayout::new(stg.net().place_count());
+        let m = crate::PackedMarking::pack(&layout, &stg.initial_marking());
+        stg.net()
+            .transitions()
+            .filter(|&t| stg.net().is_enabled_packed(t, &m, &layout))
+            .collect()
+    }
+
     #[test]
     fn duplicate_signal_rejected() {
         let mut stg = Stg::new("x");
@@ -536,7 +554,7 @@ mod tests {
         let (stg, _, _) = handshake();
         let m = stg.initial_marking();
         assert_eq!(m.total_tokens(), 1);
-        let enabled = stg.net().enabled(&m);
+        let enabled = initially_enabled(&stg);
         assert_eq!(enabled.len(), 1);
         assert_eq!(stg.net().transition_name(enabled[0]), "a+");
     }
@@ -628,8 +646,7 @@ mod tests {
         stg.set_tokens(p, 1);
         stg.arc_from_place(p, ap);
         stg.arc_from_place(p, bp);
-        let m = stg.initial_marking();
-        assert_eq!(stg.net().enabled(&m).len(), 2);
+        assert_eq!(initially_enabled(&stg).len(), 2);
         assert!(!stg.net().is_marked_graph());
     }
 }

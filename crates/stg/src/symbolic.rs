@@ -36,17 +36,28 @@
 //!   structure between them. [`crate::engine::ReachEngine`] builds its
 //!   symbolic backend on this entry point.
 //!
-//! Only *safe* (1-bounded) nets are supported: a marking is then exactly
-//! a set of places. That is every walk's contract, the explicit ones of
-//! [`crate::reach`] included, and every walk here runs the explicit
-//! walks' up-front check before any BDD operation: an initial marking
-//! with two tokens on a place is [`StgError::Unbounded`] on both
-//! analysers, and builds no node. A firing that would put a second token
-//! on a place later in the walk is a different matter: its image is
-//! simply not generated (see `firing_cube`), where the explicit walk
-//! reports it. Detecting it would build nodes the fresh-manager pins
-//! fix. Nets of any width are accepted — the manager is widened on
-//! demand via [`rt_boolean::Bdd::ensure_vars`], so > 64-place nets (the
+//! ## One token game
+//!
+//! A marking of a safe net is exactly a set of places, and the net model
+//! of [`crate::petri`] is the one both backends play: every arc moves
+//! one token, and a firing that would put a second token on a place is
+//! [`StgError::Unbounded`]. The walks here share the explicit walks'
+//! up-front check, so an initial marking with two tokens on a place is
+//! refused before any BDD operation. A later unsafe firing is refused by
+//! a read-only pass over the reached set once the forward fixpoint
+//! converges (`refuse_unsafe_firing`, run by both fixpoints): the image
+//! never generates such a successor (see `firing_cube`), and the pass
+//! asks whether some reached marking marks a transition's whole preset
+//! and a place of its postset outside the preset
+//! ([`rt_boolean::Bdd::first_cube_met`]). It builds no node, so the
+//! fresh-manager node counts stay as they were. It is exact: an
+//! explicit walk's first unsafe firing starts from a marking every
+//! earlier firing reached safely, and the fixpoint, which skips only
+//! unsafe firings, reaches that marking too; on a safe net the pass
+//! finds nothing and no answer moves.
+//!
+//! Nets of any width are accepted — the manager is widened on demand
+//! via [`rt_boolean::Bdd::ensure_vars`], so > 64-place nets (the
 //! `W2`/`W4`/`Big` packed-marking territory of [`crate::marking`]) work
 //! transparently.
 //!
@@ -79,8 +90,8 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::petri::{PetriNet, TransitionId};
-use crate::reach::safe_layout;
+use crate::petri::{Arc, PetriNet, TransitionId};
+use crate::reach::{safe_layout, unsafe_at};
 use crate::stg::Stg;
 
 pub mod csc;
@@ -167,7 +178,8 @@ pub fn reach_symbolic(stg: &Stg) -> Result<SymbolicReach, StgError> {
 ///
 /// # Errors
 ///
-/// * [`StgError::Unbounded`] — the initial marking is not safe;
+/// * [`StgError::Unbounded`] — the initial marking, or a reachable
+///   firing, puts a second token on a place;
 /// * [`StgError::IterationLimitExceeded`] — the fixpoint has not
 ///   converged after 10 000 image iterations (a diverging or enormous
 ///   net).
@@ -210,7 +222,6 @@ pub fn reach_symbolic_with(
     }
 
     // Per-transition image: S_t = replace_cube(S, firing cube of t).
-    // For safe nets this is exact.
     let cubes: Vec<Vec<(usize, bool, bool)>> = net
         .transitions()
         .map(|t| firing_cube(net, t, &var_of))
@@ -236,6 +247,7 @@ pub fn reach_symbolic_with(
         reached = bdd.or(reached, fresh);
         frontier = fresh;
     }
+    refuse_unsafe_firing(bdd, reached, net, &var_of)?;
 
     // Invert the order for membership queries: variable v encodes
     // place place_of_var[v].
@@ -294,31 +306,58 @@ pub(crate) fn place_order(stg: &Stg) -> Vec<u32> {
 ///
 /// Before firing the preset is marked and every produced place empty.
 /// That is the safeness side condition: a produced place must be empty
-/// unless it is also consumed, else the net would go 2-bounded. Explicit
-/// analysis reports `Unbounded` there; symbolically the successor is
-/// simply not generated, so the analyses agree only on safe nets (the
-/// up-front check catches an unsafe initial marking on both). After
-/// firing the postset is marked and the rest of the preset empty.
+/// unless it is also consumed. The image never generates a successor
+/// that breaks it; [`refuse_unsafe_firing`] refuses the net instead, as
+/// the explicit walks do. After firing the postset is marked and the
+/// rest of the preset empty.
 pub(crate) fn firing_cube(
     net: &PetriNet,
     t: TransitionId,
     var_of: &[u32],
 ) -> Vec<(usize, bool, bool)> {
-    let mut cube: Vec<(usize, bool, bool)> = Vec::new();
-    for arc in net.preset(t) {
-        let var = var_of[arc.place.index()] as usize;
-        if cube.iter().all(|&(v, ..)| v != var) {
-            cube.push((var, true, false));
-        }
-    }
+    let var = |arc: &Arc| var_of[arc.place.index()] as usize;
+    let mut cube: Vec<(usize, bool, bool)> = net
+        .preset(t)
+        .iter()
+        .map(|arc| (var(arc), true, false))
+        .collect();
     for arc in net.postset(t) {
-        let var = var_of[arc.place.index()] as usize;
-        match cube.iter_mut().find(|(v, ..)| *v == var) {
+        match cube.iter_mut().find(|(v, ..)| *v == var(arc)) {
             Some(lit) => lit.2 = true,
-            None => cube.push((var, false, true)),
+            None => cube.push((var(arc), false, true)),
         }
     }
     cube
+}
+
+/// The read-only pass both forward fixpoints end with (here and in
+/// [`csc`]; see the module docs' *One token game*): the first
+/// transition, in id order, that some marking of `reached` enables with
+/// a place of its postset outside its preset already marked, refused as
+/// [`StgError::Unbounded`] naming that place (the first such place of
+/// the postset). `var_of[place]` is the place's variable. The questions
+/// go to one [`Bdd::first_cube_met`] call, so the pass builds no node.
+pub(crate) fn refuse_unsafe_firing(
+    bdd: &Bdd,
+    reached: NodeId,
+    net: &PetriNet,
+    var_of: &[u32],
+) -> Result<(), StgError> {
+    let marked = |arc: &Arc| (var_of[arc.place.index()] as usize, true);
+    let mut questions = Vec::new();
+    for t in net.transitions() {
+        let preset = net.preset(t);
+        for arc in net.postset(t) {
+            if preset.iter().all(|p| p.place != arc.place) {
+                let cube: Vec<_> = preset.iter().chain([arc]).map(marked).collect();
+                questions.push((arc.place, cube));
+            }
+        }
+    }
+    match bdd.first_cube_met(reached, questions.iter().map(|(_, cube)| cube.as_slice())) {
+        Some(index) => Err(unsafe_at(net, questions[index].0)),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

@@ -49,7 +49,11 @@
 //!
 //! ## The conflict relation
 //!
-//! The BFS tracks codes transparently: an `a+`-labelled transition's
+//! The BFS plays the one token game of [`crate::petri`] on the places,
+//! as the place-only analysis does, and ends with the same read-only
+//! pass over the reached set: a reachable firing that would put a second
+//! token on a place is [`StgError::Unbounded`], as in the explicit
+//! walks. It tracks codes transparently: an `a+`-labelled transition's
 //! firing cube ([`rt_boolean::Bdd::replace_cube`]) rewrites signal
 //! `a`'s variable alongside the pre/post places (and demands the source
 //! value before firing, so an inconsistent specification is
@@ -90,7 +94,7 @@ use crate::error::StgError;
 use crate::reach::{infer_initial_code, safe_layout, STATE_LIMIT};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{firing_cube, image_step, place_order};
+use crate::symbolic::{firing_cube, image_step, place_order, refuse_unsafe_firing};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -180,7 +184,8 @@ pub fn csc_conflicts_symbolic(stg: &Stg) -> Result<CscAnalysis, StgError> {
 ///
 /// * [`StgError::TooManySignals`] — more than 64 signals (codes and
 ///   witnesses are `u64`s, matching the explicit graph's cap);
-/// * [`StgError::Unbounded`] — the initial marking is not safe;
+/// * [`StgError::Unbounded`] — the initial marking, or a reachable
+///   firing, puts a second token on a place;
 /// * [`StgError::Inconsistent`] — a reachable marking enables an edge
 ///   of a signal already at that edge's target value;
 /// * [`StgError::IterationLimitExceeded`] — no fixpoint within the
@@ -331,6 +336,7 @@ pub fn csc_conflicts_symbolic_opts(
         reached = bdd.or(reached, fresh);
         frontier = fresh;
     }
+    refuse_unsafe_firing(bdd, reached, net, &uvar)?;
 
     // --- Consistency: no reachable state may place-enable an edge of a
     // signal already at the edge's target value. (The checked `enabled`

@@ -6,13 +6,34 @@
 //! packed/CSR rewrite must produce byte-identical iteration order —
 //! synthesis and region computations depend on deterministic state and
 //! arc numbering. The reference implementation below replays the old
-//! algorithm through the public `PetriNet` token-game API.
+//! algorithm on dense markings, with its own token game over the net's
+//! public arc lists.
 
 use std::collections::{HashMap, VecDeque};
 
 use rt_stg::state_graph::StateArc;
 use rt_stg::stg::TransitionLabel;
-use rt_stg::{corpus, explore, models, Marking, StateId, Stg};
+use rt_stg::{corpus, explore, models, Marking, PetriNet, StateId, Stg, TransitionId};
+
+/// The transitions `m` enables (every preset place marked), in id order.
+fn enabled(net: &PetriNet, m: &Marking) -> Vec<TransitionId> {
+    net.transitions()
+        .filter(|&t| net.preset(t).iter().all(|arc| m.tokens(arc.place) > 0))
+        .collect()
+}
+
+/// Fires enabled transition `t` from `m`: empty its preset, mark its
+/// postset.
+fn fire(net: &PetriNet, t: TransitionId, m: &Marking) -> Marking {
+    let mut next = m.clone();
+    for arc in net.preset(t) {
+        next.set(arc.place, 0);
+    }
+    for arc in net.postset(t) {
+        next.set(arc.place, 1);
+    }
+    next
+}
 
 /// The pre-CSR explorer: FIFO BFS over dense markings with nested arc
 /// rows, exactly as `reach::explore_with` was originally written (minus
@@ -32,10 +53,8 @@ fn reference_explore(stg: &Stg) -> (Vec<Marking>, Vec<Vec<StateArc>>) {
 
     while let Some(state) = queue.pop_front() {
         let marking = markings[state as usize].clone();
-        for transition in net.enabled(&marking) {
-            let next = net
-                .fire(transition, &marking)
-                .expect("enabled transition fires");
+        for transition in enabled(net, &marking) {
+            let next = fire(net, transition, &marking);
             let to = match index.get(&next) {
                 Some(&existing) => existing,
                 None => {

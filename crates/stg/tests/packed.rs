@@ -23,6 +23,7 @@ proptest! {
     /// Pack → unpack is the identity, and per-place reads agree, across
     /// random safe markings and place counts (1..=300 spans all four
     /// variants).
+    #[test]
     fn pack_unpack_roundtrip(
         raw in prop::collection::vec(any::<u16>(), 1..300),
     ) {
@@ -40,6 +41,7 @@ proptest! {
     /// Packed equality coincides with token-vector equality, and equal
     /// packed markings hash identically (the arena's table correctness
     /// depends on both), on every variant (1..=300 places).
+    #[test]
     fn hash_and_equality_agree_with_marking(
         raw_a in prop::collection::vec(any::<u16>(), 1..300),
         raw_b in prop::collection::vec(any::<u16>(), 1..300),
@@ -71,6 +73,7 @@ proptest! {
 
     /// Mutating one place via `set_tokens` equals repacking the mutated
     /// dense vector, on every variant (1..=300 places).
+    #[test]
     fn set_tokens_matches_repack(
         raw in prop::collection::vec(any::<u16>(), 1..300),
         place_raw in any::<u16>(),
@@ -89,6 +92,7 @@ proptest! {
     }
 
     /// The arena is a bijection between distinct markings and dense ids.
+    #[test]
     fn arena_ids_biject_with_distinct_markings(
         raws in prop::collection::vec(prop::collection::vec(any::<u16>(), 8), 1..40),
     ) {

@@ -3,7 +3,10 @@
 //! state-code bookkeeping.
 
 use proptest::prelude::*;
-use rt_stg::{corpus, explore, models, parse, Edge, SignalKind, Stg, StgError};
+use rt_stg::{
+    corpus, explore, models, parse, CscSummary, Edge, ReachEngine, ReachSummary, SignalKind, Stg,
+    StgError,
+};
 
 /// Builds a random "token ring" STG: `n` signals, each signal's rise and
 /// fall chained around a cycle (always live, safe and consistent).
@@ -122,8 +125,8 @@ struct ByNames {
     signals: Vec<(String, SignalKind, Option<bool>)>,
     /// Name and event (`None` for a dummy), sorted.
     transitions: Vec<(String, Option<String>)>,
-    /// `(source, target, weight)` by node name, sorted.
-    arcs: Vec<(String, String, u16)>,
+    /// `(source, target)` by node name, sorted.
+    arcs: Vec<(String, String)>,
     /// Marked places by name, with their tokens, sorted.
     marking: Vec<(String, u16)>,
 }
@@ -146,11 +149,11 @@ impl ByNames {
             transitions.push((name.clone(), event));
             for arc in net.preset(t) {
                 let place = net.place_name(arc.place).to_string();
-                arcs.push((place, name.clone(), arc.weight));
+                arcs.push((place, name.clone()));
             }
             for arc in net.postset(t) {
                 let place = net.place_name(arc.place).to_string();
-                arcs.push((name.clone(), place, arc.weight));
+                arcs.push((name.clone(), place));
             }
         }
         let mut marking: Vec<_> = stg
@@ -190,24 +193,17 @@ fn next_random(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[test]
-fn the_parser_answers_truncated_and_mutated_text_without_panicking() {
-    // Every input gives `Ok` or a typed error; a panic fails the test
-    // with the input that caused it.
-    let check = |text: &str| {
-        let outcome = std::panic::catch_unwind(|| parse::parse_g(text));
-        let answer: Result<Result<Stg, StgError>, _> = outcome;
-        assert!(answer.is_ok(), "parse_g panicked on:\n{text}");
-    };
+/// The parser fuzz's inputs: every prefix of every corpus text, and
+/// 1,000 seeded mutations of each, of one to four byte edits.
+fn fuzz_inputs() -> Vec<String> {
     // Bytes that matter to the grammar, plus a few that do not.
     const ALPHABET: &[u8] = b".+-/<>{}=#, \n\tabxz019";
     let mut state = 0x000d_ac99_u64;
-    let mut inputs = 0;
+    let mut inputs = Vec::new();
     for (_, text) in corpus::all() {
         assert!(text.is_ascii());
         for end in 0..=text.len() {
-            check(&text[..end]);
-            inputs += 1;
+            inputs.push(text[..end].to_string());
         }
         for _ in 0..1_000 {
             let mut bytes = text.as_bytes().to_vec();
@@ -222,11 +218,73 @@ fn the_parser_answers_truncated_and_mutated_text_without_panicking() {
                     _ => bytes.insert(at, byte),
                 }
             }
-            check(std::str::from_utf8(&bytes).expect("ASCII edits"));
-            inputs += 1;
+            inputs.push(String::from_utf8(bytes).expect("ASCII edits"));
         }
     }
-    assert!(inputs > 4_000, "{inputs} inputs");
+    inputs
+}
+
+#[test]
+fn the_parser_answers_truncated_and_mutated_text_without_panicking() {
+    // Every input gives `Ok` or a typed error; a panic fails the test
+    // with the input that caused it.
+    let inputs = fuzz_inputs();
+    for text in &inputs {
+        let outcome = std::panic::catch_unwind(|| parse::parse_g(text));
+        assert!(outcome.is_ok(), "parse_g panicked on:\n{text}");
+    }
+    assert!(inputs.len() > 4_000, "{} inputs", inputs.len());
+}
+
+#[test]
+fn both_backends_play_one_token_game_over_the_parser_fuzz() {
+    // Every fuzz input that parses runs `summary` and `csc_check` on an
+    // explicit and a symbolic engine. Both answer, equally but for
+    // `bdd_nodes`, or both refuse; a panic fails the test with its input.
+    type Answers = (Result<ReachSummary, StgError>, Result<CscSummary, StgError>);
+    let answers = |engine: &mut ReachEngine, stg: &Stg| -> Answers {
+        (
+            engine
+                .summary(stg)
+                .map(|s| ReachSummary { bdd_nodes: 0, ..s }),
+            engine
+                .csc_check(stg)
+                .map(|c| CscSummary { bdd_nodes: 0, ..c }),
+        )
+    };
+    fn agree<T: PartialEq>(a: &Result<T, StgError>, b: &Result<T, StgError>) -> bool {
+        match (a, b) {
+            (Ok(a), Ok(b)) => a == b,
+            (Err(_), Err(_)) => true,
+            _ => false,
+        }
+    }
+    let mut parsed = 0;
+    let mut disagreements = Vec::new();
+    for text in fuzz_inputs() {
+        let Ok(stg) = parse::parse_g(&text) else {
+            continue;
+        };
+        parsed += 1;
+        let outcome = std::panic::catch_unwind(|| {
+            let explicit = answers(&mut ReachEngine::explicit(), &stg);
+            let symbolic = answers(&mut ReachEngine::symbolic(), &stg);
+            (explicit, symbolic)
+        });
+        let Ok((explicit, symbolic)) = outcome else {
+            panic!("an engine panicked on:\n{text}");
+        };
+        if !agree(&explicit.0, &symbolic.0) || !agree(&explicit.1, &symbolic.1) {
+            disagreements.push(format!("{explicit:?}\n{symbolic:?}\n{text}"));
+        }
+    }
+    assert!(parsed > 500, "{parsed} inputs parse");
+    assert!(
+        disagreements.is_empty(),
+        "{} of {parsed} nets disagree; the first:\n{}",
+        disagreements.len(),
+        disagreements[0]
+    );
 }
 
 #[test]

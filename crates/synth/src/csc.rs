@@ -43,8 +43,8 @@ use crate::regions::{derive_functions, LocalDontCares};
 
 /// Default [`CscOptions::symbolic_threshold`]. Has no effect, like the
 /// field: it stays exported only because existing callers (the
-/// `perfbench` harness) name it, and the `ResolveCsc` wire payload
-/// carries the field until `PROTO_VERSION` 3.
+/// `perfbench` harness) name it. The `ResolveCsc` wire payload does not
+/// carry the field; its decoder fills this value in.
 pub const DEFAULT_SYMBOLIC_THRESHOLD: usize = 65;
 
 /// Outcome of CSC resolution.
@@ -73,8 +73,8 @@ pub struct CscResolution {
 ///
 /// Only `max_signals` and `critical_path_penalty` change the answer;
 /// `threads` and `symbolic_threshold` have no effect. A service request
-/// still carries all four, and two requests share a cached result only
-/// when all four match.
+/// carries only the first two on the wire, so two requests that differ
+/// only in the others share a cached result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CscOptions {
     /// Maximum number of state signals to insert.
@@ -84,12 +84,12 @@ pub struct CscOptions {
     pub critical_path_penalty: usize,
     /// Has no effect: the candidate search runs serially on the
     /// caller's thread. It stays only because existing callers (the
-    /// `perfbench` harness) set it, and the `ResolveCsc` wire payload
-    /// carries it until `PROTO_VERSION` 3.
+    /// `perfbench` harness) set it. Not on the wire: a decoded
+    /// `ResolveCsc` request reads 0.
     pub threads: usize,
     /// Has no effect. It stays only because existing callers (the
-    /// `perfbench` harness) set it, and the `ResolveCsc` wire payload
-    /// carries it until `PROTO_VERSION` 3.
+    /// `perfbench` harness) set it. Not on the wire: a decoded
+    /// `ResolveCsc` request reads [`DEFAULT_SYMBOLIC_THRESHOLD`].
     pub symbolic_threshold: usize,
 }
 
