@@ -2,7 +2,7 @@
 //!
 //! Shared measurement code behind the table/figure regeneration binaries
 //! (`cargo run -p rt-bench --bin table1`, `--bin table2`, ...) and the
-//! Criterion benches. Every table and figure of the paper's evaluation
+//! benchmark snapshots. Every table and figure of the paper's evaluation
 //! maps to one binary here; see `DESIGN.md` §4 for the index and
 //! `EXPERIMENTS.md` for paper-vs-measured values.
 

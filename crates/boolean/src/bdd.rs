@@ -497,14 +497,6 @@ impl Bdd {
         result
     }
 
-    /// If-then-else: `c·t + c̄·e`.
-    pub fn ite(&mut self, c: NodeId, t: NodeId, e: NodeId) -> NodeId {
-        let ct = self.and(c, t);
-        let nc = self.not(c);
-        let nce = self.and(nc, e);
-        self.or(ct, nce)
-    }
-
     /// Evaluates the function at a minterm (bit *i* of `assignment` =
     /// variable *i*). Variables past bit 63 — possible once a manager
     /// has been widened past 64 variables — read as 0; pass the full
@@ -735,52 +727,82 @@ impl Bdd {
     /// The index of the first cube of `cubes` that some satisfying
     /// assignment of `id` agrees with, literal by literal (the first
     /// whose conjunction with `id` is not the constant 0), or `None`. A
-    /// cube is one `(variable, value)` literal per variable it names.
+    /// cube is one `(variable, value)` literal per variable it names; a
+    /// literal on a variable past [`Bdd::vars`] is free.
     ///
-    /// Each cube takes one read-only traversal: a path follows only the
-    /// cube's value at a cube variable and both edges elsewhere, and a
-    /// variable it skips is free. No node is built and no table is
-    /// touched, so the manager is the same afterwards. The traversals
-    /// share one visited bitmap over the manager's nodes, cleared word by
-    /// word between cubes.
+    /// One read-only traversal answers every cube at once: each node
+    /// carries one bit per cube, set when some path from it to ONE meets
+    /// the cube's literals on the variables from its own down. A node's
+    /// bits are its low child's without the cubes that ask its variable
+    /// for 1, or'ed with its high child's without those that ask for 0;
+    /// ONE meets every cube, since a variable a path skips is free. No
+    /// node is built and no table is touched, so the manager is the same
+    /// afterwards.
     ///
-    /// `rt_stg::symbolic` asks it whether a reached marking enables a
-    /// transition with a produced place already marked.
+    /// `rt_stg::symbolic` asks it whether a frontier of reached markings
+    /// enables a transition with a produced place already marked.
     pub fn first_cube_met<'a>(
         &self,
         id: NodeId,
         cubes: impl IntoIterator<Item = &'a [(usize, bool)]>,
     ) -> Option<usize> {
-        let mut seen = vec![0u64; self.nodes.len().div_ceil(64)];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut stack: Vec<NodeId> = Vec::new();
-        for (index, cube) in cubes.into_iter().enumerate() {
-            stack.clear();
-            stack.push(id);
-            while let Some(next) = stack.pop() {
-                if next == NodeId::ONE {
-                    return Some(index);
-                }
-                let (word, bit) = (next.0 as usize / 64, next.0 % 64);
-                if next == NodeId::ZERO || seen[word] >> bit & 1 == 1 {
-                    continue;
-                }
-                if seen[word] == 0 {
-                    touched.push(word);
-                }
-                seen[word] |= 1 << bit;
-                let node = self.node(next);
-                match cube.iter().find(|&&(var, _)| var == node.var as usize) {
-                    Some(&(_, true)) => stack.push(node.high),
-                    Some(&(_, false)) => stack.push(node.low),
-                    None => stack.extend([node.low, node.high]),
-                }
-            }
-            for word in touched.drain(..) {
-                seen[word] = 0;
+        let cubes: Vec<&[(usize, bool)]> = cubes.into_iter().collect();
+        let words = cubes.len().div_ceil(64);
+        if words == 0 || id == NodeId::ZERO {
+            return None;
+        }
+        // `need[(2·v + value)·words ..][..words]`: the cubes that ask
+        // variable v for `value`.
+        let mut need = vec![0u64; 2 * self.vars * words];
+        for (index, cube) in cubes.iter().enumerate() {
+            for &(var, value) in cube.iter().filter(|&&(var, _)| var < self.vars) {
+                need[(2 * var + usize::from(value)) * words + index / 64] |= 1 << (index % 64);
             }
         }
-        None
+        // Each visited node's bits, `words` per node: ZERO's first, then
+        // ONE's, then the nodes in post order.
+        let mut met = vec![0u64; words];
+        met.resize(2 * words, !0);
+        let mut slots: FxHashMap<NodeId, usize> = FxHashMap::default();
+        let root = self.cubes_met_rec(id, &need, words, &mut met, &mut slots);
+        met[root * words..][..words]
+            .iter()
+            .enumerate()
+            .find(|(_, &bits)| bits != 0)
+            .map(|(word, bits)| word * 64 + bits.trailing_zeros() as usize)
+            .filter(|&index| index < cubes.len())
+    }
+
+    /// The slot of `id`'s bits in `met` (see [`Bdd::first_cube_met`]),
+    /// computing its children's first.
+    fn cubes_met_rec(
+        &self,
+        id: NodeId,
+        need: &[u64],
+        words: usize,
+        met: &mut Vec<u64>,
+        slots: &mut FxHashMap<NodeId, usize>,
+    ) -> usize {
+        match id {
+            NodeId::ZERO => return 0,
+            NodeId::ONE => return 1,
+            _ => {}
+        }
+        if let Some(&slot) = slots.get(&id) {
+            return slot;
+        }
+        let node = self.node(id);
+        let low = self.cubes_met_rec(node.low, need, words, met, slots);
+        let high = self.cubes_met_rec(node.high, need, words, met, slots);
+        let var = node.var as usize;
+        let slot = met.len() / words;
+        for w in 0..words {
+            let from_low = met[low * words + w] & !need[(2 * var + 1) * words + w];
+            let from_high = met[high * words + w] & !need[2 * var * words + w];
+            met.push(from_low | from_high);
+        }
+        slots.insert(id, slot);
+        slot
     }
 
     /// Existential quantification of `var`.
@@ -1091,7 +1113,7 @@ mod tests {
     }
 
     #[test]
-    fn xor_and_ite() {
+    fn xor_matches_its_truth_table() {
         let mut bdd = Bdd::new(2);
         let a = bdd.var(0);
         let b = bdd.var(1);
@@ -1099,13 +1121,6 @@ mod tests {
         for m in 0..4u64 {
             let expected = (m & 1 == 1) != (m >> 1 & 1 == 1);
             assert_eq!(bdd.evaluate(x, m), expected);
-        }
-        let nb = bdd.not(b);
-        let mux = bdd.ite(a, b, nb); // a ? b : b̄ = XNOR(a,b)... check
-        for m in 0..4u64 {
-            let a_v = m & 1 == 1;
-            let b_v = m >> 1 & 1 == 1;
-            assert_eq!(bdd.evaluate(mux, m), if a_v { b_v } else { !b_v });
         }
     }
 
@@ -1430,14 +1445,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "not strictly increasing")]
     fn rename_monotone_rejects_cross_branch_collisions() {
-        // ite(v0, v1, v2) with v1 and v2 both mapped to variable 3:
+        // v0·v1 + v̄0·v2 with v1 and v2 both mapped to variable 3:
         // every parent-child edge is increasing, but the two branches
         // would conflate into one variable.
         let mut bdd = Bdd::new(4);
         let v0 = bdd.var(0);
         let v1 = bdd.var(1);
         let v2 = bdd.var(2);
-        let f = bdd.ite(v0, v1, v2);
+        let high = bdd.and(v0, v1);
+        let nv0 = bdd.not(v0);
+        let low = bdd.and(nv0, v2);
+        let f = bdd.or(high, low);
         bdd.rename_monotone(f, &[0, 3, 3, 3]);
     }
 

@@ -204,13 +204,6 @@ impl Cover {
         complement_rec(self)
     }
 
-    /// The sharp operation `self # other`: the part of `self` outside
-    /// `other` (`f · ¬g`), the classic cover-difference of two-level
-    /// minimization.
-    pub fn sharp(&self, other: &Cover) -> Cover {
-        self.and(&other.complement())
-    }
-
     /// Removes cubes contained in another single cube of the cover.
     pub fn single_cube_containment(&self) -> Cover {
         let mut keep = vec![true; self.cubes.len()];
@@ -410,25 +403,6 @@ mod tests {
         }
         // Double complement is equivalent to the original.
         exhaustive_equal(&not_f.complement(), &f);
-    }
-
-    #[test]
-    fn sharp_is_pointwise_difference() {
-        let f = Cover::from_cubes(
-            3,
-            vec![
-                Cube::from_literals(3, &[(0, true)]),
-                Cube::from_literals(3, &[(1, true)]),
-            ],
-        );
-        let g = Cover::from_cubes(3, vec![Cube::from_literals(3, &[(2, true)])]);
-        let d = f.sharp(&g);
-        for m in 0..8u64 {
-            assert_eq!(d.evaluate(m), f.evaluate(m) && !g.evaluate(m), "at {m:03b}");
-        }
-        // f # f = 0 ; f # 0 = f.
-        assert!(f.sharp(&f).complement().is_tautology());
-        exhaustive_equal(&f.sharp(&Cover::empty(3)), &f);
     }
 
     #[test]

@@ -233,27 +233,6 @@ impl Cube {
     pub fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
         (0..self.vars as usize).filter_map(move |v| self.literal(v).map(|p| (v, p)))
     }
-
-    /// Raw admissibility masks `(can0, can1)`; exposed for the minimizer.
-    pub fn masks(&self) -> (u64, u64) {
-        (self.can0, self.can1)
-    }
-
-    /// Rebuilds a cube from raw masks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vars > 64`.
-    pub fn from_masks(vars: usize, can0: u64, can1: u64) -> Self {
-        assert!(vars <= 64);
-        let vars = vars as u32;
-        let m = mask(vars);
-        Cube {
-            vars,
-            can0: can0 & m,
-            can1: can1 & m,
-        }
-    }
 }
 
 impl fmt::Display for Cube {
@@ -398,13 +377,6 @@ mod tests {
         assert_eq!(collected, vec![(1, false), (3, true)]);
         let rebuilt = Cube::from_literals(5, &collected);
         assert_eq!(rebuilt, cube);
-    }
-
-    #[test]
-    fn mask_roundtrip() {
-        let cube = Cube::from_literals(6, &[(2, true), (5, false)]);
-        let (c0, c1) = cube.masks();
-        assert_eq!(Cube::from_masks(6, c0, c1), cube);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! ```text
 //! +--------------------+-----------------+------...
-//! | version byte (0x03)| message kind    | body
+//! | version byte (0x04)| message kind    | body
 //! +--------------------+-----------------+------...
 //! ```
 //!
@@ -33,7 +33,8 @@
 //! replies only, with no trailing idempotency option; version 2 added
 //! the `Hello`/`Ping`/`Pong` control frames and the request's
 //! idempotency key; version 3 carries only fields that can change an
-//! answer, over one net model (see *Version 3* below). There is no
+//! answer, over one net model (see *Version 3* below); version 4 sends
+//! each arc of an STG once (see *Version 4*). There is no
 //! negotiation: a mismatched peer gets a typed [`ProtoError::Version`]
 //! on its first frame, which is the intended upgrade signal. Message
 //! kinds:
@@ -71,14 +72,14 @@
 //! count; it passes exactly when the list is empty. Each failure is a
 //! tag byte and its fields; tag `1` is [`Failure::UnexpectedOutput`].
 //!
-//! STGs travel *structurally*: all six vectors of the Petri net
-//! (names, per-transition arc lists of `u32` place indices, per-place
-//! consumer/producer lists), the signal table, labels, and initial
-//! state, rebuilt via [`PetriNet::from_parts`]/[`Stg::from_parts`] so
-//! the decoded value is byte-for-byte the encoded one — including the
-//! per-place arc *order* that drives conflict-group enumeration and CSC
-//! tie-breaks. A preset or postset that names a place twice is
-//! [`ProtoError::Inconsistent`]: every net is ordinary.
+//! STGs travel *structurally*: the net's names and its arcs, each sent
+//! once in its transition's preset or postset (the layout is under
+//! *Version 4*), then the signal table, labels and initial state,
+//! rebuilt via [`PetriNet::from_parts`]/[`Stg::from_parts`], so the
+//! decoded value equals the encoded one. The per-place views of the net
+//! are an index the decoder derives, not bytes on the wire. An arc
+//! index out of range, or a preset or postset that names a place twice,
+//! is [`ProtoError::Inconsistent`]: every net is ordinary.
 //! (The `.g` text format is deliberately not used here: it drops
 //! forced initial values and reorders ids.) Netlists replay
 //! `add_net`/`add_gate` in insertion order, which reproduces
@@ -109,6 +110,29 @@
 //! `Degradation` tags 0 and 1, `StgError` tag 13 and `Failure` tag 2
 //! (the strict semi-modularity record).
 //!
+//! # Version 4
+//!
+//! Against version 3, an STG drops its two per-place lists (each place's
+//! consumers, then its producers: a `u32` count and `u32` transition
+//! ids per place), which repeated every arc. An STG request is therefore
+//! 8·places + 4·arcs bytes shorter, and no frame can carry two views of
+//! one net that disagree. An STG body is:
+//!
+//! ```text
+//! name                 String
+//! place names          u32 count, then one String per place
+//! transition names     u32 count, then one String per transition
+//! presets              per transition, in id order: u32 count, then
+//!                      u32 place indices in the preset's order
+//! postsets             the same, per transition
+//! signals              u32 count, then per signal: name String, kind
+//!                      u8 (0 input, 1 output, 2 internal), initial
+//!                      value Option<bool>
+//! labels               per transition: 1, signal u32, edge u8
+//!                      (1 rise, 0 fall); or 2 for a silent transition
+//! initial marking      per place: u16 tokens
+//! ```
+//!
 //! # Error mapping
 //!
 //! Malformed bytes decode to a [`ProtoError`], which maps onto the
@@ -125,9 +149,7 @@ use rt_netlist::{GateKind, NetId, NetKind, Netlist};
 use rt_stg::engine::Degradation;
 use rt_stg::petri::Arc as PetriArc;
 use rt_stg::stg::{SignalDecl, TransitionLabel};
-use rt_stg::{
-    Edge, PetriNet, PlaceId, SignalEvent, SignalId, SignalKind, Stg, StgError, TransitionId,
-};
+use rt_stg::{Edge, PetriNet, PlaceId, SignalEvent, SignalId, SignalKind, Stg, StgError};
 use rt_synth::csc::{CscOptions, DEFAULT_SYMBOLIC_THRESHOLD};
 use rt_synth::SynthError;
 use rt_verify::{Failure, NetOrdering, VerifyReport};
@@ -140,7 +162,7 @@ use crate::request::{
 
 /// The one wire-protocol version this build speaks (see the module
 /// docs for the version story).
-pub const PROTO_VERSION: u8 = 3;
+pub const PROTO_VERSION: u8 = 4;
 
 /// Hard cap on a frame's payload length. Far above any real corpus
 /// model; an announcement past it is treated as garbage, not obeyed.
@@ -537,27 +559,12 @@ fn enc_stg(enc: &mut Enc, stg: &Stg) {
     for transition in net.transitions() {
         enc.str(net.transition_name(transition));
     }
-    for arcs in [
-        net.transitions().map(|t| net.preset(t)).collect::<Vec<_>>(),
-        net.transitions()
-            .map(|t| net.postset(t))
-            .collect::<Vec<_>>(),
-    ] {
-        for list in arcs {
+    for arcs in [PetriNet::preset, PetriNet::postset] {
+        for transition in net.transitions() {
+            let list = arcs(net, transition);
             enc.len(list.len());
             for arc in list {
                 enc.u32(arc.place.0);
-            }
-        }
-    }
-    for lists in [
-        net.places().map(|p| net.consumers(p)).collect::<Vec<_>>(),
-        net.places().map(|p| net.producers(p)).collect::<Vec<_>>(),
-    ] {
-        for list in lists {
-            enc.len(list.len());
-            for transition in list {
-                enc.u32(transition.0);
             }
         }
     }
@@ -616,31 +623,12 @@ fn dec_stg(dec: &mut Dec<'_>) -> Decoded<Stg> {
     };
     let presets = arc_lists(transition_len)?;
     let postsets = arc_lists(transition_len)?;
-    let mut id_lists = |count: usize| -> Decoded<Vec<Vec<TransitionId>>> {
-        let mut lists = Vec::with_capacity(count);
-        for _ in 0..count {
-            let len = dec.len("transition list", 4)?;
-            let mut ids = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(TransitionId(dec.u32()?));
+    let net =
+        PetriNet::from_parts(place_names, transition_names, presets, postsets).map_err(|err| {
+            ProtoError::Inconsistent {
+                detail: err.to_string(),
             }
-            lists.push(ids);
-        }
-        Ok(lists)
-    };
-    let consumers = id_lists(place_len)?;
-    let producers = id_lists(place_len)?;
-    let net = PetriNet::from_parts(
-        place_names,
-        transition_names,
-        presets,
-        postsets,
-        consumers,
-        producers,
-    )
-    .map_err(|err| ProtoError::Inconsistent {
-        detail: err.to_string(),
-    })?;
+        })?;
     let signal_len = dec.len("signal table", 6)?;
     let mut signals = Vec::with_capacity(signal_len);
     let mut initial_values = Vec::with_capacity(signal_len);

@@ -85,20 +85,6 @@ impl CycleStats {
             mean_ps: sum / periods.len() as u64,
         })
     }
-
-    /// Mean frequency in MHz implied by the mean period.
-    pub fn mean_mhz(&self) -> u64 {
-        1_000_000u64.checked_div(self.mean_ps).unwrap_or(0)
-    }
-}
-
-/// Pairs two edge series (e.g. `li+` and `ro+`) into per-token latencies:
-/// the k-th element is `to[k] - from[k]` for the common prefix.
-pub fn pair_latencies(from: &[u64], to: &[u64]) -> Vec<u64> {
-    from.iter()
-        .zip(to.iter())
-        .map(|(&f, &t)| t.saturating_sub(f))
-        .collect()
 }
 
 #[cfg(test)]
@@ -118,18 +104,5 @@ mod tests {
     fn too_few_events_yield_none() {
         assert!(CycleStats::from_timestamps(&[]).is_none());
         assert!(CycleStats::from_timestamps(&[5]).is_none());
-    }
-
-    #[test]
-    fn frequency_conversion() {
-        let stats = CycleStats::from_timestamps(&[0, 1_000, 2_000]).unwrap();
-        assert_eq!(stats.mean_ps, 1_000);
-        assert_eq!(stats.mean_mhz(), 1_000, "1 ns period = 1 GHz");
-    }
-
-    #[test]
-    fn latency_pairing_truncates_to_common_prefix() {
-        let lat = pair_latencies(&[0, 100, 200], &[40, 160]);
-        assert_eq!(lat, vec![40, 60]);
     }
 }

@@ -122,18 +122,6 @@ impl Budget {
         self
     }
 
-    /// Whether every knob is unset and the token has not fired *yet*.
-    /// Diagnostic only — a shared token can still fire later, so hot
-    /// loops must keep polling [`Budget::cancelled`] regardless (the
-    /// per-round poll is a single atomic load).
-    pub fn is_unlimited(&self) -> bool {
-        self.max_states.is_none()
-            && self.max_bdd_nodes.is_none()
-            && self.max_iterations.is_none()
-            && self.deadline.is_none()
-            && !self.cancel.is_cancelled()
-    }
-
     /// Whether the request should stop now: the token fired or the
     /// deadline passed. Both are hard stops — the engine propagates
     /// [`StgError::Cancelled`](crate::StgError::Cancelled) instead of
@@ -161,7 +149,6 @@ mod tests {
     #[test]
     fn default_budget_is_unlimited_and_never_triggers() {
         let budget = Budget::default();
-        assert!(budget.is_unlimited());
         assert!(!budget.cancelled());
         assert!(!budget.states_exhausted(usize::MAX - 1));
         assert_eq!(budget.effective_max_iterations(), DEFAULT_MAX_ITERATIONS);
@@ -173,7 +160,6 @@ mod tests {
             .with_max_states(10)
             .with_max_bdd_nodes(100)
             .with_max_iterations(3);
-        assert!(!budget.is_unlimited());
         assert_eq!(budget.max_states, Some(10));
         assert_eq!(budget.max_bdd_nodes, Some(100));
         assert_eq!(budget.effective_max_iterations(), 3);
@@ -193,7 +179,6 @@ mod tests {
         handle.cancel();
         assert!(budget.cancelled());
         assert!(clone_of_budget.cancelled(), "clones share the flag");
-        assert!(!budget.is_unlimited(), "a fired token is not unlimited");
     }
 
     #[test]

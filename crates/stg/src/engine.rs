@@ -109,8 +109,9 @@
 //! game ([`crate::petri`]): an initial marking with two tokens on a
 //! place is the same [`StgError::Unbounded`] on both, before any BDD is
 //! built, and so is a reachable firing that would put a second token on
-//! a place, which the BDD walks refuse after their fixpoint (see
-//! [`crate::symbolic`]), past the ceiling too. The built-in
+//! a place, which the BDD walks refuse at the breadth-first layer where
+//! the explicit walk does (see [`crate::symbolic`]), past the ceiling
+//! too. The built-in
 //! [`EXPLICIT_CEILING`] is handed to the walk in place of that cap, so a
 //! walk stops at the ceiling exactly.
 //!

@@ -18,7 +18,6 @@
 //! [`PetriNet::fire_packed_into`]; [`Marking`] is a dense token vector
 //! for initial markings and diagnostics.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::StgError;
@@ -163,9 +162,13 @@ pub struct Arc {
 
 /// A Petri net: places, transitions and pre/post arcs.
 ///
-/// The net stores, per transition, its preset (consumed places) and postset
-/// (produced places); per place, the transitions it feeds and is fed by.
-/// Names are optional and used by the `.g` parser/writer and diagnostics.
+/// The net stores each arc once, in the preset (consumed places) or
+/// postset (produced places) of its transition. The per-place views,
+/// the transitions a place feeds and is fed by, are an index derived
+/// from them and kept sorted by transition id, so two nets with the same
+/// presets and postsets are `==` whatever order their arcs were added
+/// in. Names are optional and used by the `.g` parser/writer and
+/// diagnostics.
 ///
 /// # Examples
 ///
@@ -202,9 +205,11 @@ pub struct PetriNet {
     presets: Vec<Vec<Arc>>,
     /// Per-transition postset arcs.
     postsets: Vec<Vec<Arc>>,
-    /// Per-place consumers (transitions with the place in their preset).
+    /// Per-place consumers (transitions with the place in their preset),
+    /// sorted by id.
     consumers: Vec<Vec<TransitionId>>,
-    /// Per-place producers (transitions with the place in their postset).
+    /// Per-place producers (transitions with the place in their postset),
+    /// sorted by id.
     producers: Vec<Vec<TransitionId>>,
 }
 
@@ -256,7 +261,7 @@ impl PetriNet {
             "repeated arc {place} -> {transition}"
         );
         preset.push(Arc { place });
-        self.consumers[place.index()].push(transition);
+        index_insert(&mut self.consumers[place.index()], transition);
     }
 
     /// Adds a transition→place (output/producing) arc.
@@ -273,36 +278,24 @@ impl PetriNet {
             "repeated arc {transition} -> {place}"
         );
         postset.push(Arc { place });
-        self.producers[place.index()].push(transition);
+        index_insert(&mut self.producers[place.index()], transition);
     }
 
-    /// Reassembles a net from its six stored vectors — the
-    /// exact-reconstruction constructor the service wire codec uses.
-    ///
-    /// Replaying arcs per transition through
-    /// [`Self::add_arc_pt`]/[`Self::add_arc_tp`]
-    /// cannot reproduce an arbitrary net byte-for-byte: the per-place
-    /// `consumers`/`producers` lists record *global* arc-insertion
-    /// order, which interleaves across transitions and feeds
-    /// [`conflict_groups`](PetriNet::conflict_groups) — and through it
-    /// candidate tie-breaking in CSC resolution. This constructor takes
-    /// all six vectors verbatim and validates that they describe one
-    /// consistent net.
+    /// Builds a net from its names and its arcs, each stored once: the
+    /// preset and the postset of every transition, in id order. The
+    /// per-place views are derived from them, so this is the constructor
+    /// the service wire codec decodes with.
     ///
     /// # Errors
     ///
-    /// [`StgError::Parse`] (line 0) when lengths disagree, an arc index
-    /// is out of range, a preset or postset names a place twice, or the
-    /// per-place lists are not a permutation-consistent view of the
-    /// per-transition arcs.
-    #[allow(clippy::too_many_arguments)]
+    /// [`StgError::Parse`] (line 0) when the arc lists do not cover the
+    /// transitions, an arc names a place out of range, or a preset or
+    /// postset names a place twice.
     pub fn from_parts(
         place_names: Vec<String>,
         transition_names: Vec<String>,
         presets: Vec<Vec<Arc>>,
         postsets: Vec<Vec<Arc>>,
-        consumers: Vec<Vec<TransitionId>>,
-        producers: Vec<Vec<TransitionId>>,
     ) -> Result<PetriNet, StgError> {
         let inconsistent = |message: String| StgError::Parse { line: 0, message };
         let places = place_names.len();
@@ -314,21 +307,12 @@ impl PetriNet {
                 postsets.len()
             )));
         }
-        if consumers.len() != places || producers.len() != places {
-            return Err(inconsistent(format!(
-                "place lists cover {}/{} places, net has {places}",
-                consumers.len(),
-                producers.len()
-            )));
-        }
-        // The per-place lists must be exactly the per-transition arcs
-        // seen from the other side (as multisets; their order is the
-        // free part this constructor exists to preserve).
-        for (arcs, lists, role) in [
-            (&presets, &consumers, "preset"),
-            (&postsets, &producers, "postset"),
+        let mut consumers = vec![Vec::new(); places];
+        let mut producers = vec![Vec::new(); places];
+        for (arcs, index, role) in [
+            (&presets, &mut consumers, "preset"),
+            (&postsets, &mut producers, "postset"),
         ] {
-            let mut expected: Vec<BTreeMap<u32, usize>> = vec![BTreeMap::new(); places];
             for (t, arcs) in arcs.iter().enumerate() {
                 for (i, arc) in arcs.iter().enumerate() {
                     if arc.place.index() >= places {
@@ -343,23 +327,8 @@ impl PetriNet {
                             arc.place
                         )));
                     }
-                    *expected[arc.place.index()].entry(t as u32).or_insert(0) += 1;
-                }
-            }
-            for (p, list) in lists.iter().enumerate() {
-                let mut got: BTreeMap<u32, usize> = BTreeMap::new();
-                for t in list {
-                    if t.index() >= transitions {
-                        return Err(inconsistent(format!(
-                            "place {p} {role} list names transition {t} of {transitions}"
-                        )));
-                    }
-                    *got.entry(t.0).or_insert(0) += 1;
-                }
-                if got != expected[p] {
-                    return Err(inconsistent(format!(
-                        "place {p} {role} list disagrees with the transition arcs"
-                    )));
+                    // Transitions come in id order: the index stays sorted.
+                    index[arc.place.index()].push(TransitionId(t as u32));
                 }
             }
         }
@@ -393,12 +362,12 @@ impl PetriNet {
         &self.postsets[transition.index()]
     }
 
-    /// Transitions consuming from `place`.
+    /// Transitions consuming from `place`, in id order.
     pub fn consumers(&self, place: PlaceId) -> &[TransitionId] {
         &self.consumers[place.index()]
     }
 
-    /// Transitions producing into `place`.
+    /// Transitions producing into `place`, in id order.
     pub fn producers(&self, place: PlaceId) -> &[TransitionId] {
         &self.producers[place.index()]
     }
@@ -469,27 +438,6 @@ impl PetriNet {
             .all(|p| self.consumers(p).len() <= 1 && self.producers(p).len() <= 1)
     }
 
-    /// A net is *free choice* if whenever a place feeds several transitions,
-    /// it is the unique input place of each of them.
-    pub fn is_free_choice(&self) -> bool {
-        self.places().all(|p| {
-            let consumers = self.consumers(p);
-            consumers.len() <= 1
-                || consumers
-                    .iter()
-                    .all(|&t| self.preset(t).len() == 1 && self.preset(t)[0].place == p)
-        })
-    }
-
-    /// Structural conflict set: for each place with multiple consumers, the
-    /// group of transitions in choice with each other.
-    pub fn conflict_groups(&self) -> Vec<Vec<TransitionId>> {
-        self.places()
-            .filter(|&p| self.consumers(p).len() > 1)
-            .map(|p| self.consumers(p).to_vec())
-            .collect()
-    }
-
     /// Renders the net as Graphviz DOT for debugging.
     pub fn to_dot(&self, marking: &Marking) -> String {
         let mut out = String::from("digraph petri {\n  rankdir=LR;\n");
@@ -540,14 +488,13 @@ impl PetriNet {
             .position(|n| n == name)
             .map(|i| PlaceId(i as u32))
     }
+}
 
-    /// Looks up a transition id by name.
-    pub fn transition_by_name(&self, name: &str) -> Option<TransitionId> {
-        self.transition_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| TransitionId(i as u32))
-    }
+/// Inserts `transition` into one place's view, keeping it sorted. The
+/// callers refuse a repeated arc first, so it is not there yet.
+fn index_insert(view: &mut Vec<TransitionId>, transition: TransitionId) {
+    let at = view.partition_point(|&t| t < transition);
+    view.insert(at, transition);
 }
 
 #[cfg(test)]
@@ -632,11 +579,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_a_marked_graph_and_free_choice() {
+    fn ring_is_a_marked_graph() {
         let (net, _, _, _) = ring2();
         assert!(net.is_marked_graph());
-        assert!(net.is_free_choice());
-        assert!(net.conflict_groups().is_empty());
     }
 
     #[test]
@@ -648,21 +593,32 @@ mod tests {
         net.add_arc_pt(p, a);
         net.add_arc_pt(p, b);
         assert!(!net.is_marked_graph());
-        assert!(net.is_free_choice(), "single-input choice is free choice");
-        assert_eq!(net.conflict_groups(), vec![vec![a, b]]);
     }
 
     #[test]
-    fn non_free_choice_detected() {
-        let mut net = PetriNet::new();
-        let p = net.add_place("p");
-        let q = net.add_place("q");
-        let a = net.add_transition("a");
-        let b = net.add_transition("b");
-        net.add_arc_pt(p, a);
-        net.add_arc_pt(p, b);
-        net.add_arc_pt(q, a); // `a` has a second input: not free choice
-        assert!(!net.is_free_choice());
+    fn the_per_place_views_are_sorted_whatever_the_arc_order() {
+        // One choice place feeding three transitions and fed by two,
+        // its arcs added in two different orders.
+        let build = |order: [u32; 3]| {
+            let mut net = PetriNet::new();
+            let p = net.add_place("p");
+            for name in ["a", "b", "c"] {
+                net.add_transition(name);
+            }
+            for t in order.map(TransitionId) {
+                net.add_arc_pt(p, t);
+                if t.0 != 1 {
+                    net.add_arc_tp(t, p);
+                }
+            }
+            net
+        };
+        let forward = build([0, 1, 2]);
+        let backward = build([2, 1, 0]);
+        assert_eq!(forward, backward);
+        let ids = |ids: &[u32]| ids.iter().map(|&t| TransitionId(t)).collect::<Vec<_>>();
+        assert_eq!(backward.consumers(PlaceId(0)), ids(&[0, 1, 2]));
+        assert_eq!(backward.producers(PlaceId(0)), ids(&[0, 2]));
     }
 
     #[test]
@@ -676,72 +632,70 @@ mod tests {
 
     #[test]
     fn from_parts_reproduces_a_net_exactly() {
-        let (net, _, _, _) = ring2();
+        let (mut net, _, t0, _) = ring2();
+        // A second consumer of `p0`, added after `t1`'s arcs.
+        let t2 = net.add_transition("t2");
+        net.add_arc_pt(PlaceId(0), t2);
+        net.add_arc_pt(PlaceId(1), t2);
+        net.add_arc_tp(t2, PlaceId(0));
         let rebuilt = PetriNet::from_parts(
-            (0..net.place_count())
-                .map(|p| net.place_name(PlaceId(p as u32)).to_string())
+            net.places()
+                .map(|p| net.place_name(p).to_string())
                 .collect(),
-            (0..net.transition_count())
-                .map(|t| net.transition_name(TransitionId(t as u32)).to_string())
+            net.transitions()
+                .map(|t| net.transition_name(t).to_string())
                 .collect(),
             net.transitions().map(|t| net.preset(t).to_vec()).collect(),
             net.transitions().map(|t| net.postset(t).to_vec()).collect(),
-            net.places().map(|p| net.consumers(p).to_vec()).collect(),
-            net.places().map(|p| net.producers(p).to_vec()).collect(),
         )
         .expect("consistent parts");
-        assert_eq!(format!("{rebuilt:?}"), format!("{net:?}"));
+        assert_eq!(rebuilt, net);
+        assert_eq!(rebuilt.consumers(PlaceId(0)), [t0, t2]);
+        assert_eq!(rebuilt.producers(PlaceId(0)), [TransitionId(1), t2]);
     }
 
     #[test]
-    fn from_parts_rejects_inconsistent_views() {
-        // A preset arc whose place has an empty consumers list.
-        let err = PetriNet::from_parts(
-            vec!["p".into()],
-            vec!["t".into()],
-            vec![vec![Arc { place: PlaceId(0) }]],
-            vec![vec![]],
-            vec![vec![]],
-            vec![vec![]],
-        )
-        .unwrap_err();
-        assert!(matches!(err, StgError::Parse { .. }), "got {err:?}");
-        // Out-of-range transition in a producers list.
-        let err = PetriNet::from_parts(
-            vec!["p".into()],
-            vec![],
-            vec![],
-            vec![],
-            vec![vec![]],
-            vec![vec![TransitionId(7)]],
-        )
-        .unwrap_err();
-        assert!(matches!(err, StgError::Parse { .. }), "got {err:?}");
-        // A preset that names its place twice, with the consumers list
-        // agreeing.
-        let err = PetriNet::from_parts(
-            vec!["p".into()],
-            vec!["t".into()],
-            vec![vec![Arc { place: PlaceId(0) }; 2]],
-            vec![vec![]],
-            vec![vec![TransitionId(0); 2]],
-            vec![vec![]],
-        )
-        .unwrap_err();
+    fn from_parts_refuses_arcs_no_net_has() {
+        let one = |place: u32| {
+            vec![Arc {
+                place: PlaceId(place),
+            }]
+        };
+        let parse = |message: &str| StgError::Parse {
+            line: 0,
+            message: message.into(),
+        };
+        // Arc lists for a transition the net does not have.
+        let err = PetriNet::from_parts(vec!["p".into()], vec![], vec![one(0)], vec![vec![]]);
         assert_eq!(
             err,
-            StgError::Parse {
-                line: 0,
-                message: "preset of transition 0 repeats place p0".into()
-            }
+            Err(parse("arc lists cover 1/1 transitions, net has 0"))
         );
+        // A postset arc into a place out of range.
+        let err = PetriNet::from_parts(
+            vec!["p".into()],
+            vec!["t".into()],
+            vec![vec![]],
+            vec![one(7)],
+        );
+        assert_eq!(
+            err,
+            Err(parse("postset arc of transition 0 names place p7 of 1"))
+        );
+        // A preset that names its place twice.
+        let err = PetriNet::from_parts(
+            vec!["p".into()],
+            vec!["t".into()],
+            vec![[one(0), one(0)].concat()],
+            vec![vec![]],
+        );
+        assert_eq!(err, Err(parse("preset of transition 0 repeats place p0")));
     }
 
     #[test]
     fn name_lookups() {
-        let (net, _, t0, _) = ring2();
+        let (net, _, _, _) = ring2();
         assert_eq!(net.place_by_name("p1"), Some(PlaceId(1)));
-        assert_eq!(net.transition_by_name("t0"), Some(t0));
         assert_eq!(net.place_by_name("zzz"), None);
     }
 

@@ -478,16 +478,6 @@ impl StateGraph {
             .collect()
     }
 
-    /// The quiescent region of `signal` at `value`: states where the signal
-    /// holds `value` and is not excited.
-    pub fn quiescent_region(&self, signal: SignalId, value: bool) -> Vec<StateId> {
-        self.states()
-            .filter(|&s| {
-                self.signal_value(s, signal) == value && self.excitation(s, signal).is_none()
-            })
-            .collect()
-    }
-
     /// Unique-state-coding violations: pairs of distinct states with the
     /// same binary code.
     pub fn usc_conflicts(&self) -> Vec<(StateId, StateId)> {
@@ -722,15 +712,19 @@ mod tests {
     }
 
     #[test]
-    fn excitation_and_quiescent_regions_partition_states() {
+    fn excitation_regions_hold_the_excited_states() {
         let sg = handshake_sg();
         let b = SignalId(1);
         let er_plus = sg.excitation_region(SignalEvent::rise(b));
         let er_minus = sg.excitation_region(SignalEvent::fall(b));
-        let qr_high = sg.quiescent_region(b, true);
-        let qr_low = sg.quiescent_region(b, false);
-        let total = er_plus.len() + er_minus.len() + qr_high.len() + qr_low.len();
-        assert_eq!(total, sg.state_count());
+        for s in sg.states() {
+            let want = match sg.excitation(s, b) {
+                Some(Edge::Rise) => (true, false),
+                Some(Edge::Fall) => (false, true),
+                None => (false, false),
+            };
+            assert_eq!((er_plus.contains(&s), er_minus.contains(&s)), want, "{s:?}");
+        }
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub struct SignalDecl {
 /// one signal) or [`Stg::silent`]; causality arcs between transitions are
 /// added with [`Stg::arc`] / [`Stg::marked_arc`], which create implicit
 /// places, or through explicit places ([`Stg::add_place`]) when choice is
-/// needed. Equality (`==`) is structural over every field, names and
-/// per-place arc order included.
+/// needed. Equality (`==`) is structural over every field, names and the
+/// order of each preset and postset included. A place's view of its
+/// arcs is sorted by transition id (see [`PetriNet`]), so it never tells
+/// two STGs with the same arcs apart.
 ///
 /// # Examples
 ///
@@ -94,10 +96,9 @@ impl Stg {
         }
     }
 
-    /// Reassembles an STG from its stored parts — the
-    /// exact-reconstruction constructor the service wire codec uses
-    /// (paired with [`PetriNet::from_parts`], which validates the net
-    /// itself).
+    /// Reassembles an STG from its stored parts — the constructor the
+    /// service wire codec decodes with (paired with
+    /// [`PetriNet::from_parts`], which validates the net itself).
     ///
     /// # Errors
     ///

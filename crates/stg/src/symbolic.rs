@@ -4,8 +4,8 @@
 //! one; for the paper's controllers that is plenty. This module provides
 //! the classic alternative — markings as Boolean vectors (one variable
 //! per place), reachable sets as BDDs, breadth-first image computation —
-//! so the two can be compared head to head (the state-space-scaling
-//! ablation in `rt-bench`'s `synthesis` bench).
+//! so the two can be compared head to head (`rt-bench`'s `bench_reach`
+//! runs both on every model).
 //!
 //! The BFS is *frontier-based*: each iteration images only the set of
 //! markings discovered in the previous iteration (`frontier`), not the
@@ -44,16 +44,17 @@
 //! [`StgError::Unbounded`]. The walks here share the explicit walks'
 //! up-front check, so an initial marking with two tokens on a place is
 //! refused before any BDD operation. A later unsafe firing is refused by
-//! a read-only pass over the reached set once the forward fixpoint
-//! converges (`refuse_unsafe_firing`, run by both fixpoints): the image
-//! never generates such a successor (see `firing_cube`), and the pass
-//! asks whether some reached marking marks a transition's whole preset
-//! and a place of its postset outside the preset
-//! ([`rt_boolean::Bdd::first_cube_met`]). It builds no node, so the
-//! fresh-manager node counts stay as they were. It is exact: an
-//! explicit walk's first unsafe firing starts from a marking every
-//! earlier firing reached safely, and the fixpoint, which skips only
-//! unsafe firings, reaches that marking too; on a safe net the pass
+//! a read-only question both fixpoints ask of every frontier before its
+//! image, the initial one first (`UnsafeFirings`): does some marking of
+//! the frontier mark a transition's whole preset and a place of its
+//! postset outside the preset ([`rt_boolean::Bdd::first_cube_met`])?
+//! The image never generates such a successor (see `firing_cube`). The
+//! question builds no node, so the fresh-manager node counts stay as
+//! they were. It stops the walk at the breadth-first layer where the
+//! explicit walk stops: every earlier layer fired safely, so the
+//! frontiers up to it are the explicit walk's layers. Within that layer
+//! it names the first transition, in id order, with an unsafe firing,
+//! and that transition's first unsafe postset place; on a safe net it
 //! finds nothing and no answer moves.
 //!
 //! Nets of any width are accepted — the manager is widened on demand
@@ -90,7 +91,7 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::petri::{Arc, PetriNet, TransitionId};
+use crate::petri::{Arc, PetriNet, PlaceId, TransitionId};
 use crate::reach::{safe_layout, unsafe_at};
 use crate::stg::Stg;
 
@@ -227,6 +228,7 @@ pub fn reach_symbolic_with(
         .map(|t| firing_cube(net, t, &var_of))
         .collect();
 
+    let unsafe_firings = UnsafeFirings::new(net, &var_of);
     let mut reached = initial;
     let mut frontier = initial;
     let mut iterations = 0;
@@ -237,8 +239,10 @@ pub fn reach_symbolic_with(
         if let Some(error) = iteration_budget_check(bdd, budget, iterations) {
             return Err(error);
         }
+        let taken = bdd.values_taken(frontier);
+        unsafe_firings.refuse(bdd, frontier, &taken, net)?;
         iterations += 1;
-        let next = image_step(bdd, frontier, cubes.iter().map(Vec::as_slice));
+        let next = image_step(bdd, frontier, &taken, cubes.iter().map(Vec::as_slice));
         let not_reached = bdd.not(reached);
         let fresh = bdd.and(next, not_reached);
         if fresh == bdd.constant(false) {
@@ -247,7 +251,6 @@ pub fn reach_symbolic_with(
         reached = bdd.or(reached, fresh);
         frontier = fresh;
     }
-    refuse_unsafe_firing(bdd, reached, net, &var_of)?;
 
     // Invert the order for membership queries: variable v encodes
     // place place_of_var[v].
@@ -267,18 +270,18 @@ pub fn reach_symbolic_with(
 /// One BFS step of every symbolic fixpoint: the union of
 /// [`Bdd::replace_cube`]`(frontier, cube)` over `cubes`.
 ///
-/// One traversal of the frontier first records which values each
-/// variable takes there ([`Bdd::values_taken`]). A cube whose `before`
-/// side asks some variable for a value the frontier never gives it is
-/// skipped: its image is empty. Skipping changes no node id, because an
-/// empty image allocates nothing — every `mk` on the way up sees two
-/// ZERO children — and `or(next, ZERO)` is a shortcut.
+/// `taken` is [`Bdd::values_taken`]`(frontier)`, which the caller
+/// computes once per layer: the values each variable takes there. A
+/// cube whose `before` side asks some variable for a value the frontier
+/// never gives it is skipped: its image is empty. Skipping changes no
+/// node id, because an empty image allocates nothing — every `mk` on the
+/// way up sees two ZERO children — and `or(next, ZERO)` is a shortcut.
 pub(crate) fn image_step<'a>(
     bdd: &mut Bdd,
     frontier: NodeId,
+    taken: &[[bool; 2]],
     cubes: impl IntoIterator<Item = &'a [(usize, bool, bool)]>,
 ) -> NodeId {
-    let taken = bdd.values_taken(frontier);
     let mut next = NodeId::ZERO;
     for cube in cubes {
         if cube
@@ -307,7 +310,7 @@ pub(crate) fn place_order(stg: &Stg) -> Vec<u32> {
 /// Before firing the preset is marked and every produced place empty.
 /// That is the safeness side condition: a produced place must be empty
 /// unless it is also consumed. The image never generates a successor
-/// that breaks it; [`refuse_unsafe_firing`] refuses the net instead, as
+/// that breaks it; [`UnsafeFirings`] refuses the net instead, as
 /// the explicit walks do. After firing the postset is marked and the
 /// rest of the preset empty.
 pub(crate) fn firing_cube(
@@ -330,33 +333,60 @@ pub(crate) fn firing_cube(
     cube
 }
 
-/// The read-only pass both forward fixpoints end with (here and in
-/// [`csc`]; see the module docs' *One token game*): the first
-/// transition, in id order, that some marking of `reached` enables with
-/// a place of its postset outside its preset already marked, refused as
-/// [`StgError::Unbounded`] naming that place (the first such place of
-/// the postset). `var_of[place]` is the place's variable. The questions
-/// go to one [`Bdd::first_cube_met`] call, so the pass builds no node.
-pub(crate) fn refuse_unsafe_firing(
-    bdd: &Bdd,
-    reached: NodeId,
-    net: &PetriNet,
-    var_of: &[u32],
-) -> Result<(), StgError> {
-    let marked = |arc: &Arc| (var_of[arc.place.index()] as usize, true);
-    let mut questions = Vec::new();
-    for t in net.transitions() {
-        let preset = net.preset(t);
-        for arc in net.postset(t) {
-            if preset.iter().all(|p| p.place != arc.place) {
-                let cube: Vec<_> = preset.iter().chain([arc]).map(marked).collect();
-                questions.push((arc.place, cube));
+/// The read-only question both forward fixpoints ask of every frontier
+/// (here and in [`csc`]; see the module docs' *One token game*): does
+/// some marking of the frontier enable a transition with a place of its
+/// postset outside its preset already marked?
+pub(crate) struct UnsafeFirings {
+    /// One cube per unsafe firing, in transition id order and then
+    /// postset order: the transition's preset and one place of its
+    /// postset outside the preset, all marked. Each comes with that
+    /// place.
+    questions: Vec<(PlaceId, Vec<(usize, bool)>)>,
+}
+
+impl UnsafeFirings {
+    /// The questions for `net`, whose place *p* is variable `var_of[p]`.
+    pub(crate) fn new(net: &PetriNet, var_of: &[u32]) -> UnsafeFirings {
+        let marked = |arc: &Arc| (var_of[arc.place.index()] as usize, true);
+        let mut questions = Vec::new();
+        for t in net.transitions() {
+            let preset = net.preset(t);
+            for arc in net.postset(t) {
+                if preset.iter().all(|p| p.place != arc.place) {
+                    let cube: Vec<_> = preset.iter().chain([arc]).map(marked).collect();
+                    questions.push((arc.place, cube));
+                }
             }
         }
+        UnsafeFirings { questions }
     }
-    match bdd.first_cube_met(reached, questions.iter().map(|(_, cube)| cube.as_slice())) {
-        Some(index) => Err(unsafe_at(net, questions[index].0)),
-        None => Ok(()),
+
+    /// The first question some marking of `frontier` meets, refused as
+    /// [`StgError::Unbounded`] naming its place. `taken` is
+    /// [`Bdd::values_taken`]`(frontier)`: a question that needs a place
+    /// no marking of the frontier marks is skipped, as [`image_step`]
+    /// skips a transition, and the rest go to one
+    /// [`Bdd::first_cube_met`] call, so this builds no node.
+    pub(crate) fn refuse(
+        &self,
+        bdd: &Bdd,
+        frontier: NodeId,
+        taken: &[[bool; 2]],
+        net: &PetriNet,
+    ) -> Result<(), StgError> {
+        let open: Vec<&(PlaceId, Vec<(usize, bool)>)> = self
+            .questions
+            .iter()
+            .filter(|(_, cube)| cube.iter().all(|&(var, _)| taken[var][1]))
+            .collect();
+        if open.is_empty() {
+            return Ok(());
+        }
+        match bdd.first_cube_met(frontier, open.iter().map(|(_, cube)| cube.as_slice())) {
+            Some(index) => Err(unsafe_at(net, open[index].0)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -438,7 +468,9 @@ mod tests {
                 let mut frontier = initial;
                 let mut layer = 0;
                 while frontier != NodeId::ZERO {
-                    let filtered = image_step(&mut bdd, frontier, cubes.iter().map(Vec::as_slice));
+                    let taken = bdd.values_taken(frontier);
+                    let filtered =
+                        image_step(&mut bdd, frontier, &taken, cubes.iter().map(Vec::as_slice));
                     let nodes = bdd.node_count();
                     let mut unfiltered = NodeId::ZERO;
                     for cube in cubes {

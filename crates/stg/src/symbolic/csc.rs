@@ -50,10 +50,11 @@
 //! ## The conflict relation
 //!
 //! The BFS plays the one token game of [`crate::petri`] on the places,
-//! as the place-only analysis does, and ends with the same read-only
-//! pass over the reached set: a reachable firing that would put a second
-//! token on a place is [`StgError::Unbounded`], as in the explicit
-//! walks. It tracks codes transparently: an `a+`-labelled transition's
+//! as the place-only analysis does, and asks each frontier the same
+//! read-only question before its image: a reachable firing that would
+//! put a second token on a place is [`StgError::Unbounded`], refused at
+//! the breadth-first layer where the explicit walks refuse it. It
+//! tracks codes transparently: an `a+`-labelled transition's
 //! firing cube ([`rt_boolean::Bdd::replace_cube`]) rewrites signal
 //! `a`'s variable alongside the pre/post places (and demands the source
 //! value before firing, so an inconsistent specification is
@@ -94,7 +95,7 @@ use crate::error::StgError;
 use crate::reach::{infer_initial_code, safe_layout, STATE_LIMIT};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{firing_cube, image_step, place_order, refuse_unsafe_firing};
+use crate::symbolic::{firing_cube, image_step, place_order, UnsafeFirings};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -319,6 +320,7 @@ pub fn csc_conflicts_symbolic_opts(
 
     // --- Forward fixpoint (frontier-based, like the place-only BFS) ---
     let zero = bdd.constant(false);
+    let unsafe_firings = UnsafeFirings::new(net, &uvar);
     let mut reached = initial;
     let mut frontier = initial;
     let mut iterations = 0usize;
@@ -326,8 +328,11 @@ pub fn csc_conflicts_symbolic_opts(
         if let Some(error) = super::iteration_budget_check(bdd, budget, iterations) {
             return Err(error);
         }
+        let taken = bdd.values_taken(frontier);
+        unsafe_firings.refuse(bdd, frontier, &taken, net)?;
         iterations += 1;
-        let next_layer = image_step(bdd, frontier, images.iter().map(|i| i.fire.as_slice()));
+        let fire = images.iter().map(|i| i.fire.as_slice());
+        let next_layer = image_step(bdd, frontier, &taken, fire);
         let not_reached = bdd.not(reached);
         let fresh = bdd.and(next_layer, not_reached);
         if fresh == zero {
@@ -336,7 +341,6 @@ pub fn csc_conflicts_symbolic_opts(
         reached = bdd.or(reached, fresh);
         frontier = fresh;
     }
-    refuse_unsafe_firing(bdd, reached, net, &uvar)?;
 
     // --- Consistency: no reachable state may place-enable an edge of a
     // signal already at the edge's target value. (The checked `enabled`
@@ -394,11 +398,9 @@ pub fn csc_conflicts_symbolic_opts(
             return Err(error);
         }
         back_iterations += 1;
-        let pre_layer = image_step(
-            bdd,
-            back_frontier,
-            images.iter().map(|i| i.unfire.as_slice()),
-        );
+        let taken = bdd.values_taken(back_frontier);
+        let unfire = images.iter().map(|i| i.unfire.as_slice());
+        let pre_layer = image_step(bdd, back_frontier, &taken, unfire);
         let not_back = bdd.not(back);
         let fresh = bdd.and(pre_layer, not_back);
         let fresh = bdd.and(fresh, reached);

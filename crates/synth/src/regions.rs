@@ -27,7 +27,7 @@
 use std::collections::BTreeSet;
 
 use rt_boolean::{minimize, Cover, Cube};
-use rt_stg::{Edge, SignalEvent, SignalId, StateGraph, StateId};
+use rt_stg::{Edge, SignalId, StateGraph, StateId};
 
 use crate::error::SynthError;
 
@@ -171,16 +171,6 @@ pub fn derive_functions(
     })
 }
 
-/// The excitation region of `event` as a cover of state codes.
-pub fn excitation_cover(sg: &StateGraph, event: SignalEvent) -> Cover {
-    let vars = sg.signal_count();
-    let mut cover = Cover::empty(vars);
-    for state in sg.excitation_region(event) {
-        cover.push(Cube::minterm(vars, sg.code(state)));
-    }
-    cover
-}
-
 /// The global don't-care cover: every code outside `reachable`.
 fn unreachable_cover(vars: usize, reachable: &BTreeSet<u64>) -> Cover {
     // Complement of the reachable-code minterm cover. For small signal
@@ -257,21 +247,12 @@ mod tests {
         let sg = explore(&models::handshake_stg()).unwrap();
         let b = rt_stg::SignalId(1);
         // Free b's function in its rising excitation state.
-        let er = sg.excitation_region(SignalEvent::rise(b));
+        let er = sg.excitation_region(rt_stg::SignalEvent::rise(b));
         let mut dc = LocalDontCares::none();
         dc.add(b, er);
         let funcs = derive_functions(&sg, &dc).unwrap();
         assert!(funcs.specs[0].set_on.is_empty(), "ER(b+) moved to DC");
         assert!(funcs.specs[0].set_dc.evaluate(0b01));
-    }
-
-    #[test]
-    fn excitation_cover_matches_region() {
-        let sg = explore(&models::handshake_stg()).unwrap();
-        let b = rt_stg::SignalId(1);
-        let cover = excitation_cover(&sg, SignalEvent::rise(b));
-        assert!(cover.evaluate(0b01));
-        assert!(!cover.evaluate(0b00));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub fn orderings_from_constraints(
 
 /// One line of the sizing report: a path constraint plus the per-gate
 /// slack budget on its fast path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarginLine {
     /// The underlying path constraint.
     pub constraint: PathConstraint,

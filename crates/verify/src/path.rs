@@ -98,18 +98,21 @@ fn constraint_for(netlist: &Netlist, spec: &Stg, ordering: NetOrdering) -> Optio
     let after_paths = ancestor_paths(netlist, spec, ordering.after, 8);
     let mut best: Option<(Transition, &Vec<Transition>, &Vec<Transition>)> = None;
     let mut best_key = (usize::MAX, usize::MAX);
-    for (t, path_b) in &before_paths {
-        if *t == ordering.before || *t == ordering.after {
+    // In discovery order, so the first-discovered of equally good common
+    // ancestors wins.
+    for path_b in &before_paths.paths {
+        let t = *path_b.last().expect("nonempty path");
+        if t == ordering.before || t == ordering.after {
             continue;
         }
-        if let Some(path_a) = after_paths.get(t) {
+        if let Some(path_a) = after_paths.path_to(t) {
             // Minimize total depth; break ties toward the shorter *fast*
             // path — the "earliest common enabling signal" should cause
             // the earlier event promptly.
             let key = (path_b.len() + path_a.len(), path_b.len());
             if key < best_key {
                 best_key = key;
-                best = Some((*t, path_b, path_a));
+                best = Some((t, path_b, path_a));
             }
         }
     }
@@ -206,38 +209,46 @@ fn gate_causes(kind: &GateKind, inputs: &[NetId], value: bool) -> Vec<Transition
     }
 }
 
-/// All causal ancestors of `t` within `depth` hops, mapped to the path
-/// from `t` back to the ancestor (inclusive). Breadth-first, so the first
-/// path recorded per ancestor is a shortest one.
-fn ancestor_paths(
-    netlist: &Netlist,
-    spec: &Stg,
-    t: Transition,
-    depth: usize,
-) -> HashMap<Transition, Vec<Transition>> {
-    let mut out: HashMap<Transition, Vec<Transition>> = HashMap::new();
-    out.insert(t, vec![t]);
-    let mut frontier = vec![vec![t]];
+/// The causal ancestors of one transition: per ancestor, the path from
+/// the transition back to it (inclusive), in breadth-first discovery
+/// order.
+struct Ancestors {
+    paths: Vec<Vec<Transition>>,
+    /// Each ancestor's index into `paths`.
+    index: HashMap<Transition, usize>,
+}
+
+impl Ancestors {
+    fn path_to(&self, t: Transition) -> Option<&Vec<Transition>> {
+        self.index.get(&t).map(|&i| &self.paths[i])
+    }
+}
+
+/// All causal ancestors of `t` within `depth` hops. Breadth-first, so the
+/// first path recorded per ancestor is a shortest one.
+fn ancestor_paths(netlist: &Netlist, spec: &Stg, t: Transition, depth: usize) -> Ancestors {
+    let mut paths = vec![vec![t]];
+    let mut index = HashMap::from([(t, 0)]);
+    let mut layer = 0..1;
     for _ in 0..depth {
-        let mut next_frontier = Vec::new();
-        for path in frontier {
-            let tip = *path.last().expect("nonempty path");
+        for i in layer.clone() {
+            let tip = *paths[i].last().expect("nonempty path");
             for cause in causes(netlist, spec, tip) {
-                if out.contains_key(&cause) {
+                if index.contains_key(&cause) {
                     continue;
                 }
-                let mut extended = path.clone();
+                let mut extended = paths[i].clone();
                 extended.push(cause);
-                out.insert(cause, extended.clone());
-                next_frontier.push(extended);
+                index.insert(cause, paths.len());
+                paths.push(extended);
             }
         }
-        if next_frontier.is_empty() {
+        if layer.end == paths.len() {
             break;
         }
-        frontier = next_frontier;
+        layer = layer.end..paths.len();
     }
-    out
+    Ancestors { paths, index }
 }
 
 /// Nominal delay along a transition path: library delay for the driving
