@@ -131,8 +131,6 @@ pub struct Bdd {
     generation: u32,
     /// Memo entries the current [`Bdd::replace_cube`] call has written.
     memo_writes: usize,
-    /// Soft footprint budget (see [`Bdd::over_budget`]); `None` = unlimited.
-    node_budget: Option<usize>,
 }
 
 /// Variable tag of the two terminals: above every variable index, so a
@@ -252,7 +250,6 @@ impl Bdd {
             memo: vec![MemoEntry::default(); memo.max(2).next_power_of_two()],
             generation: 0,
             memo_writes: 0,
-            node_budget: None,
         }
     }
 
@@ -415,11 +412,13 @@ impl Bdd {
     }
 
     /// Current memory footprint proxy: allocated nodes plus occupied
-    /// computed-table slots — what [`Bdd::over_budget`] compares against
-    /// the budget. Neither share is ever released, so the footprint only
-    /// grows. On a grown manager the computed table holds fewer entries
-    /// than half the node count, so nodes make up more than two thirds
-    /// of it.
+    /// computed-table slots, what long-running callers (the symbolic
+    /// fixpoints in `rt-stg`) compare against their budget at iteration
+    /// boundaries; the manager itself enforces none, so no operation
+    /// leaves a structure half-built. Neither share is ever released, so
+    /// the footprint only grows. On a grown manager the computed table
+    /// holds fewer entries than half the node count, so nodes make up
+    /// more than two thirds of it.
     pub fn footprint(&self) -> usize {
         self.node_count() + self.cache_len()
     }
@@ -433,29 +432,6 @@ impl Bdd {
             + self.unique.capacity() * size_of::<u32>()
             + self.computed.capacity() * size_of::<Computed>()
             + self.memo.capacity() * size_of::<MemoEntry>()
-    }
-
-    /// Sets (or clears, with `None`) the soft footprint budget.
-    ///
-    /// The manager itself never enforces the budget — operations always
-    /// complete so no structure is ever left half-built. Long-running
-    /// callers (the symbolic fixpoints in `rt-stg`) poll
-    /// [`Bdd::over_budget`] at iteration boundaries and stop cleanly.
-    pub fn set_node_budget(&mut self, budget: Option<usize>) {
-        self.node_budget = budget;
-    }
-
-    /// The configured soft footprint budget, if any.
-    pub fn node_budget(&self) -> Option<usize> {
-        self.node_budget
-    }
-
-    /// Whether the manager's [`footprint`](Bdd::footprint) currently
-    /// exceeds the configured budget. Always `false` when no budget is
-    /// set. The footprint never shrinks, so once `true` it stays `true`
-    /// until the budget is raised or cleared.
-    pub fn over_budget(&self) -> bool {
-        self.node_budget.is_some_and(|b| self.footprint() > b)
     }
 
     fn apply(&mut self, op: Op, a: NodeId, b: NodeId) -> NodeId {
@@ -1063,11 +1039,8 @@ mod tests {
     use crate::tt::TruthTable;
 
     #[test]
-    fn node_budget_is_advisory_and_counts_the_footprint() {
+    fn the_footprint_counts_nodes_and_cache_entries() {
         let mut bdd = Bdd::new(8);
-        assert!(!bdd.over_budget(), "no budget set");
-        assert_eq!(bdd.node_budget(), None);
-
         // Build something with real cache traffic.
         let mut acc = NodeId::ONE;
         for v in 0..8 {
@@ -1078,15 +1051,6 @@ mod tests {
         }
         assert!(bdd.cache_len() > 0);
         assert_eq!(bdd.footprint(), bdd.node_count() + bdd.cache_len());
-
-        // The cache entries count against the budget too.
-        bdd.set_node_budget(Some(bdd.node_count()));
-        assert!(bdd.over_budget());
-        bdd.set_node_budget(Some(bdd.footprint()));
-        assert!(!bdd.over_budget(), "the footprint itself fits");
-
-        bdd.set_node_budget(None);
-        assert!(!bdd.over_budget());
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //!
 //! * [`ReachBackend::Explicit`] — explicit first, BDDs past a ceiling.
 //!   The query walks the packed-marking/interned-arena BFS of
-//!   [`crate::reach`] (a counting-only variant for `summary`, the coded
-//!   [`StateGraph`] for `csc_check`) under a soft state ceiling: the
-//!   caller's [`Budget::max_states`] or [`EXPLICIT_CEILING`], whichever
-//!   is lower. Past it, BDD image computation ([`crate::symbolic`])
-//!   answers instead, exactly. The ceiling sits near the measured
-//!   crossover: on pipeline rings the walk wins or ties up to about
-//!   2^17 markings on `summary` and 2^18 on `csc_check`.
+//!   [`crate::reach`] (counting markings and layers for `summary`,
+//!   building the coded [`StateGraph`] for `csc_check`) under a soft
+//!   state ceiling: the caller's [`Budget::max_states`] or
+//!   [`EXPLICIT_CEILING`], whichever is lower. Past it, BDD image
+//!   computation ([`crate::symbolic`]) answers instead, exactly. The
+//!   ceiling sits near the measured crossover: on pipeline rings the
+//!   walk wins or ties up to about 2^17 markings on `summary` and 2^18
+//!   on `csc_check`.
 //! * [`ReachBackend::Symbolic`] — BDDs and nothing else, in a
 //!   **persistent manager** owned by the engine (see below). This is
 //!   the independent oracle the explicit answers are checked against.
@@ -537,16 +538,13 @@ impl ReachEngine {
     }
 
     /// The persistent manager, built on the first BDD query and reused
-    /// by every later one, with the budget's node ceiling installed.
+    /// by every later one.
     fn warm_manager(&mut self, stg: &Stg) -> &mut Bdd {
         if self.manager.is_some() {
             self.stats.manager_reuses += 1;
         }
-        let manager = self
-            .manager
-            .get_or_insert_with(|| Bdd::new(stg.net().place_count()));
-        manager.set_node_budget(self.budget.max_bdd_nodes);
-        manager
+        self.manager
+            .get_or_insert_with(|| Bdd::new(stg.net().place_count()))
     }
 
     /// The persistent manager, if a BDD query has run on this engine.
@@ -825,7 +823,9 @@ mod tests {
     fn an_unsafe_initial_marking_is_the_same_error_on_every_query() {
         // The handshake with two tokens on its marked place.
         let mut stg = models::handshake_stg();
-        let place = stg.net().place_by_name("<b-,a+>").expect("marked place");
+        let net = stg.net();
+        let place = net.places().find(|&p| net.place_name(p) == "<b-,a+>");
+        let place = place.expect("marked place");
         stg.set_tokens(place, 2);
         let not_safe = StgError::Unbounded {
             place: "<b-,a+>".to_string(),

@@ -8,13 +8,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`PetriNet`] — places, transitions, arcs, markings, the token game,
-//!   and structural classification (marked graphs, free choice). There is
-//!   one net model, the ordinary safe net: every arc moves one token, no
-//!   arc is repeated, and a firing that would put a second token on a
-//!   place is [`StgError::Unbounded`]. The explicit walks and the BDD
-//!   walks are two implementations of that one token game (see
-//!   [`petri`]).
+//! * [`PetriNet`] — places, transitions, arcs, markings and the token
+//!   game. There is one net model, the ordinary safe net: every arc
+//!   moves one token, no arc is repeated, and a firing that would put a
+//!   second token on a place is [`StgError::Unbounded`]. The explicit
+//!   walks and the BDD walks are two implementations of that one token
+//!   game (see [`petri`]).
 //! * [`Stg`] — a labelled Petri net with a signal table
 //!   (input/output/internal), consistency checking and convenience builders.
 //! * [`parse`] — reader/writer for the `.g` (astg) interchange format used

@@ -496,8 +496,9 @@ c- p0
 .end
 ";
         let stg = parse_g(text).unwrap();
-        assert!(!stg.net().is_marked_graph());
-        assert!(stg.net().place_count() > 0);
+        let net = stg.net();
+        let p0 = net.places().find(|&p| net.place_name(p) == "p0").unwrap();
+        assert_eq!(net.consumers(p0).len(), 2, "p0 is a choice");
     }
 
     #[test]

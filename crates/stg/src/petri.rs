@@ -429,15 +429,6 @@ impl PetriNet {
         Ok(())
     }
 
-    /// A net is a *marked graph* if every place has at most one consumer and
-    /// one producer (no choice). Marked graphs model delay-insensitive
-    /// pipelines such as the paper's FIFO ring and have strong liveness
-    /// guarantees.
-    pub fn is_marked_graph(&self) -> bool {
-        self.places()
-            .all(|p| self.consumers(p).len() <= 1 && self.producers(p).len() <= 1)
-    }
-
     /// Renders the net as Graphviz DOT for debugging.
     pub fn to_dot(&self, marking: &Marking) -> String {
         let mut out = String::from("digraph petri {\n  rankdir=LR;\n");
@@ -478,15 +469,6 @@ impl PetriNet {
         }
         out.push_str("}\n");
         out
-    }
-
-    /// Looks up a place id by name (linear scan; intended for parsing and
-    /// tests, not inner loops).
-    pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
-        self.place_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| PlaceId(i as u32))
     }
 }
 
@@ -576,23 +558,6 @@ mod tests {
     fn a_repeated_postset_arc_is_refused() {
         let (mut net, _, _, t1) = ring2();
         net.add_arc_tp(t1, PlaceId(0));
-    }
-
-    #[test]
-    fn ring_is_a_marked_graph() {
-        let (net, _, _, _) = ring2();
-        assert!(net.is_marked_graph());
-    }
-
-    #[test]
-    fn choice_place_breaks_marked_graph_property() {
-        let mut net = PetriNet::new();
-        let p = net.add_place("choice");
-        let a = net.add_transition("a");
-        let b = net.add_transition("b");
-        net.add_arc_pt(p, a);
-        net.add_arc_pt(p, b);
-        assert!(!net.is_marked_graph());
     }
 
     #[test]
@@ -690,13 +655,6 @@ mod tests {
             vec![vec![]],
         );
         assert_eq!(err, Err(parse("preset of transition 0 repeats place p0")));
-    }
-
-    #[test]
-    fn name_lookups() {
-        let (net, _, _, _) = ring2();
-        assert_eq!(net.place_by_name("p1"), Some(PlaceId(1)));
-        assert_eq!(net.place_by_name("zzz"), None);
     }
 
     #[test]

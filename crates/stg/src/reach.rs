@@ -8,8 +8,11 @@
 //!
 //! ## The walk's contract
 //!
-//! Every walk takes the net and the caller's [`Budget`], and nothing
-//! else. Three rules bound it:
+//! Every walk here is one breadth-first loop over markings (`walk`) and
+//! a visitor of its firings: the coded walk of [`explore_with`], the
+//! engine's counting walk, and the sweep that fixes the symbolic CSC
+//! detector's initial code. The coded and counting walks take the net
+//! and the caller's [`Budget`], and nothing else. Three rules bound them:
 //!
 //! * **safe nets only**, like the symbolic walks of [`crate::symbolic`]:
 //!   an initial marking with two tokens on a place, or a firing that puts
@@ -18,7 +21,20 @@
 //! * **a hard cap of [`STATE_LIMIT`] markings**: past it the walk stops
 //!   with [`StgError::StateLimitExceeded`] and never answers over a
 //!   partial state space;
-//! * **the soft [`Budget`]**, polled once per BFS round.
+//! * **the soft [`Budget`]**, polled once per BFS round (`Rounds`, which
+//!   the spliced walk of [`crate::splice`] shares).
+//!
+//! The sweep refuses an unsafe firing too, but polls no budget and no
+//! fault probe, and stops quietly at its cap.
+//!
+//! A signal starts at the value [`Stg::set_initial_value`] forces, or
+//! else at the value its first enabled edge in walk order fires from; a
+//! signal that never fires starts at 0. The coded walk fixes these as it
+//! goes: it keeps each marking's code as the signals flipped on the path
+//! that found it, and XORs the initial code in at the end. That path's
+//! edges were all enabled earlier in walk order, so no signal flips on
+//! it before its own first enabled edge, and each consistency check
+//! reads a value already fixed.
 //!
 //! ## Hot-path layout
 //!
@@ -36,10 +52,10 @@
 use crate::budget::Budget;
 use crate::error::StgError;
 use crate::marking::{MarkingArena, MarkingId, MarkingLayout, PackedMarking};
-use crate::petri::{PetriNet, PlaceId};
-use crate::signal::SignalId;
+use crate::petri::{PetriNet, PlaceId, TransitionId};
+use crate::signal::{SignalEvent, SignalId};
 use crate::state_graph::{CsrBuilder, StateArc, StateGraph, StateId};
-use crate::stg::{Stg, TransitionLabel};
+use crate::stg::Stg;
 
 /// The hard cap on the markings an explicit walk interns. Past it the
 /// walk stops with [`StgError::StateLimitExceeded`]; unlike the soft
@@ -47,22 +63,142 @@ use crate::stg::{Stg, TransitionLabel};
 /// analyser (see [`crate::engine`]).
 pub const STATE_LIMIT: usize = 1 << 20;
 
-/// Per-round soft-budget poll shared by the explicit walks: injected
+/// The round bookkeeping of every explicit walk. A round is a BFS layer;
+/// at its first state the walk polls its budget, if it has one: injected
 /// faults first (compiled out unless the `fault-injection` feature is
-/// on), then cancellation/deadline, then the soft state budget. Runs
-/// once per BFS layer, never per state, so the poll cost (one atomic
-/// load; a clock read only when a deadline is set) is invisible.
-pub(crate) fn round_budget_check(budget: &Budget, states: usize, round: usize) -> Option<StgError> {
-    if let Some(error) = crate::faults::explicit_round_fault(round) {
-        return Some(error);
+/// on), then cancellation/deadline, then the soft state budget. Once per
+/// layer, never per state, so the poll (one atomic load; a clock read
+/// only when a deadline is set) costs nothing visible.
+#[derive(Default)]
+pub(crate) struct Rounds {
+    /// Layers begun so far, the initial marking's counted as the first.
+    begun: usize,
+    /// The first state of the next layer.
+    next_layer: usize,
+}
+
+impl Rounds {
+    /// Runs before the walk expands `state`, with `discovered` states
+    /// known. States are expanded in discovery order, so a layer that
+    /// begins at `state` ends where the states known now end.
+    pub(crate) fn expand(
+        &mut self,
+        budget: Option<&Budget>,
+        state: usize,
+        discovered: usize,
+    ) -> Result<(), StgError> {
+        if state < self.next_layer {
+            return Ok(());
+        }
+        self.begun += 1;
+        self.next_layer = discovered;
+        let Some(budget) = budget else {
+            return Ok(());
+        };
+        if let Some(error) = crate::faults::explicit_round_fault(self.begun - 1) {
+            return Err(error);
+        }
+        if budget.cancelled() {
+            return Err(StgError::Cancelled);
+        }
+        if budget.states_exhausted(discovered) {
+            return Err(StgError::StateBudgetExceeded { states: discovered });
+        }
+        Ok(())
     }
-    if budget.cancelled() {
-        return Some(StgError::Cancelled);
+}
+
+/// One step of [`walk`], handed to its visitor in walk order.
+enum Step {
+    /// The walk is about to fire the transitions its next marking enables.
+    Expand,
+    /// `Fired(from, transition, to, fresh)`: `transition` fired safely
+    /// from marking `from` to marking `to`, which this firing interned
+    /// when `fresh`.
+    Fired(MarkingId, TransitionId, MarkingId, bool),
+}
+
+/// The one breadth-first loop over the markings of `stg`. It owns the
+/// arena, whose discovery order is the queue (the work list is the next
+/// id not yet expanded, and a marking's transitions fire in id order),
+/// the rounds, the refusal of an unsafe firing, and the hard cap of
+/// `limit` markings, checked after `visit` has seen the firing past it,
+/// so an error `visit` finds there comes first. `visit` sees every step
+/// with the arena: `Err` stops the walk with that error, `Ok(false)`
+/// ends it quietly. Returns the arena and the number of layers begun.
+fn walk(
+    stg: &Stg,
+    layout: MarkingLayout,
+    budget: Option<&Budget>,
+    limit: usize,
+    mut visit: impl FnMut(&MarkingArena, Step) -> Result<bool, StgError>,
+) -> Result<(MarkingArena, usize), StgError> {
+    let net = stg.net();
+    // Start small: tables grow geometrically, so large explorations pay
+    // a handful of rehashes while small ones (the common case in the
+    // synthesis flow) avoid faulting in kilobytes they never touch.
+    let mut arena = MarkingArena::with_capacity(layout, 64);
+    // Reused firing scratch: keeps the hot loop allocation-free even for
+    // spilled (boxed) layouts.
+    let mut scratch = PackedMarking::zero(&layout);
+    arena.intern(PackedMarking::pack(&layout, &stg.initial_marking()));
+    let mut rounds = Rounds::default();
+    let mut state = 0;
+    'walk: while state < arena.len() {
+        rounds.expand(budget, state, arena.len())?;
+        if !visit(&arena, Step::Expand)? {
+            break;
+        }
+        let from = MarkingId(state as u32);
+        let marking = arena.resolve(from).clone();
+        for transition in net.transitions() {
+            if !net.is_enabled_packed(transition, &marking, &layout) {
+                continue;
+            }
+            net.fire_packed_into(transition, &marking, &layout, &mut scratch)
+                .map_err(|place| unsafe_at(net, place))?;
+            let (to, fresh) = arena.intern_ref(&scratch);
+            if !visit(&arena, Step::Fired(from, transition, to, fresh))? {
+                break 'walk;
+            }
+            if fresh && arena.len() > limit {
+                return Err(StgError::StateLimitExceeded(limit));
+            }
+        }
+        state += 1;
     }
-    if budget.states_exhausted(states) {
-        return Some(StgError::StateBudgetExceeded { states });
+    Ok((arena, rounds.begun))
+}
+
+/// Initial signal values as a walk fixes them (see the module docs):
+/// bit *i* of `value` is signal *i*'s, 0 until bit *i* of `known` is set.
+struct InitialCode {
+    known: u64,
+    value: u64,
+}
+
+impl InitialCode {
+    /// The values [`Stg::set_initial_value`] forces.
+    fn forced(stg: &Stg) -> InitialCode {
+        let mut code = InitialCode { known: 0, value: 0 };
+        for signal in stg.signals() {
+            if let Some(value) = stg.initial_value(signal) {
+                code.known |= 1 << signal.index();
+                code.value |= u64::from(value) << signal.index();
+            }
+        }
+        code
     }
-    None
+
+    /// Fixes `ev`'s signal at the value `ev` fires from, unless it is
+    /// fixed already.
+    fn first_edge(&mut self, ev: SignalEvent) {
+        let bit = 1 << ev.signal.index();
+        if self.known & bit == 0 {
+            self.known |= bit;
+            self.value |= u64::from(ev.edge.source_value()) << ev.signal.index();
+        }
+    }
 }
 
 /// Explores `stg` under an unlimited [`Budget`].
@@ -96,6 +232,8 @@ pub fn explore(stg: &Stg) -> Result<StateGraph, StgError> {
 ///
 /// # Errors
 ///
+/// The first of these the walk meets:
+///
 /// * [`StgError::TooManySignals`] — more than 64 signals.
 /// * [`StgError::StateLimitExceeded`] — more than [`STATE_LIMIT`]
 ///   markings.
@@ -119,101 +257,59 @@ pub(crate) fn explore_capped(
     if stg.signal_count() > 64 {
         return Err(StgError::TooManySignals(stg.signal_count()));
     }
-    let net = stg.net();
-    let initial_marking = stg.initial_marking();
     let layout = safe_layout(stg)?;
-    let initial_code = infer_initial_code(stg, &layout, limit)?;
-
-    // Start small: tables grow geometrically, so large explorations pay
-    // a handful of rehashes while small ones (the common case in the
-    // synthesis flow) avoid faulting in kilobytes they never touch.
-    let mut arena = MarkingArena::with_capacity(layout, 64);
-    let mut codes: Vec<u64> = Vec::with_capacity(64);
+    let mut initial = InitialCode::forced(stg);
+    // Per marking, the signals flipped on the path that found it.
+    let mut flips: Vec<u64> = Vec::with_capacity(64);
+    flips.push(0);
     let mut builder = CsrBuilder::with_capacity(64, 256);
-    // Reused firing scratch: keeps the hot loop allocation-free even for
-    // spilled (boxed) layouts.
-    let mut scratch = PackedMarking::zero(&layout);
-
-    arena.intern(PackedMarking::pack(&layout, &initial_marking));
-    codes.push(initial_code);
-
-    // Ids are handed out in discovery order and the BFS queue is FIFO, so
-    // the work list is simply "the next id not yet processed" — no queue.
-    // Rows therefore complete in id order, exactly the CsrBuilder
-    // contract.
-    let mut state = 0usize;
-    // Round (= BFS layer) boundaries, tracked for the soft-budget poll:
-    // `layer_end` is the first id of the next layer.
-    let mut round = 0usize;
-    let mut layer_end = arena.len();
-    if let Some(error) = round_budget_check(budget, arena.len(), round) {
-        return Err(error);
-    }
-    while state < arena.len() {
-        if state == layer_end {
-            round += 1;
-            layer_end = arena.len();
-            if let Some(error) = round_budget_check(budget, arena.len(), round) {
-                return Err(error);
+    let (arena, _) = walk(stg, layout, Some(budget), limit, |arena, step| {
+        let Step::Fired(from, transition, to, fresh) = step else {
+            // Rows complete in id order, exactly the CsrBuilder contract.
+            builder.start_row();
+            return Ok(true);
+        };
+        let mut flip = flips[from.index()];
+        let event = stg.label(transition).event();
+        if let Some(ev) = event {
+            initial.first_edge(ev);
+            let bit = 1 << ev.signal.index();
+            let current = (initial.value ^ flip) & bit != 0;
+            if current != ev.edge.source_value() {
+                return Err(StgError::Inconsistent {
+                    signal: stg.signal_name(ev.signal).to_string(),
+                    detail: format!(
+                        "{} fires in state {} where {} is already {}",
+                        stg.event_name(ev),
+                        arena.resolve(from).unpack(&layout),
+                        stg.signal_name(ev.signal),
+                        u8::from(current)
+                    ),
+                });
             }
+            flip ^= bit;
         }
-        builder.start_row();
-        let marking = arena.resolve(MarkingId(state as u32)).clone();
-        let code = codes[state];
-        for transition in net.transitions() {
-            if !net.is_enabled_packed(transition, &marking, &layout) {
-                continue;
-            }
-            net.fire_packed_into(transition, &marking, &layout, &mut scratch)
-                .map_err(|place| unsafe_at(net, place))?;
-            let (event, next_code) = match stg.label(transition) {
-                TransitionLabel::Silent => (None, code),
-                TransitionLabel::Event(ev) => {
-                    let current = code >> ev.signal.index() & 1 == 1;
-                    if current != ev.edge.source_value() {
-                        return Err(StgError::Inconsistent {
-                            signal: stg.signal_name(ev.signal).to_string(),
-                            detail: format!(
-                                "{} fires in state {} where {} is already {}",
-                                stg.event_name(ev),
-                                marking.unpack(&layout),
-                                stg.signal_name(ev.signal),
-                                u8::from(current)
-                            ),
-                        });
-                    }
-                    let next = if ev.edge.target_value() {
-                        code | 1 << ev.signal.index()
-                    } else {
-                        code & !(1 << ev.signal.index())
-                    };
-                    (Some(ev), next)
-                }
-            };
-            let (next_id, fresh) = arena.intern_ref(&scratch);
-            if fresh {
-                if arena.len() > limit {
-                    return Err(StgError::StateLimitExceeded(limit));
-                }
-                codes.push(next_code);
-            } else if codes[next_id.index()] != next_code {
-                // The same marking was reached with two different signal
-                // codes: the STG is not consistent.
-                return Err(code_conflict(
-                    stg,
-                    &layout,
-                    arena.resolve(next_id),
-                    codes[next_id.index()],
-                    next_code,
-                ));
-            }
-            builder.push_arc(StateArc {
-                event,
-                to: StateId(next_id.0),
+        if fresh {
+            flips.push(flip);
+        } else if flips[to.index()] != flip {
+            // The same marking was reached with two different signal
+            // codes: the STG is not consistent.
+            let (existing, incoming) = (initial.value ^ flips[to.index()], initial.value ^ flip);
+            let signal = SignalId((existing ^ incoming).trailing_zeros());
+            return Err(StgError::Inconsistent {
+                signal: stg.signal_name(signal).to_string(),
+                detail: format!(
+                    "marking {} reached with codes {existing:b} and {incoming:b}",
+                    arena.resolve(to).unpack(&layout)
+                ),
             });
         }
-        state += 1;
-    }
+        builder.push_arc(StateArc {
+            event,
+            to: StateId(to.0),
+        });
+        Ok(true)
+    })?;
     let (offsets, arcs) = builder.finish();
 
     let signal_names = stg
@@ -224,7 +320,7 @@ pub(crate) fn explore_capped(
     Ok(StateGraph::from_csr_parts(
         signal_names,
         signal_kinds,
-        codes,
+        flips.iter().map(|flip| initial.value ^ flip).collect(),
         offsets,
         arcs,
         arena.into_markings(),
@@ -244,9 +340,8 @@ pub(crate) struct ExplicitCount {
 }
 
 /// Counts the reachable markings of `stg` without building a state
-/// graph: the packed BFS of [`explore_with`] minus codes, arcs and the
-/// consistency machinery. This is the explicit backend of
-/// [`crate::engine::ReachEngine`]'s set-level queries.
+/// graph: [`walk`] with nothing to do per firing. This is the explicit
+/// backend of [`crate::engine::ReachEngine`]'s set-level queries.
 ///
 /// Because no binary codes are assigned, the walk has **no 64-signal
 /// cap** and performs **no consistency check** — it answers "how many
@@ -266,67 +361,40 @@ pub(crate) fn count_markings_capped(
     budget: &Budget,
     limit: usize,
 ) -> Result<ExplicitCount, StgError> {
-    let net = stg.net();
-    let layout = safe_layout(stg)?;
-    let mut arena = MarkingArena::with_capacity(layout, 64);
-    let mut scratch = PackedMarking::zero(&layout);
-    arena.intern(PackedMarking::pack(&layout, &stg.initial_marking()));
-
-    let mut state = 0usize;
-    // Depth tracking: `layer_end` is the first id of the *next* BFS
-    // layer; ids are dense and in discovery order, so layers are just
-    // index ranges. The 0-based round index for the budget poll is
-    // `iterations - 1`.
-    let mut iterations = 1usize;
-    let mut layer_end = arena.len();
-    if let Some(error) = round_budget_check(budget, arena.len(), 0) {
-        return Err(error);
-    }
-    while state < arena.len() {
-        if state == layer_end {
-            iterations += 1;
-            layer_end = arena.len();
-            if let Some(error) = round_budget_check(budget, arena.len(), iterations - 1) {
-                return Err(error);
-            }
-        }
-        let marking = arena.resolve(MarkingId(state as u32)).clone();
-        for transition in net.transitions() {
-            if !net.is_enabled_packed(transition, &marking, &layout) {
-                continue;
-            }
-            net.fire_packed_into(transition, &marking, &layout, &mut scratch)
-                .map_err(|place| unsafe_at(net, place))?;
-            let (_, fresh) = arena.intern_ref(&scratch);
-            if fresh && arena.len() > limit {
-                return Err(StgError::StateLimitExceeded(limit));
-            }
-        }
-        state += 1;
-    }
+    let (arena, layers) = walk(stg, safe_layout(stg)?, Some(budget), limit, |_, _| Ok(true))?;
     Ok(ExplicitCount {
         markings: arena.len() as u64,
-        iterations,
+        iterations: layers,
     })
 }
 
-/// Two arrival paths assigned the same marking different signal codes:
-/// the STG is not consistent.
-fn code_conflict(
-    stg: &Stg,
-    layout: &MarkingLayout,
-    marking: &PackedMarking,
-    existing: u64,
-    incoming: u64,
-) -> StgError {
-    let bit = (existing ^ incoming).trailing_zeros();
-    StgError::Inconsistent {
-        signal: stg.signal_name(SignalId(bit)).to_string(),
-        detail: format!(
-            "marking {} reached with codes {existing:b} and {incoming:b}",
-            marking.unpack(layout)
-        ),
-    }
+/// The initial code the coded walk fixes on `stg`, from a sweep that
+/// only watches for each unforced signal's first enabled edge. The
+/// symbolic CSC detector ([`crate::symbolic::csc`]) seeds its
+/// signal-code variables from it, so both detectors start from the same
+/// code. `stg` has at most 64 signals.
+///
+/// The sweep polls no budget and no fault probe. It ends once every
+/// signal is fixed, or quietly once it holds more than [`STATE_LIMIT`]
+/// markings, the coded walk's cap: a walk that needs more fails at its
+/// cap anyway.
+///
+/// # Errors
+///
+/// [`StgError::Unbounded`] when the sweep meets an unsafe firing.
+pub(crate) fn infer_initial_code(stg: &Stg, layout: MarkingLayout) -> Result<u64, StgError> {
+    let mut initial = InitialCode::forced(stg);
+    walk(stg, layout, None, usize::MAX, |arena, step| {
+        let Step::Fired(_, transition, ..) = step else {
+            let unfixed = (initial.known.count_ones() as usize) < stg.signal_count();
+            return Ok(unfixed && arena.len() <= STATE_LIMIT);
+        };
+        if let Some(ev) = stg.label(transition).event() {
+            initial.first_edge(ev);
+        }
+        Ok(true)
+    })?;
+    Ok(initial.value)
 }
 
 /// The packing layout of `stg`'s markings, after the check every walk
@@ -351,79 +419,6 @@ pub(crate) fn unsafe_at(net: &PetriNet, place: PlaceId) -> StgError {
     StgError::Unbounded {
         place: net.place_name(place).to_string(),
     }
-}
-
-/// Determines the initial binary code.
-///
-/// Explicit values set with [`Stg::set_initial_value`] win; remaining
-/// signals are inferred from the *first edge* of the signal encountered in a
-/// breadth-first sweep of the token game (a first rise ⇒ initially 0, a
-/// first fall ⇒ initially 1). Signals that never transition default to 0.
-///
-/// The visited set is the interning arena itself (a marking is "seen"
-/// exactly when it is already interned), replacing the historical
-/// `HashMap<Marking, ()>`-as-a-set over heap token vectors.
-///
-/// The sweep stops once it holds more than `limit` markings, the cap of
-/// the walk it serves: a walk that needs more fails at its cap anyway.
-/// It polls no budget, so a blown budget surfaces from the walk itself.
-///
-/// `pub(crate)` because the symbolic CSC detector
-/// ([`crate::symbolic::csc`]) seeds its signal-code variables from the
-/// same inference, so both analysers agree on the initial code by
-/// construction.
-pub(crate) fn infer_initial_code(
-    stg: &Stg,
-    layout: &MarkingLayout,
-    limit: usize,
-) -> Result<u64, StgError> {
-    let mut value: Vec<Option<bool>> = (0..stg.signal_count())
-        .map(|i| stg.initial_value(SignalId(i as u32)))
-        .collect();
-    let mut unresolved = value.iter().filter(|v| v.is_none()).count();
-    if unresolved == 0 {
-        return Ok(pack_code(&value));
-    }
-
-    let net = stg.net();
-    let mut arena = MarkingArena::with_capacity(*layout, 64);
-    let mut scratch = PackedMarking::zero(layout);
-    arena.intern(PackedMarking::pack(layout, &stg.initial_marking()));
-
-    let mut state = 0usize;
-    while state < arena.len() {
-        if unresolved == 0 || arena.len() > limit {
-            break;
-        }
-        let marking = arena.resolve(MarkingId(state as u32)).clone();
-        for transition in net.transitions() {
-            if !net.is_enabled_packed(transition, &marking, layout) {
-                continue;
-            }
-            if let TransitionLabel::Event(ev) = stg.label(transition) {
-                let slot = &mut value[ev.signal.index()];
-                if slot.is_none() {
-                    *slot = Some(ev.edge.source_value());
-                    unresolved -= 1;
-                }
-            }
-            net.fire_packed_into(transition, &marking, layout, &mut scratch)
-                .map_err(|place| unsafe_at(net, place))?;
-            arena.intern_ref(&scratch);
-        }
-        state += 1;
-    }
-    Ok(pack_code(&value))
-}
-
-fn pack_code(values: &[Option<bool>]) -> u64 {
-    let mut code = 0u64;
-    for (i, v) in values.iter().enumerate() {
-        if v.unwrap_or(false) {
-            code |= 1 << i;
-        }
-    }
-    code
 }
 
 #[cfg(test)]

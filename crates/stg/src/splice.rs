@@ -22,11 +22,14 @@
 //! reads which original transitions are enabled, and where they lead,
 //! off the original graph's arc rows instead of firing them on packed
 //! markings, and it keys its visited set by `(state, tokens)` instead of
-//! hashing markings. Codes are the original state's code plus `x`'s bit.
-//! Only `x` can be inconsistent: every other signal fires along the
-//! projected path exactly as in the original graph, which is
-//! consistent. It polls the budget and the fault probe once per BFS
-//! round, and stops at the same hard cap, as that walk does.
+//! hashing markings. Codes are the original state's code plus `x`'s bit,
+//! which the walk fixes as the coded walk fixes any unforced signal's:
+//! its initial value at its first enabled edge, and per state whether it
+//! has flipped. Only `x` can be inconsistent: every other signal fires
+//! along the projected path exactly as in the original graph, which is
+//! consistent. It shares that walk's round bookkeeping, so it polls the
+//! budget and the fault probe once per BFS round, and it stops at the
+//! same hard cap.
 //!
 //! Like every walk, it takes safe nets only (see [`crate::reach`]): a
 //! spliced place never holds more tokens than the base place it splits
@@ -40,7 +43,7 @@ use crate::budget::Budget;
 use crate::error::StgError;
 use crate::marking::{MarkingLayout, PackedMarking};
 use crate::petri::{PlaceId, TransitionId};
-use crate::reach::{explore_capped, round_budget_check};
+use crate::reach::{explore_capped, Rounds};
 use crate::signal::{Edge, SignalEvent, SignalId, SignalKind};
 use crate::state_graph::{CsrBuilder, StateArc, StateGraph, StateId};
 use crate::stg::{Stg, TransitionLabel};
@@ -618,7 +621,7 @@ impl Walk {
             detail: detail.to_string(),
         };
         // x's initial value, fixed where one of its edges is first
-        // enabled, as `infer_initial_code` fixes it.
+        // enabled, as the coded walk fixes every unforced signal's.
         let mut x_initial: Option<bool> = None;
 
         // The spliced state of each `(base state, tokens)` pair: the
@@ -659,20 +662,10 @@ impl Walk {
 
         let initial = pack_aux(self.initial.0, self.initial.1);
         visit(base.initial().0, initial, false, &mut states)?;
+        let mut rounds = Rounds::default();
         let mut state = 0usize;
-        let mut round = 0usize;
-        let mut layer_end = states.len();
-        if let Some(error) = round_budget_check(budget, states.len(), round) {
-            return Err(error);
-        }
         while state < states.len() {
-            if state == layer_end {
-                round += 1;
-                layer_end = states.len();
-                if let Some(error) = round_budget_check(budget, states.len(), round) {
-                    return Err(error);
-                }
-            }
+            rounds.expand(Some(budget), state, states.len())?;
             builder.start_row();
             let (from, aux, flip) = states[state];
             let m = base.packed_marking(StateId(from));
@@ -724,7 +717,7 @@ impl Walk {
         // Every other signal keeps the base's values: a consistent splice
         // can replay every run of the base with x's transitions fired as
         // soon as they are enabled, so each base edge is enabled
-        // somewhere and `infer_initial_code` infers what the base did.
+        // somewhere and the coded walk fixes what it fixed on the base.
         let x_initial = x_initial.unwrap_or(false);
         let codes = states
             .iter()

@@ -648,6 +648,6 @@ mod tests {
         stg.arc_from_place(p, ap);
         stg.arc_from_place(p, bp);
         assert_eq!(initially_enabled(&stg).len(), 2);
-        assert!(!stg.net().is_marked_graph());
+        assert_eq!(stg.net().consumers(p).len(), 2);
     }
 }

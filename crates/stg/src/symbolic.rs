@@ -17,24 +17,28 @@
 //! frontier in a single memoized traversal, with nothing left behind in
 //! the manager's computed table.
 //!
-//! One helper takes every image step, here and in both fixpoints of
-//! [`csc`]. It first walks the frontier once
-//! ([`rt_boolean::Bdd::values_taken`]) and then fires only the
-//! transitions whose `before` cube asks each variable for a value the
-//! frontier takes. The others have empty images, which allocate no
-//! node, so the skip changes no node id: on the RT adders most
-//! transitions are idle on most layers (adder16's CSC forward sweep
-//! fires 64 of 4,096 transition-layer pairs).
+//! Every fixpoint here and in [`csc`] runs one loop (`fixpoint`): poll
+//! the budget, ask the frontier the unsafe-firing question (forward
+//! only), take one image step, and keep what is new (and, backward, what
+//! the forward fixpoint reached). The image step first walks the
+//! frontier once ([`rt_boolean::Bdd::values_taken`]) and then fires
+//! only the transitions whose `before` cube asks each variable for a
+//! value the frontier takes. The others have empty images, which
+//! allocate no node, so the skip changes no node id: on the RT adders
+//! most transitions are idle on most layers (adder16's CSC forward
+//! sweep fires 64 of 4,096 transition-layer pairs).
 //!
-//! There are two entry points:
+//! There are three entry points:
 //!
 //! * [`reach_symbolic`] — the one-shot API: builds a fresh manager per
 //!   call and throws it away;
 //! * [`reach_symbolic_in`] — runs inside a **caller-owned manager**.
 //!   The manager never frees a node, so node ids stay valid across
 //!   calls and one manager serves many nets, its unique table sharing
-//!   structure between them. [`crate::engine::ReachEngine`] builds its
-//!   symbolic backend on this entry point.
+//!   structure between them;
+//! * [`reach_symbolic_with`] — [`reach_symbolic_in`] under the caller's
+//!   [`Budget`]; [`crate::engine::ReachEngine`] builds its symbolic
+//!   backend on this entry point.
 //!
 //! ## One token game
 //!
@@ -97,32 +101,61 @@ use crate::stg::Stg;
 
 pub mod csc;
 
-/// Per-iteration budget poll shared by the symbolic fixpoints (here and
-/// in [`csc`]): injected faults first (compiled out unless the
+/// The one breadth-first fixpoint loop, which every symbolic walk runs:
+/// from `initial`, image each frontier under `cubes` ([`image_step`])
+/// and keep the markings not reached before, and within `within` when
+/// given, until no new one appears. `unsafe_firings`, when given, asks
+/// each frontier before its image (see the module docs' *One token
+/// game*). Returns the reached set and the number of image steps.
+///
+/// Before each image step, while `reached` and the frontier are complete
+/// sets (so stopping never abandons a half-built structure), it polls
+/// the budget: injected faults first (compiled out unless the
 /// `fault-injection` feature is on), then cancellation/deadline, then
-/// the manager footprint against both the budget's node ceiling and any
-/// ceiling installed on the manager itself
-/// ([`Bdd::set_node_budget`]), then the iteration ceiling. `iterations`
-/// counts *completed* image steps (0-based at the first poll).
-pub(crate) fn iteration_budget_check(
-    bdd: &Bdd,
+/// the manager's [`Bdd::footprint`] against [`Budget::max_bdd_nodes`],
+/// then the iteration ceiling over the image steps taken so far.
+pub(crate) fn fixpoint<C: AsRef<[(usize, bool, bool)]>>(
+    bdd: &mut Bdd,
     budget: &Budget,
-    iterations: usize,
-) -> Option<StgError> {
-    if let Some(error) = crate::faults::symbolic_iteration_fault(iterations) {
-        return Some(error);
+    initial: NodeId,
+    cubes: &[C],
+    unsafe_firings: Option<&UnsafeFirings<'_>>,
+    within: Option<NodeId>,
+) -> Result<(NodeId, usize), StgError> {
+    let mut reached = initial;
+    let mut frontier = initial;
+    let mut iterations = 0;
+    loop {
+        if let Some(error) = crate::faults::symbolic_iteration_fault(iterations) {
+            return Err(error);
+        }
+        if budget.cancelled() {
+            return Err(StgError::Cancelled);
+        }
+        let nodes = bdd.footprint();
+        if budget.max_bdd_nodes.is_some_and(|max| nodes > max) {
+            return Err(StgError::NodeBudgetExceeded { nodes });
+        }
+        if iterations >= budget.effective_max_iterations() {
+            return Err(StgError::IterationLimitExceeded { iterations });
+        }
+        let taken = bdd.values_taken(frontier);
+        if let Some(unsafe_firings) = unsafe_firings {
+            unsafe_firings.refuse(bdd, frontier, &taken)?;
+        }
+        iterations += 1;
+        let next = image_step(bdd, frontier, &taken, cubes.iter().map(AsRef::as_ref));
+        let not_reached = bdd.not(reached);
+        let mut fresh = bdd.and(next, not_reached);
+        if let Some(within) = within {
+            fresh = bdd.and(fresh, within);
+        }
+        if fresh == NodeId::ZERO {
+            return Ok((reached, iterations));
+        }
+        reached = bdd.or(reached, fresh);
+        frontier = fresh;
     }
-    if budget.cancelled() {
-        return Some(StgError::Cancelled);
-    }
-    let footprint = bdd.footprint();
-    if bdd.over_budget() || budget.max_bdd_nodes.is_some_and(|max| footprint > max) {
-        return Some(StgError::NodeBudgetExceeded { nodes: footprint });
-    }
-    if iterations >= budget.effective_max_iterations() {
-        return Some(StgError::IterationLimitExceeded { iterations });
-    }
-    None
 }
 
 /// Result of a symbolic exploration.
@@ -229,28 +262,8 @@ pub fn reach_symbolic_with(
         .collect();
 
     let unsafe_firings = UnsafeFirings::new(net, &var_of);
-    let mut reached = initial;
-    let mut frontier = initial;
-    let mut iterations = 0;
-    loop {
-        // Budget poll at the iteration boundary: `reached`/`frontier`
-        // are complete sets from the previous step, so stopping here
-        // never abandons a half-built structure.
-        if let Some(error) = iteration_budget_check(bdd, budget, iterations) {
-            return Err(error);
-        }
-        let taken = bdd.values_taken(frontier);
-        unsafe_firings.refuse(bdd, frontier, &taken, net)?;
-        iterations += 1;
-        let next = image_step(bdd, frontier, &taken, cubes.iter().map(Vec::as_slice));
-        let not_reached = bdd.not(reached);
-        let fresh = bdd.and(next, not_reached);
-        if fresh == bdd.constant(false) {
-            break;
-        }
-        reached = bdd.or(reached, fresh);
-        frontier = fresh;
-    }
+    let (reached, iterations) =
+        fixpoint(bdd, budget, initial, &cubes, Some(&unsafe_firings), None)?;
 
     // Invert the order for membership queries: variable v encodes
     // place place_of_var[v].
@@ -267,7 +280,7 @@ pub fn reach_symbolic_with(
     })
 }
 
-/// One BFS step of every symbolic fixpoint: the union of
+/// One BFS step of [`fixpoint`]: the union of
 /// [`Bdd::replace_cube`]`(frontier, cube)` over `cubes`.
 ///
 /// `taken` is [`Bdd::values_taken`]`(frontier)`, which the caller
@@ -276,7 +289,7 @@ pub fn reach_symbolic_with(
 /// never gives it is skipped: its image is empty. Skipping changes no
 /// node id, because an empty image allocates nothing — every `mk` on the
 /// way up sees two ZERO children — and `or(next, ZERO)` is a shortcut.
-pub(crate) fn image_step<'a>(
+fn image_step<'a>(
     bdd: &mut Bdd,
     frontier: NodeId,
     taken: &[[bool; 2]],
@@ -337,7 +350,8 @@ pub(crate) fn firing_cube(
 /// (here and in [`csc`]; see the module docs' *One token game*): does
 /// some marking of the frontier enable a transition with a place of its
 /// postset outside its preset already marked?
-pub(crate) struct UnsafeFirings {
+pub(crate) struct UnsafeFirings<'a> {
+    net: &'a PetriNet,
     /// One cube per unsafe firing, in transition id order and then
     /// postset order: the transition's preset and one place of its
     /// postset outside the preset, all marked. Each comes with that
@@ -345,9 +359,9 @@ pub(crate) struct UnsafeFirings {
     questions: Vec<(PlaceId, Vec<(usize, bool)>)>,
 }
 
-impl UnsafeFirings {
+impl<'a> UnsafeFirings<'a> {
     /// The questions for `net`, whose place *p* is variable `var_of[p]`.
-    pub(crate) fn new(net: &PetriNet, var_of: &[u32]) -> UnsafeFirings {
+    pub(crate) fn new(net: &'a PetriNet, var_of: &[u32]) -> Self {
         let marked = |arc: &Arc| (var_of[arc.place.index()] as usize, true);
         let mut questions = Vec::new();
         for t in net.transitions() {
@@ -359,7 +373,7 @@ impl UnsafeFirings {
                 }
             }
         }
-        UnsafeFirings { questions }
+        UnsafeFirings { net, questions }
     }
 
     /// The first question some marking of `frontier` meets, refused as
@@ -368,13 +382,7 @@ impl UnsafeFirings {
     /// no marking of the frontier marks is skipped, as [`image_step`]
     /// skips a transition, and the rest go to one
     /// [`Bdd::first_cube_met`] call, so this builds no node.
-    pub(crate) fn refuse(
-        &self,
-        bdd: &Bdd,
-        frontier: NodeId,
-        taken: &[[bool; 2]],
-        net: &PetriNet,
-    ) -> Result<(), StgError> {
+    fn refuse(&self, bdd: &Bdd, frontier: NodeId, taken: &[[bool; 2]]) -> Result<(), StgError> {
         let open: Vec<&(PlaceId, Vec<(usize, bool)>)> = self
             .questions
             .iter()
@@ -384,7 +392,7 @@ impl UnsafeFirings {
             return Ok(());
         }
         match bdd.first_cube_met(frontier, open.iter().map(|(_, cube)| cube.as_slice())) {
-            Some(index) => Err(unsafe_at(net, open[index].0)),
+            Some(index) => Err(unsafe_at(self.net, open[index].0)),
             None => Ok(()),
         }
     }

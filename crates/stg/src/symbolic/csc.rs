@@ -92,10 +92,10 @@ use rt_boolean::Bdd;
 
 use crate::budget::Budget;
 use crate::error::StgError;
-use crate::reach::{infer_initial_code, safe_layout, STATE_LIMIT};
+use crate::reach::{infer_initial_code, safe_layout};
 use crate::signal::{Edge, SignalId};
 use crate::stg::{Stg, TransitionLabel};
-use crate::symbolic::{firing_cube, image_step, place_order, UnsafeFirings};
+use crate::symbolic::{firing_cube, fixpoint, place_order, UnsafeFirings};
 
 /// A concrete CSC conflict extracted from the symbolic pair space: two
 /// reachable markings sharing a binary code but disagreeing on the
@@ -146,16 +146,13 @@ pub struct CscAnalysis {
     pub bdd_nodes: usize,
 }
 
-/// One transition's symbolic firing data, shared by the forward image,
-/// the backward (pre-image) step and the enabledness queries.
+/// One transition's enabledness data. Its firing, for the forward image
+/// and the backward (pre-image) step, is a `(variable, before, after)`
+/// cube over the pre ∪ post places plus, for labelled transitions, the
+/// signal variable: [`Bdd::replace_cube`] with it is the image, and with
+/// `before` and `after` swapped the pre-image.
 struct TransImage {
-    /// The firing as `(variable, before, after)` literals over the
-    /// pre ∪ post places plus, for labelled transitions, the signal
-    /// variable: [`Bdd::replace_cube`] with it is the forward image.
-    fire: Vec<(usize, bool, bool)>,
-    /// `fire` with `before` and `after` swapped: the pre-image.
-    unfire: Vec<(usize, bool, bool)>,
-    /// Full enabling constraint, `fire`'s `before` cube: preset marked,
+    /// Full enabling constraint, the firing's `before` cube: preset marked,
     /// produced places empty (the safeness side condition of
     /// [`super::reach_symbolic_in`]), and — for labelled transitions —
     /// the signal at its source value.
@@ -192,16 +189,17 @@ pub fn csc_conflicts_symbolic(stg: &Stg) -> Result<CscAnalysis, StgError> {
 /// * [`StgError::IterationLimitExceeded`] — no fixpoint within the
 ///   iteration ceiling (10 000 by default);
 /// * [`StgError::Cancelled`] / [`StgError::NodeBudgetExceeded`] — the
-///   caller's budget ([`csc_conflicts_symbolic_opts`]) or the manager's
-///   node ceiling triggered; polled once per image step.
+///   caller's budget ([`csc_conflicts_symbolic_opts`]) triggered; polled
+///   once per image step.
 pub fn csc_conflicts_symbolic_in(stg: &Stg, bdd: &mut Bdd) -> Result<CscAnalysis, StgError> {
     csc_conflicts_symbolic_opts(stg, bdd, &Budget::default())
 }
 
 /// [`csc_conflicts_symbolic_in`] under the caller's `budget`. The
-/// initial code comes from the explicit walks' inference sweep
-/// (capped at [`STATE_LIMIT`] markings, as [`crate::reach::explore`]
-/// caps it), so both detectors derive the same initial code.
+/// initial code comes from an explicit sweep that fixes each unforced
+/// signal where the coded walk of [`crate::reach::explore`] fixes it
+/// (capped at [`crate::reach::STATE_LIMIT`] markings, as that walk is),
+/// so both detectors start from the same code.
 ///
 /// # Errors
 ///
@@ -260,7 +258,7 @@ pub fn csc_conflicts_symbolic_opts(
     debug_assert_eq!(next as usize, total_vars);
 
     // --- Initial state: exact minterm over places and code bits ---
-    let initial_code = infer_initial_code(stg, &layout, STATE_LIMIT)?;
+    let initial_code = infer_initial_code(stg, layout)?;
     let initial_marking = stg.initial_marking();
     let mut initial = bdd.constant(true);
     for p in net.places() {
@@ -283,6 +281,7 @@ pub fn csc_conflicts_symbolic_opts(
 
     // --- Per-transition firing data ---
     let mut images = Vec::new();
+    let mut fires = Vec::new();
     for t in net.transitions() {
         let mut fire = firing_cube(net, t, &uvar);
         let mut place_enabled = bdd.constant(true);
@@ -305,42 +304,28 @@ pub fn csc_conflicts_symbolic_opts(
                 Some((sv, ev.edge, ev.signal))
             }
         };
-        let unfire = fire
-            .iter()
-            .map(|&(v, before, after)| (v, after, before))
-            .collect();
+        fires.push(fire);
         images.push(TransImage {
-            fire,
-            unfire,
             enabled,
             place_enabled,
             event,
         });
     }
 
+    let unfires: Vec<Vec<_>> = fires
+        .iter()
+        .map(|fire| {
+            fire.iter()
+                .map(|&(v, before, after)| (v, after, before))
+                .collect()
+        })
+        .collect();
+
     // --- Forward fixpoint (frontier-based, like the place-only BFS) ---
     let zero = bdd.constant(false);
     let unsafe_firings = UnsafeFirings::new(net, &uvar);
-    let mut reached = initial;
-    let mut frontier = initial;
-    let mut iterations = 0usize;
-    loop {
-        if let Some(error) = super::iteration_budget_check(bdd, budget, iterations) {
-            return Err(error);
-        }
-        let taken = bdd.values_taken(frontier);
-        unsafe_firings.refuse(bdd, frontier, &taken, net)?;
-        iterations += 1;
-        let fire = images.iter().map(|i| i.fire.as_slice());
-        let next_layer = image_step(bdd, frontier, &taken, fire);
-        let not_reached = bdd.not(reached);
-        let fresh = bdd.and(next_layer, not_reached);
-        if fresh == zero {
-            break;
-        }
-        reached = bdd.or(reached, fresh);
-        frontier = fresh;
-    }
+    let (reached, iterations) =
+        fixpoint(bdd, budget, initial, &fires, Some(&unsafe_firings), None)?;
 
     // --- Consistency: no reachable state may place-enable an edge of a
     // signal already at the edge's target value. (The checked `enabled`
@@ -386,30 +371,10 @@ pub fn csc_conflicts_symbolic_opts(
 
     // --- Strong connectivity: backward fixpoint from the initial state
     // within R. R is forward-closed, so `R ⊆ B` ⇔ every state reaches
-    // the initial state ⇔ (with forward reachability) one SCC.
-    let mut back = initial;
-    let mut back_frontier = initial;
-    let mut back_iterations = 0usize;
-    loop {
-        // The backward sweep keeps its own iteration count but polls
-        // the same budget; fault injection indexes forward and backward
-        // iterations alike.
-        if let Some(error) = super::iteration_budget_check(bdd, budget, back_iterations) {
-            return Err(error);
-        }
-        back_iterations += 1;
-        let taken = bdd.values_taken(back_frontier);
-        let unfire = images.iter().map(|i| i.unfire.as_slice());
-        let pre_layer = image_step(bdd, back_frontier, &taken, unfire);
-        let not_back = bdd.not(back);
-        let fresh = bdd.and(pre_layer, not_back);
-        let fresh = bdd.and(fresh, reached);
-        if fresh == zero {
-            break;
-        }
-        back = bdd.or(back, fresh);
-        back_frontier = fresh;
-    }
+    // the initial state ⇔ (with forward reachability) one SCC. It keeps
+    // its own iteration count but polls the same budget; fault injection
+    // indexes forward and backward iterations alike.
+    let (back, _) = fixpoint(bdd, budget, initial, &unfires, None, Some(reached))?;
     let not_back = bdd.not(back);
     let strongly_connected = bdd.and(reached, not_back) == zero;
 
